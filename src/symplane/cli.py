@@ -87,19 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized demos (reserved)")
-        return p
-
-    p = add("analyze", "genericity, faces, areas, and codes of one curve")
+    p = sub.add_parser("analyze", help="genericity, faces, areas, and codes of one curve")
     p.add_argument("curve")
     p.add_argument("--angle-tol", type=_positive_float, default=None)
     p.add_argument("--sep-tol", type=_positive_float, default=None)
     p.add_argument("--svg", default=None, help="also write an SVG rendering")
 
-    p = add("compare", "decide equivalence of two curves")
+    p = sub.add_parser("compare", help="decide equivalence of two curves")
     p.add_argument("a")
     p.add_argument("b")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -111,12 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle-tol", type=_positive_float, default=None)
     p.add_argument("--sep-tol", type=_positive_float, default=None)
 
-    p = add("symmetry", "report the face-label symmetry group")
+    p = sub.add_parser("symmetry", help="report the face-label symmetry group")
     p.add_argument("curve")
     p.add_argument("--angle-tol", type=_positive_float, default=None)
     p.add_argument("--sep-tol", type=_positive_float, default=None)
 
-    p = add("realize", "build a density with prescribed face integrals")
+    p = sub.add_parser("realize", help="build a density with prescribed face integrals")
     p.add_argument("curve")
     p.add_argument("targets", nargs="+", type=_positive_float,
                    help="one target integral per bounded face, in label order")
@@ -124,16 +118,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-scale", type=_positive_float, default=1.0)
     p.add_argument("--out", required=True, help="density file to write")
 
-    p = add("moser", "flow one density to another, write the map")
+    p = sub.add_parser("moser", help="flow one density to another, write the map")
     p.add_argument("f0")
     p.add_argument("f1")
     p.add_argument("--steps", type=_step_count, default=64)
     p.add_argument("--out", required=True, help="displacement map file to write")
 
-    p = add("moduli-dim", "dimension of the moduli space for a curve spec")
+    p = sub.add_parser("moduli-dim", help="dimension of the moduli space for a curve spec")
     p.add_argument("spec")
 
-    p = add("render", "write an SVG rendering of the arrangement")
+    p = sub.add_parser("render", help="write an SVG rendering of the arrangement")
     p.add_argument("curve")
     p.add_argument("--svg", required=True)
     p.add_argument("--angle-tol", type=_positive_float, default=None)

@@ -319,7 +319,9 @@ def _segment_hits(curve, sep_tol, violations):
     segment pairs come from a bounding-box overlap prefilter inflated by
     sep_tol; adjacent segments of the same loop are excluded, and the
     near-miss test additionally skips parameter-close pairs, whose
-    closeness is curvature, not a second strand.
+    closeness is curvature, not a second strand. A near-miss beside a
+    crossing pair is dropped too: a crossing within sep_tol of a sample
+    point brings the neighbouring segments within sep_tol of each other.
     """
     loops = curve.loops
     for la in range(len(loops)):
@@ -345,25 +347,46 @@ def _segment_hits(curve, sep_tol, violations):
                 near_window = max(2, na // 100)
             else:
                 near_window = 0
+            crossed = set()
+            near = []
             for i, j in np.argwhere(overlap):
                 res = segment_intersection(a[i], a1[i], b[j], b1[j])
                 if res is not None:
                     t, u, point = res
+                    crossed.add((int(i), int(j)))
                     yield point, ((la, (i + t) % na), (lb, (j + u) % nb))
                     continue
                 if la == lb and min((i - j) % na, (j - i) % na) <= near_window:
                     continue
                 dist = segment_pair_distance(a[i], a1[i], b[j], b1[j])
                 if dist < sep_tol:
-                    mid = 0.25 * (a[i] + a1[i] + b[j] + b1[j])
-                    violations.append(
-                        Violation(
-                            "near-miss",
-                            mid,
-                            ((la, float(i)), (lb, float(j))),
-                            f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
-                        )
+                    near.append((i, j, dist))
+            for i, j, dist in near:
+                if _beside_crossing(i, j, na, nb, crossed, la == lb):
+                    continue
+                mid = 0.25 * (a[i] + a1[i] + b[j] + b1[j])
+                violations.append(
+                    Violation(
+                        "near-miss",
+                        mid,
+                        ((la, float(i)), (lb, float(j))),
+                        f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
                     )
+                )
+
+
+def _beside_crossing(i, j, na, nb, crossed, same_loop):
+    """Whether segment pair (i, j) or a neighbour (i +- 1, j +- 1) crosses.
+
+    Pairs of one loop are stored as (i, j) with i < j, so both
+    orientations are looked up there.
+    """
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            pair = ((i + di) % na, (j + dj) % nb)
+            if pair in crossed or (same_loop and pair[::-1] in crossed):
+                return True
+    return False
 
 
 def _cluster_hits(hits, sep_tol):

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import CubicSpline
 
 from .arrangement import Arrangement, integrate_density_over_faces
 from .errors import (
@@ -589,6 +589,12 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = 64) -> GridMap:
     flows independently. Integration is classical RK4 with `steps`
     uniform time steps; the returned map satisfies
     pullback(map, f1) = f0 up to discretization error.
+
+    A node never leaves its grid row, so the field is evaluated per row:
+    A, f0 and f1 are interpolated along each row by 1-D not-a-knot
+    cubic splines. On a knot row the 2-D tensor-product interpolating
+    spline reduces to exactly this 1-D interpolant of the row, so the
+    result is the flow of the 2-D interpolated field, at 1-D cost.
     """
     if not f0.same_grid(f1):
         raise ValidationError("densities must share a grid")
@@ -599,28 +605,31 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = 64) -> GridMap:
         raise ValidationError("grid too coarse for spline field evaluation")
 
     xs = f0.xs
-    ys = f0.ys
     diff = f0.values - f1.values
     # the difference vanishes outside both support boxes, so the anchored
     # integral picks up nothing beyond the grid
     G, G0 = _row_integral(diff, f0.hx, f0.x0, f0.x1, 0.0)
     A = G - G0[None, :]
 
-    spline_a = RectBivariateSpline(xs, ys, A, kx=3, ky=3)
-    spline_0 = RectBivariateSpline(xs, ys, f0.values, kx=3, ky=3)
-    spline_1 = RectBivariateSpline(xs, ys, f1.values, kx=3, ky=3)
-
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    x = gx.ravel().copy()
-    y = gy.ravel()
+    # per-row piecewise cubics of A, f0 and f1 (fields 0, 1, 2):
+    # coef[3 * k + field, interval * ny + row] multiplies s**(3 - k),
+    # with s the offset from the interval's left node
+    spline = CubicSpline(xs, np.stack([A, f0.values, f1.values], axis=1), axis=0)
+    coef = np.moveaxis(spline.c, 2, 1).reshape(12, -1)
+    rows = np.arange(f0.ny)
 
     def velocity(px, t):
         cx = np.clip(px, f0.x0, f0.x1)
-        ft = (1.0 - t) * spline_0.ev(cx, y) + t * spline_1.ev(cx, y)
+        i = np.clip(((cx - f0.x0) / f0.hx).astype(int), 0, f0.nx - 2)
+        s = cx - xs[i]
+        c = np.take(coef, i * f0.ny + rows, axis=1).reshape(4, 3, *px.shape)
+        a, v0, v1 = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+        ft = (1.0 - t) * v0 + t * v1
         if np.any(ft <= 0):
             raise InconsistencyError("interpolated density hit zero during the flow")
-        return spline_a.ev(cx, y) / ft
+        return a / ft
 
+    x = np.repeat(xs[:, None], f0.ny, axis=1)
     dt = 1.0 / steps
     t = 0.0
     for _ in range(steps):
@@ -631,7 +640,7 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = 64) -> GridMap:
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
 
-    disp_x = (x - gx.ravel()).reshape(f0.nx, f0.ny)
+    disp_x = x - xs[:, None]
     return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
 
 

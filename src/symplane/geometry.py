@@ -28,23 +28,6 @@ def signed_area(points) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygon_centroid(points) -> np.ndarray:
-    """Area centroid of a closed polygon (signed-area weighted).
-
-    Degenerate (zero area) polygons fall back to the vertex mean.
-    """
-    p = np.asarray(points, dtype=float)
-    x, y = p[:, 0], p[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    w = x * yn - xn * y
-    a = 0.5 * np.sum(w)
-    if abs(a) < EPSILON:
-        return p.mean(axis=0)
-    cx = np.sum((x + xn) * w) / (6.0 * a)
-    cy = np.sum((y + yn) * w) / (6.0 * a)
-    return np.array([cx, cy])
-
-
 def segment_intersection(p0, p1, q0, q1, eps: float = EPSILON):
     """Intersect segments [p0, p1] and [q0, q1] in closed form.
 
@@ -117,8 +100,3 @@ def winding_numbers(points, loop) -> np.ndarray:
         wn += up.astype(np.int64)
         wn -= down.astype(np.int64)
     return wn
-
-
-def winding_number(point, loop) -> int:
-    """Winding number of a closed polyline around one point."""
-    return int(winding_numbers(np.asarray(point, dtype=float)[None, :], loop)[0])

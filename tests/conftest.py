@@ -25,9 +25,12 @@ def circle_curve(n=64, radius=1.0, center=(0.0, 0.0), phase=0.0, clockwise=False
     return ClosedCurve((np.column_stack([x, y]),))
 
 
-def gerono_curve(n=256, scale=1.0):
-    """Figure-eight (sin 2t, sin t); one crossing at the origin."""
-    t = 2.0 * np.pi * np.arange(n) / n
+def gerono_curve(n=256, scale=1.0, offset=0.0):
+    """Figure-eight (sin 2t, sin t); one crossing at the origin.
+
+    Samples sit at t = 2 pi (k + offset) / n.
+    """
+    t = 2.0 * np.pi * (np.arange(n) + offset) / n
     return ClosedCurve((scale * np.column_stack([np.sin(2 * t), np.sin(t)]),))
 
 

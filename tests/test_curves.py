@@ -132,6 +132,16 @@ def test_near_miss_flagged_for_close_strands():
     assert any(v.kind == "near-miss" for v in report.violations)
 
 
+def test_gerono_phase_sweep_is_generic():
+    # a crossing within sep_tol of a sample point brings the segment pairs
+    # beside the crossing pair within sep_tol too: no near-miss there
+    small = 10.0 ** np.linspace(-8.0, -1.0, 80)
+    for offset in np.concatenate([small, 1.0 - small]):
+        report = check_generic(gerono_curve(n=256, offset=offset))
+        assert report.is_generic, (offset, report.violations)
+        assert len(report.double_points) == 1
+
+
 def test_cusp_proxy_flagged_for_sharp_turn():
     pts = np.array(
         [

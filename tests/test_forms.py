@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from conftest import circle_curve, conveyor_pair, gerono_curve, trefoil_curve
+from oracles import moser_interpolation_2d
 
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
 from symplane.errors import FormatError, RealizationError, ValidationError
@@ -381,6 +383,45 @@ def test_moser_step_doubling_cuts_defect():
                          - f0.values))
     assert d64 / d128 >= 3.0
     assert d64 <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "pair, steps",
+    [
+        (lambda: zero_row_pair(n=48), 16),
+        (lambda: conveyor_pair(0.17, nx=576), 16),
+        (lambda: (smooth_bump_density(64),) * 2, 8),
+    ],
+    ids=["zero-row-48", "conveyor-576", "identity-64"],
+)
+def test_moser_matches_2d_spline_oracle(pair, steps):
+    # on a grid row the 2-D interpolating spline is the row's 1-D
+    # not-a-knot spline, so the per-row flow reproduces the 2-D one
+    f0, f1 = pair()
+    rho = moser_interpolation(f0, f1, steps=steps)
+    ref = moser_interpolation_2d(f0, f1, steps=steps)
+    assert np.max(np.abs(rho.disp_x - ref.disp_x)) <= 1e-12
+    assert np.array_equal(rho.disp_y, ref.disp_y)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [lambda: conveyor_pair(0.16), lambda: conveyor_pair(0.17), lambda: zero_row_pair(n=128)],
+    ids=["conveyor-0.16", "conveyor-0.17", "zero-row-128"],
+)
+def test_moser_conserves_row_mass(pair):
+    # the flow moves mass along rows: the f1-mass left of a node's image
+    # equals the f0-mass left of the node
+    f0, f1 = pair()
+    rho = moser_interpolation(f0, f1, steps=64)
+    xs = f0.xs
+    m0 = cumulative_trapezoid(f0.values, xs, axis=0, initial=0.0)
+    m1 = cumulative_trapezoid(f1.values, xs, axis=0, initial=0.0)
+    worst = max(
+        np.max(np.abs(np.interp(xs + rho.disp_x[:, j], xs, m1[:, j]) - m0[:, j]))
+        for j in range(f0.ny)
+    )
+    assert worst <= 1e-3
 
 
 def test_moser_zero_row_integrals_keep_support():
