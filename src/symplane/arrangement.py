@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import ClosedCurve, GenericityReport, check_generic
 from .errors import GenericityError, InconsistencyError, ValidationError
-from .geometry import point_segment_distance, signed_area, winding_numbers
+from .geometry import EPSILON, signed_area, winding_numbers
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,16 @@ class Arrangement:
 
     def boundary_distance(self, face: Face, point) -> float:
         """Distance from a point to the face's boundary polylines."""
-        best = np.inf
-        p = np.asarray(point, dtype=float)[None, :]
-        for poly in face.polygons:
-            for i in range(len(poly)):
-                d = point_segment_distance(p, poly[i], poly[(i + 1) % len(poly)])[0]
-                best = min(best, float(d))
-        return best
+        p = np.asarray(point, dtype=float)
+        a = np.vstack(face.polygons)
+        d = np.vstack([np.roll(poly, -1, axis=0) for poly in face.polygons]) - a
+        dd = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        # a zero-length segment measures to its endpoint: t = 0
+        point_like = dd < EPSILON * EPSILON
+        dots = ((p - a)[:, None, :] @ d[:, :, None])[:, 0, 0]
+        t = np.where(point_like, 0.0, np.clip(dots / np.where(point_like, 1.0, dd), 0.0, 1.0))
+        proj = a + t[:, None] * d
+        return float(np.min(np.linalg.norm(p - proj, axis=-1)))
 
 
 def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None) -> Arrangement:
@@ -185,8 +188,10 @@ def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:
 
     Midpoint rule on the density's cells: each cell contributes its
     center value (mean of the four corner nodes) times the cell area iff
-    the center lies in the face. The density grid must cover the curve's
-    bounding box so that no bounded face leaks outside the grid.
+    the center lies in the face. Which face each center lies in is read
+    from one face raster of the grid (see _face_raster), built by a
+    single scanline pass over the curve. The density grid must cover the
+    curve's bounding box so that no bounded face leaks outside the grid.
     """
     x0, x1, y0, y1 = density.x0, density.x1, density.y0, density.y1
     cx0, cx1, cy0, cy1 = arr.curve.bbox()
@@ -201,25 +206,65 @@ def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:
     vals = density.values  # shape (nx, ny), x first
     cell_vals = 0.25 * (vals[:-1, :-1] + vals[1:, :-1] + vals[:-1, 1:] + vals[1:, 1:])
 
-    gx, gy = np.meshgrid(centers_x, centers_y, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
     flat_vals = cell_vals.ravel()
-
+    lab = _face_raster(arr, centers_x, centers_y).ravel()
     out = np.zeros(arr.r)
-    for face in arr.bounded_faces:
-        lo, hi = _face_bbox(face)
-        sel = (
-            (pts[:, 0] >= lo[0] - hx)
-            & (pts[:, 0] <= hi[0] + hx)
-            & (pts[:, 1] >= lo[1] - hy)
-            & (pts[:, 1] <= hi[1] + hy)
-        )
-        idx = np.flatnonzero(sel)
-        if len(idx) == 0:
-            continue
-        inside = arr.face_contains(face, pts[idx])
-        out[face.label - 1] = float(np.sum(flat_vals[idx[inside]]) * hx * hy)
+    for j in range(1, arr.r + 1):
+        out[j - 1] = float(np.sum(flat_vals[lab == j]) * hx * hy)
     return out
+
+
+def _face_raster(arr: Arrangement, centers_x, centers_y) -> np.ndarray:
+    """Face label of every grid cell center, 0 for the outer face.
+
+    One scanline pass: walking a cell row left to right, the label
+    changes by label(left side) - label(right side) of every curve
+    segment crossed, taking sides along the segment's direction. Every
+    forward half-edge segment is used once; the cell rows it crosses
+    follow the half-open rule lo <= y < hi of winding_numbers, and its
+    change is entered at the first cell center right of its
+    x-intercept, so a cumulative sum along each row gives the labels.
+    Returns an int array of shape (len(centers_x), len(centers_y)).
+
+    Internal check: the outer face is unbounded, so every row must end
+    at label 0 and every label must lie in [0, r]; else
+    InconsistencyError.
+    """
+    label_of = np.array([f.label or 0 for f in arr.faces], dtype=np.int64)
+    starts, ends, weights = [], [], []
+    for arcs in arr.loop_arcs:
+        for idx in arcs:
+            he = arr.half_edges[idx]
+            twin = arr.half_edges[he.twin]
+            starts.append(he.points[:-1])
+            ends.append(he.points[1:])
+            weights.append(
+                np.full(len(he.points) - 1, label_of[he.face] - label_of[twin.face])
+            )
+    a = np.vstack(starts)
+    b = np.vstack(ends)
+    w = np.concatenate(weights)
+    up = b[:, 1] > a[:, 1]
+    lo = np.where(up, a[:, 1], b[:, 1])
+    hi = np.where(up, b[:, 1], a[:, 1])
+    first = np.searchsorted(centers_y, lo, side="left")
+    count = np.searchsorted(centers_y, hi, side="left") - first
+    seg = np.repeat(np.arange(len(a)), count)
+    row = first[seg] + (np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count))
+    ay, by = a[seg, 1], b[seg, 1]
+    ax, bx = a[seg, 0], b[seg, 0]
+    x = ax + (centers_y[row] - ay) * (bx - ax) / (by - ay)
+    col = np.searchsorted(centers_x, x, side="right")
+
+    delta = np.zeros((len(centers_y), len(centers_x) + 1), dtype=np.int64)
+    np.add.at(delta, (row, col), np.where(up[seg], -w[seg], w[seg]))
+    labels = np.cumsum(delta, axis=1)
+    if np.any(labels[:, -1] != 0) or labels.min() < 0 or labels.max() > arr.r:
+        raise InconsistencyError(
+            "face raster is not a partition: a cell row does not return to the "
+            "outer face or a label falls outside [0, r]"
+        )
+    return labels[:, :-1].T
 
 
 def render_svg(arr: Arrangement, width: int = 640) -> str:
@@ -536,8 +581,3 @@ def _polygon_centroid_raw(poly):
     if a == 0:
         return poly.mean(axis=0)
     return np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * a)
-
-
-def _face_bbox(face: Face):
-    allp = np.vstack(face.polygons)
-    return allp.min(axis=0), allp.max(axis=0)

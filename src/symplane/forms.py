@@ -183,8 +183,8 @@ def serialize_density(d: Density) -> str:
         f"{float(d.x0)!r} {float(d.x1)!r} {float(d.y0)!r} {float(d.y1)!r} "
         f"{d.nx} {d.ny}"
     )
-    for j in range(d.ny):
-        lines.append(" ".join(repr(float(v)) for v in d.values[:, j]))
+    for row in d.values.T:
+        lines.append(" ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -387,11 +387,10 @@ def serialize_map(gm: GridMap) -> str:
         f"{float(gm.x0)!r} {float(gm.x1)!r} {float(gm.y0)!r} {float(gm.y1)!r} "
         f"{gm.nx} {gm.ny}"
     )
-    for j in range(gm.ny):
-        row = []
-        for i in range(gm.nx):
-            row.append(f"{float(gm.disp_x[i, j])!r} {float(gm.disp_y[i, j])!r}")
-        lines.append(" ".join(row))
+    # row j interleaves disp_x[i, j] and disp_y[i, j] node by node
+    pairs = np.stack([gm.disp_x.T, gm.disp_y.T], axis=-1).reshape(gm.ny, 2 * gm.nx)
+    for row in pairs:
+        lines.append(" ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -557,17 +556,21 @@ def realize_area_vector(
             )
 
     out = np.array(values)
+    leaking = []  # faces whose bump puts mass into another bounded face
     for j, (c, prof) in enumerate(zip(coeffs, profiles)):
         weighted = SimpleNamespace(
             x0=base.x0, x1=base.x1, y0=base.y0, y1=base.y1,
             nx=base.nx, ny=base.ny, values=prof * values,
         )
-        mass = integrate_density_over_faces(arr, weighted)[j]
+        masses = integrate_density_over_faces(arr, weighted)
+        mass = masses[j]
         if mass <= 0:
             raise RealizationError(
                 f"no interior disc resolved on the grid for face {j + 1}; "
                 "refine the grid"
             )
+        if np.any(np.delete(masses, j) > 0):
+            leaking.append(j + 1)
         out = out + (c / mass) * prof * values
 
     if np.any(out <= 0):
@@ -575,6 +578,11 @@ def realize_area_vector(
     result = make_density(base.x0, base.x1, base.y0, base.y1, out)
     achieved = integrate_density_over_faces(arr, result)
     if np.max(np.abs(achieved - target)) > 1e-9 * scale:
+        if leaking:
+            raise RealizationError(
+                f"the bump for face {leaking[0]} puts mass into another face's "
+                "grid cells; refine the grid"
+            )
         raise InconsistencyError(
             "realized face integrals drifted from the target beyond roundoff"
         )

@@ -84,19 +84,21 @@ def winding_numbers(points, loop) -> np.ndarray:
     Uses the signed crossing rule: an upward edge strictly left of the
     point adds one turn, a downward edge subtracts one. Points on the
     polyline itself get an arbitrary neighboring value; callers keep
-    query points off the boundary.
+    query points off the boundary. Points and edges are broadcast
+    against each other in chunks of about a million pairs.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.asarray(loop, dtype=float)
-    wn = np.zeros(len(p), dtype=np.int64)
-    px, py = p[:, 0], p[:, 1]
-    for i in range(len(v)):
-        ax, ay = v[i]
-        bx, by = v[(i + 1) % len(v)]
+    ax, ay = v[:, 0], v[:, 1]
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    wn = np.empty(len(p), dtype=np.int64)
+    chunk = max(1, 1_000_000 // len(v))
+    for s in range(0, len(p), chunk):
+        px = p[s : s + chunk, 0, None]
+        py = p[s : s + chunk, 1, None]
         # is_left > 0: query point lies left of the directed edge a -> b
         is_left = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
         up = (ay <= py) & (by > py) & (is_left > 0)
         down = (ay > py) & (by <= py) & (is_left < 0)
-        wn += up.astype(np.int64)
-        wn -= down.astype(np.int64)
+        wn[s : s + chunk] = np.count_nonzero(up, axis=1) - np.count_nonzero(down, axis=1)
     return wn

@@ -42,6 +42,44 @@ def trefoil_curve(n=512):
     return ClosedCurve((np.column_stack([x, y]),))
 
 
+def holed_curve():
+    """A Gerono figure-eight inside a circle of radius 3: the annular face
+    between them has the figure-eight's outer walk as a hole."""
+    ring = circle_curve(n=512, radius=3.0).loops[0]
+    eight = gerono_curve(n=256).loops[0]
+    return ClosedCurve((ring, eight))
+
+
+# Draw 11 of the lobed petal family from np.random.default_rng(0). Face 1
+# (area 5.73) has its representative point 0.0207 from its boundary, so
+# on a 256^2 grid (cell width 0.036) its bump reaches into face 2.
+LEAKING_PETAL = (3, 2.165808138237552, 1.5040025672010786, 5.507112841004416,
+                 -0.22071598259740283)
+
+
+def petal_curve(params, n=256):
+    """Lobed petal loop (sin t + a sin(kt + ph1) + b cos((k+1)t),
+    cos t - a cos(kt + ph2) + b sin((k+1)t)), params = (k, a, ph1, ph2, b).
+
+    Sampled at n equal parameter steps, then moved to equal arclength by
+    six passes of linear interpolation along the polyline.
+    """
+    k, a, ph1, ph2, b = params
+    t = 2.0 * np.pi * np.arange(n) / n
+    x = np.sin(t) + a * np.sin(k * t + ph1) + b * np.cos((k + 1) * t)
+    y = np.cos(t) - a * np.cos(k * t + ph2) + b * np.sin((k + 1) * t)
+    cur = np.column_stack([x, y])
+    for _ in range(6):
+        ring = np.vstack([cur, cur[:1]])
+        step = np.diff(ring, axis=0)
+        cum = np.concatenate([[0.0], np.cumsum(np.hypot(step[:, 0], step[:, 1]))])
+        targets = np.arange(n) * (cum[-1] / n)
+        cur = np.column_stack(
+            [np.interp(targets, cum, ring[:, 0]), np.interp(targets, cum, ring[:, 1])]
+        )
+    return ClosedCurve((cur,))
+
+
 def random_trig_loop(rng, n=256, order=3, amplitude=0.45):
     """A closed trigonometric loop: unit circle plus random low harmonics."""
     t = 2.0 * np.pi * np.arange(n) / n

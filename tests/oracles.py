@@ -10,8 +10,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
+from symplane.arrangement import Arrangement, Face
 from symplane.errors import InconsistencyError, ValidationError
 from symplane.forms import Density, GridMap, _row_integral
+from symplane.geometry import point_segment_distance
 
 
 def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap:
@@ -64,3 +66,112 @@ def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap
 
     disp_x = (x - gx.ravel()).reshape(f0.nx, f0.ny)
     return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
+
+
+def winding_numbers(points, loop) -> np.ndarray:
+    """Winding numbers by the signed crossing rule, one edge at a time.
+
+    The original `geometry.winding_numbers`: a Python loop over the
+    polyline's edges, each tested against every query point.
+    """
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    v = np.asarray(loop, dtype=float)
+    wn = np.zeros(len(p), dtype=np.int64)
+    px, py = p[:, 0], p[:, 1]
+    for i in range(len(v)):
+        ax, ay = v[i]
+        bx, by = v[(i + 1) % len(v)]
+        # is_left > 0: query point lies left of the directed edge a -> b
+        is_left = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+        up = (ay <= py) & (by > py) & (is_left > 0)
+        down = (ay > py) & (by <= py) & (is_left < 0)
+        wn += up.astype(np.int64)
+        wn -= down.astype(np.int64)
+    return wn
+
+
+def face_contains(face: Face, points) -> np.ndarray:
+    """`Arrangement.face_contains` on top of the edge-by-edge winding numbers."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    total = np.zeros(len(pts), dtype=np.int64)
+    for poly in face.polygons:
+        total += winding_numbers(pts, poly)
+    return total == 1 if not face.is_outer else total == 0
+
+
+def boundary_distance(face: Face, point) -> float:
+    """The original `Arrangement.boundary_distance`: one call per segment."""
+    best = np.inf
+    p = np.asarray(point, dtype=float)[None, :]
+    for poly in face.polygons:
+        for i in range(len(poly)):
+            d = point_segment_distance(p, poly[i], poly[(i + 1) % len(poly)])[0]
+            best = min(best, float(d))
+    return best
+
+
+def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:
+    """Face integrals by one bbox-filtered winding pass per bounded face.
+
+    The original `arrangement.integrate_density_over_faces`.
+    """
+    x0, x1, y0, y1 = density.x0, density.x1, density.y0, density.y1
+    cx0, cx1, cy0, cy1 = arr.curve.bbox()
+    if not (x0 <= cx0 and x1 >= cx1 and y0 <= cy0 and y1 >= cy1):
+        raise ValidationError("density grid does not cover the curve bounding box")
+    xs = np.linspace(x0, x1, density.nx)
+    ys = np.linspace(y0, y1, density.ny)
+    hx = xs[1] - xs[0]
+    hy = ys[1] - ys[0]
+    centers_x = xs[:-1] + 0.5 * hx
+    centers_y = ys[:-1] + 0.5 * hy
+    vals = density.values  # shape (nx, ny), x first
+    cell_vals = 0.25 * (vals[:-1, :-1] + vals[1:, :-1] + vals[:-1, 1:] + vals[1:, 1:])
+
+    gx, gy = np.meshgrid(centers_x, centers_y, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    flat_vals = cell_vals.ravel()
+
+    out = np.zeros(arr.r)
+    for face in arr.bounded_faces:
+        allp = np.vstack(face.polygons)
+        lo, hi = allp.min(axis=0), allp.max(axis=0)
+        sel = (
+            (pts[:, 0] >= lo[0] - hx)
+            & (pts[:, 0] <= hi[0] + hx)
+            & (pts[:, 1] >= lo[1] - hy)
+            & (pts[:, 1] <= hi[1] + hy)
+        )
+        idx = np.flatnonzero(sel)
+        if len(idx) == 0:
+            continue
+        inside = face_contains(face, pts[idx])
+        out[face.label - 1] = float(np.sum(flat_vals[idx[inside]]) * hx * hy)
+    return out
+
+
+def serialize_density(d: Density) -> str:
+    """The original `forms.serialize_density`: one repr per numpy scalar."""
+    lines = ["density v1"]
+    lines.append(
+        f"{float(d.x0)!r} {float(d.x1)!r} {float(d.y0)!r} {float(d.y1)!r} "
+        f"{d.nx} {d.ny}"
+    )
+    for j in range(d.ny):
+        lines.append(" ".join(repr(float(v)) for v in d.values[:, j]))
+    return "\n".join(lines) + "\n"
+
+
+def serialize_map(gm: GridMap) -> str:
+    """The original `forms.serialize_map`: one formatted pair per node."""
+    lines = ["dispmap v1"]
+    lines.append(
+        f"{float(gm.x0)!r} {float(gm.x1)!r} {float(gm.y0)!r} {float(gm.y1)!r} "
+        f"{gm.nx} {gm.ny}"
+    )
+    for j in range(gm.ny):
+        row = []
+        for i in range(gm.nx):
+            row.append(f"{float(gm.disp_x[i, j])!r} {float(gm.disp_y[i, j])!r}")
+        lines.append(" ".join(row))
+    return "\n".join(lines) + "\n"

@@ -8,9 +8,9 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import circle_curve, gerono_curve, trefoil_curve
+from conftest import LEAKING_PETAL, circle_curve, gerono_curve, petal_curve, trefoil_curve
 
-from symplane.arrangement import build_arrangement, integrate_density_over_faces
+from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
 from symplane.cli import main
 from symplane.curves import save_curve, transform_curve
 from symplane.forms import load_density, load_map, make_density, save_density
@@ -204,6 +204,17 @@ def test_realize_infeasible_target(tmp_path):
     )
     assert code == 1
     assert "infeasible:" in text
+    assert not out.exists()
+
+
+def test_realize_leaking_bump_is_infeasible(tmp_path):
+    curve = petal_curve(LEAKING_PETAL)
+    path = write_curve(tmp_path, "petal.txt", curve)
+    out = tmp_path / "density.txt"
+    targets = 2.0 * face_areas(build_arrangement(curve)).values + 1.0
+    code, text = run_cli("realize", path, *map(repr, targets.tolist()), "--out", str(out))
+    assert code == 1
+    assert text.startswith("infeasible: ") and "face 1" in text
     assert not out.exists()
 
 

@@ -1,0 +1,139 @@
+"""Face raster and vectorized labelling against the code they replaced.
+
+The scanline face raster, the broadcast winding numbers and the
+all-segments boundary distance must reproduce the per-face winding
+passes and per-segment distances of `oracles` exactly, not just
+closely: face integrals feed density files whose bytes must not move.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+import oracles
+import pytest
+from conftest import (
+    circle_curve,
+    gerono_curve,
+    generic_trig_loops,
+    holed_curve,
+    trefoil_curve,
+)
+
+from symplane.arrangement import _face_raster, build_arrangement, integrate_density_over_faces
+from symplane.errors import InconsistencyError
+from symplane.geometry import winding_numbers
+
+GRIDS = (64, 193, 256)
+
+
+@pytest.fixture(scope="module")
+def arrangements():
+    named = [build_arrangement(c) for c in (
+        gerono_curve(n=256), trefoil_curve(n=512), circle_curve(n=128), holed_curve())]
+    family = [build_arrangement(c, rep) for c, rep in generic_trig_loops(seed=77, count=100)]
+    return named + family
+
+
+def random_density(arr, n, rng, inflate=0.1):
+    x0, x1, y0, y1 = arr.curve.bbox()
+    px, py = inflate * (x1 - x0), inflate * (y1 - y0)
+    return SimpleNamespace(x0=x0 - px, x1=x1 + px, y0=y0 - py, y1=y1 + py, nx=n, ny=n,
+                           values=rng.uniform(0.1, 3.0, size=(n, n)))
+
+
+def cell_centers(d):
+    xs = np.linspace(d.x0, d.x1, d.nx)
+    ys = np.linspace(d.y0, d.y1, d.ny)
+    return xs[:-1] + 0.5 * (xs[1] - xs[0]), ys[:-1] + 0.5 * (ys[1] - ys[0])
+
+
+def test_holed_curve_has_a_holed_face():
+    arr = build_arrangement(holed_curve())
+    assert max(len(f.polygons) for f in arr.bounded_faces) == 2
+
+
+@pytest.mark.parametrize("n", GRIDS)
+def test_integrals_match_per_face_winding_oracle(arrangements, n):
+    rng = np.random.default_rng(n)
+    # the named curves on every grid, each family curve on one of them
+    for k, arr in enumerate(arrangements):
+        if k >= 4 and GRIDS[k % 3] != n:
+            continue
+        d = random_density(arr, n, rng)
+        new = integrate_density_over_faces(arr, d)
+        old = oracles.integrate_density_over_faces(arr, d)
+        assert np.array_equal(new, old)
+
+
+def test_raster_agrees_with_face_contains(arrangements):
+    rng = np.random.default_rng(5)
+    for k, arr in enumerate(arrangements):
+        for n in GRIDS[:2] if k < 4 else GRIDS[:1]:
+            d = random_density(arr, n, rng)
+            cx, cy = cell_centers(d)
+            lab = _face_raster(arr, cx, cy)
+            gx, gy = np.meshgrid(cx, cy, indexing="ij")
+            pts = np.column_stack([gx.ravel(), gy.ravel()])
+            for face in arr.faces:
+                inside = arr.face_contains(face, pts).reshape(lab.shape)
+                assert np.array_equal(inside, lab == (face.label or 0))
+
+
+@pytest.mark.parametrize("curve", [circle_curve(n=64), gerono_curve(n=256)])
+def test_raster_rows_through_curve_samples(curve):
+    # cell-center rows at multiples of 1/8 pass exactly through the
+    # samples at y = 0 and y = +-1; columns at odd multiples of 1/16
+    # keep every center off the curve
+    arr = build_arrangement(curve)
+    d = SimpleNamespace(x0=-1.5, x1=1.5, y0=-1.5625, y1=1.4375, nx=25, ny=25,
+                        values=np.random.default_rng(3).uniform(0.1, 3.0, size=(25, 25)))
+    cx, cy = cell_centers(d)
+    assert {-1.0, 0.0, 1.0} <= set(cy.tolist())
+    lab = _face_raster(arr, cx, cy)
+    gx, gy = np.meshgrid(cx, cy, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    for face in arr.faces:
+        inside = oracles.face_contains(face, pts).reshape(lab.shape)
+        assert np.array_equal(inside, lab == (face.label or 0))
+    assert np.array_equal(integrate_density_over_faces(arr, d),
+                          oracles.integrate_density_over_faces(arr, d))
+
+
+def test_winding_numbers_match_edge_loop_oracle(arrangements):
+    rng = np.random.default_rng(11)
+    for arr in arrangements[:20]:
+        x0, x1, y0, y1 = arr.curve.bbox()
+        pts = np.column_stack([rng.uniform(x0, x1, 500), rng.uniform(y0, y1, 500)])
+        for face in arr.faces:
+            for poly in face.polygons:
+                assert np.array_equal(winding_numbers(pts, poly),
+                                      oracles.winding_numbers(pts, poly))
+
+
+def test_boundary_distance_matches_per_segment_oracle(arrangements):
+    rng = np.random.default_rng(12)
+    for arr in arrangements:
+        x0, x1, y0, y1 = arr.curve.bbox()
+        probes = np.column_stack([rng.uniform(x0, x1, 2), rng.uniform(y0, y1, 2)])
+        for face in arr.bounded_faces:
+            for p in (face.rep_point, *probes):
+                assert arr.boundary_distance(face, p) == oracles.boundary_distance(face, p)
+
+
+def test_boundary_distance_of_zero_length_segment():
+    face = SimpleNamespace(polygons=(np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]),))
+    arr = build_arrangement(circle_curve(n=64))
+    for p in ([-3.0, -4.0], [0.5, 0.5], [1.0, -1.0]):
+        assert arr.boundary_distance(face, p) == oracles.boundary_distance(face, p)
+
+
+def test_raster_rejects_corrupted_face_assignment():
+    arr = build_arrangement(trefoil_curve(n=512))
+    d = random_density(arr, 64, np.random.default_rng(0))
+    integrate_density_over_faces(arr, d)  # intact: no error
+    he = arr.half_edges[arr.loop_arcs[0][0]]
+    he.face = arr.half_edges[he.twin].face
+    with pytest.raises(InconsistencyError, match="partition"):
+        integrate_density_over_faces(arr, d)

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
-from conftest import circle_curve, conveyor_pair, gerono_curve, trefoil_curve
+from conftest import (
+    LEAKING_PETAL,
+    circle_curve,
+    conveyor_pair,
+    gerono_curve,
+    petal_curve,
+    trefoil_curve,
+)
+import oracles
 from oracles import moser_interpolation_2d
 
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
@@ -31,6 +39,8 @@ from symplane.forms import (
     sample_map,
     save_density,
     save_map,
+    serialize_density,
+    serialize_map,
     support_defect,
     union_box,
     unit_density,
@@ -257,6 +267,25 @@ def test_map_file_round_trip(tmp_path):
     assert (back.x0, back.x1, back.y0, back.y1) == (gm.x0, gm.x1, gm.y0, gm.y1)
 
 
+def test_serializers_match_per_value_oracle():
+    rng = np.random.default_rng(8)
+    vals = np.exp(rng.uniform(-700.0, 700.0, size=(37, 23)))
+    vals[3, 4] = 5e-324
+    vals[0, 0] = 1.0
+    for d in (smooth_bump_density(n=96), make_density(-1.0, 2.0, 0.5, 1.5, vals)):
+        assert serialize_density(d) == oracles.serialize_density(d)
+    disp = rng.standard_normal((2, 19, 31)) * np.exp(rng.uniform(-300.0, 300.0, size=(2, 19, 31)))
+    disp[0, 2, 5] = -0.0
+    disp[1, 7, 1] = 0.0
+    f0, f1 = zero_row_pair(n=32)
+    for gm in (
+        sample_map(rotation_map(0.5), -1, 1, -1, 1, 12, 17),
+        GridMap(-1.0, 1.0, 0.0, 3.0, disp[0], disp[1]),
+        moser_interpolation(f0, f1, steps=8),
+    ):
+        assert serialize_map(gm) == oracles.serialize_map(gm)
+
+
 # --- realize_area_vector --------------------------------------------------
 
 
@@ -315,6 +344,15 @@ def test_realize_base_scale_makes_room():
     out = realize_area_vector(arr, target, base=base, base_scale=0.2)
     got = integrate_density_over_faces(arr, out)
     assert np.max(np.abs(got - target)) < 1e-9
+
+
+def test_realize_reports_bump_leaking_into_another_face():
+    # face 1's bump reaches into face 2's cells on the default 256^2 grid,
+    # so the drift check fails for a grid reason, not a construction bug
+    arr = build_arrangement(petal_curve(LEAKING_PETAL))
+    target = 2.0 * face_areas(arr).values + 1.0
+    with pytest.raises(RealizationError, match="face 1 .*refine the grid"):
+        realize_area_vector(arr, target)
 
 
 def test_realize_rejects_wrong_target_length(gerono256):
