@@ -322,13 +322,12 @@ def _arc_points(curve, loop, t0, t1, p_start, p_end):
         span = n  # single passage: the arc is the whole loop
     first = int(np.floor(t0)) + 1
     count = int(np.ceil(t0 + span - 1e-9)) - first
-    mids = [pts[(first + k) % n] for k in range(count)]
+    mids = pts[(first + np.arange(count)) % n]
     # drop interior samples that coincide with an endpoint (crossing at a sample)
-    keep = []
-    for q in mids:
-        if np.linalg.norm(q - p_start) > 1e-12 and np.linalg.norm(q - p_end) > 1e-12:
-            keep.append(q)
-    return np.vstack([p_start[None, :], *[q[None, :] for q in keep], p_end[None, :]])
+    keep = (np.linalg.norm(mids - p_start, axis=1) > 1e-12) & (
+        np.linalg.norm(mids - p_end, axis=1) > 1e-12
+    )
+    return np.vstack([p_start[None, :], mids[keep], p_end[None, :]])
 
 
 def _build_half_edges(curve, vertices, passages):

@@ -145,52 +145,35 @@ def canonical_code(gc: GaussCode) -> str:
     outer face and the traversal orientation are preserved by every
     candidate, so a mirror image or a reversed loop will not collide.
     """
-    best = None
-    for order, rots in _candidates(gc):
-        serial, _, _ = _read(gc, order, rots)
-        if best is None or serial < best:
-            best = serial
-    return best
+    return _minimal_readings(gc)[0]
 
 
 def isotopy_match(a: Arrangement, b: Arrangement) -> FaceCorrespondence | None:
     """One diagram isomorphism a -> b as a face-label bijection, if any."""
-    gca = gauss_code(a)
-    gcb = gauss_code(b)
-    sa, face_a, vert_a = _minimal_reading(gca)
-    sb, face_b, vert_b = _minimal_reading(gcb)
+    sa, readings_a = _minimal_readings(gauss_code(a))
+    sb, readings_b = _minimal_readings(gauss_code(b))
     if sa != sb:
         return None
-    return _correspondence(a, b, face_a, vert_a, face_b, vert_b)
+    return _correspondence(a, b, *readings_a[0], *readings_b[0])
 
 
 def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     """All diagram automorphisms, as face and crossing permutations.
 
-    Enumerates orientation-preserving basepoint shifts and loop
-    reorderings whose reading of the code equals the identity reading.
-    The element set is verified to satisfy the group axioms.
+    An automorphism carries each candidate reading (orientation-preserving
+    basepoint shifts and loop reorderings) to one with the same serial,
+    so the readings that reach the minimal serial form a single orbit, and
+    the correspondences from the first of them to each of them are the
+    whole group. The element set is checked to be a group while its
+    generators are found.
     """
-    gc = gauss_code(arr)
-    ident_order = tuple(range(len(gc.occ)))
-    ident_rots = tuple(0 for _ in gc.occ)
-    base_serial, base_faces, base_verts = _read(gc, ident_order, ident_rots)
-
-    elements = []
-    seen = set()
-    for order, rots in _candidates(gc):
-        serial, faces, verts = _read(gc, order, rots)
-        if serial != base_serial:
-            continue
-        corr = _correspondence(arr, arr, base_faces, base_verts, faces, verts)
-        fperm = tuple(v - 1 for v in corr.faces)
-        vperm = corr.vertices
-        if (fperm, vperm) not in seen:
-            seen.add((fperm, vperm))
-            elements.append((fperm, vperm))
-    elements.sort()
-    _verify_group(elements)
-    generators = _find_generators(elements)
+    _, readings = _minimal_readings(gauss_code(arr))
+    elements = set()
+    for faces, verts in readings:
+        corr = _correspondence(arr, arr, *readings[0], faces, verts)
+        elements.add((tuple(v - 1 for v in corr.faces), corr.vertices))
+    elements = sorted(elements)
+    generators = _checked_generators(elements)
     return SymmetryGroup(
         degree=arr.r,
         marked=len(arr.vertices),
@@ -289,13 +272,19 @@ def _read(gc: GaussCode, order, rots):
     return serial, face_label, vert_label
 
 
-def _minimal_reading(gc: GaussCode):
+def _minimal_readings(gc: GaussCode):
+    """The minimal serial and every (faces, verts) reading that reaches it,
+    in enumeration order."""
     best = None
+    readings = []
     for order, rots in _candidates(gc):
         serial, faces, verts = _read(gc, order, rots)
-        if best is None or serial < best[0]:
-            best = (serial, faces, verts)
-    return best
+        if best is None or serial < best:
+            best = serial
+            readings = [(faces, verts)]
+        elif serial == best:
+            readings.append((faces, verts))
+    return best, readings
 
 
 def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert_b):
@@ -315,28 +304,21 @@ def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert
     return FaceCorrespondence(faces=tuple(faces), vertices=verts)
 
 
-def _verify_group(elements):
-    index = {e: k for k, e in enumerate(elements)}
-    n_faces = len(elements[0][0]) if elements else 0
-    ident = (tuple(range(n_faces)), tuple(range(len(elements[0][1]))) if elements else ())
-    if ident not in index:
-        raise InconsistencyError("automorphism set lacks the identity")
-    for f1, v1 in elements:
-        inv = (invert_perm(f1), invert_perm(v1))
-        if inv not in index:
-            raise InconsistencyError("automorphism set not closed under inverse")
-        for f2, v2 in elements:
-            prod = (compose_perms(f1, f2), compose_perms(v1, v2))
-            if prod not in index:
-                raise InconsistencyError("automorphism set not closed under composition")
+def _checked_generators(elements):
+    """Greedy generators of the sorted element list, checking the group axioms.
 
-
-def _find_generators(elements):
-    if not elements:
-        return ()
-    n_f = len(elements[0][0])
-    n_v = len(elements[0][1])
+    Each element not yet generated becomes a generator, and the generated
+    set is closed under right multiplication by the generators. Every
+    product must be an element and the identity must be one. Then every
+    element is generated and the set is closed under products with the
+    generators, so it equals the group the generators span; a finite set
+    of permutations closed under products also holds every inverse.
+    """
+    present = set(elements)
+    n_f, n_v = (len(elements[0][0]), len(elements[0][1])) if elements else (0, 0)
     ident = (tuple(range(n_f)), tuple(range(n_v)))
+    if ident not in present:
+        raise InconsistencyError("automorphism set lacks the identity")
     generated = {ident}
     gens: list[int] = []
     for k, el in enumerate(elements):
@@ -351,6 +333,10 @@ def _find_generators(elements):
                     h = elements[h_idx]
                     prod = (compose_perms(g[0], h[0]), compose_perms(g[1], h[1]))
                     if prod not in generated:
+                        if prod not in present:
+                            raise InconsistencyError(
+                                "automorphism set not closed under composition"
+                            )
                         generated.add(prod)
                         nxt.append(prod)
             frontier = nxt

@@ -159,6 +159,26 @@ def _check_bijection(corr: FaceCorrespondence, r_a: int, r_b: int):
         raise ValidationError("correspondence is not a bijection on bounded faces")
 
 
+def _orbit_decision(a, b, corr, perms, tol, areas_a, areas_b) -> Decision:
+    """EQUIVALENT at the first face permutation g in perms whose composite
+    with corr aligns the area vectors; otherwise INEQUIVALENT, with the
+    closest composite as witness."""
+    _check_bijection(corr, a.r, b.r)
+    va = _area_vector(a, areas_a)
+    vb = _area_vector(b, areas_b)
+    scale = max(va.max(), vb.max())
+    best = None
+    for g in perms:
+        composite = tuple(corr.faces[g[j]] for j in range(a.r))
+        disc = max(abs(va[j] - vb[composite[j] - 1]) for j in range(a.r))
+        witness = Witness(composite, perm_cycles(g), float(disc))
+        if best is None or disc < best.max_discrepancy:
+            best = witness
+        if disc <= tol * scale:
+            return Decision(Verdict.EQUIVALENT, tol, witness)
+    return Decision(Verdict.INEQUIVALENT, tol, best)
+
+
 def labelled_equivalent(
     a: Arrangement,
     b: Arrangement,
@@ -179,15 +199,7 @@ def labelled_equivalent(
         corr = isotopy_match(a, b)
         if corr is None:
             return Decision(Verdict.INCOMPARABLE, tol)
-    _check_bijection(corr, a.r, b.r)
-    va = _area_vector(a, areas_a)
-    vb = _area_vector(b, areas_b)
-    scale = max(va.max(), vb.max())
-    disc = np.array([abs(va[j] - vb[corr.faces[j] - 1]) for j in range(a.r)])
-    witness = Witness(corr.faces, "id", float(disc.max()))
-    if disc.max() <= tol * scale:
-        return Decision(Verdict.EQUIVALENT, tol, witness)
-    return Decision(Verdict.INEQUIVALENT, tol, witness)
+    return _orbit_decision(a, b, corr, (tuple(range(a.r)),), tol, areas_a, areas_b)
 
 
 def symplectically_equivalent(
@@ -209,22 +221,8 @@ def symplectically_equivalent(
     corr = isotopy_match(a, b)
     if corr is None:
         return Decision(Verdict.INCOMPARABLE, tol)
-    _check_bijection(corr, a.r, b.r)
-    va = _area_vector(a, areas_a)
-    vb = _area_vector(b, areas_b)
-    scale = max(va.max(), vb.max())
-    group = symmetry_group(a)
-
-    best = None
-    for g in group.face_perms:
-        composite = tuple(corr.faces[g[j]] for j in range(a.r))
-        disc = max(abs(va[j] - vb[composite[j] - 1]) for j in range(a.r))
-        witness = Witness(composite, perm_cycles(g), float(disc))
-        if best is None or disc < best.max_discrepancy:
-            best = witness
-        if disc <= tol * scale:
-            return Decision(Verdict.EQUIVALENT, tol, witness)
-    return Decision(Verdict.INEQUIVALENT, tol, best)
+    perms = symmetry_group(a).face_perms
+    return _orbit_decision(a, b, corr, perms, tol, areas_a, areas_b)
 
 
 def decision_report(d: Decision) -> str:

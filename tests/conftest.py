@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from symplane.arrangement import build_arrangement
 from symplane.curves import ClosedCurve, check_generic, resample
 from symplane.forms import Density
 
@@ -144,6 +145,29 @@ def conveyor_pair(eps, nx=2304, ny=8, speed=10.5):
                        support_box=(0.0, width, 0.0, 1.0))
 
     return dens(v0), dens(v1)
+
+
+def eights_row(k, order=None, shifts=None, n=128):
+    """k congruent disjoint Gerono figure-eights side by side, 3 apart.
+
+    order[i] is the slot (x = 3 order[i]) of loop i, and loop i starts
+    shifts[i] samples after its crossing.
+    """
+    order = range(k) if order is None else order
+    shifts = [0] * k if shifts is None else shifts
+    eight = gerono_curve(n=n).loops[0]
+    return ClosedCurve(
+        tuple(np.roll(eight, -s, axis=0) + (3.0 * slot, 0.0) for slot, s in zip(order, shifts))
+    )
+
+
+@pytest.fixture(scope="session")
+def arrangements():
+    """Named arrangements, then the 100-loop `generic_trig_loops(77)` family."""
+    named = [build_arrangement(c) for c in (
+        gerono_curve(n=256), trefoil_curve(n=512), circle_curve(n=128), holed_curve())]
+    family = [build_arrangement(c, rep) for c, rep in generic_trig_loops(seed=77, count=100)]
+    return named + family
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,17 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from symplane.arrangement import Arrangement, Face
+from symplane.diagram import (
+    FaceCorrespondence,
+    GaussCode,
+    SymmetryGroup,
+    _candidates,
+    _correspondence,
+    _read,
+    compose_perms,
+    gauss_code,
+    invert_perm,
+)
 from symplane.errors import InconsistencyError, ValidationError
 from symplane.forms import Density, GridMap, _row_integral
 from symplane.geometry import point_segment_distance
@@ -175,3 +186,126 @@ def serialize_map(gm: GridMap) -> str:
             row.append(f"{float(gm.disp_x[i, j])!r} {float(gm.disp_y[i, j])!r}")
         lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _arc_points(curve, loop, t0, t1, p_start, p_end):
+    """The original `arrangement._arc_points`: two norms per interior sample."""
+    pts = curve.loops[loop]
+    n = len(pts)
+    span = (t1 - t0) % n
+    if span == 0.0:
+        span = n  # single passage: the arc is the whole loop
+    first = int(np.floor(t0)) + 1
+    count = int(np.ceil(t0 + span - 1e-9)) - first
+    mids = [pts[(first + k) % n] for k in range(count)]
+    # drop interior samples that coincide with an endpoint (crossing at a sample)
+    keep = []
+    for q in mids:
+        if np.linalg.norm(q - p_start) > 1e-12 and np.linalg.norm(q - p_end) > 1e-12:
+            keep.append(q)
+    return np.vstack([p_start[None, :], *[q[None, :] for q in keep], p_end[None, :]])
+
+
+def canonical_code(gc: GaussCode) -> str:
+    """The original `diagram.canonical_code`: its own loop over the candidates."""
+    best = None
+    for order, rots in _candidates(gc):
+        serial, _, _ = _read(gc, order, rots)
+        if best is None or serial < best:
+            best = serial
+    return best
+
+
+def _minimal_reading(gc: GaussCode):
+    """The original `diagram._minimal_reading`: the first strictly minimal reading."""
+    best = None
+    for order, rots in _candidates(gc):
+        serial, faces, verts = _read(gc, order, rots)
+        if best is None or serial < best[0]:
+            best = (serial, faces, verts)
+    return best
+
+
+def isotopy_match(a: Arrangement, b: Arrangement) -> FaceCorrespondence | None:
+    """The original `diagram.isotopy_match`, on `_minimal_reading`."""
+    gca = gauss_code(a)
+    gcb = gauss_code(b)
+    sa, face_a, vert_a = _minimal_reading(gca)
+    sb, face_b, vert_b = _minimal_reading(gcb)
+    if sa != sb:
+        return None
+    return _correspondence(a, b, face_a, vert_a, face_b, vert_b)
+
+
+def symmetry_group(arr: Arrangement) -> SymmetryGroup:
+    """The original `diagram.symmetry_group`: readings equal to the identity
+    reading, then an O(|G|^2) axiom check and a separate generator search."""
+    gc = gauss_code(arr)
+    ident_order = tuple(range(len(gc.occ)))
+    ident_rots = tuple(0 for _ in gc.occ)
+    base_serial, base_faces, base_verts = _read(gc, ident_order, ident_rots)
+
+    elements = []
+    seen = set()
+    for order, rots in _candidates(gc):
+        serial, faces, verts = _read(gc, order, rots)
+        if serial != base_serial:
+            continue
+        corr = _correspondence(arr, arr, base_faces, base_verts, faces, verts)
+        fperm = tuple(v - 1 for v in corr.faces)
+        vperm = corr.vertices
+        if (fperm, vperm) not in seen:
+            seen.add((fperm, vperm))
+            elements.append((fperm, vperm))
+    elements.sort()
+    _verify_group(elements)
+    generators = _find_generators(elements)
+    return SymmetryGroup(
+        degree=arr.r,
+        marked=len(arr.vertices),
+        face_perms=tuple(e[0] for e in elements),
+        vertex_perms=tuple(e[1] for e in elements),
+        generators=generators,
+    )
+
+
+def _verify_group(elements):
+    index = {e: k for k, e in enumerate(elements)}
+    n_faces = len(elements[0][0]) if elements else 0
+    ident = (tuple(range(n_faces)), tuple(range(len(elements[0][1]))) if elements else ())
+    if ident not in index:
+        raise InconsistencyError("automorphism set lacks the identity")
+    for f1, v1 in elements:
+        inv = (invert_perm(f1), invert_perm(v1))
+        if inv not in index:
+            raise InconsistencyError("automorphism set not closed under inverse")
+        for f2, v2 in elements:
+            prod = (compose_perms(f1, f2), compose_perms(v1, v2))
+            if prod not in index:
+                raise InconsistencyError("automorphism set not closed under composition")
+
+
+def _find_generators(elements):
+    if not elements:
+        return ()
+    n_f = len(elements[0][0])
+    n_v = len(elements[0][1])
+    ident = (tuple(range(n_f)), tuple(range(n_v)))
+    generated = {ident}
+    gens: list[int] = []
+    for k, el in enumerate(elements):
+        if el in generated:
+            continue
+        gens.append(k)
+        frontier = list(generated)
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for h_idx in gens:
+                    h = elements[h_idx]
+                    prod = (compose_perms(g[0], h[0]), compose_perms(g[1], h[1]))
+                    if prod not in generated:
+                        generated.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
+    return tuple(gens)

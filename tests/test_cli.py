@@ -8,11 +8,18 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import LEAKING_PETAL, circle_curve, gerono_curve, petal_curve, trefoil_curve
+from conftest import (
+    LEAKING_PETAL,
+    circle_curve,
+    eights_row,
+    gerono_curve,
+    petal_curve,
+    trefoil_curve,
+)
 
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
 from symplane.cli import main
-from symplane.curves import save_curve, transform_curve
+from symplane.curves import ClosedCurve, save_curve, transform_curve
 from symplane.forms import load_density, load_map, make_density, save_density
 
 
@@ -78,8 +85,6 @@ def test_analyze_rejects_near_tangent_pair(tmp_path):
     near = circle_curve(n=96, radius=1.0).loops + circle_curve(
         n=96, radius=1.0, center=(2.003, 0.0)
     ).loops
-    from symplane.curves import ClosedCurve
-
     path = write_curve(tmp_path, "near.txt", ClosedCurve(near))
     code, text = run_cli("analyze", path, "--sep-tol", "0.01")
     assert code == 2
@@ -137,6 +142,21 @@ def test_compare_symplectic_rotated_trefoil(tmp_path):
     assert code == 0
     assert "EQUIVALENT" in text
     assert "symmetry applied:" in text
+
+
+def test_compare_symplectic_eights_row_reordered_and_shrunk(tmp_path):
+    order, shifts = (2, 0, 1), (64, 3, 0)
+    a = write_curve(tmp_path, "a.txt", eights_row(3))
+    moved = eights_row(3, order, shifts)
+    b = write_curve(tmp_path, "b.txt", moved)
+    code, text = run_cli("compare", a, b, "--symplectic")
+    assert code == 0 and "EQUIVALENT" in text.splitlines()
+    # shrink loop 0 by 0.8 about the centre of its slot
+    centre = np.array([3.0 * order[0], 0.0])
+    shrunk = ClosedCurve((centre + 0.8 * (moved.loops[0] - centre),) + moved.loops[1:])
+    c = write_curve(tmp_path, "c.txt", shrunk)
+    code, text = run_cli("compare", a, c, "--symplectic")
+    assert code == 1 and "INEQUIVALENT" in text.splitlines()
 
 
 def test_compare_incomparable_types(tmp_path):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from conftest import circle_curve, gerono_curve, trefoil_curve
+from conftest import circle_curve, eights_row, gerono_curve, trefoil_curve
 
 from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import ClosedCurve, resample, transform_curve
@@ -158,3 +160,23 @@ def test_perm_cycles_formatting():
     assert perm_cycles((0, 1, 2)) == "id"
     assert perm_cycles((1, 2, 0, 3)) == "(1 2 3)"
     assert perm_cycles((1, 0, 3, 2)) == "(1 2)(3 4)"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_eights_row_group_permutes_loops(k):
+    # interchangeable loops in the outer face: every loop order is a symmetry,
+    # and a figure-eight alone has none
+    g = symmetry_group(build_arrangement(eights_row(k)))
+    assert g.order == math.factorial(k)
+    assert g.degree == 2 * k
+    assert g.marked == k
+
+
+@pytest.mark.parametrize(
+    "order, shifts", [((1, 0), (0, 0)), ((2, 0, 1), (64, 3, 0)), ((3, 1, 0, 2), (5, 64, 0, 90))]
+)
+def test_eights_row_code_ignores_loop_order_and_basepoints(order, shifts):
+    k = len(order)
+    base = canonical_code(gauss_code(build_arrangement(eights_row(k))))
+    moved = canonical_code(gauss_code(build_arrangement(eights_row(k, order, shifts))))
+    assert moved == base

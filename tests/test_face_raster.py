@@ -16,7 +16,6 @@ import pytest
 from conftest import (
     circle_curve,
     gerono_curve,
-    generic_trig_loops,
     holed_curve,
     trefoil_curve,
 )
@@ -26,14 +25,6 @@ from symplane.errors import InconsistencyError
 from symplane.geometry import winding_numbers
 
 GRIDS = (64, 193, 256)
-
-
-@pytest.fixture(scope="module")
-def arrangements():
-    named = [build_arrangement(c) for c in (
-        gerono_curve(n=256), trefoil_curve(n=512), circle_curve(n=128), holed_curve())]
-    family = [build_arrangement(c, rep) for c, rep in generic_trig_loops(seed=77, count=100)]
-    return named + family
 
 
 def random_density(arr, n, rng, inflate=0.1):
