@@ -15,6 +15,7 @@ sample turns sharply enough to look like a cusp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from .geometry import cross2, segment_intersection, segment_pair_distance
 MIN_LOOP_SAMPLES = 8
 DEFAULT_ANGLE_TOL = 0.1
 SEP_TOL_FACTOR = 1e-6
+# window pairs expanded at a time by the genericity broad phase
+PAIR_CHUNK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -316,63 +319,116 @@ def _segment_hits(curve, sep_tol, violations):
     """All polyline self-intersections, plus near-miss violations.
 
     Returns a list of (point, ((loop, t), (loop, t))) records. Candidate
-    segment pairs come from a bounding-box overlap prefilter inflated by
-    sep_tol; adjacent segments of the same loop are excluded, and the
-    near-miss test additionally skips parameter-close pairs, whose
-    closeness is curvature, not a second strand. A near-miss beside a
-    crossing pair is dropped too: a crossing within sep_tol of a sample
-    point brings the neighbouring segments within sep_tol of each other.
+    segment pairs come from `_candidate_pairs`; the near-miss test
+    additionally skips parameter-close pairs of one loop, whose closeness
+    is curvature, not a second strand. A near-miss beside a crossing pair
+    is dropped too: a crossing within sep_tol of a sample point brings the
+    neighbouring segments within sep_tol of each other.
     """
     loops = curve.loops
-    for la in range(len(loops)):
-        for lb in range(la, len(loops)):
-            a, b = loops[la], loops[lb]
-            na, nb = len(a), len(b)
-            a1 = np.roll(a, -1, axis=0)
-            b1 = np.roll(b, -1, axis=0)
-            alo = np.minimum(a, a1) - sep_tol
-            ahi = np.maximum(a, a1) + sep_tol
-            blo, bhi = np.minimum(b, b1), np.maximum(b, b1)
-            overlap = (
-                (alo[:, None, 0] <= bhi[None, :, 0])
-                & (ahi[:, None, 0] >= blo[None, :, 0])
-                & (alo[:, None, 1] <= bhi[None, :, 1])
-                & (ahi[:, None, 1] >= blo[None, :, 1])
-            )
-            if la == lb:
-                i, j = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
-                gap = np.minimum((i - j) % na, (j - i) % na)
-                overlap &= gap > 1
-                overlap &= i < j
-                near_window = max(2, na // 100)
-            else:
-                near_window = 0
-            crossed = set()
-            near = []
-            for i, j in np.argwhere(overlap):
-                res = segment_intersection(a[i], a1[i], b[j], b1[j])
-                if res is not None:
-                    t, u, point = res
-                    crossed.add((int(i), int(j)))
-                    yield point, ((la, (i + t) % na), (lb, (j + u) % nb))
-                    continue
-                if la == lb and min((i - j) % na, (j - i) % na) <= near_window:
-                    continue
-                dist = segment_pair_distance(a[i], a1[i], b[j], b1[j])
-                if dist < sep_tol:
-                    near.append((i, j, dist))
-            for i, j, dist in near:
-                if _beside_crossing(i, j, na, nb, crossed, la == lb):
-                    continue
-                mid = 0.25 * (a[i] + a1[i] + b[j] + b1[j])
-                violations.append(
-                    Violation(
-                        "near-miss",
-                        mid,
-                        ((la, float(i)), (lb, float(j))),
-                        f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
-                    )
+    nexts = [np.roll(pts, -1, axis=0) for pts in loops]
+    for (la, lb), group in groupby(_candidate_pairs(curve, sep_tol), key=lambda c: c[:2]):
+        a, a1, b, b1 = loops[la], nexts[la], loops[lb], nexts[lb]
+        na, nb = len(a), len(b)
+        near_window = max(2, na // 100) if la == lb else 0
+        crossed = set()
+        near = []
+        for _, _, i, j in group:
+            res = segment_intersection(a[i], a1[i], b[j], b1[j])
+            if res is not None:
+                t, u, point = res
+                crossed.add((i, j))
+                yield point, ((la, (i + t) % na), (lb, (j + u) % nb))
+                continue
+            if la == lb and min((i - j) % na, (j - i) % na) <= near_window:
+                continue
+            dist = segment_pair_distance(a[i], a1[i], b[j], b1[j])
+            if dist < sep_tol:
+                near.append((i, j, dist))
+        for i, j, dist in near:
+            if _beside_crossing(i, j, na, nb, crossed, la == lb):
+                continue
+            mid = 0.25 * (a[i] + a1[i] + b[j] + b1[j])
+            violations.append(
+                Violation(
+                    "near-miss",
+                    mid,
+                    ((la, float(i)), (lb, float(j))),
+                    f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
                 )
+            )
+
+
+def _candidate_pairs(curve, sep_tol):
+    """Segment pairs (la, lb, i, j) whose bounding boxes come within sep_tol.
+
+    Segment i of loop la runs from sample i to sample i + 1. Of each pair,
+    a = (la, i) is the (loop, index)-smaller segment: its box is inflated
+    by sep_tol, b's is not, and both must overlap on both axes. Pairs of
+    one loop have i < j and are not neighbours on the loop. The pairs come
+    sorted by (la, lb, i, j).
+
+    A sort-and-sweep finds them. Segments are sorted by lower x bound,
+    and each one's window is the later segments with lo <= hi + sep_tol
+    or lo - sep_tol <= hi against its upper bound hi: the x test with the
+    inflation on either side, rounded as the test rounds it, so the
+    window holds every pair that passes whichever segment is a. Memory
+    is linear in the samples plus one chunk of window pairs.
+    """
+    pts = np.vstack(curve.loops)
+    nxt = np.vstack([np.roll(p, -1, axis=0) for p in curve.loops])
+    sizes = np.array([len(p) for p in curve.loops])
+    loop = np.repeat(np.arange(len(sizes)), sizes)
+    size = sizes[loop]
+    index = np.arange(len(pts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    lo, hi = np.minimum(pts, nxt), np.maximum(pts, nxt)
+    lo_in, hi_in = lo - sep_tol, hi + sep_tol
+
+    order = np.argsort(lo[:, 0], kind="stable")
+    # lo - sep_tol rounds monotonically, so lo_in is sorted along with lo
+    end = np.maximum(
+        np.searchsorted(lo[order, 0], hi_in[order, 0], side="right"),
+        np.searchsorted(lo_in[order, 0], hi[order, 0], side="right"),
+    )
+    # y test with both boxes inflated: implied by the exact test, and cheap
+    # in sweep order
+    ylo, yhi = lo_in[order, 1], hi_in[order, 1]
+    found = []
+    for p, q in _window_pairs(end):
+        near = (ylo[p] <= yhi[q]) & (yhi[p] >= ylo[q])
+        p, q = p[near], q[near]
+        a = np.minimum(order[p], order[q])
+        b = np.maximum(order[p], order[q])
+        keep = (
+            (lo_in[a, 0] <= hi[b, 0])
+            & (hi_in[a, 0] >= lo[b, 0])
+            & (lo_in[a, 1] <= hi[b, 1])
+            & (hi_in[a, 1] >= lo[b, 1])
+        )
+        gap = (index[b] - index[a]) % size[a]
+        keep &= (loop[a] != loop[b]) | (np.minimum(gap, size[a] - gap) > 1)
+        found.append((a[keep], b[keep]))
+    a = np.concatenate([f[0] for f in found])
+    b = np.concatenate([f[1] for f in found])
+    rank = np.lexsort((index[b], index[a], loop[b], loop[a]))
+    a, b = a[rank], b[rank]
+    return zip(loop[a].tolist(), loop[b].tolist(), index[a].tolist(), index[b].tolist())
+
+
+def _window_pairs(end):
+    """(p, q) rank arrays for p < q < end[p], in chunks of about
+    PAIR_CHUNK pairs (a single rank's window may exceed it)."""
+    n = len(end)
+    counts = end - np.arange(1, n + 1)
+    base = np.concatenate([[0], np.cumsum(counts)])
+    r0 = 0
+    while r0 < n:
+        r1 = max(r0 + 1, int(np.searchsorted(base, base[r0] + PAIR_CHUNK, side="right")) - 1)
+        c = counts[r0:r1]
+        p = np.repeat(np.arange(r0, r1), c)
+        q = np.arange(base[r0], base[r1]) - np.repeat(base[r0:r1] - np.arange(r0 + 1, r1 + 1), c)
+        yield p, q
+        r0 = r1
 
 
 def _beside_crossing(i, j, na, nb, crossed, same_loop):
@@ -390,7 +446,14 @@ def _beside_crossing(i, j, na, nb, crossed, same_loop):
 
 
 def _cluster_hits(hits, sep_tol):
-    """Group intersection records whose points lie within sep_tol."""
+    """Group intersection records whose points lie within sep_tol.
+
+    Only pairs of records within 2 sep_tol in x, found from one sort by x,
+    are measured: two points within sep_tol of each other are within
+    sep_tol in x up to rounding. The measured pairs are visited in (i, j)
+    order of the records, so the union-find merges, and the clusters and
+    their order, are those of a test of all pairs.
+    """
     hits = list(hits)
     parent = list(range(len(hits)))
 
@@ -400,10 +463,18 @@ def _cluster_hits(hits, sep_tol):
             x = parent[x]
         return x
 
-    for i in range(len(hits)):
-        for j in range(i + 1, len(hits)):
-            if np.linalg.norm(hits[i][0] - hits[j][0]) <= sep_tol:
-                parent[find(i)] = find(j)
+    x = np.array([h[0][0] for h in hits], dtype=float)
+    order = np.argsort(x, kind="stable")
+    end = np.searchsorted(x[order], x[order] + 2 * sep_tol, side="right").tolist()
+    order = order.tolist()
+    pairs = sorted(
+        (min(order[k], order[m]), max(order[k], order[m]))
+        for k in range(len(hits))
+        for m in range(k + 1, end[k])
+    )
+    for i, j in pairs:
+        if np.linalg.norm(hits[i][0] - hits[j][0]) <= sep_tol:
+            parent[find(i)] = find(j)
     groups: dict[int, list] = {}
     for i, h in enumerate(hits):
         groups.setdefault(find(i), []).append(h)

@@ -150,11 +150,7 @@ def canonical_code(gc: GaussCode) -> str:
 
 def isotopy_match(a: Arrangement, b: Arrangement) -> FaceCorrespondence | None:
     """One diagram isomorphism a -> b as a face-label bijection, if any."""
-    sa, readings_a = _minimal_readings(gauss_code(a))
-    sb, readings_b = _minimal_readings(gauss_code(b))
-    if sa != sb:
-        return None
-    return _correspondence(a, b, *readings_a[0], *readings_b[0])
+    return _match(a, b, _minimal_readings(gauss_code(a)), _minimal_readings(gauss_code(b)))
 
 
 def symmetry_group(arr: Arrangement) -> SymmetryGroup:
@@ -167,20 +163,7 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     whole group. The element set is checked to be a group while its
     generators are found.
     """
-    _, readings = _minimal_readings(gauss_code(arr))
-    elements = set()
-    for faces, verts in readings:
-        corr = _correspondence(arr, arr, *readings[0], faces, verts)
-        elements.add((tuple(v - 1 for v in corr.faces), corr.vertices))
-    elements = sorted(elements)
-    generators = _checked_generators(elements)
-    return SymmetryGroup(
-        degree=arr.r,
-        marked=len(arr.vertices),
-        face_perms=tuple(e[0] for e in elements),
-        vertex_perms=tuple(e[1] for e in elements),
-        generators=generators,
-    )
+    return _group(arr, _minimal_readings(gauss_code(arr))[1])
 
 
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -285,6 +268,32 @@ def _minimal_readings(gc: GaussCode):
         elif serial == best:
             readings.append((faces, verts))
     return best, readings
+
+
+def _match(a: Arrangement, b: Arrangement, minimal_a, minimal_b):
+    """The correspondence between the first minimal readings of a and b,
+    given as `_minimal_readings` results, or None if the serials differ."""
+    (sa, readings_a), (sb, readings_b) = minimal_a, minimal_b
+    if sa != sb:
+        return None
+    return _correspondence(a, b, *readings_a[0], *readings_b[0])
+
+
+def _group(arr: Arrangement, readings) -> SymmetryGroup:
+    """G from the minimal readings of arr (see `symmetry_group`)."""
+    elements = set()
+    for faces, verts in readings:
+        corr = _correspondence(arr, arr, *readings[0], faces, verts)
+        elements.add((tuple(v - 1 for v in corr.faces), corr.vertices))
+    elements = sorted(elements)
+    generators = _checked_generators(elements)
+    return SymmetryGroup(
+        degree=arr.r,
+        marked=len(arr.vertices),
+        face_perms=tuple(e[0] for e in elements),
+        vertex_perms=tuple(e[1] for e in elements),
+        generators=generators,
+    )
 
 
 def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert_b):

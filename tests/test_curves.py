@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import circle_curve, gerono_curve, random_trig_loop, trefoil_curve
+from conftest import (
+    circle_curve,
+    close_circles_curve,
+    cusp_curve,
+    gerono_curve,
+    random_trig_loop,
+    tangent_circles_curve,
+    trefoil_curve,
+    trifolium_curve,
+)
 
 from symplane.curves import (
     ClosedCurve,
@@ -113,21 +122,14 @@ def test_trefoil_has_three_double_points():
 
 
 def test_tangency_flagged_for_tangent_circles():
-    # internally tangent circles touching at (2, 0), both sampled there
-    outer = circle_curve(n=128, radius=2.0)
-    inner = circle_curve(n=128, radius=1.0, center=(1.0, 0.0))
-    curve = ClosedCurve((outer.loops[0], inner.loops[0]))
-    report = check_generic(curve)
+    report = check_generic(tangent_circles_curve())
     assert not report.is_generic
     kinds = {v.kind for v in report.violations}
     assert kinds & {"tangency", "near-miss"}
 
 
 def test_near_miss_flagged_for_close_strands():
-    a = circle_curve(n=64, radius=1.0)
-    b = circle_curve(n=64, radius=1.0 + 1e-9)
-    curve = ClosedCurve((a.loops[0], b.loops[0]))
-    report = check_generic(curve)
+    report = check_generic(close_circles_curve())
     assert not report.is_generic
     assert any(v.kind == "near-miss" for v in report.violations)
 
@@ -143,30 +145,13 @@ def test_gerono_phase_sweep_is_generic():
 
 
 def test_cusp_proxy_flagged_for_sharp_turn():
-    pts = np.array(
-        [
-            [0.0, 0.0],
-            [1.0, 0.0],
-            [2.0, 0.0],
-            [3.0, 0.0],
-            [2.5, 1.0],  # turn here exceeds pi/2
-            [1.8, 1.2],
-            [1.0, 1.2],
-            [0.2, 0.8],
-        ]
-    )
-    report = check_generic(ClosedCurve((pts,)))
+    report = check_generic(cusp_curve())
     assert any(v.kind == "cusp-proxy" for v in report.violations)
     assert not report.is_generic
 
 
 def test_triple_point_flagged_for_trifolium():
-    # r = cos(3 theta): all three petals pass through the origin
-    n = 48
-    t = np.pi * np.arange(n) / n
-    r = np.cos(3 * t)
-    pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    report = check_generic(ClosedCurve((pts,)))
+    report = check_generic(trifolium_curve())
     assert any(v.kind == "triple-point" for v in report.violations)
 
 

@@ -6,11 +6,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import circle_curve, trefoil_curve
+from conftest import circle_curve, eights_row, trefoil_curve
 
 from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import resample, transform_curve
-from symplane.diagram import FaceCorrespondence, symmetry_group
+from symplane import moduli
+from symplane.diagram import FaceCorrespondence, isotopy_match, symmetry_group
 from symplane.errors import ValidationError
 from symplane.moduli import (
     CATALOG,
@@ -226,6 +227,35 @@ def test_symplectic_matches_brute_force_oracle(trefoil512):
         )
         got = symplectically_equivalent(arr, arr, tol=tol, areas_a=va, areas_b=vb)
         assert (got.verdict is Verdict.EQUIVALENT) == oracle
+
+
+def test_symplectic_enumerates_each_curve_once(trefoil512, monkeypatch):
+    row = build_arrangement(eights_row(3))
+    theta = 2 * np.pi / 3
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    pairs = [
+        (row, build_arrangement(eights_row(3, (2, 0, 1), (0, 64, 3)))),
+        (build_arrangement(trefoil512),
+         build_arrangement(transform_curve(trefoil512, lambda p: p @ rot.T))),
+        (row, build_arrangement(trefoil512)),
+    ]
+    enumerate_readings = moduli._minimal_readings
+    for a, b in pairs:
+        calls = []
+        monkeypatch.setattr(
+            moduli, "_minimal_readings", lambda gc: calls.append(gc) or enumerate_readings(gc)
+        )
+        got = symplectically_equivalent(a, b)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        corr = isotopy_match(a, b)
+        if corr is None:
+            assert got.verdict is Verdict.INCOMPARABLE
+            continue
+        # the decision made from the public functions, each enumerating anew
+        perms = symmetry_group(a).face_perms
+        assert got == moduli._orbit_decision(a, b, corr, perms, got.tolerance, None, None)
+        assert got.verdict is Verdict.EQUIVALENT
 
 
 def test_decision_requires_witness_for_equivalence():
