@@ -36,6 +36,7 @@ from symplane import curves
 from symplane.curves import ClosedCurve, check_generic
 from symplane.geometry import segment_intersection
 
+
 def flat(report):
     """The report as plain comparable values, in its own order."""
     return (
@@ -47,8 +48,9 @@ def flat(report):
     )
 
 
-def reports(curve, **kwargs):
-    """(new report, its segment_intersection calls, oracle report, its calls)."""
+def assert_same(curve, **kwargs):
+    """Require the report and the segment_intersection calls of
+    check_generic to equal the oracle's; return the report and calls."""
     calls = {"new": [], "old": []}
 
     def recorder(log):
@@ -63,14 +65,9 @@ def reports(curve, **kwargs):
         mp.setattr(oracles, "segment_intersection", recorder(calls["old"]))
         new = check_generic(curve, **kwargs)
         old = oracles.check_generic(curve, **kwargs)
-    return new, calls["new"], old, calls["old"]
-
-
-def assert_same(curve):
-    new, new_calls, old, old_calls = reports(curve)
-    assert new_calls == old_calls
+    assert calls["new"] == calls["old"]
     assert flat(new) == flat(old)
-    return new, new_calls
+    return new, calls["new"]
 
 
 def stacked_boxes(gap):
@@ -196,12 +193,10 @@ def test_boxes_exactly_sep_tol_apart_are_candidates():
     # the right side of one box and the left side of the other are exactly
     # sep_tol apart in x: their pair sits on the edge of the sweep window
     curve = ClosedCurve((dyadic_box(0.0), dyadic_box(2.25)))
-    new, new_calls, old, old_calls = reports(curve, sep_tol=0.25)
-    assert new_calls == old_calls
-    assert flat(new) == flat(old)
-    assert new.is_generic
+    report, calls = assert_same(curve, sep_tol=0.25)
+    assert report.is_generic
     edge = (2.0, 0.25, 2.0, 0.5, 2.25, 0.5, 2.25, 0.25)
-    assert edge in new_calls
+    assert edge in calls
 
 
 def test_cluster_records_like_all_pairs():
