@@ -165,7 +165,7 @@ def parse_curve(text: str) -> ClosedCurve:
             raise FormatError(f"line {lineno}: bad loop count {parts[1]!r}") from None
         if count <= 0:
             raise FormatError(f"line {lineno}: loop count must be positive")
-        if i + count >= len(lines) + 1:
+        if i + count >= len(lines):
             raise FormatError(f"line {lineno}: loop promises {count} samples, file ends early")
         pts = np.empty((count, 2), dtype=float)
         for k in range(count):

@@ -8,14 +8,13 @@ face is unbounded, this pins the diagram as an oriented plane diagram:
 two arrangements are isomorphic exactly when some orientation-preserving
 choice of basepoints and loop order reads off identical data.
 
-Only cyclic basepoint shifts are enumerated, never reversals, so all
+Only cyclic basepoint shifts are tried, never reversals, so all
 comparisons respect the curve orientation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
 from .arrangement import Arrangement
 from .errors import InconsistencyError, ValidationError
@@ -141,9 +140,12 @@ def gauss_code(arr: Arrangement) -> GaussCode:
 def canonical_code(gc: GaussCode) -> str:
     """Minimal serialization over basepoint shifts and loop orderings.
 
-    Equal strings mean isomorphic oriented labelled plane diagrams; the
-    outer face and the traversal orientation are preserved by every
-    candidate, so a mirror image or a reversed loop will not collide.
+    The minimum is found by a depth-first search that drops every branch
+    whose serial prefix is already above another's, not by reading every
+    candidate. Equal strings mean isomorphic oriented labelled plane
+    diagrams; the outer face and the traversal orientation are preserved
+    by every candidate, so a mirror image or a reversed loop will not
+    collide.
     """
     return _minimal_readings(gc)[0]
 
@@ -160,8 +162,11 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     basepoint shifts and loop reorderings) to one with the same serial,
     so the readings that reach the minimal serial form a single orbit, and
     the correspondences from the first of them to each of them are the
-    whole group. The element set is checked to be a group while its
-    generators are found.
+    whole group. The pruned reading search keeps every branch that ties
+    with the best prefix, so it finds all of those readings; it reads a
+    loop chunk only below a surviving prefix, about 2e·k! chunks for a
+    row of k congruent loops. The element set is checked to be a group
+    while its generators are found.
     """
     return _group(arr, _minimal_readings(gauss_code(arr))[1])
 
@@ -199,75 +204,94 @@ def perm_cycles(perm: tuple[int, ...], one_based: bool = True) -> str:
 # internals
 
 
-def _candidates(gc: GaussCode):
-    loops = range(len(gc.occ))
-    sizes = [len(gc.occ[k]) for k in loops]
-    arcsizes = [len(gc.arcs[k]) for k in loops]
-    for order in permutations(loops):
-        # a loop can only take the place of one with the same shape
-        if [sizes[k] for k in order] != list(sizes) or [arcsizes[k] for k in order] != list(
-            arcsizes
-        ):
-            continue
-        ranges = [range(max(1, sizes[k])) for k in order]
-        for rots in product(*ranges):
-            yield order, rots
+def _chunk(gc: GaussCode, loop, rot, vert_label, first_strand, face_label) -> str:
+    """Read one loop from basepoint `rot` on, extending the label maps.
 
-
-def _read(gc: GaussCode, order, rots):
-    """Read the code along a candidate traversal.
-
-    Returns (serial string, face renumbering, vertex renumbering), the
-    renumberings keyed by arrangement indices and assigned in order of
-    first encounter.
+    Vertices and faces are numbered in order of first encounter; the
+    maps are updated in place and the loop's chunk of the serial is
+    returned.
     """
-    vert_label: dict[int, int] = {}
-    first_strand: dict[int, int] = {}
-    face_label: dict[int, int] = {}
-    chunks = []
-    for pos, loop in enumerate(order):
-        occ = gc.occ[loop]
-        arcs = gc.arcs[loop]
-        m = len(occ)
-        rot = rots[pos]
-        toks = []
-        for k in range(max(m, len(arcs))):
-            if m:
-                v, strand = occ[(k + rot) % m]
-                if v not in vert_label:
-                    vert_label[v] = len(vert_label)
-                    first_strand[v] = strand
-                    slot = "a"
-                else:
-                    slot = "b"
-                sign = gc.base_sign[v] if first_strand[v] == 0 else -gc.base_sign[v]
-                tok = f"{vert_label[v]}{slot}{'+' if sign > 0 else '-'}"
+    occ = gc.occ[loop]
+    arcs = gc.arcs[loop]
+    m = len(occ)
+    toks = []
+    for k in range(max(m, len(arcs))):
+        if m:
+            v, strand = occ[(k + rot) % m]
+            if v not in vert_label:
+                vert_label[v] = len(vert_label)
+                first_strand[v] = strand
+                slot = "a"
             else:
-                tok = "."
-            lf, rf = arcs[(k + rot) % len(arcs)]
-            for f in (lf, rf):
-                if f not in face_label:
-                    face_label[f] = len(face_label)
-            toks.append(f"{tok}:{face_label[lf]}.{face_label[rf]}")
-        chunks.append(",".join(toks))
-    outer = face_label[gc.outer_face]
-    serial = f"n{len(vert_label)}f{gc.num_faces}o{outer}|" + "|".join(chunks)
-    return serial, face_label, vert_label
+                slot = "b"
+            sign = gc.base_sign[v] if first_strand[v] == 0 else -gc.base_sign[v]
+            tok = f"{vert_label[v]}{slot}{'+' if sign > 0 else '-'}"
+        else:
+            tok = "."
+        lf, rf = arcs[(k + rot) % len(arcs)]
+        for f in (lf, rf):
+            if f not in face_label:
+                face_label[f] = len(face_label)
+        toks.append(f"{tok}:{face_label[lf]}.{face_label[rf]}")
+    return ",".join(toks)
 
 
 def _minimal_readings(gc: GaussCode):
     """The minimal serial and every (faces, verts) reading that reaches it,
-    in enumeration order."""
+    in (loop order, rotations) order.
+
+    The serial of a reading is the header n{V}f{F}o{outer}| followed by
+    the loop chunks joined by |. The search goes depth first over loop
+    positions: position p takes each unused loop of the same shape as
+    loop p at each basepoint rotation. All children of a node are read
+    before any is entered, and a child is dropped when its serial prefix
+    (with a trailing | as chunks follow) is above a sibling's prefix or
+    above the best serial cut to the same length; ties go on. Sibling
+    prefixes end in | and chunks hold none, so neither is a proper prefix
+    of the other and the lower one beats every completion of the higher.
+    The header is only known once the outer face has a label; until then
+    nothing is dropped.
+    """
+    k = len(gc.occ)
+    shape = [(len(gc.occ[i]), len(gc.arcs[i])) for i in range(k)]
+    fits = [[i for i in range(k) if shape[i] == shape[p]] for p in range(k)]
+    head = f"n{len({v for occ in gc.occ for v, _ in occ})}f{gc.num_faces}o"
+    outer = gc.outer_face
     best = None
-    readings = []
-    for order, rots in _candidates(gc):
-        serial, faces, verts = _read(gc, order, rots)
-        if best is None or serial < best:
-            best = serial
-            readings = [(faces, verts)]
-        elif serial == best:
-            readings.append((faces, verts))
-    return best, readings
+    leaves = []
+
+    def visit(order, rots, verts, strands, faces, body):
+        nonlocal best, leaves
+        last = len(order) == k - 1
+        kids = []
+        for loop in fits[len(order)]:
+            if loop in order:
+                continue
+            for rot in range(max(1, shape[loop][0])):
+                v, s, f = dict(verts), dict(strands), dict(faces)
+                text = body + _chunk(gc, loop, rot, v, s, f)
+                key = (order + (loop,), rots + (rot,))
+                if last:
+                    serial = f"{head}{f[outer]}|{text}"
+                    if best is None or serial < best:
+                        best, leaves = serial, []
+                    if serial == best:
+                        leaves.append((key, f, v))
+                    continue
+                text += "|"
+                prefix = f"{head}{f[outer]}|{text}" if outer in f else None
+                kids.append((prefix, key, v, s, f, text))
+        low = min((kid[0] for kid in kids if kid[0] is not None), default=None)
+        for prefix, key, v, s, f, text in kids:
+            if prefix is not None and (
+                prefix > low or (best is not None and prefix > best[: len(prefix)])
+            ):
+                continue
+            visit(*key, v, s, f, text)
+
+    visit((), (), {}, {}, {}, "")
+    leaves.sort(key=lambda leaf: leaf[0])
+    return best, [(faces, verts) for _, faces, verts in leaves]
 
 
 def _match(a: Arrangement, b: Arrangement, minimal_a, minimal_b):

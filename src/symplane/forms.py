@@ -206,6 +206,8 @@ def _parse_grid_header(lines, tag):
         nx, ny = (int(p) for p in parts[4:])
     except ValueError as exc:
         raise FormatError(f"bad domain line: {exc}") from None
+    if nx < 0 or ny < 0:
+        raise FormatError(f"bad domain line: negative grid count in {nx} {ny}")
     return x0, x1, y0, y1, nx, ny
 
 

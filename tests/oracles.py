@@ -7,6 +7,7 @@ of the library routine is checked against the code it replaced.
 
 from __future__ import annotations
 
+from itertools import permutations, product
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -20,9 +21,7 @@ from symplane.diagram import (
     FaceCorrespondence,
     GaussCode,
     SymmetryGroup,
-    _candidates,
     _correspondence,
-    _read,
     compose_perms,
     gauss_code,
     invert_perm,
@@ -321,6 +320,78 @@ def _arc_points(curve, loop, t0, t1, p_start, p_end):
         if np.linalg.norm(q - p_start) > 1e-12 and np.linalg.norm(q - p_end) > 1e-12:
             keep.append(q)
     return np.vstack([p_start[None, :], *[q[None, :] for q in keep], p_end[None, :]])
+
+
+def _candidates(gc: GaussCode):
+    loops = range(len(gc.occ))
+    sizes = [len(gc.occ[k]) for k in loops]
+    arcsizes = [len(gc.arcs[k]) for k in loops]
+    for order in permutations(loops):
+        # a loop can only take the place of one with the same shape
+        if [sizes[k] for k in order] != list(sizes) or [arcsizes[k] for k in order] != list(
+            arcsizes
+        ):
+            continue
+        ranges = [range(max(1, sizes[k])) for k in order]
+        for rots in product(*ranges):
+            yield order, rots
+
+
+def _read(gc: GaussCode, order, rots):
+    """Read the code along a candidate traversal.
+
+    Returns (serial string, face renumbering, vertex renumbering), the
+    renumberings keyed by arrangement indices and assigned in order of
+    first encounter.
+    """
+    vert_label: dict[int, int] = {}
+    first_strand: dict[int, int] = {}
+    face_label: dict[int, int] = {}
+    chunks = []
+    for pos, loop in enumerate(order):
+        occ = gc.occ[loop]
+        arcs = gc.arcs[loop]
+        m = len(occ)
+        rot = rots[pos]
+        toks = []
+        for k in range(max(m, len(arcs))):
+            if m:
+                v, strand = occ[(k + rot) % m]
+                if v not in vert_label:
+                    vert_label[v] = len(vert_label)
+                    first_strand[v] = strand
+                    slot = "a"
+                else:
+                    slot = "b"
+                sign = gc.base_sign[v] if first_strand[v] == 0 else -gc.base_sign[v]
+                tok = f"{vert_label[v]}{slot}{'+' if sign > 0 else '-'}"
+            else:
+                tok = "."
+            lf, rf = arcs[(k + rot) % len(arcs)]
+            for f in (lf, rf):
+                if f not in face_label:
+                    face_label[f] = len(face_label)
+            toks.append(f"{tok}:{face_label[lf]}.{face_label[rf]}")
+        chunks.append(",".join(toks))
+    outer = face_label[gc.outer_face]
+    serial = f"n{len(vert_label)}f{gc.num_faces}o{outer}|" + "|".join(chunks)
+    return serial, face_label, vert_label
+
+
+def _minimal_readings(gc: GaussCode):
+    """The original `diagram._minimal_readings`: every candidate reading in
+    full, the minimal serial and the (faces, verts) readings that reach it
+    in enumeration order."""
+    best = None
+    readings = []
+    for order, rots in _candidates(gc):
+        serial, faces, verts = _read(gc, order, rots)
+        if best is None or serial < best:
+            best = serial
+            readings = [(faces, verts)]
+        elif serial == best:
+            readings.append((faces, verts))
+    return best, readings
 
 
 def canonical_code(gc: GaussCode) -> str:

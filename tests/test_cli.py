@@ -103,6 +103,13 @@ def test_analyze_malformed_file(tmp_path):
     assert code == 4
 
 
+def test_analyze_file_one_sample_short(tmp_path):
+    path = tmp_path / "short.txt"
+    path.write_text("curve v1\nloop 3\n0 0\n1 0\n")
+    code, _ = run_cli("analyze", str(path))
+    assert code == 4
+
+
 def test_analyze_is_deterministic(tmp_path):
     path = write_curve(tmp_path, "trefoil.txt", trefoil_curve())
     _, first = run_cli("analyze", path)
@@ -264,6 +271,14 @@ def test_moser_mismatched_grids(tmp_path):
     save_density(make_density(0.0, 1.0, 0.0, 1.0, np.ones((48, 48))), other)
     code, _ = run_cli("moser", p0, str(other), "--steps", "8", "--out", "x.txt")
     assert code == 2
+
+
+def test_moser_negative_grid_count(tmp_path):
+    p0, _ = write_dipole_pair(tmp_path)
+    bad = tmp_path / "negative.txt"
+    bad.write_text("density v1\n0 1 0 1 -2 -3\n" + "1 " * 6 + "\n")
+    code, _ = run_cli("moser", p0, str(bad), "--steps", "8", "--out", str(tmp_path / "x.txt"))
+    assert code == 4
 
 
 # --- moduli-dim -----------------------------------------------------------

@@ -55,6 +55,7 @@ def test_parse_accepts_comments_and_blank_lines():
         ("loop 8\n0 0\n", "header"),
         ("curve v1\nloop two\n", "loop count"),
         ("curve v1\nloop 8\n0 0\n", "ends early"),
+        ("curve v1\nloop 3\n0 0\n1 0\n", "line 2: loop promises 3 samples, file ends early"),
         ("curve v1\nloop 8\n" + "0 0 0\n" * 8, "x y"),
         ("curve v1\nloop 8\n" + "0 zero\n" * 8, "coordinate"),
         ("curve v1\nloop 8\n" + "nan 0\n" * 8, "finite"),

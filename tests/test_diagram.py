@@ -172,6 +172,16 @@ def test_eights_row_group_permutes_loops(k):
     assert g.marked == k
 
 
+def test_eights_row_of_seven_group_has_order_5040():
+    # 7! automorphisms found by the pruned reading search and checked to be
+    # a group by _checked_generators inside symmetry_group
+    g = symmetry_group(build_arrangement(eights_row(7)))
+    assert g.order == math.factorial(7)
+    assert g.face_perms[0] == tuple(range(14)) and g.vertex_perms[0] == tuple(range(7))
+    assert len(set(g.face_perms)) == g.order
+    assert 0 < len(g.generators) < 7
+
+
 @pytest.mark.parametrize(
     "order, shifts", [((1, 0), (0, 0)), ((2, 0, 1), (64, 3, 0)), ((3, 1, 0, 2), (5, 64, 0, 90))]
 )

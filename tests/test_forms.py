@@ -37,6 +37,7 @@ from symplane.forms import (
     make_density,
     moser_interpolation,
     parse_density,
+    parse_map,
     primitive_diffeo,
     pullback,
     realize_area_vector,
@@ -149,6 +150,18 @@ def test_density_file_round_trip(tmp_path):
 def test_parse_density_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_density(text)
+
+
+@pytest.mark.parametrize("parse, tag, per_node", [(parse_density, "density", 1),
+                                                   (parse_map, "dispmap", 2)])
+def test_grid_header_rejects_negative_counts(parse, tag, per_node):
+    # (-2) * (-3) nodes would pass the value count check
+    with pytest.raises(FormatError, match="negative grid count"):
+        parse(f"{tag} v1\n0 1 0 1 -2 -3\n" + "1 " * (6 * per_node))
+    # too few nodes per axis is still a validation failure
+    for nx, ny in ((0, 3), (1, 3)):
+        with pytest.raises(ValidationError):
+            parse(f"{tag} v1\n0 1 0 1 {nx} {ny}\n" + "1 " * (nx * ny * per_node))
 
 
 # --- pullback -------------------------------------------------------------
