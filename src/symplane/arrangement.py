@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import ClosedCurve, GenericityReport, check_generic
 from .errors import GenericityError, InconsistencyError, ValidationError
-from .geometry import EPSILON, signed_area, winding_numbers
+from .geometry import point_segment_distance, signed_area, winding_numbers
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class AreaVector:
 @dataclass
 class Arrangement:
     curve: ClosedCurve
-    report: GenericityReport
     vertices: tuple[Vertex, ...]
     half_edges: list[HalfEdge]
     faces: list[Face]
@@ -110,16 +109,9 @@ class Arrangement:
 
     def boundary_distance(self, face: Face, point) -> float:
         """Distance from a point to the face's boundary polylines."""
-        p = np.asarray(point, dtype=float)
         a = np.vstack(face.polygons)
-        d = np.vstack([np.roll(poly, -1, axis=0) for poly in face.polygons]) - a
-        dd = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-        # a zero-length segment measures to its endpoint: t = 0
-        point_like = dd < EPSILON * EPSILON
-        dots = ((p - a)[:, None, :] @ d[:, :, None])[:, 0, 0]
-        t = np.where(point_like, 0.0, np.clip(dots / np.where(point_like, 1.0, dd), 0.0, 1.0))
-        proj = a + t[:, None] * d
-        return float(np.min(np.linalg.norm(p - proj, axis=-1)))
+        b = np.vstack([np.roll(poly, -1, axis=0) for poly in face.polygons])
+        return float(np.min(point_segment_distance(point, a, b)))
 
 
 def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None) -> Arrangement:
@@ -163,7 +155,6 @@ def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None
 
     arr = Arrangement(
         curve=curve,
-        report=report,
         vertices=vertices,
         half_edges=half_edges,
         faces=faces,

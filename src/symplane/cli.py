@@ -18,7 +18,7 @@ from .arrangement import (
     integrate_density_over_faces,
     render_svg,
 )
-from .curves import check_generic, load_curve
+from .curves import DEFAULT_ANGLE_TOL, _read_text, _significant_lines, check_generic, load_curve
 from .diagram import canonical_code, gauss_code, perm_cycles, symmetry_group
 from .errors import (
     FormatError,
@@ -80,6 +80,12 @@ def _step_count(text):
     return value
 
 
+def _add_tolerances(p):
+    """The genericity tolerances of the subcommands that certify a curve."""
+    p.add_argument("--angle-tol", type=_positive_float, default=DEFAULT_ANGLE_TOL)
+    p.add_argument("--sep-tol", type=_positive_float, default=None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symplane",
@@ -89,8 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="genericity, faces, areas, and codes of one curve")
     p.add_argument("curve")
-    p.add_argument("--angle-tol", type=_positive_float, default=None)
-    p.add_argument("--sep-tol", type=_positive_float, default=None)
+    _add_tolerances(p)
     p.add_argument("--svg", default=None, help="also write an SVG rendering")
 
     p = sub.add_parser("compare", help="decide equivalence of two curves")
@@ -102,13 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--symplectic", action="store_true",
                       help="compare up to the curve's symmetry group")
     p.add_argument("--area-tol", type=_positive_float, default=1e-3)
-    p.add_argument("--angle-tol", type=_positive_float, default=None)
-    p.add_argument("--sep-tol", type=_positive_float, default=None)
+    _add_tolerances(p)
 
     p = sub.add_parser("symmetry", help="report the face-label symmetry group")
     p.add_argument("curve")
-    p.add_argument("--angle-tol", type=_positive_float, default=None)
-    p.add_argument("--sep-tol", type=_positive_float, default=None)
+    _add_tolerances(p)
 
     p = sub.add_parser("realize", help="build a density with prescribed face integrals")
     p.add_argument("curve")
@@ -130,8 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="write an SVG rendering of the arrangement")
     p.add_argument("curve")
     p.add_argument("--svg", required=True)
-    p.add_argument("--angle-tol", type=_positive_float, default=None)
-    p.add_argument("--sep-tol", type=_positive_float, default=None)
+    _add_tolerances(p)
 
     return parser
 
@@ -139,12 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _checked_arrangement(path, angle_tol, sep_tol, out):
     """Load, certify, and arrange a curve; None plus exit 2 on violations."""
     curve = load_curve(path)
-    kwargs = {}
-    if angle_tol is not None:
-        kwargs["angle_tol"] = angle_tol
-    if sep_tol is not None:
-        kwargs["sep_tol"] = sep_tol
-    report = check_generic(curve, **kwargs)
+    report = check_generic(curve, angle_tol=angle_tol, sep_tol=sep_tol)
     if not report.is_generic:
         out.write(f"curve: {path}\n")
         out.write("generic: no\n")
@@ -227,7 +224,7 @@ def cmd_symmetry(args, out) -> int:
 
 
 def cmd_realize(args, out) -> int:
-    arr = _checked_arrangement(args.curve, None, None, out)
+    arr = _checked_arrangement(args.curve, DEFAULT_ANGLE_TOL, None, out)
     if arr is None:
         return 2
     try:
@@ -264,12 +261,7 @@ def cmd_moser(args, out) -> int:
 
 
 def _parse_spec_file(path) -> CurveSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            ln.strip()
-            for ln in fh.read().splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+    lines = [line for _, line in _significant_lines(_read_text(path))]
     if not lines or lines[0] != "spec v1":
         raise FormatError("expected header 'spec v1'")
     r = None

@@ -26,6 +26,8 @@ from .geometry import cross2, segment_intersection, segment_pair_distance
 MIN_LOOP_SAMPLES = 8
 DEFAULT_ANGLE_TOL = 0.1
 SEP_TOL_FACTOR = 1e-6
+# samplewise turning angle at or above which a sample is a cusp proxy
+MAX_TURN = np.pi / 2
 # window pairs expanded at a time by the genericity broad phase
 PAIR_CHUNK = 1_000_000
 
@@ -132,11 +134,11 @@ class GenericityReport:
 
 def load_curve(path: str | Path) -> ClosedCurve:
     """Read a curve file. See parse_curve for the format."""
-    return parse_curve(Path(path).read_text())
+    return parse_curve(_read_text(path))
 
 
 def save_curve(curve: ClosedCurve, path: str | Path) -> None:
-    Path(path).write_text(serialize_curve(curve))
+    Path(path).write_text(serialize_curve(curve), encoding="utf-8")
 
 
 def parse_curve(text: str) -> ClosedCurve:
@@ -197,8 +199,20 @@ def serialize_curve(curve: ClosedCurve) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_text(path: str | Path) -> str:
+    """Text of an input file, decoded as UTF-8; an undecodable byte is a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def _significant_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based line number, stripped content) with comments and blanks removed."""
+    """(1-based line number, stripped content) with comments and blanks removed.
+
+    This is the comment rule of every input format: ``#`` starts a
+    comment anywhere on a line, and blank lines are skipped.
+    """
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -253,7 +267,6 @@ def check_generic(
     curve: ClosedCurve,
     angle_tol: float = DEFAULT_ANGLE_TOL,
     sep_tol: float | None = None,
-    max_turn: float = np.pi / 2,
 ) -> GenericityReport:
     """Certify that the sampled curve is generic at the sample scale.
 
@@ -266,8 +279,9 @@ def check_generic(
         bounding-box diagonal. Intersections closer than this are merged
         into one candidate crossing, and non-crossing strands that
         approach within it are near-miss violations.
-    max_turn : samplewise turning angle at or above which a sample is
-        flagged as a cusp proxy.
+
+    A sample whose turning angle is at least MAX_TURN is flagged as a
+    cusp proxy.
     """
     if angle_tol <= 0:
         raise ValidationError("angle_tol must be positive")
@@ -302,7 +316,7 @@ def check_generic(
         else:
             double_points.append(DoublePoint(point, (la, ta), (lb, tb), angle))
 
-    _check_cusps(curve, max_turn, violations)
+    _check_cusps(curve, violations)
 
     double_points.sort(key=lambda dp: dp.first)
     violations.sort(key=lambda v: (v.kind, v.branches))
@@ -510,17 +524,17 @@ def _merge_germs(germs, curve):
     return sorted(out)
 
 
-def _check_cusps(curve, max_turn, violations):
+def _check_cusps(curve, violations):
     for k, pts in enumerate(curve.loops):
         step = np.roll(pts, -1, axis=0) - pts
         prev = np.roll(step, 1, axis=0)
         turn = np.abs(np.arctan2(cross2(prev, step), np.einsum("ij,ij->i", prev, step)))
-        for i in np.flatnonzero(turn >= max_turn):
+        for i in np.flatnonzero(turn >= MAX_TURN):
             violations.append(
                 Violation(
                     "cusp-proxy",
                     pts[i],
                     ((k, float(i)),),
-                    f"turning angle {turn[i]:.3g} >= {max_turn:.3g} at sample {i}",
+                    f"turning angle {turn[i]:.3g} >= {MAX_TURN:.3g} at sample {i}",
                 )
             )

@@ -73,9 +73,6 @@ class FaceCorrespondence:
     faces: tuple[int, ...]  # faces[j-1] is the b-label matching a-label j
     vertices: tuple[int, ...]  # arrangement vertex index in b per vertex of a
 
-    def face_map(self, label: int) -> int:
-        return self.faces[label - 1]
-
 
 @dataclass(frozen=True)
 class SymmetryGroup:
@@ -183,8 +180,8 @@ def invert_perm(g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def perm_cycles(perm: tuple[int, ...], one_based: bool = True) -> str:
-    """Cycle notation, fixed points omitted; identity prints as 'id'."""
+def perm_cycles(perm: tuple[int, ...]) -> str:
+    """Cycle notation over 1-based labels, fixed points omitted; identity prints as 'id'."""
     seen = [False] * len(perm)
     parts = []
     for start in range(len(perm)):
@@ -195,7 +192,7 @@ def perm_cycles(perm: tuple[int, ...], one_based: bool = True) -> str:
         i = start
         while not seen[i]:
             seen[i] = True
-            cyc.append(i + 1 if one_based else i)
+            cyc.append(i + 1)
             i = perm[i]
         parts.append("(" + " ".join(str(x) for x in cyc) + ")")
     return "".join(parts) if parts else "id"

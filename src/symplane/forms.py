@@ -12,6 +12,7 @@ of prescribed face areas, and Moser interpolation between densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -19,6 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .arrangement import Arrangement, face_integrator
 from .arrangement import integrate_density_over_faces  # noqa: F401  (the benchmark's tracer wraps it here)
+from .curves import _read_text, _significant_lines
 from .errors import (
     FormatError,
     InconsistencyError,
@@ -29,6 +31,9 @@ from .errors import (
 DEFAULT_GRID = 256
 DEFAULT_INFLATE = 0.25
 UNIT_SNAP = 1e-12
+# relative shortfall of a target below its base face integral that
+# realize_area_vector still accepts as roundoff
+FEASIBILITY_TOL = 1e-6
 
 
 def _bilinear(values, x0, y0, hx, hy, x, y):
@@ -170,31 +175,31 @@ def unit_density(x0, x1, y0, y1, nx=DEFAULT_GRID, ny=None):
     return make_density(x0, x1, y0, y1, np.ones((nx, ny)))
 
 
-def density_for_curve(curve, n=DEFAULT_GRID, inflate=DEFAULT_INFLATE):
+def density_for_curve(curve, n=DEFAULT_GRID):
     """Unit density on the curve's bounding box inflated on every side."""
     cx0, cx1, cy0, cy1 = curve.bbox()
-    pad = inflate * max(cx1 - cx0, cy1 - cy0, 1e-9)
+    pad = DEFAULT_INFLATE * max(cx1 - cx0, cy1 - cy0, 1e-9)
     return unit_density(cx0 - pad, cx1 + pad, cy0 - pad, cy1 + pad, n, n)
 
 
-def serialize_density(d: Density) -> str:
-    lines = ["density v1"]
-    lines.append(
-        f"{float(d.x0)!r} {float(d.x1)!r} {float(d.y0)!r} {float(d.y1)!r} "
-        f"{d.nx} {d.ny}"
-    )
-    for row in d.values.T:
-        lines.append(" ".join(map(repr, row.tolist())))
+def _serialize_grid(tag, g, rows) -> str:
+    """Grid file text: header, domain line, then one line of node values per y row."""
+    lines = [
+        f"{tag} v1",
+        f"{float(g.x0)!r} {float(g.x1)!r} {float(g.y0)!r} {float(g.y1)!r} {g.nx} {g.ny}",
+    ]
+    lines.extend(" ".join(map(repr, row.tolist())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def save_density(d: Density, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_density(d))
+def _parse_grid(text, tag, per_node, noun):
+    """Domain (x0, x1, y0, y1) and node values, shape (per_node, nx, ny), of a grid file.
 
-
-def _parse_grid_header(lines, tag):
-    if not lines or lines[0].strip() != f"{tag} v1":
+    File order is row by row in y, x varying fastest, per_node values
+    per node.
+    """
+    lines = [line for _, line in _significant_lines(text)]
+    if not lines or lines[0] != f"{tag} v1":
         raise FormatError(f"expected header '{tag} v1'")
     if len(lines) < 2:
         raise FormatError("missing domain line")
@@ -202,33 +207,37 @@ def _parse_grid_header(lines, tag):
     if len(parts) != 6:
         raise FormatError("domain line must be 'x0 x1 y0 y1 nx ny'")
     try:
-        x0, x1, y0, y1 = (float(p) for p in parts[:4])
+        domain = tuple(float(p) for p in parts[:4])
         nx, ny = (int(p) for p in parts[4:])
     except ValueError as exc:
         raise FormatError(f"bad domain line: {exc}") from None
     if nx < 0 or ny < 0:
         raise FormatError(f"bad domain line: negative grid count in {nx} {ny}")
-    return x0, x1, y0, y1, nx, ny
-
-
-def parse_density(text: str) -> Density:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    x0, x1, y0, y1, nx, ny = _parse_grid_header(lines, "density")
     tokens = " ".join(lines[2:]).split()
-    if len(tokens) != nx * ny:
-        raise FormatError(f"expected {nx * ny} density values, found {len(tokens)}")
+    if len(tokens) != per_node * nx * ny:
+        raise FormatError(f"expected {per_node * nx * ny} {noun} values, found {len(tokens)}")
     try:
         flat = np.array([float(t) for t in tokens])
     except ValueError as exc:
-        raise FormatError(f"bad density value: {exc}") from None
-    # file order is row by row in y, x varying fastest
-    values = flat.reshape(ny, nx).T
-    return make_density(x0, x1, y0, y1, values)
+        raise FormatError(f"bad {noun} value: {exc}") from None
+    return domain, flat.reshape(ny, nx, per_node).T
+
+
+def serialize_density(d: Density) -> str:
+    return _serialize_grid("density", d, d.values.T)
+
+
+def save_density(d: Density, path):
+    Path(path).write_text(serialize_density(d), encoding="utf-8")
+
+
+def parse_density(text: str) -> Density:
+    domain, (values,) = _parse_grid(text, "density", 1, "density")
+    return make_density(*domain, values)
 
 
 def load_density(path) -> Density:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_density(fh.read())
+    return parse_density(_read_text(path))
 
 
 class PlanarMap:
@@ -384,42 +393,22 @@ def sample_map(m: PlanarMap, x0, x1, y0, y1, nx, ny) -> GridMap:
 
 
 def serialize_map(gm: GridMap) -> str:
-    lines = ["dispmap v1"]
-    lines.append(
-        f"{float(gm.x0)!r} {float(gm.x1)!r} {float(gm.y0)!r} {float(gm.y1)!r} "
-        f"{gm.nx} {gm.ny}"
-    )
     # row j interleaves disp_x[i, j] and disp_y[i, j] node by node
     pairs = np.stack([gm.disp_x.T, gm.disp_y.T], axis=-1).reshape(gm.ny, 2 * gm.nx)
-    for row in pairs:
-        lines.append(" ".join(map(repr, row.tolist())))
-    return "\n".join(lines) + "\n"
+    return _serialize_grid("dispmap", gm, pairs)
 
 
 def save_map(gm: GridMap, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_map(gm))
+    Path(path).write_text(serialize_map(gm), encoding="utf-8")
 
 
 def parse_map(text: str) -> GridMap:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    x0, x1, y0, y1, nx, ny = _parse_grid_header(lines, "dispmap")
-    tokens = " ".join(lines[2:]).split()
-    if len(tokens) != 2 * nx * ny:
-        raise FormatError(
-            f"expected {2 * nx * ny} displacement values, found {len(tokens)}"
-        )
-    try:
-        flat = np.array([float(t) for t in tokens])
-    except ValueError as exc:
-        raise FormatError(f"bad displacement value: {exc}") from None
-    pairs = flat.reshape(ny, nx, 2)
-    return GridMap(x0, x1, y0, y1, pairs[:, :, 0].T, pairs[:, :, 1].T)
+    domain, (disp_x, disp_y) = _parse_grid(text, "dispmap", 2, "displacement")
+    return GridMap(*domain, disp_x, disp_y)
 
 
 def load_map(path) -> GridMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_map(fh.read())
+    return parse_map(_read_text(path))
 
 
 def pullback(m: PlanarMap, omega: Density) -> Density:
@@ -522,7 +511,6 @@ def realize_area_vector(
     base: Density | None = None,
     base_scale: float = 1.0,
     grid_n: int = DEFAULT_GRID,
-    rel_tol: float = 1e-6,
 ) -> Density:
     """Density whose integral over face j equals target[j], built from base.
 
@@ -555,7 +543,7 @@ def realize_area_vector(
     scale = max(1.0, float(np.max(np.abs(target))))
     coeffs = target - current
     for j, c in enumerate(coeffs):
-        if c < -rel_tol * scale:
+        if c < -FEASIBILITY_TOL * scale:
             raise RealizationError(
                 f"target for face {j + 1} is {current[j] - target[j]:.6g} below "
                 "the base integral; the construction only adds mass "

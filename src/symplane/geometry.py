@@ -28,25 +28,25 @@ def signed_area(points) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def segment_intersection(p0, p1, q0, q1, eps: float = EPSILON):
+def segment_intersection(p0, p1, q0, q1):
     """Intersect segments [p0, p1] and [q0, q1] in closed form.
 
     Returns (t, u, point) with point == p0 + t*(p1 - p0) and both
     parameters in [0, 1], or None when the segments are parallel or miss
-    each other. Parameters within eps outside [0, 1] are clamped in.
+    each other. Parameters within EPSILON outside [0, 1] are clamped in.
     """
     p0 = np.asarray(p0, dtype=float)
     r = np.asarray(p1, dtype=float) - p0
     q0 = np.asarray(q0, dtype=float)
     s = np.asarray(q1, dtype=float) - q0
     denom = cross2(r, s)
-    scale = max(np.abs(r).max(), np.abs(s).max(), eps)
-    if abs(denom) <= eps * scale * scale:
+    scale = max(np.abs(r).max(), np.abs(s).max(), EPSILON)
+    if abs(denom) <= EPSILON * scale * scale:
         return None
     d = q0 - p0
     t = cross2(d, s) / denom
     u = cross2(d, r) / denom
-    if t < -eps or t > 1.0 + eps or u < -eps or u > 1.0 + eps:
+    if t < -EPSILON or t > 1.0 + EPSILON or u < -EPSILON or u > 1.0 + EPSILON:
         return None
     t = min(max(t, 0.0), 1.0)
     u = min(max(u, 0.0), 1.0)
@@ -54,28 +54,24 @@ def segment_intersection(p0, p1, q0, q1, eps: float = EPSILON):
 
 
 def point_segment_distance(points, a, b):
-    """Distance from each query point to the segment [a, b]; vectorized."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
+    """Distance from points to segments [a, b]; (..., 2) arrays, broadcast.
+
+    A zero-length segment measures to its endpoint.
+    """
+    p = np.asarray(points, dtype=float)
     a = np.asarray(a, dtype=float)
     d = np.asarray(b, dtype=float) - a
-    dd = float(d @ d)
-    if dd < EPSILON * EPSILON:
-        return np.linalg.norm(p - a, axis=-1)
-    t = np.clip(((p - a) @ d) / dd, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    return np.linalg.norm(p - proj, axis=-1)
+    dd = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+    point_like = dd < EPSILON * EPSILON
+    dots = ((p - a)[..., None, :] @ d[..., :, None])[..., 0, 0]
+    t = np.where(point_like, 0.0, np.clip(dots / np.where(point_like, 1.0, dd), 0.0, 1.0))
+    return np.linalg.norm(p - (a + t[..., None] * d), axis=-1)
 
 
 def segment_pair_distance(p0, p1, q0, q1) -> float:
     """Minimum distance between two segments known not to intersect."""
-    return float(
-        min(
-            point_segment_distance(p0, q0, q1)[0],
-            point_segment_distance(p1, q0, q1)[0],
-            point_segment_distance(q0, p0, p1)[0],
-            point_segment_distance(q1, p0, p1)[0],
-        )
-    )
+    ends = np.array([p0, p1, q0, q1], dtype=float)
+    return float(np.min(point_segment_distance(ends, ends[[2, 2, 0, 0]], ends[[3, 3, 1, 1]])))
 
 
 def winding_numbers(points, loop) -> np.ndarray:

@@ -36,11 +36,7 @@ from symplane.forms import (
     density_for_curve,
     make_density,
 )
-from symplane.geometry import (
-    point_segment_distance,
-    segment_intersection,
-    segment_pair_distance,
-)
+from symplane.geometry import EPSILON, segment_intersection
 
 
 def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap:
@@ -124,6 +120,37 @@ def face_contains(face: Face, points) -> np.ndarray:
     for poly in face.polygons:
         total += winding_numbers(pts, poly)
     return total == 1 if not face.is_outer else total == 0
+
+
+def point_segment_distance(points, a, b):
+    """The original `geometry.point_segment_distance`: many points, one segment.
+
+    Distance from each query point to the segment [a, b]; vectorized.
+    """
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(b, dtype=float) - a
+    dd = float(d @ d)
+    if dd < EPSILON * EPSILON:
+        return np.linalg.norm(p - a, axis=-1)
+    t = np.clip(((p - a) @ d) / dd, 0.0, 1.0)
+    proj = a + t[:, None] * d
+    return np.linalg.norm(p - proj, axis=-1)
+
+
+def segment_pair_distance(p0, p1, q0, q1) -> float:
+    """The original `geometry.segment_pair_distance`: four point-segment calls.
+
+    Minimum distance between two segments known not to intersect.
+    """
+    return float(
+        min(
+            point_segment_distance(p0, q0, q1)[0],
+            point_segment_distance(p1, q0, q1)[0],
+            point_segment_distance(q0, p0, p1)[0],
+            point_segment_distance(q1, p0, p1)[0],
+        )
+    )
 
 
 def boundary_distance(face: Face, point) -> float:

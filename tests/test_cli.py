@@ -18,9 +18,18 @@ from conftest import (
 )
 
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
-from symplane.cli import main
-from symplane.curves import ClosedCurve, save_curve, transform_curve
-from symplane.forms import load_density, load_map, make_density, save_density
+from symplane.cli import _parse_spec_file, main
+from symplane.curves import ClosedCurve, load_curve, save_curve, serialize_curve, transform_curve
+from symplane.errors import FormatError
+from symplane.forms import (
+    GridMap,
+    load_density,
+    load_map,
+    make_density,
+    save_density,
+    serialize_density,
+    serialize_map,
+)
 
 
 def run_cli(*argv):
@@ -315,6 +324,78 @@ def test_moduli_dim_missing_face_count(tmp_path):
     path = write_spec(tmp_path, "surface plane\n")
     code, _ = run_cli("moduli-dim", path)
     assert code == 4
+
+
+# --- input files ----------------------------------------------------------
+
+
+def plain_inputs():
+    """Per format: (loader, plain text, function giving the comparable values)."""
+    rng = np.random.default_rng(3)
+    curve = gerono_curve(n=16)
+    density = make_density(0.0, 1.0, -1.0, 2.0, 1.0 + rng.random((5, 4)))
+    dispmap = GridMap(0.0, 1.0, -1.0, 2.0, *(0.01 * rng.standard_normal((2, 5, 4))))
+    return {
+        "curve": (load_curve, serialize_curve(curve), lambda c: [p.tolist() for p in c.loops]),
+        "density": (load_density, serialize_density(density),
+                    lambda d: (d.x0, d.x1, d.y0, d.y1, d.values.tolist(), d.support_box)),
+        "dispmap": (load_map, serialize_map(dispmap),
+                    lambda m: (m.x0, m.x1, m.y0, m.y1, m.disp_x.tolist(), m.disp_y.tolist())),
+        "spec": (_parse_spec_file, "spec v1\nr 2\nsurface bounded\nsingular E12\n", lambda s: s),
+    }
+
+
+def with_comments(text):
+    """The text with full-line, indented and inline comments and blank lines added."""
+    out = ["# leading comment", ""]
+    for k, line in enumerate(text.splitlines()):
+        out.append(f"{line}  # inline {k}")
+        if k % 2:
+            out += ["   ", "\t# indented comment"]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["curve", "density", "dispmap", "spec"])
+def test_comments_and_blank_lines_are_skipped(tmp_path, fmt):
+    load, text, values = plain_inputs()[fmt]
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text(text)
+    commented.write_text(with_comments(text))
+    assert values(load(commented)) == values(load(plain))
+
+
+def undecodable(tmp_path, fmt):
+    """A file of the format with a Latin-1 byte in a comment line."""
+    _, text, _ = plain_inputs()[fmt]
+    header, rest = text.split("\n", 1)
+    path = tmp_path / f"latin1.{fmt}"
+    path.write_bytes(f"{header}\n# caf\xe9\n{rest}".encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "fmt, argv",
+    [
+        ("curve", ["analyze", "{}"]),
+        ("density", ["moser", "{}", "{}", "--out", "{out}"]),
+        ("spec", ["moduli-dim", "{}"]),
+    ],
+)
+def test_undecodable_input_exits_4(tmp_path, capsys, fmt, argv):
+    path = undecodable(tmp_path, fmt)
+    out = tmp_path / "out.map"
+    code, text = run_cli(*(a.format(path, out=out) for a in argv))
+    assert code == 4
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_undecodable_map_file_names_the_file(tmp_path):
+    path = undecodable(tmp_path, "dispmap")
+    with pytest.raises(FormatError, match="latin1.dispmap: not UTF-8"):
+        load_map(path)
 
 
 # --- render and wiring ----------------------------------------------------

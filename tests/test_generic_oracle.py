@@ -34,7 +34,7 @@ from conftest import (
 
 from symplane import curves
 from symplane.curves import ClosedCurve, check_generic
-from symplane.geometry import segment_intersection
+from symplane.geometry import point_segment_distance, segment_intersection, segment_pair_distance
 
 
 def flat(report):
@@ -209,6 +209,34 @@ def test_cluster_records_like_all_pairs():
         want = oracles._cluster_hits(records, sep_tol)
         assert [[id(h) for h in c] for c in got] == [[id(h) for h in c] for c in want]
         assert 1 < len(got) < 300
+
+
+def test_segment_pair_distance_matches_four_call_oracle():
+    # the near-miss distance is printed in violation details, so the one
+    # broadcast call must equal the four point-segment calls bit for bit,
+    # at every scale and for segments near the zero-length cut-off
+    rng = np.random.default_rng(11)
+    for k in range(10_000):
+        p0, p1, q0, q1 = rng.normal(size=(4, 2)) * 10.0 ** rng.uniform(-6, 5)
+        if k % 5 == 1:
+            p1 = p0 + rng.normal(size=2) * 10.0 ** rng.uniform(-14, -10)
+        elif k % 5 == 2:
+            q1 = q0 + rng.normal(size=2) * 10.0 ** rng.uniform(-14, -10)
+        assert segment_pair_distance(p0, p1, q0, q1) == oracles.segment_pair_distance(
+            p0, p1, q0, q1
+        )
+
+
+def test_point_segment_distance_broadcasts():
+    a = np.array([[0.0, 0.0], [1.0, 1.0]])
+    b = np.array([[2.0, 0.0], [1.0, 1.0]])  # the second segment has zero length
+    p = np.array([[[1.0, 3.0]], [[-3.0, 4.0]]])  # (2, 1, 2) against (2, 2)
+    got = point_segment_distance(p, a, b)
+    assert got.shape == (2, 2)
+    assert got.tolist() == [[3.0, 2.0], [5.0, 5.0]]
+    for i in range(2):
+        for j in range(2):
+            assert got[i, j] == oracles.point_segment_distance(p[i], a[j], b[j])[0]
 
 
 @pytest.mark.parametrize("chunk", [None, 997])
