@@ -10,6 +10,9 @@ x, then y).
 Face boundaries may have several components: a face can enclose another
 part of the curve, whose outer walk then appears as a hole. Areas are
 net (holes subtracted), via the shoelace formula per boundary cycle.
+
+The half-edges around a vertex need no tangent: the crossing's sign from
+check_generic fixes their cyclic order (see _link_next).
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import numpy as np
 
 from .curves import ClosedCurve, GenericityReport, check_generic
 from .errors import GenericityError, InconsistencyError, ValidationError
-from .geometry import point_segment_distance, signed_area, winding_numbers
+from .geometry import point_segment_distance, polygon_moments, winding_numbers
+
+SVG_WIDTH = 640  # pixels; the height follows the curve's aspect ratio
 
 
 @dataclass(frozen=True)
@@ -28,17 +33,13 @@ class Vertex:
     index: int
     point: np.ndarray
     branches: tuple[tuple[int, float], tuple[int, float]]  # (loop, parameter) per strand
-    angle: float
+    sign: int  # +1 or -1: orientation of the strand tangents, as in DoublePoint
 
 
 @dataclass
 class HalfEdge:
     index: int
     loop: int
-    t0: float
-    t1: float  # t1 > t0 means forward in parameter; reversed for twins
-    origin: int | None  # vertex index; None anchors a crossing-free loop
-    target: int | None
     twin: int
     next: int
     face: int
@@ -48,10 +49,10 @@ class HalfEdge:
 @dataclass
 class Face:
     index: int
-    cycles: tuple[tuple[int, ...], ...]  # half-edge indices per boundary walk
     polygons: tuple[np.ndarray, ...]  # closed boundary polylines, one per walk
     area: float  # net area; negative for the outer face
     is_outer: bool
+    centroid: np.ndarray | None  # net area centroid, bounded faces only
     label: int | None = None  # canonical 1..r, bounded faces only
     rep_point: np.ndarray | None = None
 
@@ -133,24 +134,20 @@ def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None
         )
 
     vertices = tuple(
-        Vertex(i, dp.point, (dp.first, dp.second), dp.angle)
+        Vertex(i, dp.point, (dp.first, dp.second), dp.sign)
         for i, dp in enumerate(report.double_points)
     )
 
-    passages: list[tuple[tuple[float, int], ...]] = []
-    for loop in range(len(curve.loops)):
-        per = []
-        for v in vertices:
-            for germ_loop, t in v.branches:
-                if germ_loop == loop:
-                    per.append((t, v.index))
-        per.sort()
-        passages.append(tuple(per))
+    per_loop: list[list[tuple[float, int]]] = [[] for _ in curve.loops]
+    for v in vertices:
+        for loop, t in v.branches:
+            per_loop[loop].append((t, v.index))
+    passages = tuple(tuple(sorted(per)) for per in per_loop)
 
     half_edges, loop_arcs = _build_half_edges(curve, vertices, passages)
-    _link_next(curve, vertices, half_edges, passages)
+    _link_next(vertices, half_edges, passages, loop_arcs)
     cycles = _extract_cycles(half_edges)
-    components = _loop_components(len(curve.loops), passages)
+    components = _loop_components(len(curve.loops), vertices)
     faces, outer_face = _assemble_faces(curve, half_edges, cycles, components)
 
     arr = Arrangement(
@@ -159,7 +156,7 @@ def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None
         half_edges=half_edges,
         faces=faces,
         outer_face=outer_face,
-        passages=tuple(passages),
+        passages=passages,
         loop_arcs=loop_arcs,
         components=components,
     )
@@ -264,7 +261,7 @@ def _face_raster(arr: Arrangement, centers_x, centers_y) -> np.ndarray:
     return labels[:, :-1].T
 
 
-def render_svg(arr: Arrangement, width: int = 640) -> str:
+def render_svg(arr: Arrangement) -> str:
     """Draw the arrangement as a standalone SVG 1.1 document.
 
     Deterministic: equal arrangements yield byte-equal output. Curve
@@ -274,6 +271,7 @@ def render_svg(arr: Arrangement, width: int = 640) -> str:
     x0, x1, y0, y1 = arr.curve.bbox()
     pad = 0.08 * max(x1 - x0, y1 - y0, 1e-9)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
+    width = SVG_WIDTH
     scale = width / (x1 - x0)
     height = int(round((y1 - y0) * scale))
 
@@ -328,70 +326,52 @@ def _arc_points(curve, loop, t0, t1, p_start, p_end):
 
 
 def _build_half_edges(curve, vertices, passages):
+    """Forward and backward half-edge per arc; a crossing-free loop is one arc."""
     half_edges: list[HalfEdge] = []
     loop_arcs: list[tuple[int, ...]] = []
-    vpoints = [v.point for v in vertices]
     for loop, per in enumerate(passages):
-        n = len(curve.loops[loop])
-        arcs = []
-        if not per:
-            pts = curve.loops[loop]
-            ring = np.vstack([pts, pts[:1]])
-            fwd = HalfEdge(len(half_edges), loop, 0.0, float(n), None, None, -1, -1, -1, ring)
-            bwd = HalfEdge(
-                len(half_edges) + 1, loop, float(n), 0.0, None, None, -1, -1, -1, ring[::-1].copy()
-            )
-            fwd.twin, bwd.twin = bwd.index, fwd.index
-            half_edges.extend([fwd, bwd])
-            arcs.append(fwd.index)
+        if per:
+            polys = [
+                _arc_points(curve, loop, t0, t1, vertices[v0].point, vertices[v1].point)
+                for (t0, v0), (t1, v1) in zip(per, per[1:] + per[:1])
+            ]
         else:
-            for k, (t0, v0) in enumerate(per):
-                t1, v1 = per[(k + 1) % len(per)]
-                poly = _arc_points(curve, loop, t0, t1, vpoints[v0], vpoints[v1])
-                fwd = HalfEdge(len(half_edges), loop, t0, t0 + ((t1 - t0) % n or n), v0, v1, -1, -1, -1, poly)
-                bwd = HalfEdge(
-                    len(half_edges) + 1,
-                    loop,
-                    fwd.t1,
-                    t0,
-                    v1,
-                    v0,
-                    -1,
-                    -1,
-                    -1,
-                    poly[::-1].copy(),
-                )
-                fwd.twin, bwd.twin = bwd.index, fwd.index
-                half_edges.extend([fwd, bwd])
-                arcs.append(fwd.index)
+            pts = curve.loops[loop]
+            polys = [np.vstack([pts, pts[:1]])]
+        arcs = []
+        for poly in polys:
+            i = len(half_edges)
+            half_edges.append(HalfEdge(i, loop, i + 1, -1, -1, poly))
+            half_edges.append(HalfEdge(i + 1, loop, i, -1, -1, poly[::-1].copy()))
+            arcs.append(i)
         loop_arcs.append(tuple(arcs))
     return half_edges, loop_arcs
 
 
-def _link_next(curve, vertices, half_edges, passages):
-    """Wire next-pointers so each face walk keeps its region on the left."""
-    outgoing: dict[int, list[tuple[float, int]]] = {v.index: [] for v in vertices}
-    for he in half_edges:
-        if he.origin is None:
-            he.next = he.index  # crossing-free loop: the walk is the loop itself
-            continue
-        if he.t1 > he.t0:
-            d = curve.tangent_at(he.loop, he.t0 % len(curve.loops[he.loop]))
-        else:
-            d = -curve.tangent_at(he.loop, he.t0 % len(curve.loops[he.loop]))
-        outgoing[he.origin].append((float(np.arctan2(d[1], d[0])), he.index))
-    order_at = {}
-    for vid, items in outgoing.items():
-        items.sort()
-        order_at[vid] = [idx for _, idx in items]
-    for he in half_edges:
-        if he.target is None:
-            continue
-        order = order_at[he.target]
-        k = order.index(he.twin)
-        # the face walk turns as sharply left as possible: the outgoing
-        # edge one step clockwise from the reversed incoming direction
-        he.next = order[(k - 1) % len(order)]
+def _link_next(vertices, half_edges, passages, loop_arcs):
+    """Wire next-pointers so each face walk keeps its region on the left.
+
+    With u and w the tangents of strands 0 and 1, the half-edges leaving
+    a vertex run counterclockwise as +u, +w, -u, -w when the crossing's
+    sign is +1, and as +u, -w, -u, +w when it is -1. The walk arriving
+    at a vertex turns as sharply left as possible: it leaves along the
+    half-edge one step clockwise from its own twin.
+    """
+    rings = [[-1] * 4 for _ in vertices]  # +u, +w, -u, -w
+    for loop, per in enumerate(passages):
+        arcs = loop_arcs[loop]
+        if not per:
+            for idx in (arcs[0], arcs[0] + 1):
+                half_edges[idx].next = idx  # crossing-free loop: the walk is the loop itself
+        for k, (t, vid) in enumerate(per):
+            strand = vertices[vid].branches.index((loop, t))
+            rings[vid][strand] = arcs[k]
+            rings[vid][strand + 2] = half_edges[arcs[k - 1]].twin
+    for v, ring in zip(vertices, rings):
+        if v.sign < 0:
+            ring = [ring[0], ring[3], ring[2], ring[1]]
+        for k, out in enumerate(ring):
+            half_edges[half_edges[out].twin].next = ring[k - 1]
 
 
 def _extract_cycles(half_edges):
@@ -420,7 +400,7 @@ def _cycle_polygon(half_edges, cycle):
     return poly[:-1]  # drop the repeated closing point
 
 
-def _loop_components(num_loops, passages):
+def _loop_components(num_loops, vertices):
     parent = list(range(num_loops))
 
     def find(x):
@@ -429,13 +409,9 @@ def _loop_components(num_loops, passages):
             x = parent[x]
         return x
 
-    vert_loop: dict[int, int] = {}
-    for loop, per in enumerate(passages):
-        for _, vid in per:
-            if vid in vert_loop:
-                parent[find(vert_loop[vid])] = find(loop)
-            else:
-                vert_loop[vid] = loop
+    for v in vertices:
+        (a, _), (b, _) = v.branches
+        parent[find(a)] = find(b)
     roots = {}
     comp = []
     for loop in range(num_loops):
@@ -448,7 +424,8 @@ def _loop_components(num_loops, passages):
 
 def _assemble_faces(curve, half_edges, cycles, components):
     polys = [_cycle_polygon(half_edges, c) for c in cycles]
-    areas = [signed_area(p) for p in polys]
+    moments = [polygon_moments(p) for p in polys]
+    areas = [a for a, _ in moments]
     cycle_comp = [components[half_edges[c[0]].loop] for c in cycles]
 
     positive = [i for i, a in enumerate(areas) if a > 0]
@@ -484,23 +461,26 @@ def _assemble_faces(curve, half_edges, cycles, components):
         area = float(sum(areas[m] for m in members))
         if area <= 0:
             raise InconsistencyError("bounded face with non-positive net area")
+        weighted = np.zeros(2)
+        for m in members:
+            weighted += areas[m] * moments[m][1]
         faces.append(
             Face(
                 index=len(faces),
-                cycles=tuple(cycles[m] for m in members),
                 polygons=tuple(polys[m] for m in members),
                 area=area,
                 is_outer=False,
+                centroid=weighted / area,
             )
         )
         for m in members:
             face_of_cycle[m] = faces[-1].index
     outer = Face(
         index=len(faces),
-        cycles=tuple(cycles[m] for m in sorted(outer_cycles)),
         polygons=tuple(polys[m] for m in sorted(outer_cycles)),
         area=float(sum(areas[m] for m in sorted(outer_cycles))),
         is_outer=True,
+        centroid=None,
     )
     faces.append(outer)
     for m in outer_cycles:
@@ -544,11 +524,7 @@ def _representative_point(arr: Arrangement, face: Face) -> np.ndarray:
     that lands outside (possible for crescent shaped or holed faces), an
     inward offset of a boundary edge midpoint is searched.
     """
-    weighted = np.zeros(2)
-    for poly in face.polygons:
-        a = signed_area(poly)
-        weighted += a * _polygon_centroid_raw(poly)
-    centroid = weighted / face.area
+    centroid = face.centroid
     scale = float(np.sqrt(face.area))
     if arr.face_contains(face, centroid)[0] and arr.boundary_distance(face, centroid) > 1e-6 * scale:
         return centroid
@@ -568,12 +544,3 @@ def _representative_point(arr: Arrangement, face: Face) -> np.ndarray:
                     return p
     raise InconsistencyError(f"no interior representative point found for face {face.index}")
 
-
-def _polygon_centroid_raw(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    w = x * yn - xn * y
-    a = 0.5 * np.sum(w)
-    if a == 0:
-        return poly.mean(axis=0)
-    return np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * a)

@@ -113,6 +113,7 @@ class DoublePoint:
     first: tuple[int, float]  # (loop index, cyclic parameter), earlier strand
     second: tuple[int, float]
     angle: float  # angle between the strand tangent lines, in (0, pi/2]
+    sign: int  # +1 or -1: orientation of the (first, second) unit tangents
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,8 @@ def check_generic(
         (la, ta), (lb, tb) = germs
         u = curve.tangent_at(la, ta)
         v = curve.tangent_at(lb, tb)
-        angle = float(np.arcsin(min(1.0, abs(cross2(u, v)))))
+        cross = float(cross2(u, v))
+        angle = float(np.arcsin(min(1.0, abs(cross))))
         if angle < angle_tol:
             violations.append(
                 Violation(
@@ -314,7 +316,9 @@ def check_generic(
                 )
             )
         else:
-            double_points.append(DoublePoint(point, (la, ta), (lb, tb), angle))
+            # angle >= angle_tol > 0, so cross is nonzero
+            sign = 1 if cross > 0 else -1
+            double_points.append(DoublePoint(point, (la, ta), (lb, tb), angle, sign))
 
     _check_cusps(curve, violations)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .arrangement import Arrangement
 from .errors import InconsistencyError, ValidationError
-from .geometry import cross2
 
 
 @dataclass(frozen=True)
@@ -117,18 +116,10 @@ def gauss_code(arr: Arrangement) -> GaussCode:
             he = arr.half_edges[he_idx]
             row_arcs.append((he.face, arr.half_edges[he.twin].face))
         arcs.append(tuple(row_arcs))
-    signs = []
-    for v in arr.vertices:
-        u = arr.curve.tangent_at(*v.branches[0])
-        w = arr.curve.tangent_at(*v.branches[1])
-        s = cross2(u, w)
-        if s == 0:
-            raise InconsistencyError("parallel strand tangents at a crossing")
-        signs.append(1 if s > 0 else -1)
     return GaussCode(
         occ=tuple(occ),
         arcs=tuple(arcs),
-        base_sign=tuple(signs),
+        base_sign=tuple(v.sign for v in arr.vertices),
         outer_face=arr.outer_face,
         num_faces=len(arr.faces),
     )
@@ -170,7 +161,7 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
 
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """g after h: the image of i is g[h[i]]."""
-    return tuple(g[h[i]] for i in range(len(h)))
+    return tuple(map(g.__getitem__, h))
 
 
 def invert_perm(g: tuple[int, ...]) -> tuple[int, ...]:

@@ -19,13 +19,20 @@ def cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def signed_area(points) -> float:
-    """Shoelace area of a closed polygon, positive for counterclockwise."""
+def polygon_moments(points):
+    """Shoelace (signed area, area centroid) of a closed polygon.
+
+    The area is positive for counterclockwise polygons; a polygon of zero
+    area gets the mean of its vertices as centroid.
+    """
     p = np.asarray(points, dtype=float)
-    if len(p) < 3:
-        return 0.0
     x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    w = x * yn - xn * y
+    area = 0.5 * float(np.sum(w))
+    if area == 0:
+        return area, p.mean(axis=0)
+    return area, np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * area)
 
 
 def segment_intersection(p0, p1, q0, q1):

@@ -7,6 +7,7 @@ of the library routine is checked against the code it replaced.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations, product
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from symplane import arrangement, curves
-from symplane.arrangement import Arrangement, Face
+from symplane.arrangement import Arrangement, Face, Vertex, _cycle_polygon, _extract_cycles
 from symplane.curves import Violation, _beside_crossing
 from symplane.diagram import (
     FaceCorrespondence,
@@ -36,7 +37,7 @@ from symplane.forms import (
     density_for_curve,
     make_density,
 )
-from symplane.geometry import EPSILON, segment_intersection
+from symplane.geometry import EPSILON, cross2, segment_intersection
 
 
 def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap:
@@ -619,3 +620,208 @@ def _cluster_hits(hits, sep_tol):
     for i, h in enumerate(hits):
         groups.setdefault(find(i), []).append(h)
     return [groups[k] for k in sorted(groups)]
+
+
+# --- arrangement wiring from tangents ---------------------------------------
+
+
+@dataclass
+class HalfEdge:
+    """The original `arrangement.HalfEdge`, with parameter ends and vertex ends."""
+
+    index: int
+    loop: int
+    t0: float
+    t1: float  # t1 > t0 means forward in parameter; reversed for twins
+    origin: int | None  # vertex index; None anchors a crossing-free loop
+    target: int | None
+    twin: int
+    next: int
+    face: int
+    points: np.ndarray  # directed polyline including both endpoints
+
+
+def _build_half_edges(curve, vertices, passages):
+    half_edges: list[HalfEdge] = []
+    loop_arcs: list[tuple[int, ...]] = []
+    vpoints = [v.point for v in vertices]
+    for loop, per in enumerate(passages):
+        n = len(curve.loops[loop])
+        arcs = []
+        if not per:
+            pts = curve.loops[loop]
+            ring = np.vstack([pts, pts[:1]])
+            fwd = HalfEdge(len(half_edges), loop, 0.0, float(n), None, None, -1, -1, -1, ring)
+            bwd = HalfEdge(
+                len(half_edges) + 1, loop, float(n), 0.0, None, None, -1, -1, -1, ring[::-1].copy()
+            )
+            fwd.twin, bwd.twin = bwd.index, fwd.index
+            half_edges.extend([fwd, bwd])
+            arcs.append(fwd.index)
+        else:
+            for k, (t0, v0) in enumerate(per):
+                t1, v1 = per[(k + 1) % len(per)]
+                poly = _arc_points(curve, loop, t0, t1, vpoints[v0], vpoints[v1])
+                fwd = HalfEdge(len(half_edges), loop, t0, t0 + ((t1 - t0) % n or n), v0, v1, -1, -1, -1, poly)
+                bwd = HalfEdge(
+                    len(half_edges) + 1,
+                    loop,
+                    fwd.t1,
+                    t0,
+                    v1,
+                    v0,
+                    -1,
+                    -1,
+                    -1,
+                    poly[::-1].copy(),
+                )
+                fwd.twin, bwd.twin = bwd.index, fwd.index
+                half_edges.extend([fwd, bwd])
+                arcs.append(fwd.index)
+        loop_arcs.append(tuple(arcs))
+    return half_edges, loop_arcs
+
+
+def _link_next(curve, vertices, half_edges, passages):
+    """The original `arrangement._link_next`: outgoing tangents sorted by angle."""
+    outgoing: dict[int, list[tuple[float, int]]] = {v.index: [] for v in vertices}
+    for he in half_edges:
+        if he.origin is None:
+            he.next = he.index  # crossing-free loop: the walk is the loop itself
+            continue
+        if he.t1 > he.t0:
+            d = curve.tangent_at(he.loop, he.t0 % len(curve.loops[he.loop]))
+        else:
+            d = -curve.tangent_at(he.loop, he.t0 % len(curve.loops[he.loop]))
+        outgoing[he.origin].append((float(np.arctan2(d[1], d[0])), he.index))
+    order_at = {}
+    for vid, items in outgoing.items():
+        items.sort()
+        order_at[vid] = [idx for _, idx in items]
+    for he in half_edges:
+        if he.target is None:
+            continue
+        order = order_at[he.target]
+        k = order.index(he.twin)
+        # the face walk turns as sharply left as possible: the outgoing
+        # edge one step clockwise from the reversed incoming direction
+        he.next = order[(k - 1) % len(order)]
+
+
+def _loop_components(num_loops, passages):
+    parent = list(range(num_loops))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    vert_loop: dict[int, int] = {}
+    for loop, per in enumerate(passages):
+        for _, vid in per:
+            if vid in vert_loop:
+                parent[find(vert_loop[vid])] = find(loop)
+            else:
+                vert_loop[vid] = loop
+    roots = {}
+    comp = []
+    for loop in range(num_loops):
+        root = find(loop)
+        if root not in roots:
+            roots[root] = len(roots)
+        comp.append(roots[root])
+    return tuple(comp)
+
+
+def signed_area(points) -> float:
+    """The original `geometry.signed_area`."""
+    p = np.asarray(points, dtype=float)
+    if len(p) < 3:
+        return 0.0
+    x, y = p[:, 0], p[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _polygon_centroid_raw(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    w = x * yn - xn * y
+    a = 0.5 * np.sum(w)
+    if a == 0:
+        return poly.mean(axis=0)
+    return np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * a)
+
+
+def representative_point(arr: Arrangement, face: Face) -> np.ndarray:
+    """The original `arrangement._representative_point`: the centroid from
+    one shoelace pass per walk for the area and another for the moments."""
+    weighted = np.zeros(2)
+    for poly in face.polygons:
+        a = signed_area(poly)
+        weighted += a * _polygon_centroid_raw(poly)
+    centroid = weighted / face.area
+    scale = float(np.sqrt(face.area))
+    if arr.face_contains(face, centroid)[0] and arr.boundary_distance(face, centroid) > 1e-6 * scale:
+        return centroid
+    for frac in (0.2, 0.08, 0.02, 0.005):
+        delta = frac * scale
+        for poly in face.polygons:
+            for i in range(len(poly)):
+                a, b = poly[i], poly[(i + 1) % len(poly)]
+                d = b - a
+                norm = np.linalg.norm(d)
+                if norm == 0:
+                    continue
+                # face lies left of the directed boundary
+                inward = np.array([-d[1], d[0]]) / norm
+                p = 0.5 * (a + b) + delta * inward
+                if arr.face_contains(face, p)[0] and arr.boundary_distance(face, p) > 0.4 * delta:
+                    return p
+    raise InconsistencyError(f"no interior representative point found for face {face.index}")
+
+
+def gauss_signs(arr: Arrangement) -> tuple[int, ...]:
+    """The tangent-sign block of the original `diagram.gauss_code`."""
+    signs = []
+    for v in arr.vertices:
+        u = arr.curve.tangent_at(*v.branches[0])
+        w = arr.curve.tangent_at(*v.branches[1])
+        s = cross2(u, w)
+        if s == 0:
+            raise InconsistencyError("parallel strand tangents at a crossing")
+        signs.append(1 if s > 0 else -1)
+    return tuple(signs)
+
+
+def wiring(curve, report):
+    """The original half-edge wiring of `arrangement.build_arrangement`:
+    vertices, passages, half-edges linked by sorted tangents, face walks,
+    their polygons, shoelace areas and centroids, and loop components."""
+    vertices = tuple(
+        Vertex(i, dp.point, (dp.first, dp.second), dp.sign)
+        for i, dp in enumerate(report.double_points)
+    )
+    passages: list[tuple[tuple[float, int], ...]] = []
+    for loop in range(len(curve.loops)):
+        per = []
+        for v in vertices:
+            for germ_loop, t in v.branches:
+                if germ_loop == loop:
+                    per.append((t, v.index))
+        per.sort()
+        passages.append(tuple(per))
+    half_edges, loop_arcs = _build_half_edges(curve, vertices, passages)
+    _link_next(curve, vertices, half_edges, passages)
+    cycles = _extract_cycles(half_edges)
+    polygons = [_cycle_polygon(half_edges, c) for c in cycles]
+    return SimpleNamespace(
+        passages=tuple(passages),
+        half_edges=half_edges,
+        loop_arcs=loop_arcs,
+        cycles=cycles,
+        polygons=polygons,
+        areas=[signed_area(p) for p in polygons],
+        centroids=[_polygon_centroid_raw(p) for p in polygons],
+        components=_loop_components(len(curve.loops), passages),
+    )
