@@ -11,6 +11,7 @@ for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .arrangement import (
@@ -86,7 +87,9 @@ def _add_tolerances(p):
     p.add_argument("--sep-tol", type=_positive_float, default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symplane",
         description="Area-preserving classification of immersed plane curves.",
@@ -340,8 +343,7 @@ _HANDLERS = {
 def main(argv=None, out=None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args, out)
     except (FormatError, OSError) as exc:

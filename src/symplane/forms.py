@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from .arrangement import Arrangement, face_integrator
 from .arrangement import integrate_density_over_faces  # noqa: F401  (the benchmark's tracer wraps it here)
@@ -444,7 +442,10 @@ def _row_integral(values, hx, x0, x1, outside_slope):
     extending with `outside_slope` per unit length beyond the grid.
     """
     nx = values.shape[0]
-    G = cumulative_trapezoid(values, dx=hx, axis=0, initial=0.0)
+    # the arithmetic of scipy's cumulative_trapezoid(values, dx=hx, axis=0,
+    # initial=0.0), operation for operation, so G is bit-equal to it
+    G = np.zeros_like(values, dtype=float)
+    np.cumsum(hx * (values[1:] + values[:-1]) / 2.0, axis=0, out=G[1:])
     if x0 <= 0.0 <= x1:
         f = (0.0 - x0) / hx
         i = min(int(f), nx - 2)
@@ -613,6 +614,9 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = 64) -> GridMap:
     G, G0 = _row_integral(diff, f0.hx, f0.x0, f0.x1, 0.0)
     A = G - G0[None, :]
 
+    # imported here so that only the flow pays for loading scipy
+    from scipy.interpolate import CubicSpline
+
     # per-row piecewise cubics of A, f0 and f1 (fields 0, 1, 2):
     # coef[3 * k + field, interval * ny + row] multiplies s**(3 - k),
     # with s the offset from the interval's left node
@@ -628,7 +632,10 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = 64) -> GridMap:
         a, v0, v1 = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
         ft = (1.0 - t) * v0 + t * v1
         if np.any(ft <= 0):
-            raise InconsistencyError("interpolated density hit zero during the flow")
+            raise ValidationError(
+                "interpolated density hit zero during the flow; refine the grid "
+                "or smooth the densities"
+            )
         return a / ft
 
     x = np.repeat(xs[:, None], f0.ny, axis=1)

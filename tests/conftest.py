@@ -14,7 +14,7 @@ import pytest
 
 from symplane.arrangement import build_arrangement
 from symplane.curves import ClosedCurve, check_generic, resample
-from symplane.forms import Density
+from symplane.forms import Density, make_density
 
 
 def circle_curve(n=64, radius=1.0, center=(0.0, 0.0), phase=0.0, clockwise=False):
@@ -145,6 +145,22 @@ def conveyor_pair(eps, nx=2304, ny=8, speed=10.5):
                        support_box=(0.0, width, 0.0, 1.0))
 
     return dens(v0), dens(v1)
+
+
+def dipping_pair():
+    """Valid positive 8x8 densities whose flow field interpolant dips to zero.
+
+    f0 has a near-zero well flanked by tall walls, f1 a tall block in
+    the well. The not-a-knot cubics through these rows ring below zero
+    between the nodes, so the flow's interpolated density f_t does too.
+    """
+    v0 = np.ones((8, 8))
+    v0[3:5, 3:5] = 1e-4
+    v0[2, 3:5] = 50.0
+    v0[5, 3:5] = 50.0
+    v1 = np.ones((8, 8))
+    v1[3:5, 3:5] = 30.0
+    return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
 
 
 def eights_row(k, order=None, shifts=None, n=128):

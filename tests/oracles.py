@@ -13,6 +13,7 @@ from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RectBivariateSpline
 
 from symplane import arrangement, curves
@@ -90,6 +91,26 @@ def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap
 
     disp_x = (x - gx.ravel()).reshape(f0.nx, f0.ny)
     return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
+
+
+def row_integral(values, hx, x0, x1, outside_slope):
+    """Cumulative integral along rows from x0, with the value at x = 0.
+
+    The original `forms._row_integral`, which took G from scipy's
+    `cumulative_trapezoid`.
+    """
+    nx = values.shape[0]
+    G = cumulative_trapezoid(values, dx=hx, axis=0, initial=0.0)
+    if x0 <= 0.0 <= x1:
+        f = (0.0 - x0) / hx
+        i = min(int(f), nx - 2)
+        t = f - i
+        G0 = (1 - t) * G[i] + t * G[i + 1]
+    elif x1 < 0.0:
+        G0 = G[-1] + outside_slope * (0.0 - x1)
+    else:
+        G0 = np.full(values.shape[1], outside_slope * (0.0 - x0))
+    return G, G0
 
 
 def winding_numbers(points, loop) -> np.ndarray:

@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import (
     LEAKING_PETAL,
     circle_curve,
+    dipping_pair,
     eights_row,
     gerono_curve,
     petal_curve,
     trefoil_curve,
 )
 
+import symplane
+from symplane import cli
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
 from symplane.cli import _parse_spec_file, main
 from symplane.curves import ClosedCurve, load_curve, save_curve, serialize_curve, transform_curve
@@ -290,6 +295,20 @@ def test_moser_negative_grid_count(tmp_path):
     assert code == 4
 
 
+def test_moser_density_dipping_to_zero_exits_2(tmp_path, capsys):
+    f0, f1 = dipping_pair()
+    p0, p1 = tmp_path / "f0.density", tmp_path / "f1.density"
+    save_density(f0, p0)
+    save_density(f1, p1)
+    out = tmp_path / "flow.map"
+    code, text = run_cli("moser", str(p0), str(p1), "--out", str(out))
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: interpolated density hit zero") and "refine the grid" in err
+    assert not out.exists()
+
+
 # --- moduli-dim -----------------------------------------------------------
 
 
@@ -407,6 +426,82 @@ def test_render_writes_svg(tmp_path):
     code, _ = run_cli("render", path, "--svg", str(svg))
     assert code == 0
     assert "<svg" in svg.read_text()
+
+
+def run_captured(capsys, argv):
+    """Exit code, stdout and stderr of one `main` call, argparse exits included."""
+    out = io.StringIO()
+    try:
+        code = main(list(argv), out=out)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, out.getvalue() + captured.out, captured.err
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    curve = write_curve(tmp_path, "trefoil.txt", trefoil_curve())
+    spec = write_spec(tmp_path, "r 2\n")
+    unwritten = str(tmp_path / "x.density")
+    calls = [
+        ["analyze", curve],
+        ["symmetry", curve],
+        ["compare", curve, curve],  # no mode: argparse exits 2
+        ["moduli-dim", spec],
+        ["realize", curve, "3.5", "--grid", "8", "--out", unwritten],  # bad type: exit 2
+        ["analyze", curve],
+        ["--help"],
+        ["compare", "--help"],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    cached = [run_captured(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run_captured(capsys, argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 2, 0, 0, 0]
+    assert not Path(unwritten).exists()
+
+
+COLD_START = """
+import io, sys
+import symplane, symplane.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+curve, spec, density, work = sys.argv[1:]
+calls = [
+    ["analyze", curve],
+    ["compare", curve, curve, "--labelled"],
+    ["compare", curve, curve, "--symplectic"],
+    ["symmetry", curve],
+    ["realize", curve, "3.5", "--grid", "32", "--out", work + "/circle.density"],
+    ["render", curve, "--svg", work + "/circle.svg"],
+    ["moduli-dim", spec],
+]
+for argv in calls:
+    assert symplane.cli.main(argv, out=io.StringIO()) == 0, argv
+assert not scipy_modules(), scipy_modules()
+moser = ["moser", density, density, "--steps", "4", "--out", work + "/flow.map"]
+assert symplane.cli.main(moser, out=io.StringIO()) == 0
+assert "scipy.interpolate" in sys.modules
+"""
+
+
+def test_cold_start_loads_no_scipy_until_moser(tmp_path):
+    # a fresh interpreter: only the Moser flow's spline may load scipy
+    curve = write_curve(tmp_path, "circle.txt", circle_curve(n=96))
+    spec = write_spec(tmp_path, "r 2\nsurface bounded\n")
+    density = tmp_path / "flat.density"
+    save_density(make_density(-1.0, 1.0, -1.0, 1.0, np.ones((8, 8))), density)
+    src = Path(symplane.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, curve, spec, str(density), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_invocation_subprocess(tmp_path):

@@ -12,6 +12,7 @@ from conftest import (
     LEAKING_PETAL,
     circle_curve,
     conveyor_pair,
+    dipping_pair,
     eights_row,
     gerono_curve,
     petal_curve,
@@ -28,6 +29,7 @@ from symplane.forms import (
     Density,
     GridMap,
     ShearMap,
+    _row_integral,
     compose_maps,
     density_for_curve,
     identity_map,
@@ -263,6 +265,36 @@ def test_primitive_anchor_away_from_origin():
     assert np.max(np.abs(psi.evaluate(pts) - pts)) < 1e-10
 
 
+@pytest.mark.parametrize("branch", ["straddle", "left", "right"])
+def test_row_integral_matches_scipy_oracle(branch):
+    # the numpy trapezoid must give scipy's cumulative_trapezoid bit for
+    # bit, so every primitive map and flow stays byte-identical; the
+    # branch places x = 0 inside, right of, or left of the grid
+    rng = np.random.default_rng(["straddle", "left", "right"].index(branch))
+    shapes = [(2, 1), (576, 8), (1024, 7)]
+    shapes += [(int(rng.integers(2, 1025)), int(rng.integers(1, 8))) for _ in range(31)]
+    for k, shape in enumerate(shapes):
+        values = rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+        hx = 10.0 ** rng.uniform(-3.0, 1.0)
+        span = hx * (shape[0] - 1)
+        if branch == "straddle":
+            # zero on the first node, on the last node, or between nodes
+            x0 = (0.0, -span, -rng.uniform(0.0, span))[k % 3]
+            x1 = 0.0 if k % 3 == 1 else x0 + span
+        elif branch == "left":
+            x1 = -rng.uniform(hx, 10.0)
+            x0 = x1 - span
+        else:
+            x0 = rng.uniform(hx, 10.0)
+            x1 = x0 + span
+        slope = rng.uniform(-2.0, 2.0)
+        G, G0 = _row_integral(values, hx, x0, x1, slope)
+        ref_G, ref_G0 = oracles.row_integral(values, hx, x0, x1, slope)
+        assert G.dtype == ref_G.dtype and G0.dtype == ref_G0.dtype
+        assert np.array_equal(G, ref_G), (shape, hx)
+        assert np.array_equal(G0, ref_G0), (shape, hx, x0, x1)
+
+
 # --- sampled maps and files -----------------------------------------------
 
 
@@ -487,6 +519,14 @@ def test_moser_step_doubling_cuts_defect():
                          - f0.values))
     assert d64 / d128 >= 3.0
     assert d64 <= 1e-3
+
+
+def test_moser_density_dipping_to_zero_is_a_validation_error():
+    # both densities are valid and positive at the nodes; their spline
+    # interpolants are not, which the input must fix, not the flow
+    f0, f1 = dipping_pair()
+    with pytest.raises(ValidationError, match="refine the grid or smooth the densities"):
+        moser_interpolation(f0, f1, steps=64)
 
 
 @pytest.mark.parametrize(
