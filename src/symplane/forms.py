@@ -1,7 +1,7 @@
 """Area-form engine on sampled grids.
 
-A Density holds the coefficient f of an area form f dx dy on a uniform
-rectangular grid, equal to 1 outside a stated support box. PlanarMap
+A Density is a Grid of node values of the coefficient f of an area form
+f dx dy, equal to 1 outside a stated support box. PlanarMap
 implementations carry pointwise Jacobians, either analytic (affine,
 shear, composition) or by central differences on a displacement grid.
 On top of these sit the pullback, the explicit primitive map
@@ -34,52 +34,11 @@ UNIT_SNAP = 1e-12
 FEASIBILITY_TOL = 1e-6
 
 
-def _bilinear(values, x0, y0, hx, hy, x, y):
-    """Bilinear interpolation of node values at (x, y), clamped to the grid."""
-    nx, ny = values.shape
-    fx = np.clip((x - x0) / hx, 0.0, nx - 1.0)
-    fy = np.clip((y - y0) / hy, 0.0, ny - 1.0)
-    ix = np.minimum(fx.astype(int), nx - 2)
-    iy = np.minimum(fy.astype(int), ny - 2)
-    tx = fx - ix
-    ty = fy - iy
-    v00 = values[ix, iy]
-    v10 = values[ix + 1, iy]
-    v01 = values[ix, iy + 1]
-    v11 = values[ix + 1, iy + 1]
-    return (
-        v00 * (1 - tx) * (1 - ty)
-        + v10 * tx * (1 - ty)
-        + v01 * (1 - tx) * ty
-        + v11 * tx * ty
-    )
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """Uniform grid of nx by ny nodes over [x0, x1] x [y0, y1].
 
-
-def infer_support_box(x0, x1, y0, y1, nx, ny, values):
-    """Tight box around the nodes where values differ from 1, one cell margin."""
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
-    off = np.argwhere(values != 1.0)
-    if len(off) == 0:
-        cx = 0.5 * (x0 + x1)
-        cy = 0.5 * (y0 + y1)
-        return (cx, cx, cy, cy)
-    ix0, iy0 = off.min(axis=0)
-    ix1, iy1 = off.max(axis=0)
-    return (
-        float(xs[max(0, ix0 - 1)]),
-        float(xs[min(nx - 1, ix1 + 1)]),
-        float(ys[max(0, iy0 - 1)]),
-        float(ys[min(ny - 1, iy1 + 1)]),
-    )
-
-
-@dataclass(frozen=True)
-class Density:
-    """Positive grid density, exactly 1 outside its support box.
-
-    values has shape (nx, ny) with the first index along x, so
-    values[i, j] is the coefficient at (xs[i], ys[j]).
+    A node array has shape (nx, ny): entry [i, j] is at (xs[i], ys[j]).
     """
 
     x0: float
@@ -88,39 +47,13 @@ class Density:
     y1: float
     nx: int
     ny: int
-    values: np.ndarray
-    support_box: tuple
 
     def __post_init__(self):
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValidationError("degenerate density domain")
+        bounds = (self.x0, self.x1, self.y0, self.y1)
+        if not (np.all(np.isfinite(bounds)) and self.x1 > self.x0 and self.y1 > self.y0):
+            raise ValidationError(f"grid domain {bounds} needs finite x0 < x1 and y0 < y1")
         if self.nx < 2 or self.ny < 2:
-            raise ValidationError("density grid needs at least 2 nodes per axis")
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.nx, self.ny):
-            raise ValidationError(
-                f"values shape {vals.shape} does not match grid "
-                f"({self.nx}, {self.ny})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("density values must be finite")
-        if np.any(vals <= 0):
-            raise ValidationError("density values must be positive")
-        sx0, sx1, sy0, sy1 = self.support_box
-        if sx0 < self.x0 or sx1 > self.x1 or sy0 < self.y0 or sy1 > self.y1:
-            raise ValidationError("support box exceeds the grid domain")
-        xs = self.xs
-        ys = self.ys
-        outside = (
-            (xs[:, None] < sx0)
-            | (xs[:, None] > sx1)
-            | (ys[None, :] < sy0)
-            | (ys[None, :] > sy1)
-        )
-        if not np.all(vals[outside] == 1.0):
-            raise ValidationError("density must equal 1 outside its support box")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+            raise ValidationError("grid needs at least 2 nodes per axis")
 
     @property
     def xs(self):
@@ -144,6 +77,80 @@ class Density:
             == (other.x0, other.x1, other.y0, other.y1, other.nx, other.ny)
         )
 
+    def outside(self, box):
+        """Mask of the nodes outside the box (bx0, bx1, by0, by1)."""
+        bx0, bx1, by0, by1 = box
+        x, y = self.xs[:, None], self.ys[None, :]
+        return (x < bx0) | (x > bx1) | (y < by0) | (y > by1)
+
+
+def _bilinear(grid, values, x, y):
+    """Bilinear interpolation of node values at (x, y), clamped to the grid."""
+    nx, ny = grid.nx, grid.ny
+    fx = np.clip((x - grid.x0) / grid.hx, 0.0, nx - 1.0)
+    fy = np.clip((y - grid.y0) / grid.hy, 0.0, ny - 1.0)
+    ix = np.minimum(fx.astype(int), nx - 2)
+    iy = np.minimum(fy.astype(int), ny - 2)
+    tx = fx - ix
+    ty = fy - iy
+    v00 = values[ix, iy]
+    v10 = values[ix + 1, iy]
+    v01 = values[ix, iy + 1]
+    v11 = values[ix + 1, iy + 1]
+    return (
+        v00 * (1 - tx) * (1 - ty)
+        + v10 * tx * (1 - ty)
+        + v01 * (1 - tx) * ty
+        + v11 * tx * ty
+    )
+
+
+def infer_support_box(x0, x1, y0, y1, nx, ny, values):
+    """Tight box around the nodes where values differ from 1, one cell margin."""
+    grid = Grid(x0, x1, y0, y1, nx, ny)
+    xs, ys = grid.xs, grid.ys
+    off = np.argwhere(values != 1.0)
+    if len(off) == 0:
+        cx = 0.5 * (x0 + x1)
+        cy = 0.5 * (y0 + y1)
+        return (cx, cx, cy, cy)
+    ix0, iy0 = off.min(axis=0)
+    ix1, iy1 = off.max(axis=0)
+    return (
+        float(xs[max(0, ix0 - 1)]),
+        float(xs[min(nx - 1, ix1 + 1)]),
+        float(ys[max(0, iy0 - 1)]),
+        float(ys[min(ny - 1, iy1 + 1)]),
+    )
+
+
+@dataclass(frozen=True)
+class Density(Grid):
+    """Positive grid density, exactly 1 outside its support box."""
+
+    values: np.ndarray
+    support_box: tuple
+
+    def __post_init__(self):
+        super().__post_init__()
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != (self.nx, self.ny):
+            raise ValidationError(
+                f"values shape {vals.shape} does not match grid "
+                f"({self.nx}, {self.ny})"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError("density values must be finite")
+        if np.any(vals <= 0):
+            raise ValidationError("density values must be positive")
+        sx0, sx1, sy0, sy1 = self.support_box
+        if sx0 < self.x0 or sx1 > self.x1 or sy0 < self.y0 or sy1 > self.y1:
+            raise ValidationError("support box exceeds the grid domain")
+        if not np.all(vals[self.outside(self.support_box)] == 1.0):
+            raise ValidationError("density must equal 1 outside its support box")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
     def value_at(self, points):
         """Bilinear value at each point, exactly 1 outside the grid."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -152,9 +159,7 @@ class Density:
         out = np.ones(len(pts))
         inside = (x >= self.x0) & (x <= self.x1) & (y >= self.y0) & (y <= self.y1)
         if np.any(inside):
-            out[inside] = _bilinear(
-                self.values, self.x0, self.y0, self.hx, self.hy, x[inside], y[inside]
-            )
+            out[inside] = _bilinear(self, self.values, x[inside], y[inside])
         return out
 
 
@@ -170,6 +175,7 @@ def unit_density(x0, x1, y0, y1, nx=DEFAULT_GRID, ny=None):
     """The constant density 1 on the given domain."""
     if ny is None:
         ny = nx
+    Grid(x0, x1, y0, y1, nx, ny)  # the domain check, before any node array
     return make_density(x0, x1, y0, y1, np.ones((nx, ny)))
 
 
@@ -331,7 +337,7 @@ def compose_maps(first, second):
     return ComposedMap(first, second)
 
 
-class GridMap(PlanarMap):
+class GridMap(Grid, PlanarMap):
     """Displacement field sampled on a uniform grid.
 
     Evaluation adds the bilinearly interpolated displacement, with the
@@ -345,28 +351,18 @@ class GridMap(PlanarMap):
         disp_y = np.asarray(disp_y, dtype=float)
         if disp_x.shape != disp_y.shape or disp_x.ndim != 2:
             raise ValidationError("displacement grids must share a 2d shape")
-        if disp_x.shape[0] < 2 or disp_x.shape[1] < 2:
-            raise ValidationError("displacement grid needs 2 nodes per axis")
+        super().__init__(float(x0), float(x1), float(y0), float(y1), *disp_x.shape)
         if not (np.all(np.isfinite(disp_x)) and np.all(np.isfinite(disp_y))):
             raise ValidationError("displacement values must be finite")
-        self.x0, self.x1, self.y0, self.y1 = (
-            float(x0),
-            float(x1),
-            float(y0),
-            float(y1),
-        )
-        self.nx, self.ny = disp_x.shape
         self.disp_x = disp_x
         self.disp_y = disp_y
-        self.hx = (self.x1 - self.x0) / (self.nx - 1)
-        self.hy = (self.y1 - self.y0) / (self.ny - 1)
 
     def evaluate(self, points):
         pts = _as_points(points)
         x = pts[:, 0]
         y = pts[:, 1]
-        dx = _bilinear(self.disp_x, self.x0, self.y0, self.hx, self.hy, x, y)
-        dy = _bilinear(self.disp_y, self.x0, self.y0, self.hx, self.hy, x, y)
+        dx = _bilinear(self, self.disp_x, x, y)
+        dy = _bilinear(self, self.disp_y, x, y)
         return np.column_stack([x + dx, y + dy])
 
     def jacobian(self, points):
@@ -380,9 +376,8 @@ class GridMap(PlanarMap):
 
 def sample_map(m: PlanarMap, x0, x1, y0, y1, nx, ny) -> GridMap:
     """Sample any map onto a displacement grid."""
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    grid = Grid(x0, x1, y0, y1, nx, ny)
+    gx, gy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
     disp = m.evaluate(nodes) - nodes
     return GridMap(
@@ -670,15 +665,7 @@ def support_defect(gm: GridMap, box) -> float:
     unless every row integral of f0 - f1 is zero; this measures the
     leak.
     """
-    xs = np.linspace(gm.x0, gm.x1, gm.nx)
-    ys = np.linspace(gm.y0, gm.y1, gm.ny)
-    bx0, bx1, by0, by1 = box
-    outside = (
-        (xs[:, None] < bx0)
-        | (xs[:, None] > bx1)
-        | (ys[None, :] < by0)
-        | (ys[None, :] > by1)
-    )
+    outside = gm.outside(box)
     if not np.any(outside):
         return 0.0
     return float(

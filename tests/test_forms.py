@@ -166,6 +166,65 @@ def test_grid_header_rejects_negative_counts(parse, tag, per_node):
             parse(f"{tag} v1\n0 1 0 1 {nx} {ny}\n" + "1 " * (nx * ny * per_node))
 
 
+BAD_DOMAINS = [
+    (0.0, 0.0, 0.0, 1.0),
+    (0.0, 1.0, 1.0, 1.0),
+    (1.0, 0.0, 0.0, 1.0),
+    (0.0, 1.0, 1.0, 0.0),
+    (np.nan, 1.0, 0.0, 1.0),
+    (0.0, 1.0, 0.0, np.nan),
+    (-np.inf, 1.0, 0.0, 1.0),
+    (0.0, np.inf, 0.0, 1.0),
+    (0.0, 1.0, -np.inf, np.inf),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("load, tag, per_node", [(load_density, "density", 1),
+                                                 (load_map, "dispmap", 2)])
+@pytest.mark.parametrize("domain", BAD_DOMAINS)
+def test_grid_files_share_one_domain_rule(tmp_path, load, tag, per_node, domain):
+    path = tmp_path / f"bad.{tag}"
+    path.write_text(f"{tag} v1\n{' '.join(map(repr, domain))} 4 4\n" + "1.0 " * (16 * per_node))
+    with pytest.raises(ValidationError, match="needs finite x0 < x1 and y0 < y1"):
+        load(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda dom: make_density(*dom, np.ones((4, 4))),
+        lambda dom: unit_density(*dom, 4),
+        lambda dom: Density(*dom, 4, 4, np.ones((4, 4)), dom),
+        lambda dom: sample_map(identity_map(), *dom, 4, 4),
+        lambda dom: GridMap(*dom, np.zeros((4, 4)), np.zeros((4, 4))),
+        lambda dom: infer_support_box(*dom, 4, 4, np.ones((4, 4))),
+    ],
+)
+@pytest.mark.parametrize("domain", BAD_DOMAINS)
+def test_grid_builders_check_the_domain_first(build, domain):
+    with pytest.raises(ValidationError, match="needs finite x0 < x1 and y0 < y1"):
+        build(domain)
+
+
+def test_density_and_map_share_one_grid_layout():
+    d = smooth_bump_density(n=16)
+    gm = primitive_diffeo(d)
+    assert gm.same_grid(d) and d.same_grid(gm)
+    assert np.array_equal(gm.xs, d.xs) and np.array_equal(gm.ys, d.ys)
+    assert (gm.hx, gm.hy) == (d.hx, d.hy)
+    assert np.array_equal(gm.outside(d.support_box), ~_inside(d, d.support_box))
+    # maps are compared by identity, not by their grid fields
+    assert GridMap(gm.x0, gm.x1, gm.y0, gm.y1, gm.disp_x, gm.disp_y) != gm
+
+
+def _inside(grid, box):
+    bx0, bx1, by0, by1 = box
+    gx, gy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    return (bx0 <= gx) & (gx <= bx1) & (by0 <= gy) & (gy <= by1)
+
+
 # --- pullback -------------------------------------------------------------
 
 
