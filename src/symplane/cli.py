@@ -26,8 +26,12 @@ from .errors import (
     GenericityError,
     RealizationError,
     ValidationError,
+    require_positive,
 )
 from .forms import (
+    DEFAULT_GRID,
+    DEFAULT_STEPS,
+    MIN_STEPS,
     load_density,
     moser_interpolation,
     realize_area_vector,
@@ -37,6 +41,7 @@ from .forms import (
     union_box,
 )
 from .moduli import (
+    DEFAULT_AREA_TOL,
     CurveSpec,
     Surface,
     Verdict,
@@ -62,9 +67,10 @@ def _fmt(x) -> str:
 
 def _positive_float(text):
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+    try:
+        return require_positive("value", value)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _grid_size(text):
@@ -76,8 +82,8 @@ def _grid_size(text):
 
 def _step_count(text):
     value = int(text)
-    if value < 4:
-        raise argparse.ArgumentTypeError("need at least 4 time steps")
+    if value < MIN_STEPS:
+        raise argparse.ArgumentTypeError(f"need at least {MIN_STEPS} time steps")
     return value
 
 
@@ -109,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="compare areas along the matched labelling")
     mode.add_argument("--symplectic", action="store_true",
                       help="compare up to the curve's symmetry group")
-    p.add_argument("--area-tol", type=_positive_float, default=1e-3)
+    p.add_argument("--area-tol", type=_positive_float, default=DEFAULT_AREA_TOL)
     _add_tolerances(p)
 
     p = sub.add_parser("symmetry", help="report the face-label symmetry group")
@@ -120,14 +126,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve")
     p.add_argument("targets", nargs="+", type=_positive_float,
                    help="one target integral per bounded face, in label order")
-    p.add_argument("--grid", type=_grid_size, default=256)
+    p.add_argument("--grid", type=_grid_size, default=DEFAULT_GRID)
     p.add_argument("--base-scale", type=_positive_float, default=1.0)
     p.add_argument("--out", required=True, help="density file to write")
 
     p = sub.add_parser("moser", help="flow one density to another, write the map")
     p.add_argument("f0")
     p.add_argument("f1")
-    p.add_argument("--steps", type=_step_count, default=64)
+    p.add_argument("--steps", type=_step_count, default=DEFAULT_STEPS)
     p.add_argument("--out", required=True, help="displacement map file to write")
 
     p = sub.add_parser("moduli-dim", help="dimension of the moduli space for a curve spec")
@@ -349,10 +355,7 @@ def main(argv=None, out=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except GenericityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (GenericityError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,10 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, require_positive
 from .geometry import cross2, segment_intersection, segment_pair_distance
 
 MIN_LOOP_SAMPLES = 8
+# largest coordinate magnitude: face centroid moments are cubic in the
+# coordinates, so each term stays below about 1e301 and a sum of them over
+# up to 1e7 samples below the float maximum (about 1.8e308)
+MAX_COORD = 1e100
 DEFAULT_ANGLE_TOL = 0.1
 SEP_TOL_FACTOR = 1e-6
 # samplewise turning angle at or above which a sample is a cusp proxy
@@ -52,6 +56,11 @@ class ClosedCurve:
                 )
             if not np.all(np.isfinite(pts)):
                 raise ValidationError(f"loop {k}: non-finite coordinate")
+            if np.any(np.abs(pts) > MAX_COORD):
+                raise ValidationError(
+                    f"loop {k}: coordinate magnitude above {MAX_COORD:g}, "
+                    "where squared distances can overflow"
+                )
             step = np.roll(pts, -1, axis=0) - pts
             if np.any(np.hypot(step[:, 0], step[:, 1]) == 0.0):
                 raise ValidationError(f"loop {k}: repeated consecutive sample")
@@ -284,12 +293,10 @@ def check_generic(
     A sample whose turning angle is at least MAX_TURN is flagged as a
     cusp proxy.
     """
-    if angle_tol <= 0:
-        raise ValidationError("angle_tol must be positive")
+    require_positive("angle_tol", angle_tol)
     if sep_tol is None:
         sep_tol = SEP_TOL_FACTOR * curve.bbox_diagonal()
-    if sep_tol <= 0:
-        raise ValidationError("sep_tol must be positive")
+    require_positive("sep_tol", sep_tol)
 
     violations: list[Violation] = []
     hits = _segment_hits(curve, sep_tol, violations)

@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one numeric-input rule."""
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -19,3 +21,14 @@ class InconsistencyError(RuntimeError):
 
 class RealizationError(ValueError):
     """A requested area vector cannot be realized with the given base form."""
+
+
+def require_positive(what, value):
+    """value, if it (every entry of an array) is finite and positive; else ValidationError.
+
+    NaN fails every comparison, so a bare `value <= 0` test would let it through.
+    """
+    v = np.asarray(value, dtype=float)
+    if not np.all((v > 0) & (v < np.inf)):
+        raise ValidationError(f"{what} must be finite and positive")
+    return value

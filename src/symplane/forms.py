@@ -24,9 +24,12 @@ from .errors import (
     InconsistencyError,
     RealizationError,
     ValidationError,
+    require_positive,
 )
 
 DEFAULT_GRID = 256
+DEFAULT_STEPS = 64
+MIN_STEPS = 4
 DEFAULT_INFLATE = 0.25
 UNIT_SNAP = 1e-12
 # relative shortfall of a target below its base face integral that
@@ -521,8 +524,7 @@ def realize_area_vector(
         raise ValidationError(
             f"target has {target.shape} entries, arrangement has {arr.r} faces"
         )
-    if np.any(target <= 0):
-        raise ValidationError("target areas must be positive")
+    require_positive("target areas", target)
     if not 0 < base_scale <= 1:
         raise ValidationError("base_scale must lie in (0, 1]")
     if base is None:
@@ -579,7 +581,7 @@ def realize_area_vector(
     return result
 
 
-def moser_interpolation(f0: Density, f1: Density, steps: int = 64) -> GridMap:
+def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) -> GridMap:
     """Time-1 flow carrying data for f1 back to f0 along f_t = (1-t)f0 + t f1.
 
     The generating field is horizontal, X_t = (A / f_t, 0) with
@@ -596,8 +598,8 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = 64) -> GridMap:
     """
     if not f0.same_grid(f1):
         raise ValidationError("densities must share a grid")
-    if int(steps) != steps or steps < 4:
-        raise ValidationError("need at least 4 time steps")
+    if not (np.isfinite(steps) and int(steps) == steps and steps >= MIN_STEPS):
+        raise ValidationError(f"need at least {MIN_STEPS} time steps")
     steps = int(steps)
     if f0.nx < 4 or f0.ny < 4:
         raise ValidationError("grid too coarse for spline field evaluation")

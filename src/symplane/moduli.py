@@ -31,7 +31,7 @@ from .diagram import (
     perm_cycles,
     symmetry_group,  # noqa: F401  (the benchmark's tracer wraps it at this module)
 )
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 
 DEFAULT_AREA_TOL = 1e-3
 
@@ -157,9 +157,7 @@ def _area_vector(arr: Arrangement, override) -> np.ndarray:
             raise ValidationError(
                 f"area override has {vec.shape} entries, arrangement has {arr.r}"
             )
-        if np.any(vec <= 0):
-            raise ValidationError("areas must be positive")
-        return vec
+        return require_positive("areas", vec)
     return face_areas(arr).values
 
 
@@ -176,16 +174,18 @@ def _orbit_decision(a, b, corr, perms, tol, areas_a, areas_b) -> Decision:
     va = _area_vector(a, areas_a)
     vb = _area_vector(b, areas_b)
     scale = max(va.max(), vb.max())
-    best = None
+    best = None  # (discrepancy, g, composite): the first aligning, else the first closest
+    verdict = Verdict.INEQUIVALENT
     for g in perms:
         composite = tuple(corr.faces[g[j]] for j in range(a.r))
         disc = max(abs(va[j] - vb[composite[j] - 1]) for j in range(a.r))
-        witness = Witness(composite, perm_cycles(g), float(disc))
-        if best is None or disc < best.max_discrepancy:
-            best = witness
         if disc <= tol * scale:
-            return Decision(Verdict.EQUIVALENT, tol, witness)
-    return Decision(Verdict.INEQUIVALENT, tol, best)
+            best, verdict = (disc, g, composite), Verdict.EQUIVALENT
+            break
+        if best is None or disc < best[0]:
+            best = (disc, g, composite)
+    disc, g, composite = best
+    return Decision(verdict, tol, Witness(composite, perm_cycles(g), float(disc)))
 
 
 def labelled_equivalent(
@@ -202,8 +202,7 @@ def labelled_equivalent(
     a common isotopy class the curves are INCOMPARABLE. Tolerance is
     relative to the largest face area of the pair.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    require_positive("tolerance", tol)
     if corr is None:
         corr = isotopy_match(a, b)
         if corr is None:
@@ -225,8 +224,7 @@ def symplectically_equivalent(
     EQUIVALENT means some group element g aligns the areas:
     area_a[j] = area_b[corr(g(j))] for every face j within tolerance.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    require_positive("tolerance", tol)
     # one enumeration of a's readings serves both the correspondence and G
     minimal_a = _minimal_readings(gauss_code(a))
     corr = _match(a, b, minimal_a, _minimal_readings(gauss_code(b)))

@@ -417,6 +417,37 @@ def test_undecodable_map_file_names_the_file(tmp_path):
         load_map(path)
 
 
+# --- numeric options ------------------------------------------------------
+
+NUMERIC_OPTIONS = {
+    "--area-tol": ["compare", "{curve}", "{curve}", "--labelled", "--area-tol", "{v}"],
+    "--angle-tol": ["render", "{curve}", "--svg", "{out}", "--angle-tol", "{v}"],
+    "--sep-tol": ["render", "{curve}", "--svg", "{out}", "--sep-tol", "{v}"],
+    "--base-scale": ["realize", "{curve}", "2", "2", "--grid", "32", "--base-scale", "{v}",
+                     "--out", "{out}"],
+    "targets": ["realize", "{curve}", "{v}", "1", "--grid", "32", "--out", "{out}"],
+    "--grid": ["realize", "{curve}", "2", "2", "--grid", "{v}", "--out", "{out}"],
+    "--steps": ["moser", "{density}", "{density}", "--steps", "{v}", "--out", "{out}"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("option", list(NUMERIC_OPTIONS))
+def test_numeric_options_must_be_finite_and_positive(tmp_path, capsys, option, value):
+    curve = write_curve(tmp_path, "eight.txt", gerono_curve(n=64))
+    density = tmp_path / "unit.density"
+    save_density(make_density(0.0, 1.0, 0.0, 1.0, np.ones((8, 8))), density)
+    out = tmp_path / "out.file"
+    argv = [a.format(curve=curve, density=density, out=out, v=value)
+            for a in NUMERIC_OPTIONS[option]]
+    code, text, err = run_captured(capsys, argv)
+    assert code == 2
+    assert text == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- render and wiring ----------------------------------------------------
 
 

@@ -15,7 +15,9 @@ from conftest import (
     trifolium_curve,
 )
 
+from symplane.arrangement import build_arrangement
 from symplane.curves import (
+    MAX_COORD,
     ClosedCurve,
     check_generic,
     parse_curve,
@@ -76,6 +78,25 @@ def test_validation_rejects_short_and_degenerate_loops():
         ClosedCurve((pts,))
     with pytest.raises(ValidationError):
         ClosedCurve(())
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_coordinates_are_rejected():
+    pts = circle_curve(n=16).loops[0].copy()
+    pts[5] = (1e308, 1e308)
+    with pytest.raises(ValidationError, match="coordinate magnitude above 1e\\+100"):
+        ClosedCurve((pts,))
+    # at the bound, certification and the arrangement run without overflow
+    big = build_arrangement(transform_curve(trefoil_curve(n=128), lambda p: (MAX_COORD / 3) * p))
+    assert big.r == 4 and np.all(np.isfinite([f.area for f in big.bounded_faces]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["angle_tol", "sep_tol"])
+def test_check_generic_tolerances_must_be_finite_and_positive(name, bad):
+    with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+        check_generic(gerono_curve(n=64), **{name: bad})
 
 
 def test_resample_uniform_arclength():

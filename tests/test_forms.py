@@ -484,6 +484,25 @@ def test_realize_validates_before_building_the_base(gerono256, target, base_scal
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("face", [0, 1])
+def test_realize_targets_must_be_finite_and_positive(gerono256, face, bad):
+    arr = build_arrangement(gerono256)
+    target = [2.0, 2.0]
+    target[face] = bad
+    with pytest.raises(ValidationError, match="target areas must be finite and positive"):
+        realize_area_vector(arr, target, grid_n=64)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [np.nan, np.inf, -np.inf, 3, 4.5])
+def test_moser_steps_must_be_a_whole_number_of_at_least_four(steps):
+    f = unit_density(0.0, 1.0, 0.0, 1.0, 8)
+    with pytest.raises(ValidationError, match="need at least 4 time steps"):
+        moser_interpolation(f, f, steps=steps)
+
+
 def test_realize_builds_one_face_raster(monkeypatch, trefoil512):
     arr = build_arrangement(trefoil512)
     calls = []

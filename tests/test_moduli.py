@@ -93,6 +93,19 @@ def test_dimension_additive_and_monotone():
 # --- labelled comparison --------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("decide", [labelled_equivalent, symplectically_equivalent])
+def test_decision_tolerance_must_be_finite_and_positive(trefoil512, decide, bad):
+    arr = build_arrangement(trefoil512)
+    with pytest.raises(ValidationError, match="tolerance must be finite and positive"):
+        decide(arr, arr, tol=bad)
+    areas = face_areas(arr).values.copy()
+    areas[1] = bad
+    with pytest.raises(ValidationError, match="areas must be finite and positive"):
+        decide(arr, arr, areas_a=areas)
+
+
 def test_labelled_self_comparison_is_exact(trefoil512):
     arr = build_arrangement(trefoil512)
     d = labelled_equivalent(arr, arr)
