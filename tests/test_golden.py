@@ -138,3 +138,17 @@ def test_golden_cli_reports(tmp_path, monkeypatch):
         if (why := mismatch(c, got, pinned)) is not None
     ]
     assert not failures, "\n".join(failures)
+
+
+def test_tolerance_applies_only_to_flagged_calls_off_platform():
+    entry = {"exit": 0, "stdout": "  1: 2 (target 2)\n", "stderr": "",
+             "files": {"a.density": "0" * 64}, "tolerance": {"rtol": 1e-9, "reason": "np.exp"}}
+    near = {"exit": 0, "stdout": "  1: 2.0000000000001 (target 2)\n", "stderr": "",
+            "files": {"a.density": "f" * 64}}
+    assert mismatch(entry, near, pinned=False) is None
+    assert mismatch(entry, near, pinned=True) is not None
+    exact = {k: v for k, v in entry.items() if k != "tolerance"}
+    assert mismatch(exact, near, pinned=False) is not None
+    assert mismatch(entry, {**near, "stdout": "  1: 2.001 (target 2)\n"}, pinned=False)
+    assert mismatch(entry, {**near, "files": {"a.density": None}}, pinned=False)
+    assert mismatch(entry, {**near, "stderr": "error: x\n"}, pinned=False)
