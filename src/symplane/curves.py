@@ -59,7 +59,7 @@ class ClosedCurve:
             if np.any(np.abs(pts) > MAX_COORD):
                 raise ValidationError(
                     f"loop {k}: coordinate magnitude above {MAX_COORD:g}, "
-                    "where squared distances can overflow"
+                    "where face moments can overflow"
                 )
             step = np.roll(pts, -1, axis=0) - pts
             if np.any(np.hypot(step[:, 0], step[:, 1]) == 0.0):

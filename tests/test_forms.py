@@ -470,10 +470,12 @@ def test_realize_rejects_wrong_target_length(gerono256):
         realize_area_vector(arr, [1.0, 2.0, 3.0], grid_n=64)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "target, base_scale",
-    [([1.0, 2.0, 3.0], 1.0), ([1.0, -2.0], 1.0), ([1.0, 2.0], 1.5)],
-    ids=["length", "sign", "base_scale"],
+    [([1.0, 2.0, 3.0], 1.0), ([1.0, -2.0], 1.0), ([1.0, 2.0], 1.5), ([np.nan, 2.0], 1.0),
+     ([1.0, np.inf], 1.0)],
+    ids=["length", "sign", "base_scale", "nan", "inf"],
 )
 def test_realize_validates_before_building_the_base(gerono256, target, base_scale):
     # a 4096^2 default base would take over 0.1 s just to allocate
@@ -482,25 +484,6 @@ def test_realize_validates_before_building_the_base(gerono256, target, base_scal
     with pytest.raises(ValidationError):
         realize_area_vector(arr, target, base_scale=base_scale, grid_n=4096)
     assert time.perf_counter() - start < 0.1
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-@pytest.mark.parametrize("face", [0, 1])
-def test_realize_targets_must_be_finite_and_positive(gerono256, face, bad):
-    arr = build_arrangement(gerono256)
-    target = [2.0, 2.0]
-    target[face] = bad
-    with pytest.raises(ValidationError, match="target areas must be finite and positive"):
-        realize_area_vector(arr, target, grid_n=64)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("steps", [np.nan, np.inf, -np.inf, 3, 4.5])
-def test_moser_steps_must_be_a_whole_number_of_at_least_four(steps):
-    f = unit_density(0.0, 1.0, 0.0, 1.0, 8)
-    with pytest.raises(ValidationError, match="need at least 4 time steps"):
-        moser_interpolation(f, f, steps=steps)
 
 
 def test_realize_builds_one_face_raster(monkeypatch, trefoil512):
@@ -546,10 +529,12 @@ def test_moser_identity_pair_is_identity():
     assert np.array_equal(rho.disp_x, np.zeros((64, 64)))
 
 
+@pytest.mark.filterwarnings("error")
 def test_moser_validates_inputs():
     f0, f1 = zero_row_pair(n=32)
-    with pytest.raises(ValidationError):
-        moser_interpolation(f0, f1, steps=3)
+    for steps in (3, 4.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="need at least 4 time steps"):
+            moser_interpolation(f0, f1, steps=steps)
     other = unit_density(-2.5, 2.5, -2.5, 2.5, 48, 48)
     with pytest.raises(ValidationError):
         moser_interpolation(f0, other, steps=8)
