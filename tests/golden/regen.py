@@ -2,7 +2,7 @@
 
     python tests/golden/regen.py
 
-Writes each input file of INPUTS into tests/golden/inputs only when it
+Writes each input file of `_inputs()` into tests/golden/inputs only when it
 is missing, so committed inputs never move (their generation uses
 np.sin and np.exp, whose last bits may vary by platform). Then runs
 every call of CALLS as tests/test_golden.py does and rewrites
@@ -210,9 +210,9 @@ def main():
         results = run_corpus(work, calls)
     for call, result in zip(calls, results):
         call.update(result)
-        if argv_command := PLATFORM_REASONS.get(call["argv"][0]):
+        if reason := PLATFORM_REASONS.get(call["argv"][0]):
             if any(h is not None for h in result["files"].values()):
-                call["tolerance"] = {"rtol": PLATFORM_RTOL, "reason": argv_command}
+                call["tolerance"] = {"rtol": PLATFORM_RTOL, "reason": reason}
         before = old.get(call["name"])
         if before is None:
             print(f"new: {call['name']}")
