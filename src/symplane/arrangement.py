@@ -176,6 +176,11 @@ def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:
     return face_integrator(arr, density)(density.values)
 
 
+def _cell_means(vals):
+    """Mean of the four corner nodes of each cell; vals has shape (nx, ny), x first."""
+    return 0.25 * (vals[:-1, :-1] + vals[1:, :-1] + vals[:-1, 1:] + vals[1:, 1:])
+
+
 def face_integrator(arr: Arrangement, grid):
     """Map node values on `grid` to their integrals over each bounded face.
 
@@ -185,26 +190,59 @@ def face_integrator(arr: Arrangement, grid):
     one face raster of the grid (see _face_raster), built once here. The
     grid (x0, x1, y0, y1, nx, ny) must cover the curve's bounding box so
     that no bounded face leaks outside it.
+
+    The returned function's `on_window(vals, window, j)` weighs node
+    values that are `vals` on the node window (wx, wy) and 0 elsewhere,
+    finite and >= 0, at the cost of the window and face j's cells. It
+    returns face j's integral, bit for bit what the full-grid pass gives,
+    and whether any other bounded face's integral is > 0.
     """
     x0, x1, y0, y1 = grid.x0, grid.x1, grid.y0, grid.y1
     cx0, cx1, cy0, cy1 = arr.curve.bbox()
     if not (x0 <= cx0 and x1 >= cx1 and y0 <= cy0 and y1 >= cy1):
         raise ValidationError("density grid does not cover the curve bounding box")
-    xs = np.linspace(x0, x1, grid.nx)
-    ys = np.linspace(y0, y1, grid.ny)
+    nx, ny = grid.nx, grid.ny
+    xs = np.linspace(x0, x1, nx)
+    ys = np.linspace(y0, y1, ny)
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     centers_x = xs[:-1] + 0.5 * hx
     centers_y = ys[:-1] + 0.5 * hy
-    lab = _face_raster(arr, centers_x, centers_y).ravel()
+    # the smallest type that holds 0..r, since on_window keeps it
+    labels = _face_raster(arr, centers_x, centers_y).astype(np.min_scalar_type(arr.r))
+    lab = labels.ravel()
     cells = [np.flatnonzero(lab == j) for j in range(1, arr.r + 1)]
 
-    def integrate(vals) -> np.ndarray:
-        # vals has shape (nx, ny), x first
-        cell_vals = 0.25 * (vals[:-1, :-1] + vals[1:, :-1] + vals[:-1, 1:] + vals[1:, 1:])
-        flat_vals = cell_vals.ravel()
-        return np.array([float(np.sum(flat_vals[idx]) * hx * hy) for idx in cells])
+    def face_sum(flat_vals, j):
+        return float(np.sum(flat_vals[cells[j]]) * hx * hy)
 
+    def integrate(vals) -> np.ndarray:
+        flat_vals = _cell_means(vals).ravel()
+        return np.array([face_sum(flat_vals, j) for j in range(arr.r)])
+
+    flat_cells = np.zeros((nx - 1) * (ny - 1))  # +0.0 between on_window calls
+    cell_vals = flat_cells.reshape(nx - 1, ny - 1)
+
+    def on_window(vals, window, j):
+        wx, wy = window
+        # the cells with a corner node in the window; every other cell
+        # averages four zero nodes, so it holds +0.0 as in the full pass,
+        # and face j's sum gathers the same values in the same order
+        cx = slice(max(wx.start - 1, 0), min(wx.stop, nx - 1))
+        cy = slice(max(wy.start - 1, 0), min(wy.stop, ny - 1))
+        margins = ((wx.start - cx.start, cx.stop + 1 - wx.stop),
+                   (wy.start - cy.start, cy.stop + 1 - wy.stop))
+        cell_vals[cx, cy] = _cell_means(np.pad(vals, margins))
+        mass = face_sum(flat_cells, j)
+        # cells are finite and >= 0, so a face's cell sum is > 0 iff one of
+        # its cells is, and only window cells can be; the product with the
+        # cell area may still underflow, so such a face is summed in full
+        near = np.unique(labels[cx, cy][cell_vals[cx, cy] > 0])
+        leaks = any(face_sum(flat_cells, k - 1) > 0 for k in near.tolist() if k not in (0, j + 1))
+        cell_vals[cx, cy] = 0.0
+        return mass, leaks
+
+    integrate.on_window = on_window
     return integrate
 
 

@@ -28,6 +28,11 @@ MIN_LOOP_SAMPLES = 8
 # coordinates, so each term stays below about 1e301 and a sum of them over
 # up to 1e7 samples below the float maximum (about 1.8e308)
 MAX_COORD = 1e100
+# smallest loop extent (the longer side of its bounding box): the segment
+# tests of geometry and arrangement._arc_points use absolute 1e-12 floors,
+# and the trefoil loses its crossings below an extent near 5e-12 at any
+# sample count; this keeps a margin of 1000
+MIN_EXTENT = 1e-9
 DEFAULT_ANGLE_TOL = 0.1
 SEP_TOL_FACTOR = 1e-6
 # samplewise turning angle at or above which a sample is a cusp proxy
@@ -60,6 +65,12 @@ class ClosedCurve:
                 raise ValidationError(
                     f"loop {k}: coordinate magnitude above {MAX_COORD:g}, "
                     "where face moments can overflow"
+                )
+            extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+            if extent < MIN_EXTENT:
+                raise ValidationError(
+                    f"loop {k}: extent {extent:.3g} below {MIN_EXTENT:g}, "
+                    "where fixed tolerances lose crossings"
                 )
             step = np.roll(pts, -1, axis=0) - pts
             if np.any(np.hypot(step[:, 0], step[:, 1]) == 0.0):

@@ -35,6 +35,13 @@ UNIT_SNAP = 1e-12
 # relative shortfall of a target below its base face integral that
 # realize_area_vector still accepts as roundoff
 FEASIBILITY_TOL = 1e-6
+# largest node count of any grid, checked before a node array exists:
+# realize peaks near 55 bytes a node, so 4096^2 nodes need about 0.9 GB
+MAX_GRID_NODES = 4096 * 4096
+# largest nodes x steps of one Moser flow, checked before the flow starts:
+# 1024^2 nodes at 256 steps, about three minutes at the 0.6 us a node-step
+# that 64 steps on a 1024^2 grid take
+MAX_FLOW_NODE_STEPS = 1024 * 1024 * 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +64,11 @@ class Grid:
             raise ValidationError(f"grid domain {bounds} needs finite x0 < x1 and y0 < y1")
         if self.nx < 2 or self.ny < 2:
             raise ValidationError("grid needs at least 2 nodes per axis")
+        if int(self.nx) * int(self.ny) > MAX_GRID_NODES:
+            raise ValidationError(
+                f"grid of {self.nx}x{self.ny} nodes exceeds the budget of "
+                f"{MAX_GRID_NODES} nodes"
+            )
 
     @property
     def xs(self):
@@ -189,13 +201,28 @@ def density_for_curve(curve, n=DEFAULT_GRID):
     return unit_density(cx0 - pad, cx1 + pad, cy0 - pad, cy1 + pad, n, n)
 
 
-def _serialize_grid(tag, g, rows) -> str:
-    """Grid file text: header, domain line, then one line of node values per y row."""
+def _serialize_grid(tag, g, rows, background) -> str:
+    """Grid file text: header, domain line, then one line of node values per y row.
+
+    Only values whose bits differ from the background's go through repr,
+    so -0.0 is still written -0.0 when the background is 0.0.
+    """
     lines = [
         f"{tag} v1",
         f"{float(g.x0)!r} {float(g.x1)!r} {float(g.y0)!r} {float(g.y1)!r} {g.nx} {g.ny}",
     ]
-    lines.extend(" ".join(map(repr, row.tolist())) for row in rows)
+    word = repr(float(background))
+    blank_row = " ".join([word] * rows.shape[1])
+    differs = rows.view(np.int64) != np.float64(background).view(np.int64)
+    for row, mask in zip(rows, differs):
+        where = np.flatnonzero(mask)
+        if len(where) == 0:
+            lines.append(blank_row)
+            continue
+        words = [word] * len(row)
+        for i, value in zip(where.tolist(), row[where].tolist()):
+            words[i] = repr(value)
+        lines.append(" ".join(words))
     return "\n".join(lines) + "\n"
 
 
@@ -231,7 +258,7 @@ def _parse_grid(text, tag, per_node, noun):
 
 
 def serialize_density(d: Density) -> str:
-    return _serialize_grid("density", d, d.values.T)
+    return _serialize_grid("density", d, d.values.T, 1.0)
 
 
 def save_density(d: Density, path):
@@ -391,7 +418,7 @@ def sample_map(m: PlanarMap, x0, x1, y0, y1, nx, ny) -> GridMap:
 def serialize_map(gm: GridMap) -> str:
     # row j interleaves disp_x[i, j] and disp_y[i, j] node by node
     pairs = np.stack([gm.disp_x.T, gm.disp_y.T], axis=-1).reshape(gm.ny, 2 * gm.nx)
-    return _serialize_grid("dispmap", gm, pairs)
+    return _serialize_grid("dispmap", gm, pairs, 0.0)
 
 
 def save_map(gm: GridMap, path):
@@ -549,19 +576,17 @@ def realize_area_vector(
             )
 
     out = np.array(values)
-    weighted = np.zeros_like(values)  # full grid, 0 off the bump window: sums keep flat order
     leaking = []  # faces whose bump puts mass into another bounded face
     for j, (c, (win, bump)) in enumerate(zip(coeffs, bumps)):
-        weighted[win] = bump * values[win]
-        masses = integrate(weighted)
-        weighted[win] = 0.0
-        mass = masses[j]
+        # finite and >= 0, as on_window needs: the bump is >= 0, density
+        # values are > 0 and the carve factor is >= base_scale > 0
+        mass, leaks = integrate.on_window(bump * values[win], win, j)
         if mass <= 0:
             raise RealizationError(
                 f"no interior disc resolved on the grid for face {j + 1}; "
                 "refine the grid"
             )
-        if np.any(np.delete(masses, j) > 0):
+        if leaks:
             leaking.append(j + 1)
         out[win] += (c / mass) * bump * values[win]
 
@@ -603,6 +628,11 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     steps = int(steps)
     if f0.nx < 4 or f0.ny < 4:
         raise ValidationError("grid too coarse for spline field evaluation")
+    if f0.nx * f0.ny * steps > MAX_FLOW_NODE_STEPS:
+        raise ValidationError(
+            f"{f0.nx}x{f0.ny} nodes at {steps} steps exceed the budget of "
+            f"{MAX_FLOW_NODE_STEPS} node-steps"
+        )
 
     xs = f0.xs
     diff = f0.values - f1.values

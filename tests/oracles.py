@@ -326,6 +326,33 @@ def realize_area_vector(
     return result
 
 
+def bump_masses(integrate, values, bumps):
+    """(mass of face j, whether another bounded face gets mass) of each bump j.
+
+    The original full-grid loop of `forms.realize_area_vector`: it runs
+    the whole-grid integrator once per bump on a node array that is zero
+    off the bump's window.
+    """
+    result = []
+    weighted = np.zeros_like(values)  # full grid, 0 off the bump window: sums keep flat order
+    for j, (win, bump) in enumerate(bumps):
+        weighted[win] = bump * values[win]
+        masses = integrate(weighted)
+        weighted[win] = 0.0
+        result.append((masses[j], bool(np.any(np.delete(masses, j) > 0))))
+    return result
+
+
+def _serialize_grid(tag, g, rows) -> str:
+    """The original `forms._serialize_grid`: repr on every node value."""
+    lines = [
+        f"{tag} v1",
+        f"{float(g.x0)!r} {float(g.x1)!r} {float(g.y0)!r} {float(g.y1)!r} {g.nx} {g.ny}",
+    ]
+    lines.extend(" ".join(map(repr, row.tolist())) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def serialize_density(d: Density) -> str:
     """The original `forms.serialize_density`: one repr per numpy scalar."""
     lines = ["density v1"]

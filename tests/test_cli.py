@@ -448,6 +448,30 @@ def test_numeric_options_must_be_finite_and_positive(tmp_path, capsys, option, v
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("option, value", [("--grid", "100000"), ("--steps", "1000000000")])
+def test_resource_budget_exits_2_at_once(tmp_path, capsys, option, value):
+    curve = write_curve(tmp_path, "eight.txt", gerono_curve(n=64))
+    density = tmp_path / "unit.density"
+    save_density(make_density(0.0, 1.0, 0.0, 1.0, np.ones((8, 8))), density)
+    out = tmp_path / "out.file"
+    argv = [a.format(curve=curve, density=density, out=out, v=value)
+            for a in NUMERIC_OPTIONS[option]]
+    code, text, err = run_captured(capsys, argv)
+    assert (code, text) == (2, "")
+    assert err.count("error:") == 1 and "exceed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_analyze_tiny_curve_exits_2(tmp_path, capsys):
+    eight = gerono_curve(n=64).loops[0]
+    path = tmp_path / "tiny.curve"
+    path.write_text("curve v1\nloop 64\n" + "".join(f"{x!r} {y!r}\n" for x, y in (1e-20 * eight).tolist()))
+    code, text, err = run_captured(capsys, ["analyze", str(path)])
+    assert (code, text) == (2, "")
+    assert err.count("error:") == 1 and "extent" in err and "Traceback" not in err
+
+
 # --- render and wiring ----------------------------------------------------
 
 

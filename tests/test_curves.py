@@ -18,6 +18,7 @@ from conftest import (
 from symplane.arrangement import build_arrangement
 from symplane.curves import (
     MAX_COORD,
+    MIN_EXTENT,
     ClosedCurve,
     check_generic,
     parse_curve,
@@ -89,6 +90,22 @@ def test_overflowing_coordinates_are_rejected():
     # at the bound, certification and the arrangement run without overflow
     big = build_arrangement(transform_curve(trefoil_curve(n=128), lambda p: (MAX_COORD / 3) * p))
     assert big.r == 4 and np.all(np.isfinite([f.area for f in big.bounded_faces]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-13, 1e-20, 1e-30])
+def test_tiny_loops_are_rejected(scale):
+    # unchecked, these broke the Euler check (1e-13) or lost every crossing
+    with pytest.raises(ValidationError, match="loop 0: extent .* below 1e-09"):
+        transform_curve(trefoil_curve(n=128), lambda p: scale * p)
+
+
+def test_loop_just_above_the_extent_bound_keeps_its_crossings():
+    base = trefoil_curve(n=128)
+    x0, x1, y0, y1 = base.bbox()
+    small = transform_curve(base, lambda p: (1.01 * MIN_EXTENT / max(x1 - x0, y1 - y0)) * p)
+    assert len(check_generic(small).double_points) == 3
+    assert build_arrangement(small).r == 4
 
 
 @pytest.mark.filterwarnings("error")

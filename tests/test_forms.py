@@ -25,11 +25,14 @@ from symplane import arrangement
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
 from symplane.errors import FormatError, RealizationError, ValidationError
 from symplane.forms import (
+    MAX_GRID_NODES,
     AffineMap,
     Density,
+    Grid,
     GridMap,
     ShearMap,
     _row_integral,
+    _serialize_grid,
     compose_maps,
     density_for_curve,
     identity_map,
@@ -381,11 +384,14 @@ def test_serializers_match_per_value_oracle():
     vals = np.exp(rng.uniform(-700.0, 700.0, size=(37, 23)))
     vals[3, 4] = 5e-324
     vals[0, 0] = 1.0
+    vals[1, 0], vals[2, 0] = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    vals[:, 5] = 1.0  # a row of background only
     for d in (smooth_bump_density(n=96), make_density(-1.0, 2.0, 0.5, 1.5, vals)):
         assert serialize_density(d) == oracles.serialize_density(d)
     disp = rng.standard_normal((2, 19, 31)) * np.exp(rng.uniform(-300.0, 300.0, size=(2, 19, 31)))
     disp[0, 2, 5] = -0.0
     disp[1, 7, 1] = 0.0
+    disp[:, :, 9] = 0.0  # a row of background only
     f0, f1 = zero_row_pair(n=32)
     for gm in (
         sample_map(rotation_map(0.5), -1, 1, -1, 1, 12, 17),
@@ -393,6 +399,48 @@ def test_serializers_match_per_value_oracle():
         moser_interpolation(f0, f1, steps=8),
     ):
         assert serialize_map(gm) == oracles.serialize_map(gm)
+
+
+@pytest.mark.parametrize("tag, background", [("density", 1.0), ("dispmap", 0.0)])
+def test_grid_writer_matches_repr_everywhere_oracle(tag, background):
+    # each value next to a background in bits, and rows of background only
+    special = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 5e-324, 1e300]
+    rows = np.full((4, 9), background)
+    rows[1, 1:8] = special
+    rows[2, ::2] = special[::-1][:5]
+    grid = Grid(-1.0, 2.0, 0.5, 1.5, 9, 4)
+    assert _serialize_grid(tag, grid, rows, background) == oracles._serialize_grid(tag, grid, rows)
+
+
+# --- resource budget ------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_budget_is_checked_before_any_node_array(gerono256):
+    Grid(0.0, 1.0, 0.0, 1.0, 4096, 4096)  # the largest grid in use stays legal
+    side = 100_000  # 8e10 bytes a node array: reaching one would fail here
+    assert side * side > MAX_GRID_NODES
+    arr = build_arrangement(gerono256)
+    builds = [
+        lambda: Grid(0.0, 1.0, 0.0, 1.0, MAX_GRID_NODES // 2 + 1, 2),
+        lambda: unit_density(0.0, 1.0, 0.0, 1.0, side),
+        lambda: sample_map(identity_map(), 0.0, 1.0, 0.0, 1.0, side, side),
+        lambda: realize_area_vector(arr, [1.0, 2.0], grid_n=side),
+    ]
+    start = time.perf_counter()
+    for build in builds:
+        with pytest.raises(ValidationError, match="exceeds the budget"):
+            build()
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.filterwarnings("error")
+def test_flow_budget_is_checked_before_the_flow():
+    f0, f1 = zero_row_pair(n=32)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="exceed the budget"):
+        moser_interpolation(f0, f1, steps=10**9)
+    assert time.perf_counter() - start < 0.1
 
 
 # --- realize_area_vector --------------------------------------------------
@@ -498,6 +546,30 @@ def test_realize_builds_one_face_raster(monkeypatch, trefoil512):
     monkeypatch.setattr(arrangement, "_face_raster", counted)
     realize_area_vector(arr, 2.0 * face_areas(arr).values + 1.0, base_scale=0.5, grid_n=128)
     assert len(calls) == 1
+
+
+def full_grid_cell_passes(monkeypatch, curve, n):
+    """Cell-average passes over the whole n^2 grid in one realization."""
+    arr = build_arrangement(curve)
+    shapes = []
+    means = arrangement._cell_means
+
+    def spied(vals):
+        shapes.append(vals.shape)
+        return means(vals)
+
+    monkeypatch.setattr(arrangement, "_cell_means", spied)
+    realize_area_vector(arr, 2.0 * face_areas(arr).values + 1.0, base_scale=0.5, grid_n=n)
+    monkeypatch.undo()
+    return shapes.count((n, n)), len(shapes)
+
+
+def test_realize_cell_passes_do_not_grow_with_face_count(monkeypatch):
+    # the base and the result are integrated in full; each bump only on its window
+    one = full_grid_cell_passes(monkeypatch, circle_curve(n=128), 128)
+    twelve = full_grid_cell_passes(monkeypatch, eights_row(6), 128)
+    assert one == (2, 2 + 1)
+    assert twelve == (2, 2 + 12)
 
 
 def realize_peak(curve, n):

@@ -5,7 +5,9 @@ evaluates each bump only on its disc's node window. It must return the
 same density values, bit for bit, and raise the same errors with the
 same messages as `oracles.realize_area_vector`, which keeps one
 full-grid bump per face and integrates through a fresh face raster
-each time.
+each time. Each bump's mass and leak test, read on its window by the
+integrator's `on_window`, must equal `oracles.bump_masses`, which runs
+the whole-grid integrator once per bump.
 """
 
 from __future__ import annotations
@@ -23,9 +25,15 @@ from conftest import (
     trefoil_curve,
 )
 
-from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
+from symplane import arrangement
+from symplane.arrangement import (
+    build_arrangement,
+    face_areas,
+    face_integrator,
+    integrate_density_over_faces,
+)
 from symplane.errors import RealizationError
-from symplane.forms import density_for_curve, make_density, realize_area_vector
+from symplane.forms import _face_bumps, density_for_curve, make_density, realize_area_vector
 
 GRIDS = (64, 193, 256)
 
@@ -95,3 +103,72 @@ def test_leaking_petal_raises_the_leak_error_on_both_sides():
     kind, message = assert_same(arr, target)
     assert kind is RealizationError
     assert "face 1 puts mass into another face" in message
+
+
+def hexed(weighed):
+    """(mass, leaks) pairs with each mass as its exact bits."""
+    return [(float(mass).hex(), leaks) for mass, leaks in weighed]
+
+
+def window_and_full_grid(integrate, values, bumps):
+    new = [integrate.on_window(bump * values[win], win, j) for j, (win, bump) in enumerate(bumps)]
+    return hexed(new), hexed(oracles.bump_masses(integrate, values, bumps))
+
+
+@pytest.mark.parametrize("n", GRIDS)
+def test_window_masses_match_full_grid_loop(realize_arrangements, n):
+    rng = np.random.default_rng(n)
+    leaks = []
+    for arr in realize_arrangements:
+        unit = density_for_curve(arr.curve, n=n)
+        varied = make_density(unit.x0, unit.x1, unit.y0, unit.y1,
+                              rng.uniform(0.5, 2.0, size=(n, n)))
+        for base in (unit, varied):
+            bumps = _face_bumps(arr, base)
+            integrate = face_integrator(arr, base)
+            for base_scale in (1.0, 0.2):
+                values = np.array(base.values)
+                for win, bump in bumps:
+                    values[win] = values[win] * (1.0 - (1.0 - base_scale) * bump)
+                new, old = window_and_full_grid(integrate, values, bumps)
+                assert new == old
+                leaks += [leak for _, leak in new]
+    # the leaking petal's face 1 bump reaches another face on the 256^2 grid
+    assert any(leaks) == (n == 256)
+
+
+def test_window_masses_at_the_grid_edge_and_on_underflow():
+    arr = build_arrangement(trefoil_curve(n=256))
+    n = 64
+    base = density_for_curve(arr.curve, n=n)
+    integrate = face_integrator(arr, base)
+    ones = np.ones((n, n))
+    rng = np.random.default_rng(3)
+    windows = [
+        (slice(0, 6), slice(0, 5)),
+        (slice(58, n), slice(60, n)),
+        (slice(0, n), slice(0, n)),
+        (slice(20, 44), slice(0, n)),
+    ]
+    for win in windows:
+        shape = (win[0].stop - win[0].start, win[1].stop - win[1].start)
+        vals = rng.uniform(0.0, 1.0, size=shape) * (rng.uniform(size=shape) < 0.7)
+        new, old = window_and_full_grid(integrate, ones, [(win, vals)] * arr.r)
+        assert new == old
+
+    # one tiny node in face 2: its cells are > 0, yet each face integral
+    # underflows to 0 in the product with the cell area, so no face leaks
+    xs, ys = base.xs, base.ys
+    rx, ry = arr.bounded_faces[1].rep_point
+    i, j = int(np.argmin(np.abs(xs - rx))), int(np.argmin(np.abs(ys - ry)))
+    win = (slice(i - 1, i + 2), slice(j - 1, j + 2))
+    tiny = np.zeros((3, 3))
+    tiny[1, 1] = 2e-323
+    nodes = np.zeros((n, n))
+    nodes[win] = tiny
+    assert np.any(arrangement._cell_means(nodes) > 0)
+    new, old = window_and_full_grid(integrate, ones, [(win, tiny)] * arr.r)
+    assert new == old == [(0.0.hex(), False)] * arr.r
+    # scaled up, the same node weighs on face 2 alone
+    assert integrate.on_window(1e300 * tiny, win, 0)[1]
+    assert integrate.on_window(1e300 * tiny, win, 1) == (integrate(1e300 * nodes)[1], False)
