@@ -5,6 +5,8 @@ Realizing prescribed face areas
 Any target vector above the base face integrals is realized by adding
 interior bump masses, one per bounded face. The resulting density is a
 certificate: integrating it over the faces reproduces the targets.
+`realize_area_vector` returns those integrals with the density, as it
+checked them against the targets.
 """
 
 import numpy as np
@@ -29,8 +31,7 @@ print("base integrals:", np.round(base, 4))
 
 # Ask for something strictly larger in every slot.
 target = base + np.array([0.5, 0.25, 0.75, 1.0])
-density = realize_area_vector(arr, target, grid_n=256)
-achieved = integrate_density_over_faces(arr, density)
+density, achieved = realize_area_vector(arr, target, grid_n=256)
 print("targets:     ", np.round(target, 4))
 print("achieved:    ", np.round(achieved, 4))
 print("max error:   ", float(np.max(np.abs(achieved - target))))
@@ -39,7 +40,6 @@ print("max error:   ", float(np.max(np.abs(achieved - target))))
 # base_scale < 1 first carves mass out of each face to make room. The
 # carve capacity is bounded by the interior disc each face can hold.
 smaller = base - 0.1
-density = realize_area_vector(arr, smaller, base_scale=0.2, grid_n=256)
-achieved = integrate_density_over_faces(arr, density)
+density, achieved = realize_area_vector(arr, smaller, base_scale=0.2, grid_n=256)
 print("shrunk targets:", np.round(smaller, 4))
 print("achieved:      ", np.round(achieved, 4))

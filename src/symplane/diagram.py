@@ -101,16 +101,7 @@ def gauss_code(arr: Arrangement) -> GaussCode:
     occ = []
     arcs = []
     for loop, per in enumerate(arr.passages):
-        row = []
-        for t, vid in per:
-            branches = arr.vertices[vid].branches
-            if branches[0] == (loop, t):
-                row.append((vid, 0))
-            elif branches[1] == (loop, t):
-                row.append((vid, 1))
-            else:
-                raise InconsistencyError("passage does not match either vertex strand")
-        occ.append(tuple(row))
+        occ.append(tuple((vid, arr.vertices[vid].branches.index((loop, t))) for t, vid in per))
         row_arcs = []
         for he_idx in arr.loop_arcs[loop]:
             he = arr.half_edges[he_idx]

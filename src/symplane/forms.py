@@ -519,12 +519,8 @@ def _face_bumps(arr: Arrangement, omega: Density):
     bumps = []
     for face in arr.bounded_faces:
         rx, ry = face.rep_point
+        # > 0: _representative_point keeps only points strictly off the boundary
         eps = 0.5 * arr.boundary_distance(face, np.array([rx, ry]))
-        if eps <= 0:
-            raise RealizationError(
-                f"no interior disc for face {face.label}: representative point "
-                "touches the boundary"
-            )
         wx, wy = _node_window(xs, rx, eps), _node_window(ys, ry, eps)
         r2 = ((xs[wx, None] - rx) ** 2 + (ys[None, wy] - ry) ** 2) / (eps * eps)
         bumps.append(((wx, wy), _mollifier(r2)))
@@ -537,7 +533,7 @@ def realize_area_vector(
     base: Density | None = None,
     base_scale: float = 1.0,
     grid_n: int = DEFAULT_GRID,
-) -> Density:
+) -> tuple[Density, np.ndarray]:
     """Density whose integral over face j equals target[j], built from base.
 
     Adds c_j times a normalized bump supported in a disc interior to
@@ -545,6 +541,10 @@ def realize_area_vector(
     only adds mass, so every target must sit at or above the base face
     integral; pass base_scale < 1 to first carve mass out of each face
     and make room for smaller targets.
+
+    Returns the density and its integrals over the faces by label
+    order: the vector checked against the targets, bit for bit what
+    integrate_density_over_faces gives for the density.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (arr.r,):
@@ -603,7 +603,7 @@ def realize_area_vector(
         raise InconsistencyError(
             "realized face integrals drifted from the target beyond roundoff"
         )
-    return result
+    return result, achieved
 
 
 def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) -> GridMap:

@@ -183,7 +183,7 @@ def test_criterion_4_cone_surjectivity():
             cases.append((arr, target))
     for arr, target in cases:
         start = time.perf_counter()
-        density = realize_area_vector(arr, target, grid_n=256)
+        density, _ = realize_area_vector(arr, target, grid_n=256)
         achieved = integrate_density_over_faces(arr, density)
         elapsed = time.perf_counter() - start
         rel = float(np.max(np.abs(achieved - target)) / np.max(target))

@@ -21,7 +21,7 @@ from conftest import (
 )
 
 import symplane
-from symplane import cli
+from symplane import arrangement, cli
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
 from symplane.cli import _parse_spec_file, main
 from symplane.curves import ClosedCurve, load_curve, save_curve, serialize_curve, transform_curve
@@ -235,6 +235,30 @@ def test_realize_writes_matching_density(tmp_path):
     arr = build_arrangement(circle_curve(n=128))
     achieved = integrate_density_over_faces(arr, load_density(out))
     assert abs(achieved[0] - 3.5) < 1e-9
+
+
+def test_realize_builds_one_face_raster_and_reports_the_written_density(tmp_path, monkeypatch):
+    curve = trefoil_curve(n=512)
+    path = write_curve(tmp_path, "trefoil.txt", curve)
+    out = tmp_path / "density.txt"
+    arr = build_arrangement(curve)
+    targets = 2.0 * face_areas(arr).values + 1.0
+    calls = []
+    raster = arrangement._face_raster
+
+    def counted(*args):
+        calls.append(1)
+        return raster(*args)
+
+    monkeypatch.setattr(arrangement, "_face_raster", counted)
+    code, text = run_cli("realize", path, *map(repr, targets.tolist()), "--grid", "64",
+                         "--out", str(out))
+    assert code == 0
+    assert len(calls) == 1
+    # the reported integrals are those of the file written
+    written = integrate_density_over_faces(arr, load_density(out))
+    reported = [line.split()[1] for line in text.splitlines() if "(target" in line]
+    assert reported == [f"{v:.12g}" for v in written]
 
 
 def test_realize_infeasible_target(tmp_path):

@@ -450,13 +450,13 @@ def test_realize_noop_when_target_matches():
     arr = build_arrangement(circle_curve(n=128))
     base = density_for_curve(arr.curve, n=96)
     current = integrate_density_over_faces(arr, base)
-    out = realize_area_vector(arr, current, base=base)
+    out, _ = realize_area_vector(arr, current, base=base)
     assert np.array_equal(out.values, base.values)
 
 
 def test_realize_circle_target():
     arr = build_arrangement(circle_curve(n=128))
-    out = realize_area_vector(arr, [2 * np.pi], grid_n=128)
+    out, _ = realize_area_vector(arr, [2 * np.pi], grid_n=128)
     got = integrate_density_over_faces(arr, out)
     assert abs(got[0] - 2 * np.pi) < 1e-3 * 2 * np.pi
 
@@ -467,7 +467,7 @@ def test_realize_trefoil_bumps_one_face_only(trefoil512):
     current = integrate_density_over_faces(arr, base)
     target = current.copy()
     target[0] += 1.0
-    out = realize_area_vector(arr, target, base=base)
+    out, _ = realize_area_vector(arr, target, base=base)
     got = integrate_density_over_faces(arr, out)
     assert abs(got[0] - current[0] - 1.0) < 1e-6
     assert np.max(np.abs(got[1:] - current[1:])) < 1e-6
@@ -480,7 +480,7 @@ def test_realize_random_cone_targets_reproduce_tightly(gerono256):
     rng = np.random.default_rng(2024)
     for _ in range(5):
         target = current + rng.uniform(0.0, 2.0, size=arr.r)
-        out = realize_area_vector(arr, target, base=base)
+        out, _ = realize_area_vector(arr, target, base=base)
         got = integrate_density_over_faces(arr, out)
         assert np.max(np.abs(got - target)) < 1e-9 * max(1.0, target.max())
 
@@ -498,7 +498,7 @@ def test_realize_base_scale_makes_room():
     base = density_for_curve(arr.curve, n=128)
     current = integrate_density_over_faces(arr, base)
     target = current - 0.2
-    out = realize_area_vector(arr, target, base=base, base_scale=0.2)
+    out, _ = realize_area_vector(arr, target, base=base, base_scale=0.2)
     got = integrate_density_over_faces(arr, out)
     assert np.max(np.abs(got - target)) < 1e-9
 

@@ -5,7 +5,8 @@ evaluates each bump only on its disc's node window. It must return the
 same density values, bit for bit, and raise the same errors with the
 same messages as `oracles.realize_area_vector`, which keeps one
 full-grid bump per face and integrates through a fresh face raster
-each time. Each bump's mass and leak test, read on its window by the
+each time. The face integrals it returns with the density must equal,
+bit for bit, a separate `integrate_density_over_faces` of that density. Each bump's mass and leak test, read on its window by the
 integrator's `on_window`, must equal `oracles.bump_masses`, which runs
 the whole-grid integrator once per bump.
 """
@@ -33,7 +34,13 @@ from symplane.arrangement import (
     integrate_density_over_faces,
 )
 from symplane.errors import RealizationError
-from symplane.forms import _face_bumps, density_for_curve, make_density, realize_area_vector
+from symplane.forms import (
+    Density,
+    _face_bumps,
+    density_for_curve,
+    make_density,
+    realize_area_vector,
+)
 
 GRIDS = (64, 193, 256)
 
@@ -47,21 +54,29 @@ def realize_arrangements():
 
 
 def outcome(realize, arr, target, **kwargs):
-    """Density values on success, (error type, message) on failure."""
+    """What realize returns on success, (error type, message) on failure."""
     try:
-        return realize(arr, target, **kwargs).values
+        return realize(arr, target, **kwargs)
     except Exception as exc:  # noqa: BLE001  (the error itself is compared)
         return type(exc), str(exc)
 
 
 def assert_same(arr, target, **kwargs):
+    """The oracle's density values, or its error; the new code must agree.
+
+    On success the integrals returned with the density must be, bit for
+    bit, those of an independent integration of that density.
+    """
     old = outcome(oracles.realize_area_vector, arr, target, **kwargs)
     new = outcome(realize_area_vector, arr, target, **kwargs)
     if isinstance(old, tuple):
         assert new == old
-    else:
-        assert isinstance(new, np.ndarray) and np.array_equal(new, old)
-    return old
+        return old
+    density, achieved = new
+    assert isinstance(density, Density) and np.array_equal(density.values, old.values)
+    independent = integrate_density_over_faces(arr, density)
+    assert achieved.dtype == independent.dtype and achieved.tobytes() == independent.tobytes()
+    return old.values
 
 
 def carved_integrals(arr, base, base_scale):
