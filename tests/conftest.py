@@ -147,6 +147,34 @@ def conveyor_pair(eps, nx=2304, ny=8, speed=10.5):
     return dens(v0), dens(v1)
 
 
+def dip_bump_pair(rng, n):
+    """Unit densities with a bump and a dip swapped between f0 and f1.
+
+    Both discs sit on one horizontal line of [-0.5, 3.7] x [-1.2, 1.2],
+    a whole number of grid cells apart, with seeded amplitude, radius
+    and height. Rows that miss both discs carry equal densities.
+    """
+    x0, x1, y0, y1 = -0.5, 3.7, -1.2, 1.2
+    amp = rng.uniform(0.3, 0.5)
+    radius = rng.uniform(0.55, 0.7)
+    cy = rng.uniform(-0.3, 0.3)
+    ca = rng.uniform(0.75, 0.85)
+    h = (x1 - x0) / (n - 1)
+    cb = ca + round(rng.uniform(1.55, 1.65) / h) * h
+    X, Y = np.meshgrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n), indexing="ij")
+
+    def disc(cx):
+        r2 = ((X - cx) ** 2 + (Y - cy) ** 2) / radius**2
+        out = np.zeros_like(r2)
+        inside = r2 < 1.0
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        return amp * out
+
+    ma, mb = disc(ca), disc(cb)
+    return (make_density(x0, x1, y0, y1, 1.0 + ma - mb),
+            make_density(x0, x1, y0, y1, 1.0 - ma + mb))
+
+
 def dipping_pair():
     """Valid positive 8x8 densities whose flow field interpolant dips to zero.
 

@@ -26,6 +26,7 @@ import numpy as np  # noqa: E402
 from conftest import (  # noqa: E402
     circle_curve,
     cusp_curve,
+    dip_bump_pair,
     dipping_pair,
     eights_row,
     gerono_curve,
@@ -76,6 +77,9 @@ def _inputs():
     overflow[5] = [1e308, 1e308]
     bump0, bump1 = _bump_pair()
     dip0, dip1 = dipping_pair()
+    rows0, rows1 = dip_bump_pair(np.random.default_rng(3), 24)
+    edge = np.ones((8, 8))
+    edge[5:, 3] = 1e5, 1e5, 1e-300  # a tiny last node beside large values, on one row
     curves = {
         "circle": circle_curve(n=64),
         "eight": eight,
@@ -99,6 +103,8 @@ def _inputs():
     files["short.curve"] = "curve v1\nloop 3\n0 0\n1 0\n"
     files["latin1.curve"] = b"curve v1\n# caf\xe9\n" + serialize_curve(eight).split("\n", 1)[1].encode()
     densities = {"bump0": bump0, "bump1": bump1, "dip0": dip0, "dip1": dip1,
+                 "rows0": rows0, "rows1": rows1,
+                 "edge": make_density(0.0, 1.0, 0.0, 1.0, edge),
                  "coarse": make_density(0.0, 1.0, 0.0, 1.0, np.ones((8, 8)))}
     for name, d in densities.items():
         files[f"{name}.density"] = serialize_density(d)
@@ -173,6 +179,12 @@ CALLS = [
     ("moser-commented", ["moser", "commented.density", "bump1.density", "--steps", "4",
                          "--out", "commented.map"]),
     ("moser-dip", ["moser", "dip0.density", "dip1.density", "--out", "dip.map"]),
+    ("moser-still-rows", ["moser", "rows0.density", "rows1.density", "--steps", "8",
+                          "--out", "rows.map"]),
+    ("moser-identical", ["moser", "bump1.density", "bump1.density", "--steps", "4",
+                         "--out", "same.map"]),
+    ("moser-edge-row", ["moser", "edge.density", "edge.density", "--steps", "8",
+                        "--out", "edge.map"]),
     ("moser-mismatched-grids", ["moser", "bump0.density", "coarse.density", "--out", "mismatch.map"]),
     ("moser-negative-count", ["moser", "bump0.density", "negcount.density", "--out", "negcount.map"]),
     ("moser-neginf-domain", ["moser", "neginf.density", "neginf.density", "--out", "neginf.map"]),
