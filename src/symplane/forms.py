@@ -620,6 +620,10 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     cubic splines. On a knot row the 2-D tensor-product interpolating
     spline reduces to exactly this 1-D interpolant of the row, so the
     result is the flow of the 2-D interpolated field, at 1-D cost.
+
+    A row where f0 and f1 agree has A = 0 and stays in place. Such rows
+    get a +0 map without being integrated, so the cost grows with the
+    rows that move: O(nx * m * steps) for m moving rows.
     """
     if not f0.same_grid(f1):
         raise ValidationError("densities must share a grid")
@@ -645,18 +649,22 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     from scipy.interpolate import CubicSpline
 
     # per-row piecewise cubics of A, f0 and f1 (fields 0, 1, 2):
-    # coef[3 * k + field, interval * ny + row] multiplies s**(3 - k),
-    # with s the offset from the interval's left node
+    # coef[3 * k + field, interval, row] multiplies s**(3 - k), with s
+    # the offset from the interval's left node
     spline = CubicSpline(xs, np.stack([A, f0.values, f1.values], axis=1), axis=0)
-    coef = np.moveaxis(spline.c, 2, 1).reshape(12, -1)
-    rows = np.arange(f0.ny)
+    coef = np.moveaxis(spline.c, 2, 1).reshape(12, f0.nx - 1, f0.ny)
 
-    def velocity(px, t):
+    def fields(px, planes):
+        # A, f0 and f1 at px[:, r], on the row whose cubics are planes[:, :, r]
         cx = np.clip(px, f0.x0, f0.x1)
         i = np.clip(((cx - f0.x0) / f0.hx).astype(int), 0, f0.nx - 2)
         s = cx - xs[i]
-        c = np.take(coef, i * f0.ny + rows, axis=1).reshape(4, 3, *px.shape)
-        a, v0, v1 = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+        cols = i * px.shape[1] + np.arange(px.shape[1])
+        c = np.take(planes.reshape(12, -1), cols, axis=1).reshape(4, 3, *px.shape)
+        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+
+    def velocity(px, t):
+        a, v0, v1 = fields(px, planes)
         ft = (1.0 - t) * v0 + t * v1
         if np.any(ft <= 0):
             raise ValidationError(
@@ -665,18 +673,31 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
             )
         return a / ft
 
+    # A row whose field is zero at its nodes never leaves them: every
+    # stage adds zero to x, so its map is +0. If f0 and f1 also read the
+    # same finite v >= 4 * tiny at each node, f_t = (1 - t) v + t v > 0 at
+    # every stage time (t ends a few ulps from 1), so the zero check
+    # cannot fire on the row either, and it need not be flowed. Rows where
+    # f0 and f1 agree are such rows, since A is zero on them.
     x = np.repeat(xs[:, None], f0.ny, axis=1)
-    dt = 1.0 / steps
-    t = 0.0
-    for _ in range(steps):
-        k1 = velocity(x, t)
-        k2 = velocity(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = velocity(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = velocity(x + dt * k3, t + dt)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-
-    disp_x = x - xs[:, None]
+    a, v0, v1 = fields(x, coef)
+    tiny = np.finfo(float).tiny
+    still = np.all((a == 0) & (v0 == v1) & (v0 >= 4 * tiny) & np.isfinite(v0), axis=0)
+    moving = np.flatnonzero(~still)
+    disp_x = np.zeros_like(x)
+    if moving.size:
+        planes = np.take(coef, moving, axis=2)
+        x = x[:, moving]
+        dt = 1.0 / steps
+        t = 0.0
+        for _ in range(steps):
+            k1 = velocity(x, t)
+            k2 = velocity(x + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = velocity(x + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = velocity(x + dt * k3, t + dt)
+            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += dt
+        disp_x[:, moving] = x - xs[:, None]
     return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
 
 

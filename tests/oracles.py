@@ -14,7 +14,7 @@ from unittest.mock import patch
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from symplane import arrangement, curves
 from symplane.arrangement import Arrangement, Face, Vertex, _cycle_polygon, _extract_cycles
@@ -31,6 +31,9 @@ from symplane.diagram import (
 from symplane.errors import InconsistencyError, RealizationError, ValidationError
 from symplane.forms import (
     DEFAULT_GRID,
+    DEFAULT_STEPS,
+    MAX_FLOW_NODE_STEPS,
+    MIN_STEPS,
     Density,
     GridMap,
     _mollifier,
@@ -91,6 +94,139 @@ def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap
 
     disp_x = (x - gx.ravel()).reshape(f0.nx, f0.ny)
     return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
+
+
+def moser_interpolation_all_rows(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) -> GridMap:
+    """The per-row `forms.moser_interpolation` before still rows were skipped.
+
+    Time-1 flow carrying data for f1 back to f0 along f_t = (1-t)f0 + t f1.
+
+    The generating field is horizontal, X_t = (A / f_t, 0) with
+    A(x, y) the row integral of f0 - f1 from 0 to x, so each grid row
+    flows independently. Integration is classical RK4 with `steps`
+    uniform time steps; the returned map satisfies
+    pullback(map, f1) = f0 up to discretization error.
+
+    A node never leaves its grid row, so the field is evaluated per row:
+    A, f0 and f1 are interpolated along each row by 1-D not-a-knot
+    cubic splines. On a knot row the 2-D tensor-product interpolating
+    spline reduces to exactly this 1-D interpolant of the row, so the
+    result is the flow of the 2-D interpolated field, at 1-D cost.
+    """
+    if not f0.same_grid(f1):
+        raise ValidationError("densities must share a grid")
+    if not (np.isfinite(steps) and int(steps) == steps and steps >= MIN_STEPS):
+        raise ValidationError(f"need at least {MIN_STEPS} time steps")
+    steps = int(steps)
+    if f0.nx < 4 or f0.ny < 4:
+        raise ValidationError("grid too coarse for spline field evaluation")
+    if f0.nx * f0.ny * steps > MAX_FLOW_NODE_STEPS:
+        raise ValidationError(
+            f"{f0.nx}x{f0.ny} nodes at {steps} steps exceed the budget of "
+            f"{MAX_FLOW_NODE_STEPS} node-steps"
+        )
+
+    xs = f0.xs
+    diff = f0.values - f1.values
+    # the difference vanishes outside both support boxes, so the anchored
+    # integral picks up nothing beyond the grid
+    G, G0 = _row_integral(diff, f0.hx, f0.x0, f0.x1, 0.0)
+    A = G - G0[None, :]
+
+    # imported here so that only the flow pays for loading scipy
+    from scipy.interpolate import CubicSpline
+
+    # per-row piecewise cubics of A, f0 and f1 (fields 0, 1, 2):
+    # coef[3 * k + field, interval * ny + row] multiplies s**(3 - k),
+    # with s the offset from the interval's left node
+    spline = CubicSpline(xs, np.stack([A, f0.values, f1.values], axis=1), axis=0)
+    coef = np.moveaxis(spline.c, 2, 1).reshape(12, -1)
+    rows = np.arange(f0.ny)
+
+    def velocity(px, t):
+        cx = np.clip(px, f0.x0, f0.x1)
+        i = np.clip(((cx - f0.x0) / f0.hx).astype(int), 0, f0.nx - 2)
+        s = cx - xs[i]
+        c = np.take(coef, i * f0.ny + rows, axis=1).reshape(4, 3, *px.shape)
+        a, v0, v1 = ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+        ft = (1.0 - t) * v0 + t * v1
+        if np.any(ft <= 0):
+            raise ValidationError(
+                "interpolated density hit zero during the flow; refine the grid "
+                "or smooth the densities"
+            )
+        return a / ft
+
+    x = np.repeat(xs[:, None], f0.ny, axis=1)
+    dt = 1.0 / steps
+    t = 0.0
+    for _ in range(steps):
+        k1 = velocity(x, t)
+        k2 = velocity(x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = velocity(x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = velocity(x + dt * k3, t + dt)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+
+    disp_x = x - xs[:, None]
+    return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
+
+
+def _row_primitive(d: Density):
+    """F and f at points px[:, j] of each row j, F integrating f from x = 0.
+
+    f is the row's 1-D not-a-knot spline, as the flow reads it, and F its
+    spline antiderivative. The flow reads the field at the nearest grid
+    end beyond the grid, so there f is that end's value and F is linear.
+    """
+    spline = CubicSpline(d.xs, d.values, axis=0)
+    prim = spline.antiderivative()
+    rows = np.arange(d.ny)
+
+    def at(px):
+        cx = np.clip(px, d.x0, d.x1)
+        i = np.clip(np.searchsorted(d.xs, cx, side="right") - 1, 0, d.nx - 2)
+        s = cx - d.xs[i]
+        F, f = (sum(c[k, i, rows] * s ** (len(c) - 1 - k) for k in range(len(c)))
+                for c in (prim.c, spline.c))
+        return F + f * (px - cx), f
+
+    F_zero = at(np.zeros((1, d.ny)))[0]
+    return lambda px: (at(px)[0] - F_zero, at(px)[1])
+
+
+def moser_row_map(f0: Density, f1: Density) -> np.ndarray:
+    """disp_x of the exact time-1 map of the Moser row flow.
+
+    With F_t the row integral of f_t = (1-t) f0 + t f1 from x = 0, the
+    field A / f_t keeps F_t constant along a path, as d/dt F_t = -A.
+    So each row's time-1 map is F1^-1(F0(x)), the monotone rearrangement
+    of 1-D optimal transport (Moser 1965; Villani 2003, ch. 2), when A
+    is the exact integral of f0 - f1 and f0 = f1 at the grid's ends.
+    F comes from spline antiderivatives (`_row_primitive`), and F1 is
+    inverted by Newton's method kept inside a shrinking bisection bracket.
+    """
+    prim0, prim1 = _row_primitive(f0), _row_primitive(f1)
+    xs = f0.xs
+    target = prim0(np.repeat(xs[:, None], f0.ny, axis=1))[0]
+    # F1 is linear beyond the grid, so these bracket every root
+    span = f0.x1 - f0.x0
+    F_lo, f_lo = prim1(np.full((1, f0.ny), f0.x0))
+    F_hi, f_hi = prim1(np.full((1, f0.ny), f0.x1))
+    lo = f0.x0 - span + np.minimum(0.0, (target - F_lo) / f_lo)
+    hi = f0.x1 + span + np.maximum(0.0, (target - F_hi) / f_hi)
+    y = np.repeat(xs[:, None], f0.ny, axis=1)
+    for _ in range(100):
+        F, f = prim1(y)
+        lo = np.where(F < target, y, lo)
+        hi = np.where(F > target, y, hi)
+        step = y - (F - target) / f
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.max(np.abs(step - y)) <= 1e-14 * span
+        y = step
+        if done:
+            break
+    return y - xs[:, None]
 
 
 def row_integral(values, hx, x0, x1, outside_slope):

@@ -12,6 +12,7 @@ from conftest import (
     LEAKING_PETAL,
     circle_curve,
     conveyor_pair,
+    dip_bump_pair,
     dipping_pair,
     eights_row,
     gerono_curve,
@@ -701,6 +702,122 @@ def test_moser_conserves_row_mass(pair):
         for j in range(f0.ny)
     )
     assert worst <= 1e-3
+
+
+def gaussian_pair(rng, n, L=2.0):
+    """Unit densities over [-L, L]^2 plus one Gaussian each, at seeded centres."""
+    g = np.linspace(-L, L, n)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+
+    def dens(cx, cy):
+        return make_density(-L, L, -L, L, 1.0 + np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / 0.25))
+
+    return dens(*rng.uniform(-0.5, 0.5, 2)), dens(*rng.uniform(-0.5, 0.5, 2))
+
+
+def shared_row_pair(row):
+    """8x8 densities that agree on grid row 3, which reads `row`, and differ on row 6."""
+    v0 = np.ones((8, 8))
+    v0[:, 3] = row
+    v1 = v0.copy()
+    v1[2:6, 6] = 1.5
+    return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
+
+
+def edge_rows_pair(n=48):
+    """Unit densities that differ only on the first and last grid rows."""
+    v1 = np.ones((n, n))
+    v1[:, [0, -1]] += 0.3 * np.exp(-((np.linspace(-2.0, 2.0, n) - 0.4) ** 2))[:, None]
+    return unit_density(-2.0, 2.0, -2.0, 2.0, n, n), make_density(-2.0, 2.0, -2.0, 2.0, v1)
+
+
+@pytest.mark.parametrize(
+    "pair, steps",
+    [
+        (lambda: dip_bump_pair(np.random.default_rng(16), 16), 8),
+        (lambda: dip_bump_pair(np.random.default_rng(32), 32), 16),
+        (lambda: dip_bump_pair(np.random.default_rng(128), 128), 64),
+        (lambda: zero_row_pair(n=64), 16),
+        (lambda: conveyor_pair(0.17, nx=576), 16),
+        (lambda: (smooth_bump_density(64),) * 2, 8),
+        (edge_rows_pair, 8),
+        (lambda: shared_row_pair([1.0, 1.0, 2.5 * np.finfo(float).tiny] + [1.0] * 5), 8),
+    ],
+    ids=["dip-bump-16", "dip-bump-32", "dip-bump-128", "zero-row-64", "conveyor-576",
+         "identical-64", "edge-rows-48", "near-tiny-shared-row"],
+)
+def test_moser_skips_still_rows_bit_for_bit(pair, steps):
+    # rows where f0 and f1 agree are not flowed; the map is the all-rows
+    # flow's to the bit, signed zeros included
+    f0, f1 = pair()
+    rho = moser_interpolation(f0, f1, steps=steps)
+    ref = oracles.moser_interpolation_all_rows(f0, f1, steps=steps)
+    assert np.array_equal(rho.disp_x.view(np.int64), ref.disp_x.view(np.int64))
+    assert np.array_equal(rho.disp_y.view(np.int64), ref.disp_y.view(np.int64))
+
+
+def alternating_row_pair(d=1e17):
+    """8x8 densities whose row 3 differences alternate in sign, f0 - f1 = +-d.
+
+    The row's trapezoid integral of f0 - f1 is zero at every node, so the
+    row never moves. At 9 steps the last stage time is 2 ulps above 1,
+    where (1 - t) * (1 + d) + t * 1 < 0: the flow must still check it.
+    """
+    v0, v1 = np.ones((8, 8)), np.ones((8, 8))
+    v0[0::2, 3] += d
+    v1[1::2, 3] += d
+    return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
+
+
+@pytest.mark.parametrize(
+    "pair, steps",
+    [
+        (dipping_pair, 8),
+        (lambda: shared_row_pair([1.0] * 5 + [1e5, 1e5, 1e-300]), 8),
+        (lambda: shared_row_pair([1.0, 1.0, 5e-324, 5e-324, 1.0, 1.0, 1.0, 1.0]), 8),
+        (alternating_row_pair, 9),
+        # the last node's cubic overflows to inf, and so does the map
+        (lambda: shared_row_pair([1.0] * 7 + [1e307]), 8),
+    ],
+    ids=["dipping", "tiny-last-node", "subnormal-nodes", "alternating-row", "huge-last-node"],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_moser_still_row_skip_keeps_the_zero_check(pair, steps):
+    f0, f1 = pair()
+    with pytest.raises(ValidationError) as want:
+        oracles.moser_interpolation_all_rows(f0, f1, steps=steps)
+    with pytest.raises(ValidationError) as got:
+        moser_interpolation(f0, f1, steps=steps)
+    assert str(got.value) == str(want.value)
+
+
+ROW_MAP_PAIRS = [
+    lambda n: gaussian_pair(np.random.default_rng(6), n),
+    lambda n: dip_bump_pair(np.random.default_rng(6), n),
+]
+
+
+@pytest.mark.parametrize("pair", ROW_MAP_PAIRS, ids=["gaussian", "dip-bump"])
+def test_moser_gap_to_exact_row_map_is_second_order(pair):
+    # the flow integrates the trapezoid row integral of f0 - f1, so its
+    # map is O(h^2) from F1^-1(F0(x)): each grid halving cuts the gap 4x
+    gaps = []
+    for n in (64, 128, 256):
+        f0, f1 = pair(n)
+        rho = moser_interpolation(f0, f1, steps=16)
+        gaps.append(np.max(np.abs(rho.disp_x - oracles.moser_row_map(f0, f1))))
+    assert gaps[0] / gaps[1] >= 3.5, gaps
+    assert gaps[1] / gaps[2] >= 3.5, gaps
+
+
+@pytest.mark.parametrize("pair", ROW_MAP_PAIRS, ids=["gaussian", "dip-bump"])
+def test_moser_gap_to_exact_row_map_ignores_step_count(pair):
+    # from 16 steps up the RK4 time error is far below the spatial gap
+    f0, f1 = pair(64)
+    exact = oracles.moser_row_map(f0, f1)
+    gaps = [np.max(np.abs(moser_interpolation(f0, f1, steps=s).disp_x - exact))
+            for s in (16, 32, 64, 128)]
+    assert max(gaps) - min(gaps) <= 1e-3 * min(gaps), gaps
 
 
 def test_moser_zero_row_integrals_keep_support():
