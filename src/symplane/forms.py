@@ -654,17 +654,34 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     spline = CubicSpline(xs, np.stack([A, f0.values, f1.values], axis=1), axis=0)
     coef = np.moveaxis(spline.c, 2, 1).reshape(12, f0.nx - 1, f0.ny)
 
-    def fields(px, planes):
-        # A, f0 and f1 at px[:, r], on the row whose cubics are planes[:, :, r]
+    def fields(px, planes, rows):
+        # A, f0 and f1 at px[:, r], whose row has its cubics in the columns
+        # interval * len(rows) + r of planes
         cx = np.clip(px, f0.x0, f0.x1)
         i = np.clip(((cx - f0.x0) / f0.hx).astype(int), 0, f0.nx - 2)
         s = cx - xs[i]
-        cols = i * px.shape[1] + np.arange(px.shape[1])
-        c = np.take(planes.reshape(12, -1), cols, axis=1).reshape(4, 3, *px.shape)
+        c = np.take(planes, i * len(rows) + rows, axis=1).reshape(4, 3, *px.shape)
         return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
 
+    # A row whose field is zero at its nodes never leaves them, so its map
+    # is +0. If f0 and f1 also read one finite v >= 4 * tiny at each node,
+    # (1 - t) v + t v > 0 at every stage time (t ends a few ulps from 1),
+    # so the zero check cannot fire on it either. Rows where f0 = f1 are
+    # such rows, and they skip the flow.
+    nodes = np.repeat(xs[:, None], f0.ny, axis=1)
+    a, v0, v1 = fields(nodes, coef.reshape(12, -1), np.arange(f0.ny))
+    tiny = np.finfo(float).tiny
+    still = np.all((a == 0) & (v0 == v1) & (v0 >= 4 * tiny) & np.isfinite(v0), axis=0)
+    moving = np.flatnonzero(~still)
+    disp_x = np.zeros_like(nodes)
+    if not moving.size:
+        return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
+    if moving.size < f0.ny:
+        coef = np.take(coef, moving, axis=2)
+    planes, rows = coef.reshape(12, -1), np.arange(moving.size)
+
     def velocity(px, t):
-        a, v0, v1 = fields(px, planes)
+        a, v0, v1 = fields(px, planes, rows)
         ft = (1.0 - t) * v0 + t * v1
         if np.any(ft <= 0):
             raise ValidationError(
@@ -673,31 +690,18 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
             )
         return a / ft
 
-    # A row whose field is zero at its nodes never leaves them: every
-    # stage adds zero to x, so its map is +0. If f0 and f1 also read the
-    # same finite v >= 4 * tiny at each node, f_t = (1 - t) v + t v > 0 at
-    # every stage time (t ends a few ulps from 1), so the zero check
-    # cannot fire on the row either, and it need not be flowed. Rows where
-    # f0 and f1 agree are such rows, since A is zero on them.
-    x = np.repeat(xs[:, None], f0.ny, axis=1)
-    a, v0, v1 = fields(x, coef)
-    tiny = np.finfo(float).tiny
-    still = np.all((a == 0) & (v0 == v1) & (v0 >= 4 * tiny) & np.isfinite(v0), axis=0)
-    moving = np.flatnonzero(~still)
-    disp_x = np.zeros_like(x)
-    if moving.size:
-        planes = np.take(coef, moving, axis=2)
-        x = x[:, moving]
-        dt = 1.0 / steps
-        t = 0.0
-        for _ in range(steps):
-            k1 = velocity(x, t)
-            k2 = velocity(x + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = velocity(x + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = velocity(x + dt * k3, t + dt)
-            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += dt
-        disp_x[:, moving] = x - xs[:, None]
+    x = np.repeat(xs[:, None], moving.size, axis=1)
+    dt = 1.0 / steps
+    t = 0.0
+    for _ in range(steps):
+        k1 = velocity(x, t)
+        k2 = velocity(x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = velocity(x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = velocity(x + dt * k3, t + dt)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+
+    disp_x[:, moving] = x - xs[:, None]
     return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
 
 
