@@ -192,7 +192,12 @@ def _row_primitive(d: Density):
         return F + f * (px - cx), f
 
     F_zero = at(np.zeros((1, d.ny)))[0]
-    return lambda px: (at(px)[0] - F_zero, at(px)[1])
+
+    def primitive(px):
+        F, f = at(px)
+        return F - F_zero, f
+
+    return primitive
 
 
 def moser_row_map(f0: Density, f1: Density) -> np.ndarray:

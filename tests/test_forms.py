@@ -817,7 +817,7 @@ def test_moser_gap_to_exact_row_map_ignores_step_count(pair):
     exact = oracles.moser_row_map(f0, f1)
     gaps = [np.max(np.abs(moser_interpolation(f0, f1, steps=s).disp_x - exact))
             for s in (16, 32, 64, 128)]
-    assert max(gaps) - min(gaps) <= 1e-3 * min(gaps), gaps
+    assert max(gaps) - min(gaps) <= 1e-5 * min(gaps), gaps
 
 
 def test_moser_zero_row_integrals_keep_support():
