@@ -80,6 +80,10 @@ def _inputs():
     rows0, rows1 = dip_bump_pair(np.random.default_rng(3), 24)
     edge = np.ones((8, 8))
     edge[5:, 3] = 1e5, 1e5, 1e-300  # a tiny last node beside large values, on one row
+    huge = np.ones((8, 8))
+    huge[2:5, 3] = 1.7e308  # the spline's slopes overflow
+    overflow_row = np.ones((8, 8))
+    overflow_row[-1, 3] = 3e306  # the last node's cubic overflows
     curves = {
         "circle": circle_curve(n=64),
         "eight": eight,
@@ -105,6 +109,8 @@ def _inputs():
     densities = {"bump0": bump0, "bump1": bump1, "dip0": dip0, "dip1": dip1,
                  "rows0": rows0, "rows1": rows1,
                  "edge": make_density(0.0, 1.0, 0.0, 1.0, edge),
+                 "huge": make_density(0.0, 1.0, 0.0, 1.0, huge),
+                 "overflow-row": make_density(0.0, 1.0, 0.0, 1.0, overflow_row),
                  "coarse": make_density(0.0, 1.0, 0.0, 1.0, np.ones((8, 8)))}
     for name, d in densities.items():
         files[f"{name}.density"] = serialize_density(d)
@@ -185,6 +191,9 @@ CALLS = [
                          "--out", "same.map"]),
     ("moser-edge-row", ["moser", "edge.density", "edge.density", "--steps", "8",
                         "--out", "edge.map"]),
+    ("moser-huge-values", ["moser", "huge.density", "huge.density", "--out", "huge.map"]),
+    ("moser-overflow-row", ["moser", "overflow-row.density", "overflow-row.density",
+                            "--out", "overflow-row.map"]),
     ("moser-mismatched-grids", ["moser", "bump0.density", "coarse.density", "--out", "mismatch.map"]),
     ("moser-negative-count", ["moser", "bump0.density", "negcount.density", "--out", "negcount.map"]),
     ("moser-neginf-domain", ["moser", "neginf.density", "neginf.density", "--out", "neginf.map"]),
