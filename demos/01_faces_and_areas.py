@@ -31,7 +31,7 @@ print("bounded faces:", arr.r)
 # resampling or rigid motion, so area vectors of different samplings of
 # the same curve line up componentwise.
 areas = face_areas(arr)
-for label, area in enumerate(areas.values, start=1):
+for label, area in enumerate(areas, start=1):
     print(f"face {label}: area {area:.6f}")
 
 # Euler check for a single loop: V - E + F = 2 counting the outer face.

@@ -57,22 +57,6 @@ class Face:
     rep_point: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class AreaVector:
-    """Bounded-face areas indexed by canonical label: values[j-1] is face j."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if np.any(v <= 0):
-            raise ValidationError("face areas must be positive")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return len(self.values)
-
-
 @dataclass
 class Arrangement:
     curve: ClosedCurve
@@ -93,12 +77,6 @@ class Arrangement:
         out = [f for f in self.faces if not f.is_outer]
         out.sort(key=lambda f: f.label)
         return out
-
-    def face_by_label(self, label: int) -> Face:
-        for f in self.faces:
-            if f.label == label:
-                return f
-        raise KeyError(f"no face labeled {label}")
 
     def face_contains(self, face: Face, points) -> np.ndarray:
         """Boolean mask: which query points lie in the open face region."""
@@ -165,10 +143,13 @@ def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None
     return arr
 
 
-def face_areas(arr: Arrangement) -> AreaVector:
-    """Areas of the bounded faces, ordered by canonical label."""
-    values = np.array([f.area for f in arr.bounded_faces])
-    return AreaVector(values)
+def face_areas(arr: Arrangement) -> np.ndarray:
+    """Areas of the bounded faces: entry j - 1 is face j's.
+
+    Each is positive: the arrangement's build rejects a bounded face
+    whose net area is not.
+    """
+    return np.array([f.area for f in arr.bounded_faces])
 
 
 def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:

@@ -166,6 +166,13 @@ def _checked_arrangement(path, angle_tol, sep_tol, out):
     return build_arrangement(curve, report)
 
 
+def _write_svg(arr, path, out):
+    """Write the arrangement's SVG rendering to path and report it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(render_svg(arr))
+    out.write(f"svg: {path}\n")
+
+
 def cmd_analyze(args, out) -> int:
     arr = _checked_arrangement(args.curve, args.angle_tol, args.sep_tol, out)
     curve = arr.curve
@@ -192,9 +199,7 @@ def cmd_analyze(args, out) -> int:
             out.write(f"  loop {i + 1}: {toks}\n")
     out.write(f"canonical: {canonical_code(gc)}\n")
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(arr))
-        out.write(f"svg: {args.svg}\n")
+        _write_svg(arr, args.svg, out)
     return 0
 
 
@@ -320,9 +325,7 @@ def cmd_moduli_dim(args, out) -> int:
 
 def cmd_render(args, out) -> int:
     arr = _checked_arrangement(args.curve, args.angle_tol, args.sep_tol, out)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(arr))
-    out.write(f"svg: {args.svg}\n")
+    _write_svg(arr, args.svg, out)
     return 0
 
 

@@ -343,7 +343,10 @@ class ShearMap(PlanarMap):
 
 
 class ComposedMap(PlanarMap):
-    """outer applied after inner; Jacobians multiply by the chain rule."""
+    """outer applied after inner; Jacobians multiply by the chain rule.
+
+    pullback(ComposedMap(m1, m2), w) agrees with pullback(m2, pullback(m1, w)).
+    """
 
     def __init__(self, outer, inner):
         self.outer = outer
@@ -356,15 +359,6 @@ class ComposedMap(PlanarMap):
         pts = _as_points(points)
         mid = self.inner.evaluate(pts)
         return self.outer.jacobian(mid) @ self.inner.jacobian(pts)
-
-
-def compose_maps(first, second):
-    """Map applying `second` first, then `first`.
-
-    Convention: pullback(compose_maps(m1, m2), w) agrees with
-    pullback(m2, pullback(m1, w)).
-    """
-    return ComposedMap(first, second)
 
 
 class GridMap(Grid, PlanarMap):
@@ -624,6 +618,9 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     A row where f0 and f1 agree has A = 0 and stays in place. Such rows
     get a +0 map without being integrated, so the cost grows with the
     rows that move: O(nx * m * steps) for m moving rows.
+
+    Densities whose values overflow the flow's floating-point arithmetic
+    raise ValidationError.
     """
     if not f0.same_grid(f1):
         raise ValidationError("densities must share a grid")
@@ -637,7 +634,18 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
             f"{f0.nx}x{f0.ny} nodes at {steps} steps exceed the budget of "
             f"{MAX_FLOW_NODE_STEPS} node-steps"
         )
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            disp_x = _flow_rows(f0, f1, steps)
+    except FloatingPointError:
+        raise ValidationError(
+            "density values overflow the flow's arithmetic; rescale the densities"
+        ) from None
+    return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
 
+
+def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
+    """The x displacement of each node under moser_interpolation's flow."""
     xs = f0.xs
     diff = f0.values - f1.values
     # the difference vanishes outside both support boxes, so the anchored
@@ -675,7 +683,7 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     moving = np.flatnonzero(~still)
     disp_x = np.zeros_like(nodes)
     if not moving.size:
-        return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
+        return disp_x
     if moving.size < f0.ny:
         coef = np.take(coef, moving, axis=2)
     planes, rows = coef.reshape(12, -1), np.arange(moving.size)
@@ -702,7 +710,7 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
         t += dt
 
     disp_x[:, moving] = x - xs[:, None]
-    return GridMap(f0.x0, f0.x1, f0.y0, f0.y1, disp_x, np.zeros_like(disp_x))
+    return disp_x
 
 
 def union_box(a, b):

@@ -158,7 +158,7 @@ def _area_vector(arr: Arrangement, override) -> np.ndarray:
                 f"area override has {vec.shape} entries, arrangement has {arr.r}"
             )
         return require_positive("areas", vec)
-    return face_areas(arr).values
+    return face_areas(arr)
 
 
 def _check_bijection(corr: FaceCorrespondence, r_a: int, r_b: int):

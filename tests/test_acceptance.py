@@ -177,7 +177,7 @@ def test_criterion_4_cone_surjectivity():
     cases = []
     for curve in (gerono_curve(n=256), trefoil_curve(n=512)):
         arr = build_arrangement(curve)
-        base = face_areas(arr).values
+        base = face_areas(arr)
         for _ in range(3):
             target = base + rng.uniform(0.1, 1.5, size=arr.r)
             cases.append((arr, target))

@@ -37,7 +37,7 @@ def test_circle_single_face_area_pi(circle512):
     arr = build_arrangement(circle512)
     assert arr.r == 1
     areas = face_areas(arr)
-    assert abs(areas.values[0] - np.pi) < 1e-3
+    assert abs(areas[0] - np.pi) < 1e-3
 
 
 def test_circle_counts():
@@ -55,7 +55,7 @@ def test_gerono_counts_and_equal_lobes(gerono256):
     assert len(arr.faces) == 3
     assert arr.r == 2
     areas = face_areas(arr)
-    assert abs(areas.values[0] - areas.values[1]) < 1e-6
+    assert abs(areas[0] - areas[1]) < 1e-6
 
 
 def test_trefoil_counts(trefoil512):
@@ -69,22 +69,22 @@ def test_trefoil_counts(trefoil512):
 def test_area_scaling_quadratic():
     # labels are per-arrangement; across curves compare the sorted multiset
     curve = trefoil_curve(n=512)
-    base = np.sort(face_areas(build_arrangement(curve)).values)
+    base = np.sort(face_areas(build_arrangement(curve)))
     for c in (0.5, 2.0, 3.7):
         scaled = transform_curve(curve, lambda p: c * p)
-        got = np.sort(face_areas(build_arrangement(scaled)).values)
+        got = np.sort(face_areas(build_arrangement(scaled)))
         assert np.max(np.abs(got - c * c * base)) < 1e-9 * np.max(c * c * base)
 
 
 def test_area_shear_invariance():
     curve = gerono_curve(n=256)
-    base = np.sort(face_areas(build_arrangement(curve)).values)
+    base = np.sort(face_areas(build_arrangement(curve)))
     shear = np.array([[1.0, 0.7], [0.0, 1.0]])
     sheared = transform_curve(curve, lambda p: p @ shear.T)
-    exact = np.sort(face_areas(build_arrangement(sheared)).values)
+    exact = np.sort(face_areas(build_arrangement(sheared)))
     assert np.max(np.abs(exact - base)) < 1e-12 * base.max()
     resampled = resample(sheared, 256)
-    approx = np.sort(face_areas(build_arrangement(resampled)).values)
+    approx = np.sort(face_areas(build_arrangement(resampled)))
     assert np.max(np.abs(approx - base)) < 1e-3 * base.max()
 
 
@@ -93,7 +93,7 @@ def test_nested_circles_faces():
     inner = circle_curve(n=256, radius=1.0)
     arr = build_arrangement(ClosedCurve((outer.loops[0], inner.loops[0])))
     assert arr.r == 2
-    areas = np.sort(face_areas(arr).values)
+    areas = np.sort(face_areas(arr))
     # disc of the inner circle, annulus between them
     assert abs(areas[0] - np.pi) < 2e-3
     assert abs(areas[1] - 3 * np.pi) < 4e-3
@@ -104,17 +104,17 @@ def test_side_by_side_circles_faces_and_labels():
     right = circle_curve(n=128, radius=0.5, center=(2.0, 0.0))
     arr = build_arrangement(ClosedCurve((left.loops[0], right.loops[0])))
     assert arr.r == 2
-    f1 = arr.face_by_label(1)
-    f2 = arr.face_by_label(2)
+    f1 = arr.bounded_faces[0]
+    f2 = arr.bounded_faces[1]
     assert f1.rep_point[0] < 0 < f2.rep_point[0]
-    areas = face_areas(arr).values
+    areas = face_areas(arr)
     assert abs(areas[0] - np.pi) < 2e-3
     assert abs(areas[1] - np.pi / 4) < 1e-3
 
 
 def test_gerono_label_order_left_to_right(gerono256):
     arr = build_arrangement(gerono256)
-    assert arr.face_by_label(1).rep_point[0] < arr.face_by_label(2).rep_point[0]
+    assert arr.bounded_faces[0].rep_point[0] < arr.bounded_faces[1].rep_point[0]
 
 
 def test_build_rejects_non_generic():
@@ -126,7 +126,7 @@ def test_build_rejects_non_generic():
 
 def test_integrate_constant_density_matches_areas(trefoil512):
     arr = build_arrangement(trefoil512)
-    areas = face_areas(arr).values
+    areas = face_areas(arr)
     got = integrate_density_over_faces(arr, uniform_density(trefoil512))
     assert np.max(np.abs(got - areas)) < 5e-3 * areas.max()
     doubled = integrate_density_over_faces(arr, uniform_density(trefoil512, value=2.0))
@@ -135,9 +135,9 @@ def test_integrate_constant_density_matches_areas(trefoil512):
 
 def test_integrate_bump_adds_only_to_its_face(gerono256):
     arr = build_arrangement(gerono256)
-    areas = face_areas(arr).values
+    areas = face_areas(arr)
     density = uniform_density(gerono256, n=384)
-    face = arr.face_by_label(1)
+    face = arr.bounded_faces[0]
     cx, cy = face.rep_point
     rad = 0.35 * arr.boundary_distance(face, face.rep_point)
 
@@ -166,7 +166,7 @@ def test_random_loops_euler_and_face_count():
         f = len(arr.faces)
         if v:
             assert v - e + f == 2
-        total = face_areas(arr).values.sum()
+        total = face_areas(arr).sum()
         outer = arr.faces[arr.outer_face]
         assert abs(total + outer.area) < 1e-9 * max(total, 1.0)
 

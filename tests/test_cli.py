@@ -242,7 +242,7 @@ def test_realize_builds_one_face_raster_and_reports_the_written_density(tmp_path
     path = write_curve(tmp_path, "trefoil.txt", curve)
     out = tmp_path / "density.txt"
     arr = build_arrangement(curve)
-    targets = 2.0 * face_areas(arr).values + 1.0
+    targets = 2.0 * face_areas(arr) + 1.0
     calls = []
     raster = arrangement._face_raster
 
@@ -276,7 +276,7 @@ def test_realize_leaking_bump_is_infeasible(tmp_path):
     curve = petal_curve(LEAKING_PETAL)
     path = write_curve(tmp_path, "petal.txt", curve)
     out = tmp_path / "density.txt"
-    targets = 2.0 * face_areas(build_arrangement(curve)).values + 1.0
+    targets = 2.0 * face_areas(build_arrangement(curve)) + 1.0
     code, text = run_cli("realize", path, *map(repr, targets.tolist()), "--out", str(out))
     assert code == 1
     assert text.startswith("infeasible: ") and "face 1" in text
@@ -330,6 +330,32 @@ def test_moser_density_dipping_to_zero_exits_2(tmp_path, capsys):
     assert text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: interpolated density hit zero") and "refine the grid" in err
+    assert not out.exists()
+
+
+def huge_values():
+    v = np.ones((8, 8))
+    v[2:5, 3] = 1.7e308  # the spline's slopes overflow
+    return v
+
+
+def overflow_row():
+    v = np.ones((8, 8))
+    v[-1, 3] = 3e306  # the last node's cubic overflows
+    return v
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [huge_values, overflow_row], ids=["huge-values", "overflow-row"])
+def test_moser_overflowing_density_exits_2(tmp_path, capsys, values):
+    path = tmp_path / "f.density"
+    save_density(make_density(0.0, 1.0, 0.0, 1.0, values()), path)
+    out = tmp_path / "flow.map"
+    code, text = run_cli("moser", str(path), str(path), "--out", str(out))
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -150,7 +150,7 @@ def test_symmetric_trefoil_areas_fixed_by_group():
     # 513 samples: the sample set is exactly invariant under the 2pi/3 turn
     curve = trefoil_curve(n=513)
     arr = build_arrangement(curve)
-    areas = face_areas(arr).values
+    areas = face_areas(arr)
     for fperm in symmetry_group(arr).face_perms:
         permuted = np.array([areas[fperm[j]] for j in range(len(areas))])
         assert np.max(np.abs(permuted - areas)) < 1e-6 * areas.max()

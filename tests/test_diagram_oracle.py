@@ -226,7 +226,7 @@ def test_minimal_readings_match_full_enumeration(arrangements, rows, enumerated)
 
 def tied(a, b, decision, perms):
     """How many elements of perms give the decision's witness discrepancy."""
-    va, vb = face_areas(a).values, face_areas(b).values
+    va, vb = face_areas(a), face_areas(b)
     corr = isotopy_match(a, b)
     discs = [max(abs(va[j] - vb[corr.faces[g[j]] - 1]) for j in range(a.r)) for g in perms]
     if decision.verdict is Verdict.EQUIVALENT:

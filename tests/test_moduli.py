@@ -100,7 +100,7 @@ def test_decision_tolerance_must_be_finite_and_positive(trefoil512, decide, bad)
     arr = build_arrangement(trefoil512)
     with pytest.raises(ValidationError, match="tolerance must be finite and positive"):
         decide(arr, arr, tol=bad)
-    areas = face_areas(arr).values.copy()
+    areas = face_areas(arr).copy()
     areas[1] = bad
     with pytest.raises(ValidationError, match="areas must be finite and positive"):
         decide(arr, arr, areas_a=areas)
@@ -147,7 +147,7 @@ def test_labelled_rejects_non_bijective_correspondence(circle512, gerono256):
 
 def test_labelled_transitive_up_to_doubled_tolerance(circle512):
     arr = build_arrangement(circle512)
-    base = face_areas(arr).values
+    base = face_areas(arr)
     tol = 1e-3
     shift = 0.9 * tol * base.max()
     va, vb, vc = base, base + shift, base + 2 * shift
