@@ -616,8 +616,11 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     result is the flow of the 2-D interpolated field, at 1-D cost.
 
     A row where f0 and f1 agree has A = 0 and stays in place. Such rows
-    get a +0 map without being integrated, so the cost grows with the
-    rows that move: O(nx * m * steps) for m moving rows.
+    get a +0 map without being integrated. Moving rows whose spline
+    coefficients are bit-equal are integrated once and share the map,
+    which is exact because each step is elementwise arithmetic on the
+    row's own coefficients. So the cost grows with the distinct rows
+    that move: O(nx * u * steps) for u distinct moving rows.
 
     Densities whose values overflow the flow's floating-point arithmetic
     raise ValidationError.
@@ -684,9 +687,27 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
     disp_x = np.zeros_like(nodes)
     if not moving.size:
         return disp_x
-    if moving.size < f0.ny:
-        coef = np.take(coef, moving, axis=2)
-    planes, rows = coef.reshape(12, -1), np.arange(moving.size)
+
+    # Every stage is elementwise arithmetic on a row's own cubic columns,
+    # so rows whose columns are bit-equal get the same bits throughout,
+    # the zero check and the overflow traps included: each distinct row
+    # flows once. Rows are grouped by a digest of their bytes, which holds
+    # no second copy of the coefficients, then compared bit for bit with
+    # the group's first row.
+    reps, group, by_digest = [], [], {}
+    for r in moving:
+        col = coef[:, :, r].view(np.int64)
+        ids = by_digest.setdefault(hash(col.tobytes()), [])
+        g = next((k for k in ids if np.array_equal(col, coef[:, :, reps[k]].view(np.int64))),
+                 None)
+        if g is None:
+            g = len(reps)
+            ids.append(g)
+            reps.append(r)
+        group.append(g)
+    if len(reps) < f0.ny:
+        coef = np.take(coef, reps, axis=2)
+    planes, rows = coef.reshape(12, -1), np.arange(len(reps))
 
     def velocity(px, t):
         a, v0, v1 = fields(px, planes, rows)
@@ -698,7 +719,7 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
             )
         return a / ft
 
-    x = np.repeat(xs[:, None], moving.size, axis=1)
+    x = np.repeat(xs[:, None], len(reps), axis=1)
     dt = 1.0 / steps
     t = 0.0
     for _ in range(steps):
@@ -709,7 +730,7 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
 
-    disp_x[:, moving] = x - xs[:, None]
+    disp_x[:, moving] = (x - xs[:, None])[:, group]
     return disp_x
 
 

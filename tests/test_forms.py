@@ -716,12 +716,44 @@ def gaussian_pair(rng, n, L=2.0):
     return dens(*rng.uniform(-0.5, 0.5, 2)), dens(*rng.uniform(-0.5, 0.5, 2))
 
 
-def shared_row_pair(row):
-    """8x8 densities that agree on grid row 3, which reads `row`, and differ on row 6."""
+def shared_row_pair(row, at=(3,)):
+    """8x8 densities that agree on the grid rows `at`, which read `row`, and differ on row 6."""
     v0 = np.ones((8, 8))
-    v0[:, 3] = row
+    v0[:, list(at)] = np.asarray(row)[:, None]
     v1 = v0.copy()
     v1[2:6, 6] = 1.5
+    return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
+
+
+def repeated_rows_pair(ulp_apart=False):
+    """12x10 densities whose moving rows repeat, and not next to each other.
+
+    Rows 1, 4 and 7 read one pair of profiles and rows 3 and 8 another,
+    with still rows and a row of a third pair between them. With
+    `ulp_apart`, row 9 reads the first pair but for one node of f0 that
+    is one ulp larger, so its cubics and its map differ from rows 1, 4
+    and 7.
+    """
+    xs = np.linspace(0.0, 1.0, 12)
+    v0, v1 = np.ones((12, 10)), np.ones((12, 10))
+    v0[:, [1, 4, 7]] = (1.0 + 0.3 * np.sin(np.pi * xs))[:, None]
+    v1[:, [1, 4, 7]] = (1.0 + 0.4 * np.sin(2.0 * np.pi * xs) ** 2)[:, None]
+    v0[:, [3, 8]] = (1.2 - 0.2 * xs)[:, None]
+    v1[:, [3, 8]] = (1.0 + 0.2 * xs)[:, None]
+    v1[:, 6] = 1.0 + 0.5 * np.exp(-((xs - 0.6) / 0.2) ** 2)
+    if ulp_apart:
+        v0[:, 9], v1[:, 9] = v0[:, 1], v1[:, 1]
+        v0[1, 9] = np.nextafter(v0[1, 9], np.inf)
+    return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
+
+
+def repeated_dipping_pair():
+    """dipping_pair's well and walls on the non-adjacent grid rows 1, 3 and 6."""
+    rows = [1, 3, 6]
+    v0, v1 = np.ones((8, 8)), np.ones((8, 8))
+    v0[3:5, rows] = 1e-4
+    v0[2, rows] = v0[5, rows] = 50.0
+    v1[3:5, rows] = 30.0
     return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
 
 
@@ -743,13 +775,18 @@ def edge_rows_pair(n=48):
         (lambda: (smooth_bump_density(64),) * 2, 8),
         (edge_rows_pair, 8),
         (lambda: shared_row_pair([1.0, 1.0, 2.5 * np.finfo(float).tiny] + [1.0] * 5), 8),
+        (repeated_rows_pair, 8),
+        (lambda: repeated_rows_pair(ulp_apart=True), 8),
+        (lambda: conveyor_pair(0.16, nx=1152, ny=4), 16),
     ],
     ids=["dip-bump-16", "dip-bump-32", "dip-bump-128", "zero-row-64", "conveyor-576",
-         "identical-64", "edge-rows-48", "near-tiny-shared-row"],
+         "identical-64", "edge-rows-48", "near-tiny-shared-row", "repeated-rows",
+         "one-ulp-apart", "conveyor-1152x4"],
 )
 def test_moser_skips_still_rows_bit_for_bit(pair, steps):
-    # rows where f0 and f1 agree are not flowed; the map is the all-rows
-    # flow's to the bit, signed zeros included
+    # rows where f0 and f1 agree are not flowed, and rows with bit-equal
+    # cubics flow once; the map is the all-rows flow's to the bit, signed
+    # zeros included
     f0, f1 = pair()
     rho = moser_interpolation(f0, f1, steps=steps)
     ref = oracles.moser_interpolation_all_rows(f0, f1, steps=steps)
@@ -781,8 +818,13 @@ def alternating_row_pair(d=1e17):
         # numpy warnings, the flow stops at the overflow itself
         (lambda: shared_row_pair([1.0] * 7 + [1e307]), 8,
          "density values overflow the flow's arithmetic; rescale the densities"),
+        # the failing rows repeat on non-adjacent grid rows
+        (repeated_dipping_pair, 8, None),
+        (lambda: shared_row_pair([1.0] * 7 + [1e307], at=(1, 3, 5)), 8,
+         "density values overflow the flow's arithmetic; rescale the densities"),
     ],
-    ids=["dipping", "tiny-last-node", "subnormal-nodes", "alternating-row", "huge-last-node"],
+    ids=["dipping", "tiny-last-node", "subnormal-nodes", "alternating-row", "huge-last-node",
+         "dipping-rows", "huge-last-node-rows"],
 )
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_moser_still_row_skip_keeps_the_zero_check(pair, steps, message):
