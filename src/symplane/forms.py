@@ -615,12 +615,21 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     spline reduces to exactly this 1-D interpolant of the row, so the
     result is the flow of the 2-D interpolated field, at 1-D cost.
 
-    A row where f0 and f1 agree has A = 0 and stays in place. Such rows
-    get a +0 map without being integrated. Moving rows whose spline
-    coefficients are bit-equal are integrated once and share the map,
-    which is exact because each step is elementwise arithmetic on the
-    row's own coefficients. So the cost grows with the distinct rows
-    that move: O(nx * u * steps) for u distinct moving rows.
+    The flow runs on the active nodes only. A node where A = 0 and f0 and
+    f1 read one finite value of at least 4 * tiny stays in place, with
+    no zero density on the way, so it gets a +0 map without being
+    integrated; a row of such nodes only is a row where f0 = f1. Moving
+    rows whose spline coefficients are bit-equal are integrated once and
+    share the map. Each stage writes into buffers made once per flow,
+    and a node's 12 coefficients are gathered again only when it enters
+    another interval. All of this is exact: each stage is elementwise
+    arithmetic on a node's own position and coefficients, which depend
+    only on its row and interval, so every node gets the bits, the zero
+    check and the overflow traps of the flow of all rows. After the
+    O(nx * ny) spline build, the cost is O(m * steps) time and buffers of
+    24 floats and 6 integers per active node, for m active nodes (the
+    not-still nodes of the distinct moving rows), besides the
+    12 * (nx - 1) * ny spline coefficients.
 
     Densities whose values overflow the flow's floating-point arithmetic
     raise ValidationError.
@@ -662,29 +671,54 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
     # per-row piecewise cubics of A, f0 and f1 (fields 0, 1, 2):
     # coef[3 * k + field, interval, row] multiplies s**(3 - k), with s
     # the offset from the interval's left node
-    spline = CubicSpline(xs, np.stack([A, f0.values, f1.values], axis=1), axis=0)
-    coef = np.moveaxis(spline.c, 2, 1).reshape(12, f0.nx - 1, f0.ny)
+    coef = CubicSpline(xs, np.stack([A, f0.values, f1.values], axis=1), axis=0).c
+    coef = np.moveaxis(coef, 2, 1).reshape(12, f0.nx - 1, f0.ny)
+    planes = coef.reshape(12, -1)
 
-    def fields(px, planes, rows):
-        # A, f0 and f1 at px[:, r], whose row has its cubics in the columns
-        # interval * len(rows) + r of planes
-        cx = np.clip(px, f0.x0, f0.x1)
-        i = np.clip(((cx - f0.x0) / f0.hx).astype(int), 0, f0.nx - 2)
-        s = cx - xs[i]
-        c = np.take(planes, i * len(rows) + rows, axis=1).reshape(4, 3, *px.shape)
-        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+    def fields(rows):
+        # An evaluator of A, f0 and f1 at positions px of the nodes on grid
+        # rows `rows`, into buffers made once. A node's 12 coefficients
+        # depend only on its row and interval, so they are gathered again
+        # only for nodes whose interval changed since the last call; when
+        # more than a fifth did, one full gather is the cheaper one.
+        m = rows.size
+        c, held = np.empty((4, 3, m)), np.full(m, -1)
+        cx, s, i, col = np.empty(m), np.empty(m), np.empty(m, int), np.empty(m, int)
+        val, changed = np.empty((3, m)), np.empty(m, bool)
 
-    # A row whose field is zero at its nodes never leaves them, so its map
-    # is +0. If f0 and f1 also read one finite v >= 4 * tiny at each node,
+        def evaluate(px):
+            np.clip(px, f0.x0, f0.x1, out=cx)
+            np.divide(np.subtract(cx, f0.x0, out=s), f0.hx, out=s)
+            np.copyto(i, s, casting="unsafe")  # truncates, as astype(int)
+            np.minimum(i, f0.nx - 2, out=i)  # i >= 0 as cx >= x0
+            np.subtract(cx, np.take(xs, i, out=s, mode="clip"), out=s)
+            n = np.count_nonzero(np.not_equal(i, held, out=changed))
+            if n:
+                np.add(np.multiply(i, f0.ny, out=col), rows, out=col)
+                if 5 * n > m:
+                    np.take(planes, col, axis=1, out=c.reshape(12, m), mode="clip")
+                    np.copyto(held, i)
+                else:
+                    new = np.flatnonzero(changed)
+                    c.reshape(12, m)[:, new] = np.take(planes, col[new], axis=1)
+                    held[new] = i[new]
+            np.multiply(c[0], s, out=val)
+            for k in (1, 2):
+                np.multiply(np.add(val, c[k], out=val), s, out=val)
+            return np.add(val, c[3], out=val)
+
+        return evaluate
+
+    # A node whose field is zero never leaves its place, so its map is +0.
+    # If f0 and f1 also read one finite v >= 4 * tiny there,
     # (1 - t) v + t v > 0 at every stage time (t ends a few ulps from 1),
-    # so the zero check cannot fire on it either. Rows where f0 = f1 are
-    # such rows, and they skip the flow.
-    nodes = np.repeat(xs[:, None], f0.ny, axis=1)
-    a, v0, v1 = fields(nodes, coef.reshape(12, -1), np.arange(f0.ny))
+    # so the zero check cannot fire on it either. Such nodes skip the flow;
+    # rows of them only are the rows where f0 = f1.
+    a, v0, v1 = fields(np.tile(np.arange(f0.ny), f0.nx))(np.repeat(xs, f0.ny))
     tiny = np.finfo(float).tiny
-    still = np.all((a == 0) & (v0 == v1) & (v0 >= 4 * tiny) & np.isfinite(v0), axis=0)
-    moving = np.flatnonzero(~still)
-    disp_x = np.zeros_like(nodes)
+    still = ((a == 0) & (v0 == v1) & (v0 >= 4 * tiny) & np.isfinite(v0)).reshape(f0.nx, f0.ny)
+    moving = np.flatnonzero(~np.all(still, axis=0))
+    disp_x = np.zeros((f0.nx, f0.ny))
     if not moving.size:
         return disp_x
 
@@ -705,32 +739,43 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
             ids.append(g)
             reps.append(r)
         group.append(g)
-    if len(reps) < f0.ny:
-        coef = np.take(coef, reps, axis=2)
-    planes, rows = coef.reshape(12, -1), np.arange(len(reps))
 
-    def velocity(px, t):
-        a, v0, v1 = fields(px, planes, rows)
-        ft = (1.0 - t) * v0 + t * v1
-        if np.any(ft <= 0):
+    # The flow runs on flat arrays of the active nodes: the nodes of the
+    # distinct moving rows that are not still.
+    knot, rep = np.nonzero(~still[:, reps])
+    field = fields(np.asarray(reps)[rep])
+    m = knot.size
+    ft, low = np.empty(m), np.empty(m, bool)
+
+    def velocity(px, t, out):
+        a, v0, v1 = field(px)
+        np.add(np.multiply(v0, 1.0 - t, out=ft), np.multiply(v1, t, out=v1), out=ft)
+        if np.less_equal(ft, 0.0, out=low).any():
             raise ValidationError(
                 "interpolated density hit zero during the flow; refine the grid "
                 "or smooth the densities"
             )
-        return a / ft
+        return np.divide(a, ft, out=out)
 
-    x = np.repeat(xs[:, None], len(reps), axis=1)
+    # classical RK4, the operations of the all-rows flow in their order
+    x = xs[knot]
+    k1, k2, k3, k4, xt = (np.empty(m) for _ in range(5))
     dt = 1.0 / steps
     t = 0.0
     for _ in range(steps):
-        k1 = velocity(x, t)
-        k2 = velocity(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = velocity(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = velocity(x + dt * k3, t + dt)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        velocity(x, t, k1)
+        velocity(np.add(x, np.multiply(k1, 0.5 * dt, out=xt), out=xt), t + 0.5 * dt, k2)
+        velocity(np.add(x, np.multiply(k2, 0.5 * dt, out=xt), out=xt), t + 0.5 * dt, k3)
+        velocity(np.add(x, np.multiply(k3, dt, out=xt), out=xt), t + dt, k4)
+        k1 += np.multiply(k2, 2, out=k2)
+        k1 += np.multiply(k3, 2, out=k3)
+        k1 += k4
+        x += np.multiply(k1, dt / 6.0, out=k1)
         t += dt
 
-    disp_x[:, moving] = (x - xs[:, None])[:, group]
+    disp = np.zeros((f0.nx, len(reps)))
+    disp[knot, rep] = x - xs[knot]
+    disp_x[:, moving] = disp[:, group]
     return disp_x
 
 

@@ -764,6 +764,18 @@ def edge_rows_pair(n=48):
     return unit_density(-2.0, 2.0, -2.0, 2.0, n, n), make_density(-2.0, 2.0, -2.0, 2.0, v1)
 
 
+def island_row_pair():
+    """12x8 densities on a grid of unit spacing that differ on nodes 4-7 of row 2.
+
+    The trapezoid integral of f0 - f1 over those nodes is zero, so the
+    row's nodes left and right of them are still.
+    """
+    v0, v1 = np.ones((12, 8)), np.ones((12, 8))
+    v0[4:8, 2] += [0.5, 0.0, 0.0, 0.25]
+    v1[4:8, 2] += [0.0, 0.25, 0.5, 0.0]
+    return make_density(0.0, 11.0, 0.0, 1.0, v0), make_density(0.0, 11.0, 0.0, 1.0, v1)
+
+
 @pytest.mark.parametrize(
     "pair, steps",
     [
@@ -778,15 +790,22 @@ def edge_rows_pair(n=48):
         (repeated_rows_pair, 8),
         (lambda: repeated_rows_pair(ulp_apart=True), 8),
         (lambda: conveyor_pair(0.16, nx=1152, ny=4), 16),
+        # the last stage time is above 1
+        (lambda: gaussian_pair(np.random.default_rng(6), 64), 9),
+        # nodes cross many intervals per stage
+        (lambda: conveyor_pair(0.17, nx=64, ny=4), 4),
+        (lambda: conveyor_pair(0.17, nx=64, ny=4), 9),
+        (island_row_pair, 7),
     ],
     ids=["dip-bump-16", "dip-bump-32", "dip-bump-128", "zero-row-64", "conveyor-576",
          "identical-64", "edge-rows-48", "near-tiny-shared-row", "repeated-rows",
-         "one-ulp-apart", "conveyor-1152x4"],
+         "one-ulp-apart", "conveyor-1152x4", "gaussian-64-9-steps", "conveyor-64x4-4-steps",
+         "conveyor-64x4-9-steps", "island-row"],
 )
 def test_moser_skips_still_rows_bit_for_bit(pair, steps):
-    # rows where f0 and f1 agree are not flowed, and rows with bit-equal
-    # cubics flow once; the map is the all-rows flow's to the bit, signed
-    # zeros included
+    # still nodes are not flowed, rows with bit-equal cubics flow once, and
+    # cubics are gathered again only for nodes that change interval; the
+    # map is the all-rows flow's to the bit, signed zeros included
     f0, f1 = pair()
     rho = moser_interpolation(f0, f1, steps=steps)
     ref = oracles.moser_interpolation_all_rows(f0, f1, steps=steps)
@@ -807,6 +826,33 @@ def alternating_row_pair(d=1e17):
     return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
 
 
+def alternating_run_pair():
+    """12x8 densities on a grid of unit spacing whose row 3 starts with an alternating run.
+
+    On nodes 0-5 of the row f0 and f1 swap 1 and 1e-16, so the trapezoid
+    integral of f0 - f1 is zero there and those nodes never move. At 9
+    steps the last stage time is 2 ulps above 1, where
+    (1 - t) * 1 + t * 1e-16 < 0: the flow must still check them. The run
+    ends where f0 > f1, so the nodes right of it move away from it.
+    """
+    v0, v1 = np.ones((12, 8)), np.ones((12, 8))
+    v0[0:6:2, 3] = 1e-16
+    v1[1:6:2, 3] = 1e-16
+    return make_density(0.0, 11.0, 0.0, 1.0, v0), make_density(0.0, 11.0, 0.0, 1.0, v1)
+
+
+def huge_node_pair(x1):
+    """12x8 densities over [0, x1] x [0, 1] whose row 3 moves at nodes 2-3 and reads 1e307 at node 8.
+
+    f0 and f1 agree at the other nodes of the row; at unit spacing the
+    nodes around the 1e307 node, and that node, are still.
+    """
+    v0, v1 = np.ones((12, 8)), np.ones((12, 8))
+    v0[8, 3] = v1[8, 3] = 1e307
+    v0[2, 3] = v1[3, 3] = 1.5
+    return make_density(0.0, x1, 0.0, 1.0, v0), make_density(0.0, x1, 0.0, 1.0, v1)
+
+
 @pytest.mark.parametrize(
     "pair, steps, message",
     [
@@ -822,9 +868,18 @@ def alternating_row_pair(d=1e17):
         (repeated_dipping_pair, 8, None),
         (lambda: shared_row_pair([1.0] * 7 + [1e307], at=(1, 3, 5)), 8,
          "density values overflow the flow's arithmetic; rescale the densities"),
+        # a moving row whose still-looking run is not still: A = 0, f0 != f1
+        (alternating_run_pair, 9, None),
+        # still nodes next to a 1e307 node of a moving row: at unit spacing
+        # the cubics ring down to the moving nodes, on [0, 1] the nodes next
+        # to the huge one overflow
+        (lambda: huge_node_pair(11.0), 8, None),
+        (lambda: huge_node_pair(1.0), 8,
+         "density values overflow the flow's arithmetic; rescale the densities"),
     ],
     ids=["dipping", "tiny-last-node", "subnormal-nodes", "alternating-row", "huge-last-node",
-         "dipping-rows", "huge-last-node-rows"],
+         "dipping-rows", "huge-last-node-rows", "alternating-run", "huge-node-ringing",
+         "huge-node-overflow"],
 )
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_moser_still_row_skip_keeps_the_zero_check(pair, steps, message):
