@@ -11,6 +11,12 @@ Face boundaries may have several components: a face can enclose another
 part of the curve, whose outer walk then appears as a hole. Areas are
 net (holes subtracted), via the shoelace formula per boundary cycle.
 
+Each boundary walk is a closed polyline whose last point is its first,
+bit for bit. Its edges are the arrays (starts, ends) = (closed[:-1],
+closed[1:]), built once and read by every area, containment and distance
+query. Holes take one winding_numbers call per positive walk, for the
+probes of all components: O(k) calls for k components, not O(k^2).
+
 The half-edges around a vertex need no tangent: the crossing's sign from
 check_generic fixes their cyclic order (see _link_next).
 """
@@ -49,12 +55,22 @@ class HalfEdge:
 @dataclass
 class Face:
     index: int
-    polygons: tuple[np.ndarray, ...]  # closed boundary polylines, one per walk
+    polygons: tuple[np.ndarray, ...]  # per boundary walk, its points without the closing repeat
+    edges: tuple[np.ndarray, np.ndarray]  # (starts, ends) of every boundary edge, walk by walk
     area: float  # net area; negative for the outer face
     is_outer: bool
     centroid: np.ndarray | None  # net area centroid, bounded faces only
     label: int | None = None  # canonical 1..r, bounded faces only
     rep_point: np.ndarray | None = None
+
+    def contains(self, points) -> np.ndarray:
+        """Boolean mask: which query points lie in the open face region."""
+        total = winding_numbers(points, *self.edges)
+        return total == 0 if self.is_outer else total == 1
+
+    def boundary_distance(self, point) -> float:
+        """Distance from a point to the face's boundary edges."""
+        return float(np.min(point_segment_distance(point, *self.edges)))
 
 
 @dataclass
@@ -77,20 +93,6 @@ class Arrangement:
         out = [f for f in self.faces if not f.is_outer]
         out.sort(key=lambda f: f.label)
         return out
-
-    def face_contains(self, face: Face, points) -> np.ndarray:
-        """Boolean mask: which query points lie in the open face region."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        total = np.zeros(len(pts), dtype=np.int64)
-        for poly in face.polygons:
-            total += winding_numbers(pts, poly)
-        return total == 1 if not face.is_outer else total == 0
-
-    def boundary_distance(self, face: Face, point) -> float:
-        """Distance from a point to the face's boundary polylines."""
-        a = np.vstack(face.polygons)
-        b = np.vstack([np.roll(poly, -1, axis=0) for poly in face.polygons])
-        return float(np.min(point_segment_distance(point, a, b)))
 
 
 def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None) -> Arrangement:
@@ -412,11 +414,8 @@ def _extract_cycles(half_edges):
 
 
 def _cycle_polygon(half_edges, cycle):
-    parts = [half_edges[cycle[0]].points]
-    for idx in cycle[1:]:
-        parts.append(half_edges[idx].points[1:])
-    poly = np.vstack(parts)
-    return poly[:-1]  # drop the repeated closing point
+    """Closed polyline of a walk: its last point is its first, bit for bit."""
+    return np.vstack([half_edges[cycle[0]].points] + [half_edges[i].points[1:] for i in cycle[1:]])
 
 
 def _loop_components(num_loops, vertices):
@@ -442,8 +441,8 @@ def _loop_components(num_loops, vertices):
 
 
 def _assemble_faces(curve, half_edges, cycles, components):
-    polys = [_cycle_polygon(half_edges, c) for c in cycles]
-    moments = [polygon_moments(p) for p in polys]
+    edges = [(w[:-1], w[1:]) for w in (_cycle_polygon(half_edges, c) for c in cycles)]
+    moments = [polygon_moments(*e) for e in edges]
     areas = [a for a, _ in moments]
     cycle_comp = [components[half_edges[c[0]].loop] for c in cycles]
 
@@ -452,27 +451,28 @@ def _assemble_faces(curve, half_edges, cycles, components):
 
     # a negative walk is the outer boundary of its component; it becomes a
     # hole of the smallest positive walk (of another component) containing
-    # that component, or part of the outer face if nothing contains it
-    comp_probe = {}
-    for loop in range(len(curve.loops)):
-        comp_probe.setdefault(components[loop], curve.loops[loop][0])
+    # that component, or part of the outer face if nothing contains it;
+    # around[j][c]: positive walk j winds around component c's first sample
+    num_comp = max(components) + 1
+    probes = np.array([curve.loops[components.index(c)][0] for c in range(num_comp)])
+    around = {j: winding_numbers(probes, *edges[j]) != 0 for j in positive} if num_comp > 1 else {}
 
     face_of_cycle = {}
     holes: dict[int, list[int]] = {i: [] for i in positive}
     outer_cycles = []
     for i in negative:
-        probe = comp_probe[cycle_comp[i]]
-        best = None
-        for j in positive:
-            if cycle_comp[j] == cycle_comp[i]:
-                continue
-            if winding_numbers(probe[None, :], polys[j])[0] != 0:
-                if best is None or abs(areas[j]) < abs(areas[best]):
-                    best = j
-        if best is None:
-            outer_cycles.append(i)
+        c = cycle_comp[i]
+        hosts = [j for j in positive if cycle_comp[j] != c and around[j][c]]
+        if hosts:
+            holes[min(hosts, key=lambda j: abs(areas[j]))].append(i)
         else:
-            holes[best].append(i)
+            outer_cycles.append(i)
+
+    def face(members, **fields):
+        polygons = tuple(edges[m][0] for m in members)
+        ends = np.vstack([edges[m][1] for m in members])
+        return Face(index=len(faces), polygons=polygons, edges=(np.vstack(polygons), ends),
+                    **fields)
 
     faces: list[Face] = []
     for j in positive:
@@ -483,24 +483,12 @@ def _assemble_faces(curve, half_edges, cycles, components):
         weighted = np.zeros(2)
         for m in members:
             weighted += areas[m] * moments[m][1]
-        faces.append(
-            Face(
-                index=len(faces),
-                polygons=tuple(polys[m] for m in members),
-                area=area,
-                is_outer=False,
-                centroid=weighted / area,
-            )
-        )
+        faces.append(face(members, area=area, is_outer=False, centroid=weighted / area))
         for m in members:
             face_of_cycle[m] = faces[-1].index
-    outer = Face(
-        index=len(faces),
-        polygons=tuple(polys[m] for m in sorted(outer_cycles)),
-        area=float(sum(areas[m] for m in sorted(outer_cycles))),
-        is_outer=True,
-        centroid=None,
-    )
+    outer_cycles.sort()
+    outer = face(outer_cycles, area=float(sum(areas[m] for m in outer_cycles)),
+                 is_outer=True, centroid=None)
     faces.append(outer)
     for m in outer_cycles:
         face_of_cycle[m] = outer.index
@@ -530,36 +518,36 @@ def _check_euler(arr: Arrangement) -> None:
 def _assign_labels(arr: Arrangement) -> None:
     bounded = [f for f in arr.faces if not f.is_outer]
     for face in bounded:
-        face.rep_point = _representative_point(arr, face)
+        face.rep_point = _representative_point(face)
     bounded.sort(key=lambda f: (f.rep_point[0], f.rep_point[1]))
     for label, face in enumerate(bounded, start=1):
         face.label = label
 
 
-def _representative_point(arr: Arrangement, face: Face) -> np.ndarray:
+def _representative_point(face: Face) -> np.ndarray:
     """A deterministic interior point of the face.
 
     First choice is the net area centroid over the boundary walks; if
     that lands outside (possible for crescent shaped or holed faces), an
-    inward offset of a boundary edge midpoint is searched.
+    inward offset of a boundary edge midpoint is searched. A face with
+    no point 0.002*sqrt(area) clear of its boundary raises ValidationError.
     """
     centroid = face.centroid
     scale = float(np.sqrt(face.area))
-    if arr.face_contains(face, centroid)[0] and arr.boundary_distance(face, centroid) > 1e-6 * scale:
+    if face.contains(centroid)[0] and face.boundary_distance(centroid) > 1e-6 * scale:
         return centroid
     for frac in (0.2, 0.08, 0.02, 0.005):
         delta = frac * scale
-        for poly in face.polygons:
-            for i in range(len(poly)):
-                a, b = poly[i], poly[(i + 1) % len(poly)]
-                d = b - a
-                norm = np.linalg.norm(d)
-                if norm == 0:
-                    continue
-                # face lies left of the directed boundary
-                inward = np.array([-d[1], d[0]]) / norm
-                p = 0.5 * (a + b) + delta * inward
-                if arr.face_contains(face, p)[0] and arr.boundary_distance(face, p) > 0.4 * delta:
-                    return p
-    raise InconsistencyError(f"no interior representative point found for face {face.index}")
+        for a, b in zip(*face.edges):
+            d = b - a
+            norm = np.linalg.norm(d)
+            if norm == 0:
+                continue
+            # face lies left of the directed boundary
+            inward = np.array([-d[1], d[0]]) / norm
+            p = 0.5 * (a + b) + delta * inward
+            if face.contains(p)[0] and face.boundary_distance(p) > 0.4 * delta:
+                return p
+    raise ValidationError(f"face {face.index} (area {face.area:.6g}) is narrower than the label search "
+                          f"reaches: no point lies 0.002*sqrt(area) = {0.4 * delta:.3g} inside it")
 

@@ -1,8 +1,8 @@
 """Planar geometry primitives shared by the curve and arrangement layers.
 
-Point sets are numpy arrays of shape (n, 2). Polygon functions treat the
-vertex list as closed: the edge from the last vertex back to the first is
-implied and must not be repeated in the input.
+Point sets are numpy arrays of shape (n, 2). Polygon functions take a
+closed polyline's edges as arrays (starts, ends) = (closed[:-1],
+closed[1:]), with the last point of `closed` repeating the first.
 """
 
 from __future__ import annotations
@@ -19,19 +19,18 @@ def cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def polygon_moments(points):
-    """Shoelace (signed area, area centroid) of a closed polygon.
+def polygon_moments(starts, ends):
+    """Shoelace (signed area, area centroid) of a closed polygon's edges.
 
     The area is positive for counterclockwise polygons; a polygon of zero
     area gets the mean of its vertices as centroid.
     """
-    p = np.asarray(points, dtype=float)
-    x, y = p[:, 0], p[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    x, y = starts[:, 0], starts[:, 1]
+    xn, yn = ends[:, 0], ends[:, 1]
     w = x * yn - xn * y
     area = 0.5 * float(np.sum(w))
     if area == 0:
-        return area, p.mean(axis=0)
+        return area, starts.mean(axis=0)
     return area, np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * area)
 
 
@@ -81,21 +80,22 @@ def segment_pair_distance(p0, p1, q0, q1) -> float:
     return float(np.min(point_segment_distance(ends, ends[[2, 2, 0, 0]], ends[[3, 3, 1, 1]])))
 
 
-def winding_numbers(points, loop) -> np.ndarray:
-    """Winding number of a closed polyline around each query point.
+def winding_numbers(points, starts, ends) -> np.ndarray:
+    """Winding number of closed polylines around each query point.
 
-    Uses the signed crossing rule: an upward edge strictly left of the
-    point adds one turn, a downward edge subtracts one. Points on the
-    polyline itself get an arbitrary neighboring value; callers keep
-    query points off the boundary. Points and edges are broadcast
-    against each other in chunks of about a million pairs.
+    The edges are the arrays (starts, ends) = (closed[:-1], closed[1:]);
+    stacking several polylines' edges sums their winding numbers. Uses
+    the signed crossing rule (Hormann-Agathos 2001): an upward edge
+    strictly left of the point adds one turn, a downward edge subtracts
+    one. Points on a polyline itself get an arbitrary neighboring value;
+    callers keep query points off the boundary. Points and edges are
+    broadcast against each other in chunks of about a million pairs.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    v = np.asarray(loop, dtype=float)
-    ax, ay = v[:, 0], v[:, 1]
-    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    ax, ay = starts[:, 0], starts[:, 1]
+    bx, by = ends[:, 0], ends[:, 1]
     wn = np.empty(len(p), dtype=np.int64)
-    chunk = max(1, 1_000_000 // len(v))
+    chunk = max(1, 1_000_000 // len(starts))
     for s in range(0, len(p), chunk):
         px = p[s : s + chunk, 0, None]
         py = p[s : s + chunk, 1, None]

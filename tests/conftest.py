@@ -234,6 +234,26 @@ def serpentine_curve(strands=128, n=16384, cut=0.25):
     )
 
 
+def thin_band_curve(w, n=400, cap=10, span=5.5):
+    """A C-shaped band of width w: an outer arc of radius 1 over `span`
+    radians, an inner arc of radius 1 - w back, n samples each, joined by
+    semicircular caps of `cap` samples. Below w = 1e-4 its one face is
+    narrower than the label search reaches; at 3e-6 it is a near-miss.
+    """
+    t = np.linspace(0.0, span, n)
+    phi = np.pi * np.arange(1, cap + 1) / (cap + 1)
+
+    def cap_at(theta, sign):
+        u = np.array([np.cos(theta), np.sin(theta)])
+        tau = np.array([-np.sin(theta), np.cos(theta)])
+        return (1.0 - 0.5 * w) * u + 0.5 * w * sign * (np.cos(phi)[:, None] * u
+                                                       + np.sin(phi)[:, None] * tau)
+
+    outer = np.column_stack([np.cos(t), np.sin(t)])
+    inner = (1.0 - w) * outer[::-1]
+    return ClosedCurve((np.vstack([outer, cap_at(span, 1.0), inner, cap_at(0.0, -1.0)]),))
+
+
 def tangent_circles_curve():
     """Internally tangent circles touching at (2, 0), both sampled there."""
     outer = circle_curve(n=128, radius=2.0)

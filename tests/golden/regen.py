@@ -30,6 +30,7 @@ from conftest import (  # noqa: E402
     dipping_pair,
     eights_row,
     gerono_curve,
+    thin_band_curve,
     trefoil_curve,
 )
 from test_golden import INPUTS, MANIFEST, platform_key, run_corpus  # noqa: E402
@@ -99,6 +100,7 @@ def _inputs():
         "holed": holed,
         "near": near,
         "cusp": cusp_curve(),
+        "thin-band": thin_band_curve(3e-5),
     }
     files = {f"{name}.curve": serialize_curve(c) for name, c in curves.items()}
     # written by hand: a ClosedCurve refuses this sample
@@ -135,6 +137,7 @@ CALLS = [
     ("analyze-holed", ["analyze", "holed.curve"]),
     ("analyze-near-sep-tol", ["analyze", "near.curve", "--sep-tol", "0.01"]),
     ("analyze-cusp", ["analyze", "cusp.curve"]),
+    ("analyze-thin-band", ["analyze", "thin-band.curve"]),
     ("analyze-missing", ["analyze", "missing.curve"]),
     ("analyze-malformed", ["analyze", "malformed.curve"]),
     ("analyze-short", ["analyze", "short.curve"]),

@@ -277,7 +277,7 @@ def winding_numbers(points, loop) -> np.ndarray:
 
 
 def face_contains(face: Face, points) -> np.ndarray:
-    """`Arrangement.face_contains` on top of the edge-by-edge winding numbers."""
+    """The original `Arrangement.face_contains`: one edge-by-edge winding pass per walk."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     total = np.zeros(len(pts), dtype=np.int64)
     for poly in face.polygons:
@@ -373,7 +373,7 @@ def _face_profiles(arr: Arrangement, omega: Density):
     profiles = []
     for face in arr.bounded_faces:
         rx, ry = face.rep_point
-        eps = 0.5 * arr.boundary_distance(face, np.array([rx, ry]))
+        eps = 0.5 * face.boundary_distance(np.array([rx, ry]))
         if eps <= 0:
             raise RealizationError(
                 f"no interior disc for face {face.label}: representative point "
@@ -951,7 +951,7 @@ def representative_point(arr: Arrangement, face: Face) -> np.ndarray:
         weighted += a * _polygon_centroid_raw(poly)
     centroid = weighted / face.area
     scale = float(np.sqrt(face.area))
-    if arr.face_contains(face, centroid)[0] and arr.boundary_distance(face, centroid) > 1e-6 * scale:
+    if face.contains(centroid)[0] and face.boundary_distance(centroid) > 1e-6 * scale:
         return centroid
     for frac in (0.2, 0.08, 0.02, 0.005):
         delta = frac * scale
@@ -965,9 +965,63 @@ def representative_point(arr: Arrangement, face: Face) -> np.ndarray:
                 # face lies left of the directed boundary
                 inward = np.array([-d[1], d[0]]) / norm
                 p = 0.5 * (a + b) + delta * inward
-                if arr.face_contains(face, p)[0] and arr.boundary_distance(face, p) > 0.4 * delta:
+                if face.contains(p)[0] and face.boundary_distance(p) > 0.4 * delta:
                     return p
     raise InconsistencyError(f"no interior representative point found for face {face.index}")
+
+
+def assemble_faces(arr: Arrangement) -> list[Face]:
+    """The faces of `arr` by the original hole rule of `arrangement._assemble_faces`.
+
+    A negative walk's component probe (the first sample of the
+    component's first loop) is tested against every positive walk of
+    another component, one edge-by-edge winding call per pair, and the
+    walk becomes a hole of the first smallest positive walk around it.
+    Faces come in the library's order, one per positive walk and then
+    the outer face, with edges rolled from their polygons.
+    """
+    half_edges = arr.half_edges
+    cycles = _extract_cycles(half_edges)
+    polys = [_cycle_polygon(half_edges, c)[:-1] for c in cycles]
+    areas = [signed_area(p) for p in polys]
+    cycle_comp = [arr.components[half_edges[c[0]].loop] for c in cycles]
+    positive = [i for i, a in enumerate(areas) if a > 0]
+    negative = [i for i, a in enumerate(areas) if a <= 0]
+    comp_probe = {}
+    for loop, comp in enumerate(arr.components):
+        comp_probe.setdefault(comp, arr.curve.loops[loop][0])
+
+    holes: dict[int, list[int]] = {i: [] for i in positive}
+    outer_cycles = []
+    for i in negative:
+        probe = comp_probe[cycle_comp[i]]
+        best = None
+        for j in positive:
+            if cycle_comp[j] == cycle_comp[i]:
+                continue
+            if winding_numbers(probe[None, :], polys[j])[0] != 0:
+                if best is None or abs(areas[j]) < abs(areas[best]):
+                    best = j
+        if best is None:
+            outer_cycles.append(i)
+        else:
+            holes[best].append(i)
+
+    def face(members, is_outer):
+        walks = tuple(polys[m] for m in members)
+        area = float(sum(areas[m] for m in members))
+        weighted = np.zeros(2)
+        for m in members:
+            weighted += areas[m] * _polygon_centroid_raw(polys[m])
+        rolled = np.vstack([np.roll(w, -1, axis=0) for w in walks])
+        return Face(index=len(faces), polygons=walks, edges=(np.vstack(walks), rolled), area=area,
+                    is_outer=is_outer, centroid=None if is_outer else weighted / area)
+
+    faces: list[Face] = []
+    for j in positive:
+        faces.append(face([j] + sorted(holes[j]), False))
+    faces.append(face(sorted(outer_cycles), True))
+    return faces
 
 
 def gauss_signs(arr: Arrangement) -> tuple[int, ...]:
@@ -1003,7 +1057,7 @@ def wiring(curve, report):
     half_edges, loop_arcs = _build_half_edges(curve, vertices, passages)
     _link_next(curve, vertices, half_edges, passages)
     cycles = _extract_cycles(half_edges)
-    polygons = [_cycle_polygon(half_edges, c) for c in cycles]
+    polygons = [_cycle_polygon(half_edges, c)[:-1] for c in cycles]
     return SimpleNamespace(
         passages=tuple(passages),
         half_edges=half_edges,

@@ -139,7 +139,7 @@ def test_integrate_bump_adds_only_to_its_face(gerono256):
     density = uniform_density(gerono256, n=384)
     face = arr.bounded_faces[0]
     cx, cy = face.rep_point
-    rad = 0.35 * arr.boundary_distance(face, face.rep_point)
+    rad = 0.35 * face.boundary_distance(face.rep_point)
 
     xs = np.linspace(density.x0, density.x1, density.nx)
     ys = np.linspace(density.y0, density.y1, density.ny)

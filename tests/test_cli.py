@@ -17,6 +17,7 @@ from conftest import (
     eights_row,
     gerono_curve,
     petal_curve,
+    thin_band_curve,
     trefoil_curve,
 )
 
@@ -520,6 +521,18 @@ def test_analyze_tiny_curve_exits_2(tmp_path, capsys):
     code, text, err = run_captured(capsys, ["analyze", str(path)])
     assert (code, text) == (2, "")
     assert err.count("error:") == 1 and "extent" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("w", [3e-5, 1e-5])
+def test_thin_face_exits_2_naming_the_face(tmp_path, capsys, w):
+    # generic, but no label point lies 0.002*sqrt(area) inside the band
+    band = write_curve(tmp_path, "band.curve", thin_band_curve(w))
+    eight = write_curve(tmp_path, "eight.curve", gerono_curve(n=256))
+    for argv in (["analyze", band], ["compare", eight, band, "--labelled"],
+                 ["compare", band, eight, "--symplectic"]):
+        code, text, err = run_captured(capsys, argv)
+        assert (code, text) == (2, "")
+        assert err.count("error:") == 1 and "narrower than the label search" in err
 
 
 # --- render and wiring ----------------------------------------------------

@@ -20,7 +20,7 @@ from conftest import (
     trefoil_curve,
 )
 
-from symplane.arrangement import _face_raster, build_arrangement, integrate_density_over_faces
+from symplane.arrangement import Face, _face_raster, build_arrangement, integrate_density_over_faces
 from symplane.errors import InconsistencyError
 from symplane.geometry import winding_numbers
 
@@ -68,7 +68,7 @@ def test_raster_agrees_with_face_contains(arrangements):
             gx, gy = np.meshgrid(cx, cy, indexing="ij")
             pts = np.column_stack([gx.ravel(), gy.ravel()])
             for face in arr.faces:
-                inside = arr.face_contains(face, pts).reshape(lab.shape)
+                inside = face.contains(pts).reshape(lab.shape)
                 assert np.array_equal(inside, lab == (face.label or 0))
 
 
@@ -98,9 +98,14 @@ def test_winding_numbers_match_edge_loop_oracle(arrangements):
         x0, x1, y0, y1 = arr.curve.bbox()
         pts = np.column_stack([rng.uniform(x0, x1, 500), rng.uniform(y0, y1, 500)])
         for face in arr.faces:
+            total = np.zeros(len(pts), dtype=np.int64)
             for poly in face.polygons:
-                assert np.array_equal(winding_numbers(pts, poly),
-                                      oracles.winding_numbers(pts, poly))
+                closed = np.vstack([poly, poly[:1]])
+                old = oracles.winding_numbers(pts, poly)
+                assert np.array_equal(winding_numbers(pts, closed[:-1], closed[1:]), old)
+                total += old
+            # a face's stacked edges sum the winding numbers of its walks
+            assert np.array_equal(winding_numbers(pts, *face.edges), total)
 
 
 def test_boundary_distance_matches_per_segment_oracle(arrangements):
@@ -110,14 +115,15 @@ def test_boundary_distance_matches_per_segment_oracle(arrangements):
         probes = np.column_stack([rng.uniform(x0, x1, 2), rng.uniform(y0, y1, 2)])
         for face in arr.bounded_faces:
             for p in (face.rep_point, *probes):
-                assert arr.boundary_distance(face, p) == oracles.boundary_distance(face, p)
+                assert face.boundary_distance(p) == oracles.boundary_distance(face, p)
 
 
 def test_boundary_distance_of_zero_length_segment():
-    face = SimpleNamespace(polygons=(np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]),))
-    arr = build_arrangement(circle_curve(n=64))
+    closed = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    face = Face(index=0, polygons=(closed[:-1],), edges=(closed[:-1], closed[1:]), area=2.0,
+                is_outer=False, centroid=None)
     for p in ([-3.0, -4.0], [0.5, 0.5], [1.0, -1.0]):
-        assert arr.boundary_distance(face, p) == oracles.boundary_distance(face, p)
+        assert face.boundary_distance(p) == oracles.boundary_distance(face, p)
 
 
 def test_raster_rejects_corrupted_face_assignment():
