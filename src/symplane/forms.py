@@ -12,6 +12,7 @@ of prescribed face areas, and Moser interpolation between densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,8 @@ MAX_GRID_NODES = 4096 * 4096
 # 1024^2 nodes at 256 steps, about three minutes at the 0.6 us a node-step
 # that 64 steps on a 1024^2 grid take
 MAX_FLOW_NODE_STEPS = 1024 * 1024 * 256
+# values per block of columns that _distinct_rows reads at a time
+_ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +194,10 @@ def unit_density(x0, x1, y0, y1, nx=DEFAULT_GRID, ny=None):
     if ny is None:
         ny = nx
     Grid(x0, x1, y0, y1, nx, ny)  # the domain check, before any node array
-    return make_density(x0, x1, y0, y1, np.ones((nx, ny)))
+    values = np.ones((nx, ny))
+    # the box infer_support_box finds for a grid of ones, without its scan
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    return Density(x0, x1, y0, y1, *values.shape, values, (cx, cx, cy, cy))
 
 
 def density_for_curve(curve, n=DEFAULT_GRID):
@@ -201,28 +207,69 @@ def density_for_curve(curve, n=DEFAULT_GRID):
     return unit_density(cx0 - pad, cx1 + pad, cy0 - pad, cy1 + pad, n, n)
 
 
+@lru_cache(maxsize=16)
+def _row_weights(k, width):
+    """Fixed pseudo-random int64 weights of grid k in _distinct_rows's digest."""
+    w = np.random.default_rng([k, width]).integers(np.iinfo(np.int64).max, size=width)
+    w.setflags(write=False)
+    return w
+
+
+def _distinct_rows(*grids):
+    """Group the rows of equal-height 2-D float arrays by their bits.
+
+    Row r's key is row r of every grid, compared bit for bit, so -0.0 and
+    0.0 differ and a nan equals its own bits. Returns (reps, group): reps
+    holds the first row of each group in order, and group[r] is the index
+    in reps of row r's group. A row joins the first row with the same
+    digest, a weighted sum of its bits, only if it equals that row bit for
+    bit; one that does not stands alone, which loses sharing, not bits.
+    Both passes read blocks of whole columns, so no second copy of the
+    grids is held.
+    """
+    bits = [g.view(np.int64) for g in grids]
+    n = len(bits[0])
+    step = max(1, _ROW_BLOCK // n)
+    digest = np.zeros(n, np.int64)
+    for k, b in enumerate(bits):
+        # integer sums wrap around, so the digest is the sum mod 2**64
+        w = _row_weights(k, b.shape[1])
+        for lo in range(0, b.shape[1], step):
+            digest += b[:, lo:lo + step] @ w[lo:lo + step]
+    first = {}
+    rep = np.array([first.setdefault(h, r) for r, h in enumerate(digest.tolist())])
+    if len(first) < n:
+        differ = np.zeros(n, bool)
+        for b in bits:
+            for lo in range(0, b.shape[1], step):
+                differ |= np.any(b[:, lo:lo + step] != b[rep, lo:lo + step], axis=1)
+        rep[differ] = np.flatnonzero(differ)
+    reps = np.flatnonzero(rep == np.arange(n))
+    return reps, np.searchsorted(reps, rep)
+
+
 def _serialize_grid(tag, g, rows, background) -> str:
     """Grid file text: header, domain line, then one line of node values per y row.
 
-    Only values whose bits differ from the background's go through repr,
-    so -0.0 is still written -0.0 when the background is 0.0.
+    Each distinct row is formatted once. Only values whose bits differ
+    from the background's go through repr, so -0.0 is still written -0.0
+    when the background is 0.0.
     """
+    word = repr(float(background))
+    blank = np.float64(background).view(np.int64)
+    reps, group = _distinct_rows(rows)
+    texts = []
+    for row in (rows[r] for r in reps):
+        where = np.flatnonzero(row.view(np.int64) != blank)
+        words = [word] * len(row)
+        for i, value in zip(where.tolist(), row[where].tolist()):
+            words[i] = repr(value)
+        texts.append(" ".join(words))
     lines = [
         f"{tag} v1",
         f"{float(g.x0)!r} {float(g.x1)!r} {float(g.y0)!r} {float(g.y1)!r} {g.nx} {g.ny}",
     ]
-    word = repr(float(background))
-    blank_row = " ".join([word] * rows.shape[1])
-    differs = rows.view(np.int64) != np.float64(background).view(np.int64)
-    for row, mask in zip(rows, differs):
-        where = np.flatnonzero(mask)
-        if len(where) == 0:
-            lines.append(blank_row)
-            continue
-        words = [word] * len(row)
-        for i, value in zip(where.tolist(), row[where].tolist()):
-            words[i] = repr(value)
-        lines.append(" ".join(words))
+    lines.extend(texts[k] for k in group.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -230,7 +277,9 @@ def _parse_grid(text, tag, per_node, noun):
     """Domain (x0, x1, y0, y1) and node values, shape (per_node, nx, ny), of a grid file.
 
     File order is row by row in y, x varying fastest, per_node values
-    per node.
+    per node; lines may split the values anywhere. Each distinct line is
+    split and converted once, by Python's float, in order of first
+    appearance, so the first bad value in file order is the one reported.
     """
     lines = [line for _, line in _significant_lines(text)]
     if not lines or lines[0] != f"{tag} v1":
@@ -247,13 +296,16 @@ def _parse_grid(text, tag, per_node, noun):
         raise FormatError(f"bad domain line: {exc}") from None
     if nx < 0 or ny < 0:
         raise FormatError(f"bad domain line: negative grid count in {nx} {ny}")
-    tokens = " ".join(lines[2:]).split()
-    if len(tokens) != per_node * nx * ny:
-        raise FormatError(f"expected {per_node * nx * ny} {noun} values, found {len(tokens)}")
+    data = lines[2:]
+    tokens = {line: line.split() for line in dict.fromkeys(data)}
+    count = sum(len(tokens[line]) for line in data)
+    if count != per_node * nx * ny:
+        raise FormatError(f"expected {per_node * nx * ny} {noun} values, found {count}")
     try:
-        flat = np.array([float(t) for t in tokens])
+        values = {line: np.fromiter(map(float, t), float, len(t)) for line, t in tokens.items()}
     except ValueError as exc:
         raise FormatError(f"bad {noun} value: {exc}") from None
+    flat = np.concatenate([values[line] for line in data]) if data else np.empty(0)
     return domain, flat.reshape(ny, nx, per_node).T
 
 
@@ -615,21 +667,24 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     spline reduces to exactly this 1-D interpolant of the row, so the
     result is the flow of the 2-D interpolated field, at 1-D cost.
 
-    The flow runs on the active nodes only. A node where A = 0 and f0 and
-    f1 read one finite value of at least 4 * tiny stays in place, with
-    no zero density on the way, so it gets a +0 map without being
-    integrated; a row of such nodes only is a row where f0 = f1. Moving
-    rows whose spline coefficients are bit-equal are integrated once and
-    share the map. Each stage writes into buffers made once per flow,
-    and a node's 12 coefficients are gathered again only when it enters
-    another interval. All of this is exact: each stage is elementwise
-    arithmetic on a node's own position and coefficients, which depend
-    only on its row and interval, so every node gets the bits, the zero
-    check and the overflow traps of the flow of all rows. After the
-    O(nx * ny) spline build, the cost is O(m * steps) time and buffers of
-    24 floats and 6 integers per active node, for m active nodes (the
-    not-still nodes of the distinct moving rows), besides the
-    12 * (nx - 1) * ny spline coefficients.
+    The flow runs on the distinct rows and, on them, on the active
+    nodes only. Rows whose f0 and f1 are bit-equal share the map, so the
+    row integral, the spline, the still test and the flow each run once
+    per distinct row. A node where A = 0 and f0 and f1 read one finite
+    value of at least 4 * tiny stays in place, with no zero density on
+    the way, so it gets a +0 map without being integrated; a row of such
+    nodes only is a row where f0 = f1. Each stage writes into buffers
+    made once per flow, and a node's 12 coefficients are gathered again
+    only when it enters another interval. All of this is exact: each
+    stage is elementwise arithmetic on a node's own position and
+    coefficients, which depend only on its row and interval (the spline
+    solve treats each row on its own), so every node gets the bits, the
+    zero check and the overflow traps of the flow of all rows. For ny'
+    distinct rows, the spline build and the still test take
+    O(nx * ny') time and the spline coefficients 12 * (nx - 1) * ny'
+    floats; the flow then takes O(m * steps) time and buffers of 24
+    floats and 6 integers per active node, for m active nodes (the
+    not-still nodes of the distinct rows).
 
     Densities whose values overflow the flow's floating-point arithmetic
     raise ValidationError.
@@ -659,28 +714,37 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
 def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
     """The x displacement of each node under moser_interpolation's flow."""
     xs = f0.xs
-    diff = f0.values - f1.values
+    # Every stage is arithmetic on a row's own f0 and f1 columns, so rows
+    # whose (f0, f1) columns are bit-equal get the same bits throughout,
+    # the zero check and the overflow traps included: each stage runs on
+    # the distinct rows only, and the map is scattered back to all rows.
+    reps, group = _distinct_rows(f0.values.T, f1.values.T)
+    ny = len(reps)
+    cols = reps if ny < f0.ny else slice(None)  # a view when all rows are distinct
+    vals0, vals1 = f0.values[:, cols], f1.values[:, cols]
     # the difference vanishes outside both support boxes, so the anchored
     # integral picks up nothing beyond the grid
-    G, G0 = _row_integral(diff, f0.hx, f0.x0, f0.x1, 0.0)
+    G, G0 = _row_integral(vals0 - vals1, f0.hx, f0.x0, f0.x1, 0.0)
     A = G - G0[None, :]
 
     # imported here so that only the flow pays for loading scipy
     from scipy.interpolate import CubicSpline
 
     # per-row piecewise cubics of A, f0 and f1 (fields 0, 1, 2):
-    # coef[3 * k + field, interval, row] multiplies s**(3 - k), with s
-    # the offset from the interval's left node
-    coef = CubicSpline(xs, np.stack([A, f0.values, f1.values], axis=1), axis=0).c
-    coef = np.moveaxis(coef, 2, 1).reshape(12, f0.nx - 1, f0.ny)
-    planes = coef.reshape(12, -1)
+    # planes[3 * k + field, interval * ny + row] multiplies s**(3 - k),
+    # with s the offset from the interval's left node. The spline solve
+    # treats each row on its own, so these are the all-rows spline's bits.
+    planes = np.moveaxis(
+        CubicSpline(xs, np.stack([A, vals0, vals1], axis=1), axis=0).c, 2, 1
+    ).reshape(12, -1)
 
     def fields(rows):
-        # An evaluator of A, f0 and f1 at positions px of the nodes on grid
-        # rows `rows`, into buffers made once. A node's 12 coefficients
-        # depend only on its row and interval, so they are gathered again
-        # only for nodes whose interval changed since the last call; when
-        # more than a fifth did, one full gather is the cheaper one.
+        # An evaluator of A, f0 and f1 at positions px of the nodes on
+        # distinct rows `rows`, into buffers made once. A node's 12
+        # coefficients depend only on its row and interval, so they are
+        # gathered again only for nodes whose interval changed since the
+        # last call; when more than a fifth did, one full gather is the
+        # cheaper one.
         m = rows.size
         c, held = np.empty((4, 3, m)), np.full(m, -1)
         cx, s, i, col = np.empty(m), np.empty(m), np.empty(m, int), np.empty(m, int)
@@ -694,7 +758,7 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
             np.subtract(cx, np.take(xs, i, out=s, mode="clip"), out=s)
             n = np.count_nonzero(np.not_equal(i, held, out=changed))
             if n:
-                np.add(np.multiply(i, f0.ny, out=col), rows, out=col)
+                np.add(np.multiply(i, ny, out=col), rows, out=col)
                 if 5 * n > m:
                     np.take(planes, col, axis=1, out=c.reshape(12, m), mode="clip")
                     np.copyto(held, i)
@@ -714,36 +778,15 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
     # (1 - t) v + t v > 0 at every stage time (t ends a few ulps from 1),
     # so the zero check cannot fire on it either. Such nodes skip the flow;
     # rows of them only are the rows where f0 = f1.
-    a, v0, v1 = fields(np.tile(np.arange(f0.ny), f0.nx))(np.repeat(xs, f0.ny))
+    a, v0, v1 = fields(np.tile(np.arange(ny), f0.nx))(np.repeat(xs, ny))
     tiny = np.finfo(float).tiny
-    still = ((a == 0) & (v0 == v1) & (v0 >= 4 * tiny) & np.isfinite(v0)).reshape(f0.nx, f0.ny)
-    moving = np.flatnonzero(~np.all(still, axis=0))
-    disp_x = np.zeros((f0.nx, f0.ny))
-    if not moving.size:
-        return disp_x
-
-    # Every stage is elementwise arithmetic on a row's own cubic columns,
-    # so rows whose columns are bit-equal get the same bits throughout,
-    # the zero check and the overflow traps included: each distinct row
-    # flows once. Rows are grouped by a digest of their bytes, which holds
-    # no second copy of the coefficients, then compared bit for bit with
-    # the group's first row.
-    reps, group, by_digest = [], [], {}
-    for r in moving:
-        col = coef[:, :, r].view(np.int64)
-        ids = by_digest.setdefault(hash(col.tobytes()), [])
-        g = next((k for k in ids if np.array_equal(col, coef[:, :, reps[k]].view(np.int64))),
-                 None)
-        if g is None:
-            g = len(reps)
-            ids.append(g)
-            reps.append(r)
-        group.append(g)
-
+    still = ((a == 0) & (v0 == v1) & (v0 >= 4 * tiny) & np.isfinite(v0)).reshape(f0.nx, ny)
     # The flow runs on flat arrays of the active nodes: the nodes of the
-    # distinct moving rows that are not still.
-    knot, rep = np.nonzero(~still[:, reps])
-    field = fields(np.asarray(reps)[rep])
+    # distinct rows that are not still.
+    knot, row = np.nonzero(~still)
+    if not knot.size:
+        return np.zeros((f0.nx, f0.ny))
+    field = fields(row)
     m = knot.size
     ft, low = np.empty(m), np.empty(m, bool)
 
@@ -773,10 +816,9 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
         x += np.multiply(k1, dt / 6.0, out=k1)
         t += dt
 
-    disp = np.zeros((f0.nx, len(reps)))
-    disp[knot, rep] = x - xs[knot]
-    disp_x[:, moving] = disp[:, group]
-    return disp_x
+    disp = np.zeros((f0.nx, ny))
+    disp[knot, row] = x - xs[knot]
+    return disp[:, group] if ny < f0.ny else disp
 
 
 def union_box(a, b):

@@ -25,6 +25,7 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 import numpy as np  # noqa: E402
 from conftest import (  # noqa: E402
     circle_curve,
+    conveyor_pair,
     cusp_curve,
     dip_bump_pair,
     dipping_pair,
@@ -79,6 +80,7 @@ def _inputs():
     bump0, bump1 = _bump_pair()
     dip0, dip1 = dipping_pair()
     rows0, rows1 = dip_bump_pair(np.random.default_rng(3), 24)
+    conveyor0, conveyor1 = conveyor_pair(0.17, nx=64, ny=4)  # every row repeats, none blank
     edge = np.ones((8, 8))
     edge[5:, 3] = 1e5, 1e5, 1e-300  # a tiny last node beside large values, on one row
     huge = np.ones((8, 8))
@@ -110,6 +112,7 @@ def _inputs():
     files["latin1.curve"] = b"curve v1\n# caf\xe9\n" + serialize_curve(eight).split("\n", 1)[1].encode()
     densities = {"bump0": bump0, "bump1": bump1, "dip0": dip0, "dip1": dip1,
                  "rows0": rows0, "rows1": rows1,
+                 "conveyor0": conveyor0, "conveyor1": conveyor1,
                  "edge": make_density(0.0, 1.0, 0.0, 1.0, edge),
                  "huge": make_density(0.0, 1.0, 0.0, 1.0, huge),
                  "overflow-row": make_density(0.0, 1.0, 0.0, 1.0, overflow_row),
@@ -190,6 +193,8 @@ CALLS = [
     ("moser-dip", ["moser", "dip0.density", "dip1.density", "--out", "dip.map"]),
     ("moser-still-rows", ["moser", "rows0.density", "rows1.density", "--steps", "8",
                           "--out", "rows.map"]),
+    ("moser-conveyor", ["moser", "conveyor0.density", "conveyor1.density", "--steps", "8",
+                        "--out", "conveyor.map"]),
     ("moser-identical", ["moser", "bump1.density", "bump1.density", "--steps", "4",
                          "--out", "same.map"]),
     ("moser-edge-row", ["moser", "edge.density", "edge.density", "--steps", "8",

@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from symplane import arrangement, curves
 from symplane.arrangement import Arrangement, Face, Vertex, _cycle_polygon, _extract_cycles
-from symplane.curves import Violation, _beside_crossing
+from symplane.curves import Violation, _beside_crossing, _significant_lines
 from symplane.diagram import (
     FaceCorrespondence,
     GaussCode,
@@ -28,7 +28,7 @@ from symplane.diagram import (
     gauss_code,
     invert_perm,
 )
-from symplane.errors import InconsistencyError, RealizationError, ValidationError
+from symplane.errors import FormatError, InconsistencyError, RealizationError, ValidationError
 from symplane.forms import (
     DEFAULT_GRID,
     DEFAULT_STEPS,
@@ -492,6 +492,39 @@ def _serialize_grid(tag, g, rows) -> str:
     ]
     lines.extend(" ".join(map(repr, row.tolist())) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _parse_grid(text, tag, per_node, noun):
+    """The original `forms._parse_grid`: every line joined, split and converted.
+
+    Domain (x0, x1, y0, y1) and node values, shape (per_node, nx, ny), of a grid file.
+
+    File order is row by row in y, x varying fastest, per_node values
+    per node.
+    """
+    lines = [line for _, line in _significant_lines(text)]
+    if not lines or lines[0] != f"{tag} v1":
+        raise FormatError(f"expected header '{tag} v1'")
+    if len(lines) < 2:
+        raise FormatError("missing domain line")
+    parts = lines[1].split()
+    if len(parts) != 6:
+        raise FormatError("domain line must be 'x0 x1 y0 y1 nx ny'")
+    try:
+        domain = tuple(float(p) for p in parts[:4])
+        nx, ny = (int(p) for p in parts[4:])
+    except ValueError as exc:
+        raise FormatError(f"bad domain line: {exc}") from None
+    if nx < 0 or ny < 0:
+        raise FormatError(f"bad domain line: negative grid count in {nx} {ny}")
+    tokens = " ".join(lines[2:]).split()
+    if len(tokens) != per_node * nx * ny:
+        raise FormatError(f"expected {per_node * nx * ny} {noun} values, found {len(tokens)}")
+    try:
+        flat = np.array([float(t) for t in tokens])
+    except ValueError as exc:
+        raise FormatError(f"bad {noun} value: {exc}") from None
+    return domain, flat.reshape(ny, nx, per_node).T
 
 
 def serialize_density(d: Density) -> str:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import cumulative_trapezoid
 from conftest import (
     LEAKING_PETAL,
@@ -23,7 +25,7 @@ from conftest import (
 import oracles
 from oracles import moser_interpolation_2d
 
-from symplane import arrangement
+from symplane import arrangement, forms
 from symplane.arrangement import build_arrangement, face_areas, integrate_density_over_faces
 from symplane.errors import FormatError, RealizationError, ValidationError
 from symplane.forms import (
@@ -34,6 +36,8 @@ from symplane.forms import (
     Grid,
     GridMap,
     ShearMap,
+    _distinct_rows,
+    _parse_grid,
     _row_integral,
     _serialize_grid,
     density_for_curve,
@@ -128,6 +132,19 @@ def test_support_box_inference():
     assert sx0 == sx1 and sy0 == sy1
 
 
+@pytest.mark.parametrize(
+    "domain, nx, ny",
+    [((-1.0, 2.0, 0.5, 1.5), 5, 7), ((0, 3, -2, 1), 4, None), ((-3.0, 3.0, -1.0, 1.0), np.int64(6), 3)],
+)
+def test_unit_density_box_is_the_inferred_one(domain, nx, ny):
+    # built without infer_support_box's scan, bit for bit what it gives
+    d = unit_density(*domain, nx, ny)
+    ref = make_density(*domain, np.ones((nx, nx if ny is None else ny)))
+    assert list(map(repr, d.support_box)) == list(map(repr, ref.support_box))
+    assert (d.nx, d.ny, type(d.nx), type(d.ny)) == (ref.nx, ref.ny, type(ref.nx), type(ref.ny))
+    assert np.array_equal(d.values, ref.values) and not d.values.flags.writeable
+
+
 def test_value_at_nodes_and_outside():
     d = smooth_bump_density(n=64)
     pts = np.column_stack([d.xs[7] * np.ones(3), d.ys[[3, 9, 40]]])
@@ -169,6 +186,52 @@ def test_grid_header_rejects_negative_counts(parse, tag, per_node):
     for nx, ny in ((0, 3), (1, 3)):
         with pytest.raises(ValidationError):
             parse(f"{tag} v1\n0 1 0 1 {nx} {ny}\n" + "1 " * (nx * ny * per_node))
+
+
+GOLDEN_DENSITIES = sorted((Path(__file__).parent / "golden" / "inputs").glob("*.density"))
+ROWS_4 = "1.0 2.0 3.0 4.0"
+READER_CASES = {
+    **{f"golden-{p.stem}": (p.read_text(encoding="utf-8"), "density", 1) for p in GOLDEN_DENSITIES},
+    "conveyor-64x4": (serialize_density(conveyor_pair(0.17, nx=64, ny=4)[1]), "density", 1),
+    "conveyor-map-64x4": (serialize_map(moser_interpolation(*conveyor_pair(0.17, nx=64, ny=4),
+                                                            steps=4)), "dispmap", 2),
+    # the first bad token is on line 5, after repeated lines; later
+    # lines repeat it and carry an earlier-placed bad token
+    "bad-after-repeats": ("density v1\n0 1 0 1 4 6\n" + f"{ROWS_4}\n" * 2
+                          + "1.0 2.0 x 4.0\n" + f"{ROWS_4}\n" + "y 1.0 1.0 1.0\n"
+                          + "1.0 2.0 x 4.0\n", "density", 1),
+    "bad-on-repeated-line": ("density v1\n0 1 0 1 4 4\n" + "1.0 z 1.0 1.0\n" + f"{ROWS_4}\n"
+                             + "1.0 z 1.0 1.0\n" + "w 1.0 1.0 1.0\n", "density", 1),
+    # the count is checked before any value is converted
+    "count-before-bad": ("density v1\n0 1 0 1 4 4\n" + f"{ROWS_4}\n" * 2
+                         + "1.0 frog 1.0\n" + f"{ROWS_4}\n", "density", 1),
+    "uneven-lines": ("dispmap v1\n0 1 0 1 3 2\n" + "0.5 -0.0 1e-300\n0.0 0.0\n"
+                     + "0.0 0.0 # one\n0.0\n0.0 0.0 # two\n0.0 7.0\n", "dispmap", 2),
+    "commented-repeats": ("# repeated rows\ndensity v1\n0 1 0 1 4 3\n" + f"{ROWS_4} # a\n"
+                          + f"  {ROWS_4}  # b\n" + f"{ROWS_4}\n", "density", 1),
+    "python-float-tokens": ("density v1\n0 1 0 1 4 2\n1_0 -0 nan 1e400\n-0 1_0 -1e400 -nan\n",
+                            "density", 1),
+    "no-nodes": ("density v1\n0 1 0 1 0 4\n", "density", 1),
+    "empty-line-count": ("density v1\n0 1 0 1 2 2\n# no values\n", "density", 1),
+}
+
+
+@pytest.mark.parametrize("text, tag, per_node", READER_CASES.values(), ids=READER_CASES.keys())
+def test_grid_reader_matches_per_token_oracle(text, tag, per_node):
+    # each distinct line is split and converted once: the arrays keep
+    # their bits and a bad file keeps its error text
+    noun = "density" if tag == "density" else "displacement"
+    try:
+        want = oracles._parse_grid(text, tag, per_node, noun)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            _parse_grid(text, tag, per_node, noun)
+        assert str(got.value) == str(exc)
+        return
+    domain, values = _parse_grid(text, tag, per_node, noun)
+    assert domain == want[0]
+    assert values.dtype == want[1].dtype and values.shape == want[1].shape
+    assert np.array_equal(values.view(np.int64), want[1].view(np.int64))
 
 
 BAD_DOMAINS = [
@@ -395,12 +458,17 @@ def test_serializers_match_per_value_oracle():
     disp[1, 7, 1] = 0.0
     disp[:, :, 9] = 0.0  # a row of background only
     f0, f1 = zero_row_pair(n=32)
+    c0, c1 = conveyor_pair(0.17, nx=64, ny=4)  # every row repeats, none blank
     for gm in (
         sample_map(rotation_map(0.5), -1, 1, -1, 1, 12, 17),
         GridMap(-1.0, 1.0, 0.0, 3.0, disp[0], disp[1]),
         moser_interpolation(f0, f1, steps=8),
+        moser_interpolation(c0, c1, steps=8),
     ):
         assert serialize_map(gm) == oracles.serialize_map(gm)
+    realized, _ = realize_area_vector(build_arrangement(gerono_curve(n=128)), [2.0, 2.0], grid_n=64)
+    for d in (c0, c1, realized):
+        assert serialize_density(d) == oracles.serialize_density(d)
 
 
 @pytest.mark.parametrize("tag, background", [("density", 1.0), ("dispmap", 0.0)])
@@ -725,14 +793,14 @@ def shared_row_pair(row, at=(3,)):
     return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
 
 
-def repeated_rows_pair(ulp_apart=False):
+def repeated_rows_pair(ulp_apart=False, in_f1=False):
     """12x10 densities whose moving rows repeat, and not next to each other.
 
     Rows 1, 4 and 7 read one pair of profiles and rows 3 and 8 another,
     with still rows and a row of a third pair between them. With
-    `ulp_apart`, row 9 reads the first pair but for one node of f0 that
-    is one ulp larger, so its cubics and its map differ from rows 1, 4
-    and 7.
+    `ulp_apart`, row 9 reads the first pair but for one node of f0 (of
+    f1 with `in_f1`) that is one ulp larger, so its cubics and its map
+    differ from rows 1, 4 and 7.
     """
     xs = np.linspace(0.0, 1.0, 12)
     v0, v1 = np.ones((12, 10)), np.ones((12, 10))
@@ -743,7 +811,33 @@ def repeated_rows_pair(ulp_apart=False):
     v1[:, 6] = 1.0 + 0.5 * np.exp(-((xs - 0.6) / 0.2) ** 2)
     if ulp_apart:
         v0[:, 9], v1[:, 9] = v0[:, 1], v1[:, 1]
-        v0[1, 9] = np.nextafter(v0[1, 9], np.inf)
+        v = v1 if in_f1 else v0
+        v[1, 9] = np.nextafter(v[1, 9], np.inf)
+    return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
+
+
+def shared_f0_pair():
+    """12x8 densities whose f0 reads one profile on every row and f1 three.
+
+    Rows 0-2 are still, rows 3, 5 and 7 read one f1 profile and rows 4
+    and 6 another: rows equal in f0 group by f1 as well.
+    """
+    xs = np.linspace(0.0, 1.0, 12)
+    v0 = np.repeat((1.0 + 0.3 * np.sin(np.pi * xs))[:, None], 8, axis=1)
+    v1 = v0.copy()
+    v1[:, [3, 5, 7]] = (1.0 + 0.4 * np.sin(2.0 * np.pi * xs) ** 2)[:, None]
+    v1[:, [4, 6]] = (1.0 + 0.2 * xs)[:, None]
+    return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
+
+
+def far_rows_pair():
+    """12x10 densities whose first and last rows are one moving pair, with other rows between."""
+    xs = np.linspace(0.0, 1.0, 12)
+    v0, v1 = np.ones((12, 10)), np.ones((12, 10))
+    v0[:, [0, 9]] = (1.2 - 0.2 * xs)[:, None]
+    v1[:, [0, 9]] = (1.0 + 0.2 * xs)[:, None]
+    v0[:, 4] = 1.0 + 0.3 * np.sin(np.pi * xs)
+    v1[:, 5] = 1.0 + 0.5 * np.exp(-((xs - 0.6) / 0.2) ** 2)
     return make_density(0.0, 1.0, 0.0, 1.0, v0), make_density(0.0, 1.0, 0.0, 1.0, v1)
 
 
@@ -796,21 +890,92 @@ def island_row_pair():
         (lambda: conveyor_pair(0.17, nx=64, ny=4), 4),
         (lambda: conveyor_pair(0.17, nx=64, ny=4), 9),
         (island_row_pair, 7),
+        (shared_f0_pair, 8),
+        (far_rows_pair, 8),
+        # every row still and every row equal
+        (lambda: (conveyor_pair(0.17, nx=64, ny=4)[0],) * 2, 8),
+        (lambda: repeated_rows_pair(ulp_apart=True, in_f1=True), 8),
     ],
     ids=["dip-bump-16", "dip-bump-32", "dip-bump-128", "zero-row-64", "conveyor-576",
          "identical-64", "edge-rows-48", "near-tiny-shared-row", "repeated-rows",
          "one-ulp-apart", "conveyor-1152x4", "gaussian-64-9-steps", "conveyor-64x4-4-steps",
-         "conveyor-64x4-9-steps", "island-row"],
+         "conveyor-64x4-9-steps", "island-row", "shared-f0", "far-rows", "still-y-invariant",
+         "one-ulp-apart-in-f1"],
 )
 def test_moser_skips_still_rows_bit_for_bit(pair, steps):
-    # still nodes are not flowed, rows with bit-equal cubics flow once, and
-    # cubics are gathered again only for nodes that change interval; the
-    # map is the all-rows flow's to the bit, signed zeros included
+    # rows with bit-equal f0 and f1 run once through every stage, still
+    # nodes are not flowed, and cubics are gathered again only for nodes
+    # that change interval; the map is the all-rows flow's to the bit,
+    # signed zeros included
     f0, f1 = pair()
     rho = moser_interpolation(f0, f1, steps=steps)
     ref = oracles.moser_interpolation_all_rows(f0, f1, steps=steps)
     assert np.array_equal(rho.disp_x.view(np.int64), ref.disp_x.view(np.int64))
     assert np.array_equal(rho.disp_y.view(np.int64), ref.disp_y.view(np.int64))
+
+
+SPLINE_PAIRS = {
+    "dip-bump-16": lambda: dip_bump_pair(np.random.default_rng(16), 16),
+    "dip-bump-32": lambda: dip_bump_pair(np.random.default_rng(32), 32),
+    "dip-bump-128": lambda: dip_bump_pair(np.random.default_rng(128), 128),
+    "conveyor-576": lambda: conveyor_pair(0.17, nx=576),
+    "conveyor-1152x4": lambda: conveyor_pair(0.16, nx=1152, ny=4),
+    "conveyor-64x4": lambda: conveyor_pair(0.17, nx=64, ny=4),
+    "repeated-rows": repeated_rows_pair,
+    "one-ulp-apart": lambda: repeated_rows_pair(ulp_apart=True),
+    "gaussian-64": lambda: gaussian_pair(np.random.default_rng(6), 64),
+}
+
+
+def _scipy_lapack():
+    """scipy's version and the LAPACK it was built with, for a failure message."""
+    try:
+        lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        return f"scipy {scipy.__version__} with LAPACK {lapack['name']} {lapack['version']}"
+    except Exception:  # noqa: BLE001 - older scipy: the version alone
+        return f"scipy {scipy.__version__}"
+
+
+@pytest.mark.parametrize("pair", SPLINE_PAIRS.values(), ids=SPLINE_PAIRS.keys())
+def test_spline_of_a_row_subset_keeps_its_bits(pair):
+    # The flow builds its CubicSpline on the distinct rows only, which is
+    # exact only if the banded solve treats each right-hand side on its
+    # own: the coefficients of any subset of rows are those of all rows.
+    from scipy.interpolate import CubicSpline
+
+    f0, f1 = pair()
+    G, G0 = _row_integral(f0.values - f1.values, f0.hx, f0.x0, f0.x1, 0.0)
+    y = np.stack([G - G0[None, :], f0.values, f1.values], axis=1)
+    full = CubicSpline(f0.xs, y, axis=0).c.view(np.int64)
+    ny = f0.ny
+    subsets = [
+        _distinct_rows(f0.values.T, f1.values.T)[0],
+        np.arange(0, ny, 2),
+        np.sort(np.random.default_rng(ny).choice(ny, size=max(2, ny // 3), replace=False)),
+        *([j] for j in range(ny)),
+    ]
+    for rows in subsets:
+        part = CubicSpline(f0.xs, y[:, :, rows], axis=0).c.view(np.int64)
+        assert np.array_equal(part, full[..., rows]), (
+            f"the spline of rows {list(rows)[:8]} differs from the all-rows spline "
+            f"in its last bits under {_scipy_lapack()}; the distinct-row flow needs "
+            "each right-hand side of the solve to be treated on its own"
+        )
+
+
+def test_distinct_rows_group_by_bits_even_when_digests_collide(monkeypatch):
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 1.0], [np.nan, 1.0],
+                     [1.0, 0.0], [0.0, 1.0]])
+    other = np.array([[2.0, 2.0]] * 6 + [[3.0, 3.0]])
+    reps, group = _distinct_rows(rows)
+    assert reps.tolist() == [0, 1, 3, 5] and group.tolist() == [0, 1, 0, 2, 2, 3, 0]
+    reps, group = _distinct_rows(rows, other)
+    assert reps.tolist() == [0, 1, 3, 5, 6] and group.tolist() == [0, 1, 0, 2, 2, 3, 4]
+    # with every digest equal, a row joins row 0 only if it has row 0's
+    # bits, and stands alone otherwise: sharing is lost, never bits
+    monkeypatch.setattr(forms, "_row_weights", lambda k, width: np.zeros(width, np.int64))
+    reps, group = _distinct_rows(rows)
+    assert reps.tolist() == [0, 1, 3, 4, 5] and group.tolist() == [0, 1, 0, 2, 3, 4, 0]
 
 
 def alternating_row_pair(d=1e17):
