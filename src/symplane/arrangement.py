@@ -16,6 +16,10 @@ bit for bit. Its edges are the arrays (starts, ends) = (closed[:-1],
 closed[1:]), built once and read by every area, containment and distance
 query. Holes take one winding_numbers call per positive walk, for the
 probes of all components: O(k) calls for k components, not O(k^2).
+Labels take one pass over the edges of all bounded faces, which tests
+each face's centroid against its own boundary with the crossing signs
+of winding_numbers; only a face whose centroid fails searches inward
+offsets, at one winding_numbers call per candidate point.
 
 The half-edges around a vertex need no tangent: the crossing's sign from
 check_generic fixes their cyclic order (see _link_next).
@@ -29,7 +33,7 @@ import numpy as np
 
 from .curves import ClosedCurve, GenericityReport, check_generic
 from .errors import GenericityError, InconsistencyError, ValidationError
-from .geometry import point_segment_distance, polygon_moments, winding_numbers
+from .geometry import crossing_signs, point_segment_distance, polygon_moments, winding_numbers
 
 SVG_WIDTH = 640  # pixels; the height follows the curve's aspect ratio
 
@@ -329,35 +333,22 @@ def render_svg(arr: Arrangement) -> str:
 # construction internals
 
 
-def _arc_points(curve, loop, t0, t1, p_start, p_end):
-    """Directed polyline for the arc from parameter t0 to t1 (cyclic)."""
-    pts = curve.loops[loop]
-    n = len(pts)
-    span = (t1 - t0) % n
-    if span == 0.0:
-        span = n  # single passage: the arc is the whole loop
-    first = int(np.floor(t0)) + 1
-    count = int(np.ceil(t0 + span - 1e-9)) - first
-    mids = pts[(first + np.arange(count)) % n]
-    # drop interior samples that coincide with an endpoint (crossing at a sample)
-    keep = (np.linalg.norm(mids - p_start, axis=1) > 1e-12) & (
-        np.linalg.norm(mids - p_end, axis=1) > 1e-12
-    )
-    return np.vstack([p_start[None, :], mids[keep], p_end[None, :]])
-
-
 def _build_half_edges(curve, vertices, passages):
-    """Forward and backward half-edge per arc; a crossing-free loop is one arc."""
+    """Forward and backward half-edge per arc; a crossing-free loop is one arc.
+
+    The arc from passage (t0, v0) to the next passage (t1, v1) is the
+    directed polyline from vertex v0's point through the samples strictly
+    between the parameters to vertex v1's point. A sample within 1e-12 of
+    either end point (a crossing at a sample) is dropped. All arcs of a
+    loop are cut with one index and one row-wise norm pass.
+    """
     half_edges: list[HalfEdge] = []
     loop_arcs: list[tuple[int, ...]] = []
     for loop, per in enumerate(passages):
+        pts = curve.loops[loop]
         if per:
-            polys = [
-                _arc_points(curve, loop, t0, t1, vertices[v0].point, vertices[v1].point)
-                for (t0, v0), (t1, v1) in zip(per, per[1:] + per[:1])
-            ]
+            polys = _loop_arcs(pts, per, vertices)
         else:
-            pts = curve.loops[loop]
             polys = [np.vstack([pts, pts[:1]])]
         arcs = []
         for poly in polys:
@@ -367,6 +358,44 @@ def _build_half_edges(curve, vertices, passages):
             arcs.append(i)
         loop_arcs.append(tuple(arcs))
     return half_edges, loop_arcs
+
+
+def _loop_arcs(pts, per, vertices):
+    """Directed polylines of the arcs between consecutive passages of a loop."""
+    n, k = len(pts), len(per)
+    succ = np.arange(1, k + 1) % k
+    t0 = np.array([t for t, _ in per])
+    span = (t0[succ] - t0) % n
+    span[span == 0.0] = n  # single passage: the arc is the whole loop
+    first = np.floor(t0).astype(np.int64) + 1
+    count = np.ceil(t0 + span - 1e-9).astype(np.int64) - first
+    # the samples strictly inside each arc, arc after arc
+    inside = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    mids = pts.take(inside % n, axis=0)
+    ends = np.array([vertices[v].point for _, v in per])
+    # drop interior samples that coincide with an endpoint (crossing at a sample)
+    keep = (_row_norms(mids - np.repeat(ends, count, axis=0)) > 1e-12) & (
+        _row_norms(mids - np.repeat(ends[succ], count, axis=0)) > 1e-12
+    )
+    arc = np.repeat(np.arange(k), count)[keep]
+    # output arc j is its start point, its kept samples and its end point,
+    # after arcs 0..j-1 and their two end points each, so output row p
+    # inside it is kept sample p - 2j - 1; the source rows are the kept
+    # samples, then the k start points, then the k end points
+    size = np.bincount(arc, minlength=k) + 2
+    stop = np.cumsum(size)
+    rows = np.arange(stop[-1]) - 2 * np.repeat(np.arange(k), size) - 1
+    rows[stop - size] = len(arc) + np.arange(k)
+    rows[stop - 1] = len(arc) + k + np.arange(k)
+    out = np.concatenate([np.compress(keep, mids, axis=0), ends, ends[succ]]).take(rows, axis=0)
+    stop = stop.tolist()
+    return [out[a:b] for a, b in zip([0] + stop[:-1], stop)]
+
+
+def _row_norms(d):
+    """Euclidean norm of each row of an (m, 2) array, with the bits of
+    np.linalg.norm(d, axis=1): the square root of d0*d0 + d1*d1."""
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
 def _link_next(vertices, half_edges, passages, loop_arcs):
@@ -516,26 +545,43 @@ def _check_euler(arr: Arrangement) -> None:
 
 
 def _assign_labels(arr: Arrangement) -> None:
+    """Give each bounded face its label point, then labels 1..r by point.
+
+    A face's label point is its net area centroid when that lies inside
+    the face more than 1e-6*sqrt(area) from its boundary. One pass tests
+    every bounded face's centroid against its own boundary edges, with
+    the crossing signs of winding_numbers and the distances of
+    point_segment_distance; a face whose centroid fails falls back to
+    _offset_point.
+    """
     bounded = [f for f in arr.faces if not f.is_outer]
-    for face in bounded:
-        face.rep_point = _representative_point(face)
+    sizes = np.array([len(f.edges[0]) for f in bounded])
+    first = np.cumsum(sizes) - sizes
+    starts = np.vstack([f.edges[0] for f in bounded])
+    ends = np.vstack([f.edges[1] for f in bounded])
+    at = np.repeat(np.array([f.centroid for f in bounded]), sizes, axis=0)
+    up, down = crossing_signs(at[:, 0], at[:, 1], starts[:, 0], starts[:, 1],
+                              ends[:, 0], ends[:, 1])
+    winding = np.add.reduceat(up.astype(np.int64) - down, first)
+    clearance = np.minimum.reduceat(point_segment_distance(at, starts, ends), first)
+    scale = np.sqrt([f.area for f in bounded])
+    inside = (winding == 1) & (clearance > 1e-6 * scale)
+    for face, ok in zip(bounded, inside.tolist()):
+        face.rep_point = face.centroid if ok else _offset_point(face)
     bounded.sort(key=lambda f: (f.rep_point[0], f.rep_point[1]))
     for label, face in enumerate(bounded, start=1):
         face.label = label
 
 
-def _representative_point(face: Face) -> np.ndarray:
-    """A deterministic interior point of the face.
+def _offset_point(face: Face) -> np.ndarray:
+    """A deterministic interior point of a face whose centroid is not one.
 
-    First choice is the net area centroid over the boundary walks; if
-    that lands outside (possible for crescent shaped or holed faces), an
-    inward offset of a boundary edge midpoint is searched. A face with
-    no point 0.002*sqrt(area) clear of its boundary raises ValidationError.
+    The centroid can land outside a crescent shaped or holed face, or on
+    its boundary; an inward offset of a boundary edge midpoint is searched
+    instead. A face with no point 0.002*sqrt(area) clear of its boundary
+    raises ValidationError.
     """
-    centroid = face.centroid
     scale = float(np.sqrt(face.area))
-    if face.contains(centroid)[0] and face.boundary_distance(centroid) > 1e-6 * scale:
-        return centroid
     for frac in (0.2, 0.08, 0.02, 0.005):
         delta = frac * scale
         for a, b in zip(*face.edges):

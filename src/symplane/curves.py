@@ -15,13 +15,14 @@ sample turns sharply enough to look like a cusp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain
+from operator import itemgetter, methodcaller
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ValidationError, require_positive
-from .geometry import cross2, segment_intersection, segment_pair_distance
+from .geometry import cross2, segment_intersections, segment_pair_distances
 
 MIN_LOOP_SAMPLES = 8
 # largest coordinate magnitude: face centroid moments are cubic in the
@@ -29,7 +30,7 @@ MIN_LOOP_SAMPLES = 8
 # up to 1e7 samples below the float maximum (about 1.8e308)
 MAX_COORD = 1e100
 # smallest loop extent (the longer side of its bounding box): the segment
-# tests of geometry and arrangement._arc_points use absolute 1e-12 floors,
+# tests of geometry and arrangement._loop_arcs use absolute 1e-12 floors,
 # and the trefoil loses its crossings below an extent near 5e-12 at any
 # sample count; this keeps a margin of 1000
 MIN_EXTENT = 1e-9
@@ -190,17 +191,7 @@ def parse_curve(text: str) -> ClosedCurve:
             raise FormatError(f"line {lineno}: loop count must be positive")
         if i + count >= len(lines):
             raise FormatError(f"line {lineno}: loop promises {count} samples, file ends early")
-        pts = np.empty((count, 2), dtype=float)
-        for k in range(count):
-            lno, row = lines[i + 1 + k]
-            cols = row.split()
-            if len(cols) != 2:
-                raise FormatError(f"line {lno}: expected 'x y', got {row!r}")
-            try:
-                pts[k, 0] = float(cols[0])
-                pts[k, 1] = float(cols[1])
-            except ValueError:
-                raise FormatError(f"line {lno}: bad coordinate in {row!r}") from None
+        pts = _parse_rows(lines[i + 1 : i + 1 + count])
         if not np.all(np.isfinite(pts)):
             raise FormatError(f"line {lineno}: non-finite coordinate in loop")
         loops.append(pts)
@@ -208,6 +199,31 @@ def parse_curve(text: str) -> ClosedCurve:
     if not loops:
         raise FormatError("curve file has no loops")
     return ClosedCurve(tuple(loops))
+
+
+def _parse_rows(rows) -> np.ndarray:
+    """(n, 2) coordinates of n significant ``x y`` lines.
+
+    One split per row and one `float` pass over all tokens. When a row
+    has other than two tokens, or `float` rejects one, the rows are read
+    again one by one, so that the error names the first bad line.
+    """
+    cols = list(map(str.split, map(itemgetter(1), rows)))
+    if set(map(len, cols)) == {2}:
+        try:
+            flat = np.fromiter(map(float, chain.from_iterable(cols)), float, 2 * len(cols))
+            return flat.reshape(-1, 2)
+        except ValueError:
+            pass
+    pts = np.empty((len(rows), 2))
+    for k, ((lno, row), c) in enumerate(zip(rows, cols)):
+        if len(c) != 2:
+            raise FormatError(f"line {lno}: expected 'x y', got {row!r}")
+        try:
+            pts[k] = float(c[0]), float(c[1])
+        except ValueError:
+            raise FormatError(f"line {lno}: bad coordinate in {row!r}") from None
+    return pts
 
 
 def serialize_curve(curve: ClosedCurve) -> str:
@@ -234,12 +250,10 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     This is the comment rule of every input format: ``#`` starts a
     comment anywhere on a line, and blank lines are skipped.
     """
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+    lines = text.splitlines()
+    if "#" in text:
+        lines = map(itemgetter(0), map(methodcaller("partition", "#"), lines))
+    return list(filter(itemgetter(1), enumerate(map(str.strip, lines), start=1)))
 
 
 def resample(curve: ClosedCurve, n: int) -> ClosedCurve:
@@ -354,55 +368,76 @@ def check_generic(
 def _segment_hits(curve, sep_tol, violations):
     """All polyline self-intersections, plus near-miss violations.
 
-    Returns a list of (point, ((loop, t), (loop, t))) records. Candidate
-    segment pairs come from `_candidate_pairs`; the near-miss test
-    additionally skips parameter-close pairs of one loop, whose closeness
-    is curvature, not a second strand. A near-miss beside a crossing pair
-    is dropped too: a crossing within sep_tol of a sample point brings the
-    neighbouring segments within sep_tol of each other.
+    Returns a list of (point, ((loop, t), (loop, t))) records, in the
+    order of the candidate segment pairs from `_candidate_pairs`. One
+    `segment_intersections` pass tests the candidates, PAIR_CHUNK at a
+    time, and one `segment_pair_distances` pass measures those that do
+    not cross. The near-miss test skips parameter-close pairs of one
+    loop, whose closeness is curvature, not a second strand. A near-miss
+    beside a crossing pair is dropped too: a crossing within sep_tol of a
+    sample point brings the neighbouring segments within sep_tol of each
+    other.
     """
-    loops = curve.loops
-    nexts = [np.roll(pts, -1, axis=0) for pts in loops]
-    for (la, lb), group in groupby(_candidate_pairs(curve, sep_tol), key=lambda c: c[:2]):
-        a, a1, b, b1 = loops[la], nexts[la], loops[lb], nexts[lb]
-        na, nb = len(a), len(b)
-        near_window = max(2, na // 100) if la == lb else 0
-        crossed = set()
-        near = []
-        for _, _, i, j in group:
-            res = segment_intersection(a[i], a1[i], b[j], b1[j])
-            if res is not None:
-                t, u, point = res
-                crossed.add((i, j))
-                yield point, ((la, (i + t) % na), (lb, (j + u) % nb))
-                continue
-            if la == lb and min((i - j) % na, (j - i) % na) <= near_window:
-                continue
-            dist = segment_pair_distance(a[i], a1[i], b[j], b1[j])
-            if dist < sep_tol:
-                near.append((i, j, dist))
-        for i, j, dist in near:
-            if _beside_crossing(i, j, na, nb, crossed, la == lb):
-                continue
-            mid = 0.25 * (a[i] + a1[i] + b[j] + b1[j])
-            violations.append(
-                Violation(
-                    "near-miss",
-                    mid,
-                    ((la, float(i)), (lb, float(j))),
-                    f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
-                )
+    pts, nxt, loop, index, size = segs = _segments(curve)
+    a, b = _candidate_pairs(segs, sep_tol)
+    hits = []
+    crossed = {}  # (loop, loop): crossing (index, index) pairs
+    near = []
+    for c in range(0, len(a), PAIR_CHUNK):
+        ca, cb = a[c : c + PAIR_CHUNK], b[c : c + PAIR_CHUNK]
+        hit, t, u, point = segment_intersections(pts[ca], nxt[ca], pts[cb], nxt[cb])
+        ha, hb = ca[hit], cb[hit]
+        ta = (index[ha] + t) % size[ha]
+        tb = (index[hb] + u) % size[hb]
+        hits.extend(zip(point, zip(zip(loop[ha].tolist(), ta), zip(loop[hb].tolist(), tb))))
+        for la, lb, i, j in zip(*(x.tolist() for x in (loop[ha], loop[hb], index[ha], index[hb]))):
+            crossed.setdefault((la, lb), set()).add((i, j))
+        gap = (index[cb] - index[ca]) % size[ca]
+        window = np.maximum(2, size[ca] // 100)
+        far = ~hit & ((loop[ca] != loop[cb]) | (np.minimum(gap, size[ca] - gap) > window))
+        ca, cb = ca[far], cb[far]
+        dist = segment_pair_distances(pts[ca], nxt[ca], pts[cb], nxt[cb])
+        close = dist < sep_tol
+        near.extend(zip(ca[close].tolist(), cb[close].tolist(), dist[close].tolist()))
+    for sa, sb, dist in near:
+        la, lb, i, j = int(loop[sa]), int(loop[sb]), int(index[sa]), int(index[sb])
+        pairs = crossed.get((la, lb), ())
+        if _beside_crossing(i, j, int(size[sa]), int(size[sb]), pairs, la == lb):
+            continue
+        mid = 0.25 * (pts[sa] + nxt[sa] + pts[sb] + nxt[sb])
+        violations.append(
+            Violation(
+                "near-miss",
+                mid,
+                ((la, float(i)), (lb, float(j))),
+                f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
             )
+        )
+    return hits
 
 
-def _candidate_pairs(curve, sep_tol):
-    """Segment pairs (la, lb, i, j) whose bounding boxes come within sep_tol.
+def _segments(curve):
+    """(start, end, loop, index, loop size) of every segment, loops stacked.
 
-    Segment i of loop la runs from sample i to sample i + 1. Of each pair,
-    a = (la, i) is the (loop, index)-smaller segment: its box is inflated
-    by sep_tol, b's is not, and both must overlap on both axes. Pairs of
-    one loop have i < j and are not neighbours on the loop. The pairs come
-    sorted by (la, lb, i, j).
+    Segment i of loop l runs from sample i to sample i + 1 (cyclically);
+    all five are arrays over the stacked segments.
+    """
+    pts = np.vstack(curve.loops)
+    nxt = np.vstack([np.roll(p, -1, axis=0) for p in curve.loops])
+    sizes = np.array([len(p) for p in curve.loops])
+    loop = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.arange(len(pts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return pts, nxt, loop, index, sizes[loop]
+
+
+def _candidate_pairs(segs, sep_tol):
+    """Segment pairs (a, b) whose bounding boxes come within sep_tol.
+
+    `segs` is `_segments(curve)`, and a and b index its rows. Of each
+    pair, a is the (loop, index)-smaller segment: its box is inflated by
+    sep_tol, b's is not, and both must overlap on both axes. Pairs of one
+    loop have a < b and are not neighbours on the loop. The pairs come
+    sorted by (loop[a], loop[b], index[a], index[b]).
 
     A sort-and-sweep finds them. Segments are sorted by lower x bound,
     and each one's window is the later segments with lo <= hi + sep_tol
@@ -411,12 +446,7 @@ def _candidate_pairs(curve, sep_tol):
     window holds every pair that passes whichever segment is a. Memory
     is linear in the samples plus one chunk of window pairs.
     """
-    pts = np.vstack(curve.loops)
-    nxt = np.vstack([np.roll(p, -1, axis=0) for p in curve.loops])
-    sizes = np.array([len(p) for p in curve.loops])
-    loop = np.repeat(np.arange(len(sizes)), sizes)
-    size = sizes[loop]
-    index = np.arange(len(pts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pts, nxt, loop, index, size = segs
     lo, hi = np.minimum(pts, nxt), np.maximum(pts, nxt)
     lo_in, hi_in = lo - sep_tol, hi + sep_tol
 
@@ -447,8 +477,7 @@ def _candidate_pairs(curve, sep_tol):
     a = np.concatenate([f[0] for f in found])
     b = np.concatenate([f[1] for f in found])
     rank = np.lexsort((index[b], index[a], loop[b], loop[a]))
-    a, b = a[rank], b[rank]
-    return zip(loop[a].tolist(), loop[b].tolist(), index[a].tolist(), index[b].tolist())
+    return a[rank], b[rank]
 
 
 def _window_pairs(end):

@@ -565,7 +565,7 @@ def _face_bumps(arr: Arrangement, omega: Density):
     bumps = []
     for face in arr.bounded_faces:
         rx, ry = face.rep_point
-        # > 0: _representative_point keeps only points strictly off the boundary
+        # > 0: _assign_labels keeps only points strictly off the boundary
         eps = 0.5 * face.boundary_distance(np.array([rx, ry]))
         wx, wy = _node_window(xs, rx, eps), _node_window(ys, ry, eps)
         r2 = ((xs[wx, None] - rx) ** 2 + (ys[None, wy] - ry) ** 2) / (eps * eps)

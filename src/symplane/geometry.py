@@ -34,29 +34,32 @@ def polygon_moments(starts, ends):
     return area, np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * area)
 
 
-def segment_intersection(p0, p1, q0, q1):
-    """Intersect segments [p0, p1] and [q0, q1] in closed form.
+def segment_intersections(p0, p1, q0, q1):
+    """Intersect segments [p0[k], p1[k]] and [q0[k], q1[k]], row by row.
 
-    Returns (t, u, point) with point == p0 + t*(p1 - p0) and both
-    parameters in [0, 1], or None when the segments are parallel or miss
-    each other. Parameters within EPSILON outside [0, 1] are clamped in.
+    Takes (m, 2) arrays and returns (hit, t, u, point) for the m pairs:
+    `hit` is a boolean mask, and t, u and point (with point == p0 + t*(p1
+    - p0)) hold the rows where it is set, both parameters in [0, 1]. A
+    pair misses when its segments are parallel or do not meet;
+    parameters within EPSILON outside [0, 1] are clamped in. Parameters
+    are computed on the non-parallel rows only.
     """
-    p0 = np.asarray(p0, dtype=float)
-    r = np.asarray(p1, dtype=float) - p0
-    q0 = np.asarray(q0, dtype=float)
-    s = np.asarray(q1, dtype=float) - q0
+    r = p1 - p0
+    s = q1 - q0
     denom = cross2(r, s)
-    scale = max(np.abs(r).max(), np.abs(s).max(), EPSILON)
-    if abs(denom) <= EPSILON * scale * scale:
-        return None
-    d = q0 - p0
-    t = cross2(d, s) / denom
-    u = cross2(d, r) / denom
-    if t < -EPSILON or t > 1.0 + EPSILON or u < -EPSILON or u > 1.0 + EPSILON:
-        return None
-    t = min(max(t, 0.0), 1.0)
-    u = min(max(u, 0.0), 1.0)
-    return t, u, p0 + t * r
+    scale = np.maximum(np.maximum(np.abs(r).max(axis=1), np.abs(s).max(axis=1)), EPSILON)
+    hit = np.abs(denom) > EPSILON * scale * scale
+    rows = np.flatnonzero(hit)
+    d = q0[rows] - p0[rows]
+    t = cross2(d, s[rows]) / denom[rows]
+    u = cross2(d, r[rows]) / denom[rows]
+    inside = (t >= -EPSILON) & (t <= 1.0 + EPSILON) & (u >= -EPSILON) & (u <= 1.0 + EPSILON)
+    hit[rows[~inside]] = False
+    rows, t, u = rows[inside], t[inside], u[inside]
+    # clamp as min(max(t, 0.0), 1.0) does: -0.0 stays -0.0
+    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+    u = np.where(u < 0.0, 0.0, np.where(u > 1.0, 1.0, u))
+    return hit, t, u, p0[rows] + t[:, None] * r[rows]
 
 
 def point_segment_distance(points, a, b):
@@ -74,10 +77,28 @@ def point_segment_distance(points, a, b):
     return np.linalg.norm(p - (a + t[..., None] * d), axis=-1)
 
 
-def segment_pair_distance(p0, p1, q0, q1) -> float:
-    """Minimum distance between two segments known not to intersect."""
-    ends = np.array([p0, p1, q0, q1], dtype=float)
-    return float(np.min(point_segment_distance(ends, ends[[2, 2, 0, 0]], ends[[3, 3, 1, 1]])))
+def segment_pair_distances(p0, p1, q0, q1) -> np.ndarray:
+    """Minimum distance between segments [p0[k], p1[k]] and [q0[k], q1[k]]
+    known not to intersect, row by row, from (m, 2) arrays: the least of
+    the four endpoint-to-segment distances."""
+    ends = np.stack([p0, p1, q0, q1], axis=1)
+    return point_segment_distance(ends, ends[:, [2, 2, 0, 0]], ends[:, [3, 3, 1, 1]]).min(axis=1)
+
+
+def crossing_signs(px, py, ax, ay, bx, by):
+    """Upward and downward edge crossings of the signed rule, elementwise.
+
+    The rule of Hormann-Agathos 2001: an edge a -> b counts upward when
+    it spans the query point's y (ay <= py < by) with the point strictly
+    on its left, and downward when it spans it the other way (by <= py <
+    ay) with the point strictly on its right. Coordinates broadcast;
+    returns the two boolean masks.
+    """
+    # is_left > 0: query point lies left of the directed edge a -> b
+    is_left = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+    up = (ay <= py) & (by > py) & (is_left > 0)
+    down = (ay > py) & (by <= py) & (is_left < 0)
+    return up, down
 
 
 def winding_numbers(points, starts, ends) -> np.ndarray:
@@ -85,9 +106,9 @@ def winding_numbers(points, starts, ends) -> np.ndarray:
 
     The edges are the arrays (starts, ends) = (closed[:-1], closed[1:]);
     stacking several polylines' edges sums their winding numbers. Uses
-    the signed crossing rule (Hormann-Agathos 2001): an upward edge
-    strictly left of the point adds one turn, a downward edge subtracts
-    one. Points on a polyline itself get an arbitrary neighboring value;
+    the signed crossing rule of crossing_signs: an upward edge strictly
+    left of the point adds one turn, a downward edge subtracts one.
+    Points on a polyline itself get an arbitrary neighboring value;
     callers keep query points off the boundary. Points and edges are
     broadcast against each other in chunks of about a million pairs.
     """
@@ -99,9 +120,6 @@ def winding_numbers(points, starts, ends) -> np.ndarray:
     for s in range(0, len(p), chunk):
         px = p[s : s + chunk, 0, None]
         py = p[s : s + chunk, 1, None]
-        # is_left > 0: query point lies left of the directed edge a -> b
-        is_left = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
-        up = (ay <= py) & (by > py) & (is_left > 0)
-        down = (ay > py) & (by <= py) & (is_left < 0)
+        up, down = crossing_signs(px, py, ax, ay, bx, by)
         wn[s : s + chunk] = np.count_nonzero(up, axis=1) - np.count_nonzero(down, axis=1)
     return wn

@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from symplane import arrangement, curves
 from symplane.arrangement import Arrangement, Face, Vertex, _cycle_polygon, _extract_cycles
-from symplane.curves import Violation, _beside_crossing, _significant_lines
+from symplane.curves import ClosedCurve, Violation, _beside_crossing
 from symplane.diagram import (
     FaceCorrespondence,
     GaussCode,
@@ -41,7 +41,7 @@ from symplane.forms import (
     density_for_curve,
     make_density,
 )
-from symplane.geometry import EPSILON, cross2, segment_intersection
+from symplane.geometry import EPSILON, cross2
 
 
 def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap:
@@ -252,6 +252,88 @@ def row_integral(values, hx, x0, x1, outside_slope):
     else:
         G0 = np.full(values.shape[1], outside_slope * (0.0 - x0))
     return G, G0
+
+
+def _significant_lines(text: str) -> list[tuple[int, str]]:
+    """The original `curves._significant_lines`: one Python step per line.
+
+    (1-based line number, stripped content) with comments and blanks removed.
+    """
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line))
+    return out
+
+
+def parse_curve(text: str) -> ClosedCurve:
+    """The original `curves.parse_curve`: each row split and converted on its own."""
+    lines = _significant_lines(text)
+    if not lines:
+        raise FormatError("empty curve file")
+    lineno, header = lines[0]
+    if header.split() != ["curve", "v1"]:
+        raise FormatError(f"line {lineno}: expected header 'curve v1', got {header!r}")
+    loops = []
+    i = 1
+    while i < len(lines):
+        lineno, line = lines[i]
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "loop":
+            raise FormatError(f"line {lineno}: expected 'loop <count>', got {line!r}")
+        try:
+            count = int(parts[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad loop count {parts[1]!r}") from None
+        if count <= 0:
+            raise FormatError(f"line {lineno}: loop count must be positive")
+        if i + count >= len(lines):
+            raise FormatError(f"line {lineno}: loop promises {count} samples, file ends early")
+        pts = np.empty((count, 2), dtype=float)
+        for k in range(count):
+            lno, row = lines[i + 1 + k]
+            cols = row.split()
+            if len(cols) != 2:
+                raise FormatError(f"line {lno}: expected 'x y', got {row!r}")
+            try:
+                pts[k, 0] = float(cols[0])
+                pts[k, 1] = float(cols[1])
+            except ValueError:
+                raise FormatError(f"line {lno}: bad coordinate in {row!r}") from None
+        if not np.all(np.isfinite(pts)):
+            raise FormatError(f"line {lineno}: non-finite coordinate in loop")
+        loops.append(pts)
+        i += 1 + count
+    if not loops:
+        raise FormatError("curve file has no loops")
+    return ClosedCurve(tuple(loops))
+
+
+def segment_intersection(p0, p1, q0, q1):
+    """The original `geometry.segment_intersection`: one segment pair.
+
+    Intersect segments [p0, p1] and [q0, q1] in closed form. Returns (t,
+    u, point) with point == p0 + t*(p1 - p0) and both parameters in [0,
+    1], or None when the segments are parallel or miss each other.
+    Parameters within EPSILON outside [0, 1] are clamped in.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    r = np.asarray(p1, dtype=float) - p0
+    q0 = np.asarray(q0, dtype=float)
+    s = np.asarray(q1, dtype=float) - q0
+    denom = cross2(r, s)
+    scale = max(np.abs(r).max(), np.abs(s).max(), EPSILON)
+    if abs(denom) <= EPSILON * scale * scale:
+        return None
+    d = q0 - p0
+    t = cross2(d, s) / denom
+    u = cross2(d, r) / denom
+    if t < -EPSILON or t > 1.0 + EPSILON or u < -EPSILON or u > 1.0 + EPSILON:
+        return None
+    t = min(max(t, 0.0), 1.0)
+    u = min(max(u, 0.0), 1.0)
+    return t, u, p0 + t * r
 
 
 def winding_numbers(points, loop) -> np.ndarray:
@@ -552,6 +634,26 @@ def serialize_map(gm: GridMap) -> str:
             row.append(f"{float(gm.disp_x[i, j])!r} {float(gm.disp_y[i, j])!r}")
         lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
+
+
+def arc_points(curve, loop, t0, t1, p_start, p_end):
+    """The per-arc `arrangement._arc_points`: one row-wise norm pass per arc.
+
+    Directed polyline for the arc from parameter t0 to t1 (cyclic).
+    """
+    pts = curve.loops[loop]
+    n = len(pts)
+    span = (t1 - t0) % n
+    if span == 0.0:
+        span = n  # single passage: the arc is the whole loop
+    first = int(np.floor(t0)) + 1
+    count = int(np.ceil(t0 + span - 1e-9)) - first
+    mids = pts[(first + np.arange(count)) % n]
+    # drop interior samples that coincide with an endpoint (crossing at a sample)
+    keep = (np.linalg.norm(mids - p_start, axis=1) > 1e-12) & (
+        np.linalg.norm(mids - p_end, axis=1) > 1e-12
+    )
+    return np.vstack([p_start[None, :], mids[keep], p_end[None, :]])
 
 
 def _arc_points(curve, loop, t0, t1, p_start, p_end):

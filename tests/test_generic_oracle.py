@@ -5,9 +5,10 @@ segment x-intervals, and `curves._cluster_hits` measures only hit pairs
 that are close in x. The whole genericity report (double points, strand
 parameters, angles, violations and their order) must equal the one made
 with the dense n x n candidate arrays and the all-pairs clustering kept
-in `oracles`, and `segment_intersection` must be called on the same
-segment pairs in the same order. Large loops must certify in bounded
-time and memory.
+in `oracles`. The batched `segment_intersections` pass must test the same
+segment pairs, in the same order, as the oracle's scalar
+`segment_intersection` calls. Large loops must certify in bounded time
+and memory.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 import oracles
 import pytest
 from conftest import (
+    circle_curve,
     close_circles_curve,
     cusp_curve,
     eights_row,
@@ -34,7 +36,7 @@ from conftest import (
 
 from symplane import curves
 from symplane.curves import ClosedCurve, check_generic
-from symplane.geometry import point_segment_distance, segment_intersection, segment_pair_distance
+from symplane.geometry import point_segment_distance, segment_intersections, segment_pair_distances
 
 
 def flat(report):
@@ -49,25 +51,32 @@ def flat(report):
 
 
 def assert_same(curve, **kwargs):
-    """Require the report and the segment_intersection calls of
-    check_generic to equal the oracle's; return the report and calls."""
-    calls = {"new": [], "old": []}
+    """Require the report of check_generic to equal the oracle's, and the
+    segment pairs its batched pass tests to be the oracle's scalar
+    segment_intersection calls; return the report and the pairs."""
+    new, old = [], []
+    segment_intersection = oracles.segment_intersection
 
-    def recorder(log):
-        def record(p0, p1, q0, q1):
-            log.append(tuple(np.concatenate([p0, p1, q0, q1]).tolist()))
-            return segment_intersection(p0, p1, q0, q1)
+    def batched(p0, p1, q0, q1):
+        new.extend(map(tuple, np.concatenate([p0, p1, q0, q1], axis=1).tolist()))
+        return segment_intersections(p0, p1, q0, q1)
 
-        return record
+    def scalar(p0, p1, q0, q1):
+        old.append(tuple(np.concatenate([p0, p1, q0, q1]).tolist()))
+        return segment_intersection(p0, p1, q0, q1)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(curves, "segment_intersection", recorder(calls["new"]))
-        mp.setattr(oracles, "segment_intersection", recorder(calls["old"]))
-        new = check_generic(curve, **kwargs)
-        old = oracles.check_generic(curve, **kwargs)
-    assert calls["new"] == calls["old"]
-    assert flat(new) == flat(old)
-    return new, calls["new"]
+        mp.setattr(curves, "segment_intersections", batched)
+        mp.setattr(oracles, "segment_intersection", scalar)
+        report = check_generic(curve, **kwargs)
+        ref = oracles.check_generic(curve, **kwargs)
+    assert new == old
+    assert flat(report) == flat(ref)
+    return report, new
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def stacked_boxes(gap):
@@ -164,8 +173,9 @@ def test_violations_match_dense(build, kind):
 
 
 def test_named_curves_match_dense():
+    annulus = ClosedCurve(circle_curve(n=512).loops + circle_curve(n=512, radius=0.95).loops)
     for curve, crossings in ((trefoil_curve(n=512), 3), (holed_curve(), 1),
-                             (stacked_boxes(1e-3), 0), (circle_chain(), 4)):
+                             (stacked_boxes(1e-3), 0), (circle_chain(), 4), (annulus, 0)):
         report, _ = assert_same(curve)
         assert report.is_generic
         assert len(report.double_points) == crossings
@@ -212,19 +222,41 @@ def test_cluster_records_like_all_pairs():
 
 
 def test_segment_pair_distance_matches_four_call_oracle():
-    # the near-miss distance is printed in violation details, so the one
-    # broadcast call must equal the four point-segment calls bit for bit,
-    # at every scale and for segments near the zero-length cut-off
+    # the near-miss distance is printed in violation details, so each row
+    # of the batched pass must equal the four point-segment calls bit for
+    # bit, at every scale and for segments near the zero-length cut-off
     rng = np.random.default_rng(11)
-    for k in range(10_000):
-        p0, p1, q0, q1 = rng.normal(size=(4, 2)) * 10.0 ** rng.uniform(-6, 5)
-        if k % 5 == 1:
-            p1 = p0 + rng.normal(size=2) * 10.0 ** rng.uniform(-14, -10)
-        elif k % 5 == 2:
-            q1 = q0 + rng.normal(size=2) * 10.0 ** rng.uniform(-14, -10)
-        assert segment_pair_distance(p0, p1, q0, q1) == oracles.segment_pair_distance(
-            p0, p1, q0, q1
-        )
+    scale = 10.0 ** rng.uniform(-6, 5, size=(10_000, 1, 1))
+    p0, p1, q0, q1 = (rng.normal(size=(10_000, 4, 2)) * scale).transpose(1, 0, 2)
+    tiny = rng.normal(size=(10_000, 2)) * 10.0 ** rng.uniform(-14, -10, size=(10_000, 1))
+    k = np.arange(10_000)
+    p1[k % 5 == 1] = p0[k % 5 == 1] + tiny[k % 5 == 1]
+    q1[k % 5 == 2] = q0[k % 5 == 2] + tiny[k % 5 == 2]
+    got = segment_pair_distances(p0, p1, q0, q1)
+    for m in range(10_000):
+        assert got[m] == oracles.segment_pair_distance(p0[m], p1[m], q0[m], q1[m])
+
+
+def test_segment_intersections_match_scalar_oracle():
+    # crossing, touching, parallel, collinear and missing pairs at every
+    # scale, with endpoints on a coarse lattice so that parameters land
+    # exactly on 0 and 1, and a hair beyond them
+    rng = np.random.default_rng(12)
+    m = 20_000
+    scale = 10.0 ** rng.uniform(-8, 8, size=(m, 1, 1))
+    ends = rng.integers(-3, 4, size=(m, 4, 2)) * scale
+    ends[m // 2 :] += rng.normal(size=(m - m // 2, 4, 2)) * 1e-13 * scale[m // 2 :]
+    p0, p1, q0, q1 = ends.transpose(1, 0, 2)
+    hit, t, u, point = segment_intersections(p0, p1, q0, q1)
+    rows = np.flatnonzero(hit)
+    assert 0 < len(rows) < m
+    for k in range(m):
+        res = oracles.segment_intersection(p0[k], p1[k], q0[k], q1[k])
+        assert (res is not None) == hit[k]
+    for n, k in enumerate(rows):
+        tk, uk, pk = oracles.segment_intersection(p0[k], p1[k], q0[k], q1[k])
+        assert bits(t[n]) == bits(tk) and bits(u[n]) == bits(uk)
+        assert bits(point[n]) == bits(pk)
 
 
 def test_point_segment_distance_broadcasts():

@@ -84,11 +84,14 @@ def test_innermost_ring_is_a_hole_of_the_middle_ring(clockwise):
     assert np.allclose(areas, [np.pi, 3 * np.pi, 5 * np.pi], rtol=5e-3)
 
 
-@pytest.mark.parametrize("curve, calls", [(eights_row(6), 24), (trefoil_curve(n=512), 4)],
+@pytest.mark.parametrize("curve, holes", [(eights_row(6), 12), (trefoil_curve(n=512), 0)],
                          ids=["eights_row6", "trefoil"])
-def test_winding_calls_per_build(curve, calls):
-    # one call per positive walk for the holes (none for one component),
-    # then one per bounded face whose centroid is its label point
-    with patch.object(arrangement, "winding_numbers", wraps=geometry.winding_numbers) as spy:
+def test_winding_calls_per_build(curve, holes):
+    # one winding_numbers call per positive walk for the holes (none for
+    # one component), then one crossing-sign pass for every centroid; no
+    # face here falls back to the offset search
+    with patch.object(arrangement, "winding_numbers", wraps=geometry.winding_numbers) as spy, \
+            patch.object(arrangement, "crossing_signs", wraps=geometry.crossing_signs) as signs:
         build_arrangement(curve)
-    assert spy.call_count == calls
+    assert spy.call_count == holes
+    assert signs.call_count == 1

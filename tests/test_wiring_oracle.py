@@ -19,11 +19,13 @@ import numpy as np
 import oracles
 import pytest
 from conftest import (
+    circle_curve,
     eights_row,
     generic_trig_loops,
     gerono_curve,
     holed_curve,
     petal_curve,
+    serpentine_curve,
     trefoil_curve,
 )
 
@@ -120,6 +122,19 @@ def test_sign_wiring_matches_tangent_sort(family):
             arr = assert_same_wiring(variant)
             signs.update(v.sign for v in arr.vertices)
     assert signs == {-1, 1}
+
+
+def annulus(n):
+    return ClosedCurve(circle_curve(n=n).loops + circle_curve(n=n, radius=0.95).loops)
+
+
+@pytest.mark.parametrize("curve, searched", [(serpentine_curve(strands=16, n=2048), 1),
+                                             (annulus(512), 1)], ids=["serpentine", "annulus"])
+def test_offset_search_faces_match(curve, searched):
+    # the comb-shaped face and the annulus have their centroid outside
+    # them, so their label points come from the inward-offset search
+    arr = assert_same_wiring(curve)
+    assert sum(f.rep_point is not f.centroid for f in arr.bounded_faces) == searched
 
 
 @pytest.mark.parametrize(
