@@ -59,7 +59,6 @@ class HalfEdge:
 @dataclass
 class Face:
     index: int
-    polygons: tuple[np.ndarray, ...]  # per boundary walk, its points without the closing repeat
     edges: tuple[np.ndarray, np.ndarray]  # (starts, ends) of every boundary edge, walk by walk
     area: float  # net area; negative for the outer face
     is_outer: bool
@@ -498,10 +497,9 @@ def _assemble_faces(curve, half_edges, cycles, components):
             outer_cycles.append(i)
 
     def face(members, **fields):
-        polygons = tuple(edges[m][0] for m in members)
+        starts = np.vstack([edges[m][0] for m in members])
         ends = np.vstack([edges[m][1] for m in members])
-        return Face(index=len(faces), polygons=polygons, edges=(np.vstack(polygons), ends),
-                    **fields)
+        return Face(index=len(faces), edges=(starts, ends), **fields)
 
     faces: list[Face] = []
     for j in positive:

@@ -97,15 +97,6 @@ class ClosedCurve:
         x0, x1, y0, y1 = self.bbox()
         return float(np.hypot(x1 - x0, y1 - y0))
 
-    def point_at(self, loop: int, t: float) -> np.ndarray:
-        """Point at cyclic parameter t on the given loop."""
-        pts = self.loops[loop]
-        n = len(pts)
-        t = t % n
-        i = int(t)
-        frac = t - i
-        return (1.0 - frac) * pts[i] + frac * pts[(i + 1) % n]
-
     def tangent_at(self, loop: int, t: float) -> np.ndarray:
         """Unit tangent at parameter t; averaged across a sample point."""
         pts = self.loops[loop]

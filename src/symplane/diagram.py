@@ -155,13 +155,6 @@ def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(g.__getitem__, h))
 
 
-def invert_perm(g: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(g)
-    for i, gi in enumerate(g):
-        out[gi] = i
-    return tuple(out)
-
-
 def perm_cycles(perm: tuple[int, ...]) -> str:
     """Cycle notation over 1-based labels, fixed points omitted; identity prints as 'id'."""
     seen = [False] * len(perm)

@@ -1,12 +1,12 @@
 """Area-form engine on sampled grids.
 
 A Density is a Grid of node values of the coefficient f of an area form
-f dx dy, equal to 1 outside a stated support box. PlanarMap
-implementations carry pointwise Jacobians, either analytic (affine,
-shear, composition) or by central differences on a displacement grid.
-On top of these sit the pullback, the explicit primitive map
-(x, y) -> (integral of f along the row, y), bump-function realization
-of prescribed face areas, and Moser interpolation between densities.
+f dx dy, equal to 1 outside a stated support box. A GridMap is a plane
+map given by its displacement on a grid, with Jacobians by central
+differences; every map here is one. On top of these sit the pullback,
+the explicit primitive map (x, y) -> (integral of f along the row, y),
+bump-function realization of prescribed face areas, and Moser
+interpolation between densities.
 """
 
 from __future__ import annotations
@@ -326,94 +326,11 @@ def load_density(path) -> Density:
     return parse_density(_read_text(path))
 
 
-class PlanarMap:
-    """Orientation-preserving plane map with a pointwise Jacobian."""
-
-    def evaluate(self, points):
-        """Map an (m, 2) array of points to an (m, 2) array."""
-        raise NotImplementedError
-
-    def jacobian(self, points):
-        """(m, 2, 2) Jacobian matrices at the given points."""
-        raise NotImplementedError
-
-
 def _as_points(points):
     return np.atleast_2d(np.asarray(points, dtype=float))
 
 
-class AffineMap(PlanarMap):
-    """p -> M p + b with constant Jacobian M."""
-
-    def __init__(self, matrix, offset=(0.0, 0.0)):
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValidationError("affine matrix must be 2x2")
-        if np.linalg.det(m) <= 0:
-            raise ValidationError("affine map must preserve orientation")
-        self.matrix = m
-        self.offset = np.asarray(offset, dtype=float)
-
-    def evaluate(self, points):
-        return _as_points(points) @ self.matrix.T + self.offset
-
-    def jacobian(self, points):
-        pts = _as_points(points)
-        return np.broadcast_to(self.matrix, (len(pts), 2, 2)).copy()
-
-
-def identity_map():
-    return AffineMap(np.eye(2))
-
-
-def rotation_map(theta, center=(0.0, 0.0)):
-    c, s = np.cos(theta), np.sin(theta)
-    m = np.array([[c, -s], [s, c]])
-    center = np.asarray(center, dtype=float)
-    return AffineMap(m, center - m @ center)
-
-
-class ShearMap(PlanarMap):
-    """(x, y) -> (x + q(y), y); unit Jacobian determinant for any q."""
-
-    def __init__(self, q, dq):
-        self.q = q
-        self.dq = dq
-
-    def evaluate(self, points):
-        pts = _as_points(points).copy()
-        pts[:, 0] += self.q(pts[:, 1])
-        return pts
-
-    def jacobian(self, points):
-        pts = _as_points(points)
-        jac = np.zeros((len(pts), 2, 2))
-        jac[:, 0, 0] = 1.0
-        jac[:, 1, 1] = 1.0
-        jac[:, 0, 1] = self.dq(pts[:, 1])
-        return jac
-
-
-class ComposedMap(PlanarMap):
-    """outer applied after inner; Jacobians multiply by the chain rule.
-
-    pullback(ComposedMap(m1, m2), w) agrees with pullback(m2, pullback(m1, w)).
-    """
-
-    def __init__(self, outer, inner):
-        self.outer = outer
-        self.inner = inner
-
-    def evaluate(self, points):
-        return self.outer.evaluate(self.inner.evaluate(points))
-
-    def jacobian(self, points):
-        pts = _as_points(points)
-        mid = self.inner.evaluate(pts)
-        return self.outer.jacobian(mid) @ self.inner.jacobian(pts)
-
-
-class GridMap(Grid, PlanarMap):
+class GridMap(Grid):
     """Displacement field sampled on a uniform grid.
 
     Evaluation adds the bilinearly interpolated displacement, with the
@@ -434,6 +351,7 @@ class GridMap(Grid, PlanarMap):
         self.disp_y = disp_y
 
     def evaluate(self, points):
+        """Map an (m, 2) array of points to an (m, 2) array."""
         pts = _as_points(points)
         x = pts[:, 0]
         y = pts[:, 1]
@@ -442,23 +360,13 @@ class GridMap(Grid, PlanarMap):
         return np.column_stack([x + dx, y + dy])
 
     def jacobian(self, points):
+        """(m, 2, 2) Jacobian matrices at the given points."""
         pts = _as_points(points)
         ex = np.array([self.hx, 0.0])
         ey = np.array([0.0, self.hy])
         col_x = (self.evaluate(pts + ex) - self.evaluate(pts - ex)) / (2 * self.hx)
         col_y = (self.evaluate(pts + ey) - self.evaluate(pts - ey)) / (2 * self.hy)
         return np.stack([col_x, col_y], axis=2)
-
-
-def sample_map(m: PlanarMap, x0, x1, y0, y1, nx, ny) -> GridMap:
-    """Sample any map onto a displacement grid."""
-    grid = Grid(x0, x1, y0, y1, nx, ny)
-    gx, gy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    disp = m.evaluate(nodes) - nodes
-    return GridMap(
-        x0, x1, y0, y1, disp[:, 0].reshape(nx, ny), disp[:, 1].reshape(nx, ny)
-    )
 
 
 def serialize_map(gm: GridMap) -> str:
@@ -480,11 +388,13 @@ def load_map(path) -> GridMap:
     return parse_map(_read_text(path))
 
 
-def pullback(m: PlanarMap, omega: Density) -> Density:
+def pullback(m: GridMap, omega: Density) -> Density:
     """Density p -> f(m(p)) det J_m(p) on omega's grid.
 
-    Values within UNIT_SNAP of 1 are snapped to exactly 1 so the
-    support box of the result stays tight.
+    m is evaluated at omega's nodes and J_m is its central difference,
+    which sees m's displacement held constant beyond m's own grid.
+    Values within UNIT_SNAP of 1 are snapped to exactly 1 so the support
+    box of the result stays tight.
     """
     gx, gy = np.meshgrid(omega.xs, omega.ys, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])

@@ -26,7 +26,6 @@ from symplane.diagram import (
     _correspondence,
     compose_perms,
     gauss_code,
-    invert_perm,
 )
 from symplane.errors import FormatError, InconsistencyError, RealizationError, ValidationError
 from symplane.forms import (
@@ -358,11 +357,24 @@ def winding_numbers(points, loop) -> np.ndarray:
     return wn
 
 
+def face_walks(face: Face) -> tuple[np.ndarray, ...]:
+    """A face's boundary walks, each its points without the closing repeat.
+
+    The edges of one walk chain bit for bit, and the walks of one face
+    belong to distinct curve components, which genericity keeps apart:
+    a walk ends after edge i exactly when ends[i] differs in bits from
+    starts[i + 1].
+    """
+    starts, ends = face.edges
+    breaks = np.any(ends[:-1].view(np.int64) != starts[1:].view(np.int64), axis=1)
+    return tuple(np.split(starts, np.flatnonzero(breaks) + 1))
+
+
 def face_contains(face: Face, points) -> np.ndarray:
     """The original `Arrangement.face_contains`: one edge-by-edge winding pass per walk."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     total = np.zeros(len(pts), dtype=np.int64)
-    for poly in face.polygons:
+    for poly in face_walks(face):
         total += winding_numbers(pts, poly)
     return total == 1 if not face.is_outer else total == 0
 
@@ -402,7 +414,7 @@ def boundary_distance(face: Face, point) -> float:
     """The original `Arrangement.boundary_distance`: one call per segment."""
     best = np.inf
     p = np.asarray(point, dtype=float)[None, :]
-    for poly in face.polygons:
+    for poly in face_walks(face):
         for i in range(len(poly)):
             d = point_segment_distance(p, poly[i], poly[(i + 1) % len(poly)])[0]
             best = min(best, float(d))
@@ -433,7 +445,7 @@ def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:
 
     out = np.zeros(arr.r)
     for face in arr.bounded_faces:
-        allp = np.vstack(face.polygons)
+        allp = face.edges[0]
         lo, hi = allp.min(axis=0), allp.max(axis=0)
         sel = (
             (pts[:, 0] >= lo[0] - hx)
@@ -809,6 +821,14 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     )
 
 
+def invert_perm(g: tuple[int, ...]) -> tuple[int, ...]:
+    """The original `diagram.invert_perm`: the permutation undoing g."""
+    out = [0] * len(g)
+    for i, gi in enumerate(g):
+        out[gi] = i
+    return tuple(out)
+
+
 def _verify_group(elements):
     index = {e: k for k, e in enumerate(elements)}
     n_faces = len(elements[0][0]) if elements else 0
@@ -849,6 +869,16 @@ def _find_generators(elements):
                         nxt.append(prod)
             frontier = nxt
     return tuple(gens)
+
+
+def point_at(curve: ClosedCurve, loop: int, t: float) -> np.ndarray:
+    """The original `ClosedCurve.point_at`: the point at cyclic parameter t on a loop."""
+    pts = curve.loops[loop]
+    n = len(pts)
+    t = t % n
+    i = int(t)
+    frac = t - i
+    return (1.0 - frac) * pts[i] + frac * pts[(i + 1) % n]
 
 
 def check_generic(curve, **kwargs):
@@ -1081,7 +1111,7 @@ def representative_point(arr: Arrangement, face: Face) -> np.ndarray:
     """The original `arrangement._representative_point`: the centroid from
     one shoelace pass per walk for the area and another for the moments."""
     weighted = np.zeros(2)
-    for poly in face.polygons:
+    for poly in face_walks(face):
         a = signed_area(poly)
         weighted += a * _polygon_centroid_raw(poly)
     centroid = weighted / face.area
@@ -1090,7 +1120,7 @@ def representative_point(arr: Arrangement, face: Face) -> np.ndarray:
         return centroid
     for frac in (0.2, 0.08, 0.02, 0.005):
         delta = frac * scale
-        for poly in face.polygons:
+        for poly in face_walks(face):
             for i in range(len(poly)):
                 a, b = poly[i], poly[(i + 1) % len(poly)]
                 d = b - a
@@ -1113,7 +1143,8 @@ def assemble_faces(arr: Arrangement) -> list[Face]:
     another component, one edge-by-edge winding call per pair, and the
     walk becomes a hole of the first smallest positive walk around it.
     Faces come in the library's order, one per positive walk and then
-    the outer face, with edges rolled from their polygons.
+    the outer face, with edges rolled from their polygons. Returns the
+    faces and, face by face, their walks.
     """
     half_edges = arr.half_edges
     cycles = _extract_cycles(half_edges)
@@ -1149,14 +1180,16 @@ def assemble_faces(arr: Arrangement) -> list[Face]:
         for m in members:
             weighted += areas[m] * _polygon_centroid_raw(polys[m])
         rolled = np.vstack([np.roll(w, -1, axis=0) for w in walks])
-        return Face(index=len(faces), polygons=walks, edges=(np.vstack(walks), rolled), area=area,
+        walks_of.append(walks)
+        return Face(index=len(faces), edges=(np.vstack(walks), rolled), area=area,
                     is_outer=is_outer, centroid=None if is_outer else weighted / area)
 
     faces: list[Face] = []
+    walks_of: list[tuple[np.ndarray, ...]] = []
     for j in positive:
         faces.append(face([j] + sorted(holes[j]), False))
     faces.append(face(sorted(outer_cycles), True))
-    return faces
+    return faces, walks_of
 
 
 def gauss_signs(arr: Arrangement) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from conftest import circle_curve, eights_row, gerono_curve, trefoil_curve
+from oracles import invert_perm
 
 from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import ClosedCurve, resample, transform_curve
@@ -14,7 +15,6 @@ from symplane.diagram import (
     canonical_code,
     compose_perms,
     gauss_code,
-    invert_perm,
     isotopy_match,
     perm_cycles,
     symmetry_group,

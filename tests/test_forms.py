@@ -30,18 +30,14 @@ from symplane.arrangement import build_arrangement, face_areas, integrate_densit
 from symplane.errors import FormatError, RealizationError, ValidationError
 from symplane.forms import (
     MAX_GRID_NODES,
-    AffineMap,
-    ComposedMap,
     Density,
     Grid,
     GridMap,
-    ShearMap,
     _distinct_rows,
     _parse_grid,
     _row_integral,
     _serialize_grid,
     density_for_curve,
-    identity_map,
     infer_support_box,
     load_density,
     load_map,
@@ -52,8 +48,6 @@ from symplane.forms import (
     primitive_diffeo,
     pullback,
     realize_area_vector,
-    rotation_map,
-    sample_map,
     save_density,
     save_map,
     serialize_density,
@@ -76,6 +70,24 @@ def bump_values(n, L, bumps):
         prof[inside] = np.exp(1 - 1 / (1 - r2[inside]))
         vals += amp * prof
     return vals
+
+
+def grid_map(dom, nx, ny, disp):
+    """GridMap over dom = (x0, x1, y0, y1) whose displacement at node (x, y) is disp(x, y)."""
+    x0, x1, y0, y1 = dom
+    gx, gy = np.meshgrid(np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), indexing="ij")
+    return GridMap(x0, x1, y0, y1, *disp(gx, gy))
+
+
+def rotation(theta):
+    """Displacement of the turn by theta about the origin."""
+    c, s = np.cos(theta), np.sin(theta)
+    return lambda x, y: (c * x - s * y - x, s * x + c * y - y)
+
+
+def shear(a):
+    """Displacement of (x, y) -> (x + a sin y, y), whose Jacobian determinant is 1."""
+    return lambda x, y: (a * np.sin(y), np.zeros_like(y))
 
 
 def smooth_bump_density(n=128, L=2.0):
@@ -265,7 +277,7 @@ def test_grid_files_share_one_domain_rule(tmp_path, load, tag, per_node, domain)
         lambda dom: make_density(*dom, np.ones((4, 4))),
         lambda dom: unit_density(*dom, 4),
         lambda dom: Density(*dom, 4, 4, np.ones((4, 4)), dom),
-        lambda dom: sample_map(identity_map(), *dom, 4, 4),
+        lambda dom: Grid(*dom, 4, 4),
         lambda dom: GridMap(*dom, np.zeros((4, 4)), np.zeros((4, 4))),
         lambda dom: infer_support_box(*dom, 4, 4, np.ones((4, 4))),
     ],
@@ -298,24 +310,26 @@ def _inside(grid, box):
 
 def test_pullback_identity_returns_same_values():
     d = smooth_bump_density(n=64)
-    back = pullback(identity_map(), d)
+    still = grid_map((d.x0, d.x1, d.y0, d.y1), 64, 64, lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
+    back = pullback(still, d)
     assert np.max(np.abs(back.values - d.values)) < 1e-12
 
 
 def test_pullback_axis_stretch_gives_constant_two():
-    pb = pullback(AffineMap([[2, 0], [0, 1]]), unit_density(-2, 2, -2, 2, 64, 64))
-    assert np.all(pb.values == 2.0)
+    # the map's grid reaches past the density's, so no central difference
+    # meets the clamp at its rim; the sampled displacement x and its
+    # central differences round in the last bits, so 2 is not exact
+    stretch = grid_map((-3, 3, -3, 3), 96, 96, lambda x, y: (x, np.zeros_like(y)))
+    pb = pullback(stretch, unit_density(-2, 2, -2, 2, 64, 64))
+    assert np.max(np.abs(pb.values - 2.0)) < 1e-12
 
 
 def test_pullback_shear_keeps_unit_density():
-    sh = ShearMap(lambda y: 0.3 * np.sin(y), lambda y: 0.3 * np.cos(y))
-    pb = pullback(sh, unit_density(-2, 2, -2, 2, 64, 64))
+    pb = pullback(grid_map((-2, 2, -2, 2), 64, 64, shear(0.3)), unit_density(-2, 2, -2, 2, 64, 64))
     assert np.max(np.abs(pb.values - 1.0)) < 1e-9
 
 
 def test_pullback_rejects_orientation_reversal():
-    with pytest.raises(ValidationError):
-        AffineMap([[1, 0], [0, -1]])
     # a grid map that folds the plane has negative determinant somewhere
     xs = np.linspace(-1, 1, 16)
     fold = GridMap(-1, 1, -1, 1, np.tile(-2 * xs[:, None], (1, 16)), np.zeros((16, 16)))
@@ -323,24 +337,21 @@ def test_pullback_rejects_orientation_reversal():
         pullback(fold, unit_density(-1, 1, -1, 1, 16, 16))
 
 
-def test_pullback_functoriality_closed_form():
-    m1 = AffineMap([[2, 0.3], [0, 1]], (0.1, -0.2))
-    m2 = ShearMap(lambda y: 0.4 * np.sin(y), lambda y: 0.4 * np.cos(y))
-    om = unit_density(-2, 2, -2, 2, 64, 64)
-    direct = pullback(ComposedMap(m1, m2), om)
-    staged = pullback(m2, pullback(m1, om))
-    # rim nodes map outside the grid, where the staged intermediate
-    # falls back to the constant-1 extension; compare the interior
-    assert np.max(np.abs(direct.values[8:-8, 8:-8] - staged.values[8:-8, 8:-8])) < 1e-8
-
-
 def test_pullback_functoriality_sampled_density():
-    # resampling the intermediate density costs O(h^2), not exactness
-    m1 = rotation_map(0.3)
-    m2 = ShearMap(lambda y: 0.2 * np.sin(y), lambda y: 0.2 * np.cos(y))
+    # resampling the intermediate density and the composite costs O(h^2),
+    # not exactness; the maps' grids reach past the density's, so no
+    # central difference meets the clamp at a map grid's rim
+    turn, sh = rotation(0.3), shear(0.2)
+
+    def composite(x, y):  # the turn after the shear
+        u = x + sh(x, y)[0]
+        du, dv = turn(u, y)
+        return u + du - x, dv
+
     om = smooth_bump_density(n=192)
-    direct = pullback(ComposedMap(m1, m2), om)
-    staged = pullback(m2, pullback(m1, om))
+    dom = (-3.0, 3.0, -3.0, 3.0)
+    direct = pullback(grid_map(dom, 288, 288, composite), om)
+    staged = pullback(grid_map(dom, 288, 288, sh), pullback(grid_map(dom, 288, 288, turn), om))
     assert np.max(np.abs(direct.values - staged.values)) < 5e-3
 
 
@@ -350,7 +361,7 @@ def test_pullback_scales_linearly():
         om.x0, om.x1, om.y0, om.y1, om.nx, om.ny, 2.5 * om.values,
         (om.x0, om.x1, om.y0, om.y1),
     )
-    sh = ShearMap(lambda y: 0.3 * np.sin(y), lambda y: 0.3 * np.cos(y))
+    sh = grid_map((om.x0, om.x1, om.y0, om.y1), 96, 96, shear(0.3))
     a = pullback(sh, scaled).values
     b = 2.5 * pullback(sh, om).values
     # compare away from the rim: outside the grid the extension is 1, not 2.5
@@ -425,17 +436,8 @@ def test_row_integral_matches_scipy_oracle(branch):
 # --- sampled maps and files -----------------------------------------------
 
 
-def test_sample_map_reproduces_affine_exactly():
-    m = AffineMap([[1.2, 0.1], [0.0, 0.9]], (0.3, -0.1))
-    gm = sample_map(m, -1, 1, -1, 1, 24, 24)
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-1, 1, size=(50, 2))
-    # affine displacement is linear, so bilinear interpolation is exact
-    assert np.max(np.abs(gm.evaluate(pts) - m.evaluate(pts))) < 1e-12
-
-
 def test_map_file_round_trip(tmp_path):
-    gm = sample_map(rotation_map(0.5), -1, 1, -1, 1, 12, 12)
+    gm = grid_map((-1, 1, -1, 1), 12, 12, rotation(0.5))
     path = tmp_path / "m.txt"
     save_map(gm, path)
     back = load_map(path)
@@ -460,7 +462,7 @@ def test_serializers_match_per_value_oracle():
     f0, f1 = zero_row_pair(n=32)
     c0, c1 = conveyor_pair(0.17, nx=64, ny=4)  # every row repeats, none blank
     for gm in (
-        sample_map(rotation_map(0.5), -1, 1, -1, 1, 12, 17),
+        grid_map((-1, 1, -1, 1), 12, 17, rotation(0.5)),
         GridMap(-1.0, 1.0, 0.0, 3.0, disp[0], disp[1]),
         moser_interpolation(f0, f1, steps=8),
         moser_interpolation(c0, c1, steps=8),
@@ -494,7 +496,6 @@ def test_grid_budget_is_checked_before_any_node_array(gerono256):
     builds = [
         lambda: Grid(0.0, 1.0, 0.0, 1.0, MAX_GRID_NODES // 2 + 1, 2),
         lambda: unit_density(0.0, 1.0, 0.0, 1.0, side),
-        lambda: sample_map(identity_map(), 0.0, 1.0, 0.0, 1.0, side, side),
         lambda: realize_area_vector(arr, [1.0, 2.0], grid_n=side),
     ]
     start = time.perf_counter()

@@ -93,7 +93,7 @@ def crossings_sampled(curve):
     pts = curve.loops[0]
     cuts = sorted(t for dp in check_generic(curve).double_points
                   for t in (dp.first[1], dp.second[1]))
-    at = [curve.point_at(0, t) for t in cuts]
+    at = [oracles.point_at(curve, 0, t) for t in cuts]
     return ClosedCurve((np.insert(pts, np.floor(cuts).astype(int) + 1, at, axis=0),))
 
 
