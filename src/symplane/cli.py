@@ -207,13 +207,13 @@ def cmd_compare(args, out) -> int:
     arr_a = _checked_arrangement(args.a, args.angle_tol, args.sep_tol, out)
     arr_b = _checked_arrangement(args.b, args.angle_tol, args.sep_tol, out)
     mode = "labelled" if args.labelled else "symplectic"
-    out.write(f"a: {args.a}\n")
-    out.write(f"b: {args.b}\n")
-    out.write(f"mode: {mode}\n")
     if args.labelled:
         decision = labelled_equivalent(arr_a, arr_b, tol=args.area_tol)
     else:
         decision = symplectically_equivalent(arr_a, arr_b, tol=args.area_tol)
+    out.write(f"a: {args.a}\n")
+    out.write(f"b: {args.b}\n")
+    out.write(f"mode: {mode}\n")
     out.write(decision_report(decision))
     return _EXIT_FOR_VERDICT[decision.verdict]
 

@@ -14,10 +14,16 @@ comparisons respect the curve orientation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .errors import InconsistencyError, ValidationError
+
+# largest symmetry group that `symmetry_group` lists, checked from |G|
+# before any element exists: 8! elements, a row of eight congruent loops
+MAX_GROUP_ORDER = math.factorial(8)
 
 
 @dataclass(frozen=True)
@@ -120,13 +126,15 @@ def canonical_code(gc: GaussCode) -> str:
     """Minimal serialization over basepoint shifts and loop orderings.
 
     The minimum is found by a depth-first search that drops every branch
-    whose serial prefix is already above another's, not by reading every
-    candidate. Equal strings mean isomorphic oriented labelled plane
+    whose serial prefix is already above another's and every tied branch
+    that an automorphism found so far maps onto a searched one, not by
+    reading every candidate: k congruent loops cost O(k^3) chunk reads,
+    not k!. Equal strings mean isomorphic oriented labelled plane
     diagrams; the outer face and the traversal orientation are preserved
     by every candidate, so a mirror image or a reversed loop will not
     collide.
     """
-    return _minimal_readings(gc)[0]
+    return _minimal_readings(gc).serial
 
 
 def isotopy_match(a: Arrangement, b: Arrangement) -> FaceCorrespondence | None:
@@ -139,15 +147,14 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
 
     An automorphism carries each candidate reading (orientation-preserving
     basepoint shifts and loop reorderings) to one with the same serial,
-    so the readings that reach the minimal serial form a single orbit, and
-    the correspondences from the first of them to each of them are the
-    whole group. The pruned reading search keeps every branch that ties
-    with the best prefix, so it finds all of those readings; it reads a
-    loop chunk only below a surviving prefix, about 2e·k! chunks for a
-    row of k congruent loops. The element set is checked to be a group
-    while its generators are found.
+    and two readings with the same serial differ by one. The reading
+    search records such pairs as it prunes ties, and they generate G; G
+    is listed as their closure, after its order, known from the search,
+    is checked against MAX_GROUP_ORDER (ValidationError above it). The
+    closure must have that order, and the sorted element set is checked
+    to be a group while its generators are found.
     """
-    return _group(arr, _minimal_readings(gauss_code(arr))[1])
+    return _group(arr, _minimal_readings(gauss_code(arr)))
 
 
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -208,9 +215,18 @@ def _chunk(gc: GaussCode, loop, rot, vert_label, first_strand, face_label) -> st
     return ",".join(toks)
 
 
-def _minimal_readings(gc: GaussCode):
-    """The minimal serial and every (faces, verts) reading that reaches it,
-    in (loop order, rotations) order.
+class Readings(NamedTuple):
+    """What the reading search finds (see `_minimal_readings`)."""
+
+    serial: str
+    first: tuple[dict, dict]  # (faces, verts) of the first minimal reading
+    automorphisms: tuple  # (reference, leaf): (key, faces, verts) readings with equal serials
+    order: int  # |G|
+
+
+def _minimal_readings(gc: GaussCode) -> Readings:
+    """The minimal serial, the first reading that reaches it in (loop order,
+    rotations) order, and diagram automorphisms that generate G.
 
     The serial of a reading is the header n{V}f{F}o{outer}| followed by
     the loop chunks joined by |. The search goes depth first over loop
@@ -223,64 +239,204 @@ def _minimal_readings(gc: GaussCode):
     of the other and the lower one beats every completion of the higher.
     The header is only known once the outer face has a label; until then
     nothing is dropped.
+
+    Ties are pruned by the automorphisms they reveal (McKay 1981): the
+    reference is the first leaf that reaches the best serial, and a later
+    leaf with the same serial is its image under an automorphism, which
+    maps (loop, basepoint) pairs as the two readings do. The search then
+    jumps back to the node where the two readings part, since everything
+    below that node on the new side is the image of what was searched on
+    the reference side. A tied child is skipped when it lies in the orbit
+    of an entered sibling under the automorphisms found so far that fix
+    every pair of the node's prefix; its subtree is an image of the
+    sibling's. Along the reference path each level's found orbit is the
+    whole orbit of its stabilizer, so the automorphisms found there form
+    a strong generating set: |G| is the product of those orbit lengths,
+    and the first minimal reading in (loop order, rotations) order, which
+    pruning may have skipped, is the least image of the reference, found
+    level by level through their transversals. A row of k congruent loops
+    costs about k^3/3 chunk reads and k - 1 automorphisms.
     """
     k = len(gc.occ)
     shape = [(len(gc.occ[i]), len(gc.arcs[i])) for i in range(k)]
+    mods = [max(1, m) for m, _ in shape]
     fits = [[i for i in range(k) if shape[i] == shape[p]] for p in range(k)]
     head = f"n{len({v for occ in gc.occ for v, _ in occ})}f{gc.num_faces}o"
     outer = gc.outer_face
-    best = None
-    leaves = []
+    best = ref = None  # ref: (key, faces, verts) of the first leaf at the best serial
+    autos = []  # (reference, leaf) with equal serials
+    maps = []  # pair maps of autos, made when orbits are first needed
+
+    def pair_maps():
+        maps.extend(_pair_map(a[0][0], a[1][0], mods) for a in autos[len(maps):])
+        return maps
 
     def visit(order, rots, verts, strands, faces, body):
-        nonlocal best, leaves
-        last = len(order) == k - 1
+        """Search below one node; return the depth to jump back to, if any."""
+        nonlocal best, ref
+        depth = len(order)
+        last = depth == k - 1
         kids = []
-        for loop in fits[len(order)]:
+        for loop in fits[depth]:
             if loop in order:
                 continue
-            for rot in range(max(1, shape[loop][0])):
+            for rot in range(mods[loop]):
                 v, s, f = dict(verts), dict(strands), dict(faces)
                 text = body + _chunk(gc, loop, rot, v, s, f)
                 key = (order + (loop,), rots + (rot,))
                 if last:
                     serial = f"{head}{f[outer]}|{text}"
                     if best is None or serial < best:
-                        best, leaves = serial, []
-                    if serial == best:
-                        leaves.append((key, f, v))
+                        best, ref = serial, (key, f, v)
+                    elif serial == best:
+                        autos.append((ref, (key, f, v)))
+                        (ref_order, ref_rots), _, _ = ref
+                        if (ref_order[:depth], ref_rots[:depth]) != (order, rots):
+                            # jump back to the node where the two readings part
+                            return next(j for j in range(depth)
+                                        if (ref_order[j], ref_rots[j]) != (order[j], rots[j]))
                     continue
                 text += "|"
                 prefix = f"{head}{f[outer]}|{text}" if outer in f else None
                 kids.append((prefix, key, v, s, f, text))
         low = min((kid[0] for kid in kids if kid[0] is not None), default=None)
+        entered, covered, seen = [], set(), None
         for prefix, key, v, s, f, text in kids:
             if prefix is not None and (
                 prefix > low or (best is not None and prefix > best[: len(prefix)])
             ):
                 continue
-            visit(*key, v, s, f, text)
+            pair = (key[0][-1], key[1][-1])
+            if autos:
+                if seen != (len(autos), len(entered)):
+                    seen = (len(autos), len(entered))
+                    gens = [g for g in pair_maps() if _fixes(g, order, rots)]
+                    covered = _orbit(entered, gens, mods)
+                if pair in covered:
+                    continue
+            entered.append(pair)
+            split = visit(*key, v, s, f, text)
+            if split is not None and split < depth:
+                return split
+        return None
 
     visit((), (), {}, {}, {}, "")
-    leaves.sort(key=lambda leaf: leaf[0])
-    return best, [(faces, verts) for _, faces, verts in leaves]
+    (ref_order, ref_rots), faces, verts = ref
+    # one loop: every leaf is read in key order, so the reference is the
+    # first minimal reading and each later minimal leaf one automorphism
+    order = 1 + len(autos)
+    if autos and k > 1:
+        order = 1
+        base = tuple(zip(ref_order, ref_rots))
+        least = {(): (tuple(range(k)), (0,) * k)}  # least image prefixes, each with one g
+        for d, point in enumerate(base):
+            gens = [g for g in pair_maps() if _fixes(g, ref_order[:d], ref_rots[:d])]
+            transversal = _orbit([point], gens, mods)
+            order *= len(transversal)
+            images = [(img + (_apply(h, y, mods),), _compose(h, u, mods))
+                      for img, h in least.items() for y, u in transversal.items()]
+            low = min(img[-1][0] for img, _ in images)
+            least = {img: g for img, g in images if img[-1][0] == low}
+        first = min(least, key=lambda img: [rot for _, rot in img])
+        if first != base:
+            faces, verts, strands = {}, {}, {}
+            text = "|".join(_chunk(gc, loop, rot, verts, strands, faces) for loop, rot in first)
+            if f"{head}{faces[outer]}|{text}" != best:
+                raise InconsistencyError("least image of the reference reading is not minimal")
+    return Readings(best, (faces, verts), tuple(autos), order)
 
 
-def _match(a: Arrangement, b: Arrangement, minimal_a, minimal_b):
+def _pair_map(ref_key, key, mods):
+    """The map of (loop, basepoint) pairs that carries reading ref_key to key:
+    loop order_ref[j] -> order[j], rotation r -> r + rots[j] - rots_ref[j]."""
+    perm, shift = [0] * len(mods), [0] * len(mods)
+    for loop_a, rot_a, loop_b, rot_b in zip(*ref_key, *key):
+        perm[loop_a] = loop_b
+        shift[loop_a] = (rot_b - rot_a) % mods[loop_a]
+    return tuple(perm), tuple(shift)
+
+
+def _apply(g, pair, mods):
+    loop, rot = pair
+    return g[0][loop], (rot + g[1][loop]) % mods[loop]
+
+
+def _compose(g, h, mods):
+    """g after h, on (loop, basepoint) pairs."""
+    perm, shift = h
+    return (tuple(g[0][p] for p in perm),
+            tuple((s + g[1][p]) % mods[p] for p, s in zip(perm, shift)))
+
+
+def _fixes(g, order, rots):
+    """Whether pair map g fixes every (loop, rotation) pair of a prefix."""
+    perm, shift = g
+    return all(perm[loop] == loop and shift[loop] == 0 for loop in order)
+
+
+def _orbit(points, gens, mods):
+    """The pairs reachable from points under gens, each with a map of the
+    group they generate that carries the first point of its orbit to it."""
+    ident = (tuple(range(len(mods))), (0,) * len(mods))
+    reached = {}
+    for point in points:
+        if point in reached:
+            continue
+        reached[point] = ident
+        frontier = [point]
+        while frontier and gens:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = _apply(g, x, mods)
+                    if y not in reached:
+                        reached[y] = _compose(g, reached[x], mods)
+                        nxt.append(y)
+            frontier = nxt
+    return reached
+
+
+def _match(a: Arrangement, b: Arrangement, found_a: Readings, found_b: Readings):
     """The correspondence between the first minimal readings of a and b,
     given as `_minimal_readings` results, or None if the serials differ."""
-    (sa, readings_a), (sb, readings_b) = minimal_a, minimal_b
-    if sa != sb:
+    if found_a.serial != found_b.serial:
         return None
-    return _correspondence(a, b, *readings_a[0], *readings_b[0])
+    return _correspondence(a, b, *found_a.first, *found_b.first)
 
 
-def _group(arr: Arrangement, readings) -> SymmetryGroup:
-    """G from the minimal readings of arr (see `symmetry_group`)."""
-    elements = set()
-    for faces, verts in readings:
-        corr = _correspondence(arr, arr, *readings[0], faces, verts)
-        elements.add((tuple(v - 1 for v in corr.faces), corr.vertices))
+def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
+    """G as the closure of the automorphisms found for arr (see `symmetry_group`).
+
+    Its order is known before any element is listed; above
+    MAX_GROUP_ORDER this raises ValidationError instead.
+    """
+    if found.order > MAX_GROUP_ORDER:
+        raise ValidationError(
+            f"symmetry group of {found.order} elements exceeds the budget of "
+            f"{MAX_GROUP_ORDER} elements"
+        )
+    ident = (tuple(range(arr.r)), tuple(range(len(arr.vertices))))
+    elements, used = {ident}, []
+    for (_, *reading), (_, *image) in found.automorphisms:
+        corr = _correspondence(arr, arr, *reading, *image)
+        h = (tuple(f - 1 for f in corr.faces), corr.vertices)
+        if h in elements:
+            continue
+        used.append(h)
+        frontier = list(elements)
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for u in used:
+                    prod = (compose_perms(g[0], u[0]), compose_perms(g[1], u[1]))
+                    if prod not in elements:
+                        elements.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
+    if len(elements) != found.order:
+        raise InconsistencyError(
+            f"automorphisms close to {len(elements)} elements, orbits give {found.order}"
+        )
     elements = sorted(elements)
     generators = _checked_generators(elements)
     return SymmetryGroup(

@@ -205,6 +205,15 @@ def eights_row(k, order=None, shifts=None, n=128):
     )
 
 
+def circles_row(k, n=32):
+    """k disjoint circles of radii 1 + 0.001 i, 3 apart: one diagram
+    shape per loop, so every loop order is a symmetry and |G| = k!."""
+    return ClosedCurve(tuple(
+        circle_curve(n=n, radius=1.0 + 0.001 * i, center=(3.0 * i, 0.0)).loops[0]
+        for i in range(k)
+    ))
+
+
 def serpentine_curve(strands=128, n=16384, cut=0.25):
     """One loop of `strands` horizontal strands 1 apart, joined alternately
     at the right and left ends and closed by a vertical return at x = -1.

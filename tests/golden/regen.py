@@ -25,6 +25,7 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 import numpy as np  # noqa: E402
 from conftest import (  # noqa: E402
     circle_curve,
+    circles_row,
     conveyor_pair,
     cusp_curve,
     dip_bump_pair,
@@ -103,6 +104,7 @@ def _inputs():
         "near": near,
         "cusp": cusp_curve(),
         "thin-band": thin_band_curve(3e-5),
+        "circles12": circles_row(12),
     }
     files = {f"{name}.curve": serialize_curve(c) for name, c in curves.items()}
     # written by hand: a ClosedCurve refuses this sample
@@ -150,6 +152,7 @@ CALLS = [
     ("analyze-angle-tol-inf", ["analyze", "eight.curve", "--angle-tol", "inf"]),
     ("analyze-angle-tol-zero", ["analyze", "eight.curve", "--angle-tol", "0"]),
     ("analyze-sep-tol-nan", ["analyze", "eight.curve", "--sep-tol", "nan"]),
+    ("analyze-circles12", ["analyze", "circles12.curve"]),
     # compare
     ("compare-labelled-equivalent", ["compare", "eight.curve", "eight-sheared.curve", "--labelled"]),
     ("compare-labelled-inequivalent", ["compare", "eight.curve", "eight-scaled.curve", "--labelled"]),
@@ -174,6 +177,7 @@ CALLS = [
     ("symmetry-row5", ["symmetry", "row5.curve"]),
     ("symmetry-mirror", ["symmetry", "mirror.curve"]),
     ("symmetry-holed", ["symmetry", "holed.curve"]),
+    ("symmetry-circles12", ["symmetry", "circles12.curve"]),
     # realize
     ("realize-eight", ["realize", "eight.curve", "2", "2", "--grid", "64", "--out", "eight.density"]),
     ("realize-eight-base-scale",

@@ -23,9 +23,12 @@ from symplane.diagram import (
     FaceCorrespondence,
     GaussCode,
     SymmetryGroup,
+    _checked_generators,
+    _chunk,
     _correspondence,
     compose_perms,
     gauss_code,
+    perm_cycles,
 )
 from symplane.errors import FormatError, InconsistencyError, RealizationError, ValidationError
 from symplane.forms import (
@@ -41,6 +44,7 @@ from symplane.forms import (
     make_density,
 )
 from symplane.geometry import EPSILON, cross2
+from symplane.moduli import Decision, Verdict, Witness, _area_vector, _check_bijection
 
 
 def moser_interpolation_2d(f0: Density, f1: Density, steps: int = 64) -> GridMap:
@@ -756,6 +760,106 @@ def _minimal_readings(gc: GaussCode):
         elif serial == best:
             readings.append((faces, verts))
     return best, readings
+
+
+def tie_listing_readings(gc: GaussCode):
+    """The pruned `diagram._minimal_readings` that listed every tie: the
+    minimal serial and every (faces, verts) reading that reaches it, in
+    (loop order, rotations) order.
+
+    The serial of a reading is the header n{V}f{F}o{outer}| followed by
+    the loop chunks joined by |. The search goes depth first over loop
+    positions: position p takes each unused loop of the same shape as
+    loop p at each basepoint rotation. All children of a node are read
+    before any is entered, and a child is dropped when its serial prefix
+    (with a trailing | as chunks follow) is above a sibling's prefix or
+    above the best serial cut to the same length; ties go on. Sibling
+    prefixes end in | and chunks hold none, so neither is a proper prefix
+    of the other and the lower one beats every completion of the higher.
+    The header is only known once the outer face has a label; until then
+    nothing is dropped.
+    """
+    k = len(gc.occ)
+    shape = [(len(gc.occ[i]), len(gc.arcs[i])) for i in range(k)]
+    fits = [[i for i in range(k) if shape[i] == shape[p]] for p in range(k)]
+    head = f"n{len({v for occ in gc.occ for v, _ in occ})}f{gc.num_faces}o"
+    outer = gc.outer_face
+    best = None
+    leaves = []
+
+    def visit(order, rots, verts, strands, faces, body):
+        nonlocal best, leaves
+        last = len(order) == k - 1
+        kids = []
+        for loop in fits[len(order)]:
+            if loop in order:
+                continue
+            for rot in range(max(1, shape[loop][0])):
+                v, s, f = dict(verts), dict(strands), dict(faces)
+                text = body + _chunk(gc, loop, rot, v, s, f)
+                key = (order + (loop,), rots + (rot,))
+                if last:
+                    serial = f"{head}{f[outer]}|{text}"
+                    if best is None or serial < best:
+                        best, leaves = serial, []
+                    if serial == best:
+                        leaves.append((key, f, v))
+                    continue
+                text += "|"
+                prefix = f"{head}{f[outer]}|{text}" if outer in f else None
+                kids.append((prefix, key, v, s, f, text))
+        low = min((kid[0] for kid in kids if kid[0] is not None), default=None)
+        for prefix, key, v, s, f, text in kids:
+            if prefix is not None and (
+                prefix > low or (best is not None and prefix > best[: len(prefix)])
+            ):
+                continue
+            visit(*key, v, s, f, text)
+
+    visit((), (), {}, {}, {}, "")
+    leaves.sort(key=lambda leaf: leaf[0])
+    return best, [(faces, verts) for _, faces, verts in leaves]
+
+
+def tie_listing_group(arr: Arrangement, readings) -> SymmetryGroup:
+    """The `diagram._group` that built G from every minimal reading of arr:
+    the correspondences from the first of them to each of them."""
+    elements = set()
+    for faces, verts in readings:
+        corr = _correspondence(arr, arr, *readings[0], faces, verts)
+        elements.add((tuple(v - 1 for v in corr.faces), corr.vertices))
+    elements = sorted(elements)
+    generators = _checked_generators(elements)
+    return SymmetryGroup(
+        degree=arr.r,
+        marked=len(arr.vertices),
+        face_perms=tuple(e[0] for e in elements),
+        vertex_perms=tuple(e[1] for e in elements),
+        generators=generators,
+    )
+
+
+def orbit_decision(a, b, corr, perms, tol, areas_a, areas_b) -> Decision:
+    """The original `moduli._orbit_decision`, one loop over perms: EQUIVALENT
+    at the first face permutation g in perms whose composite with corr
+    aligns the area vectors; otherwise INEQUIVALENT, with the
+    closest composite as witness."""
+    _check_bijection(corr, a.r, b.r)
+    va = _area_vector(a, areas_a)
+    vb = _area_vector(b, areas_b)
+    scale = max(va.max(), vb.max())
+    best = None  # (discrepancy, g, composite): the first aligning, else the first closest
+    verdict = Verdict.INEQUIVALENT
+    for g in perms:
+        composite = tuple(corr.faces[g[j]] for j in range(a.r))
+        disc = max(abs(va[j] - vb[composite[j] - 1]) for j in range(a.r))
+        if disc <= tol * scale:
+            best, verdict = (disc, g, composite), Verdict.EQUIVALENT
+            break
+        if best is None or disc < best[0]:
+            best = (disc, g, composite)
+    disc, g, composite = best
+    return Decision(verdict, tol, Witness(composite, perm_cycles(g), float(disc)))
 
 
 def canonical_code(gc: GaussCode) -> str:

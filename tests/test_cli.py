@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from conftest import (
     LEAKING_PETAL,
     circle_curve,
+    circles_row,
     dipping_pair,
     eights_row,
     gerono_curve,
@@ -220,6 +222,23 @@ def test_symmetry_circle_trivial(tmp_path):
     assert code == 0
     assert "group order: 1" in text
     assert "none (trivial)" in text
+
+
+@pytest.mark.filterwarnings("error")
+def test_twelve_disjoint_circles_analyze_and_refuse_to_list_g(tmp_path, capsys):
+    # G is all 12! loop orders: the canonical code comes from 11
+    # automorphisms, and listing G is refused from its order alone
+    path = write_curve(tmp_path, "circles12.curve", circles_row(12))
+    start = time.perf_counter()
+    code, text, _ = run_captured(capsys, ["analyze", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "canonical: n0f13o1|.:0.1|.:2.1|" in text
+    for argv in (["symmetry", path], ["compare", path, path, "--symplectic"]):
+        start = time.perf_counter()
+        code, text, err = run_captured(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, text) == (2, "")
+        assert err.count("error:") == 1 and "exceeds the budget" in err and "Traceback" not in err
 
 
 # --- realize --------------------------------------------------------------

@@ -4,10 +4,12 @@
 for the minimal readings, and the group axioms are checked while the
 generators are found. Their results must equal the old separate loops
 of `oracles` exactly: the same strings, the same correspondences, the
-same sorted elements and the same generator indices. The pruned
-depth-first `_minimal_readings` must return the same serial and the same
-readings in the same order as the full enumeration it replaced, so the
-correspondences, G and the equivalence decisions built on them agree.
+same sorted elements and the same generator indices. The
+automorphism-pruned `_minimal_readings` must return the same serial,
+the same first minimal reading and |G| as the full enumeration, and the
+group it closes and both compare decisions must equal those of the
+search that listed every tie (`oracles.tie_listing_readings`), which it
+replaced. The array-pass orbit decision must equal the loop it replaced.
 The half-edge polylines, cut for all arcs of a loop at once, must equal
 the per-arc cut and the old per-sample loop.
 """
@@ -19,23 +21,37 @@ import math
 import numpy as np
 import oracles
 import pytest
-from conftest import circle_curve, eights_row, gerono_curve, holed_curve, trefoil_curve
+from conftest import (
+    circle_curve,
+    circles_row,
+    eights_row,
+    gerono_curve,
+    holed_curve,
+    trefoil_curve,
+)
 
 from symplane import diagram, moduli
 from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import ClosedCurve, transform_curve
 from symplane.diagram import (
+    MAX_GROUP_ORDER,
     _checked_generators,
+    _correspondence,
     _group,
-    _match,
     _minimal_readings,
     canonical_code,
     gauss_code,
     isotopy_match,
     symmetry_group,
 )
-from symplane.errors import InconsistencyError
-from symplane.moduli import Verdict, symplectically_equivalent
+from symplane.errors import InconsistencyError, ValidationError
+from symplane.moduli import (
+    DEFAULT_AREA_TOL,
+    Decision,
+    Verdict,
+    labelled_equivalent,
+    symplectically_equivalent,
+)
 
 ROWS = {
     1: ((0,), (37,)),
@@ -193,6 +209,11 @@ def enumerated():
     return readings
 
 
+def items(reading):
+    """A (faces, verts) reading as item lists: the numbering and its order."""
+    return [list(labels.items()) for labels in reading]
+
+
 def test_minimal_readings_match_full_enumeration(arrangements, rows, enumerated):
     ring, eight = holed_curve().loops
     # read first, the circle in a lobe of the large figure-eight leaves the
@@ -212,14 +233,12 @@ def test_minimal_readings_match_full_enumeration(arrangements, rows, enumerated)
     first_outer = []
     for arr in arrs:
         gc = gauss_code(arr)
-        serial, readings = _minimal_readings(gc)
+        found = _minimal_readings(gc)
         old_serial, old_readings = enumerated(gc)
-        assert serial == old_serial
-        assert len(readings) == len(old_readings)
-        for (faces, verts), (old_faces, old_verts) in zip(readings, old_readings):
-            # the same numbering, assigned in the same order
-            assert list(faces.items()) == list(old_faces.items())
-            assert list(verts.items()) == list(old_verts.items())
+        assert found.serial == old_serial
+        # the same numbering, assigned in the same order
+        assert items(found.first) == items(old_readings[0])
+        assert found.order == len(old_readings)
         first_outer.append(any(gc.outer_face in arc for arc in gc.arcs[0]))
     assert not all(first_outer)
 
@@ -234,20 +253,31 @@ def tied(a, b, decision, perms):
     return discs.count(decision.witness.max_discrepancy)
 
 
-def test_match_group_and_decisions_match_full_enumeration(rows, enumerated, monkeypatch):
+def oracle_decisions(a, b, readings_a, readings_b):
+    """Both compare decisions as made from the listed minimal readings of
+    a and b, (serial, readings) each, by the old loop over G."""
+    (sa, ra), (sb, rb) = readings_a, readings_b
+    if sa != sb:
+        return Decision(Verdict.INCOMPARABLE, DEFAULT_AREA_TOL), Decision(
+            Verdict.INCOMPARABLE, DEFAULT_AREA_TOL)
+    corr = _correspondence(a, b, *ra[0], *rb[0])
+    perms = oracles.tie_listing_group(a, ra).face_perms
+    return tuple(oracles.orbit_decision(a, b, corr, g, DEFAULT_AREA_TOL, None, None)
+                 for g in ((tuple(range(a.r)),), perms))
+
+
+def test_match_group_and_decisions_match_full_enumeration(rows, enumerated):
     ties = {Verdict.EQUIVALENT: 0, Verdict.INEQUIVALENT: 0}
     for a, b, verdict in rows:
         old_a, old_b = enumerated(gauss_code(a)), enumerated(gauss_code(b))
         corr = isotopy_match(a, b)
-        assert corr == _match(a, b, old_a, old_b)
-        assert isotopy_match(b, a) == _match(b, a, old_b, old_a)
+        assert corr == _correspondence(a, b, *old_a[1][0], *old_b[1][0])
+        assert isotopy_match(b, a) == _correspondence(b, a, *old_b[1][0], *old_a[1][0])
         group = symmetry_group(a)
-        assert group == _group(a, old_a[1])
+        assert group == oracles.tie_listing_group(a, old_a[1])
         assert group.order == math.factorial(len(a.curve.loops))
         got = symplectically_equivalent(a, b)
-        with monkeypatch.context() as m:
-            m.setattr(moduli, "_minimal_readings", enumerated)
-            assert symplectically_equivalent(a, b) == got
+        assert (labelled_equivalent(a, b), got) == oracle_decisions(a, b, old_a, old_b)
         assert got.verdict is verdict
         ties[verdict] += tied(a, b, got, group.face_perms) > 1
     # several elements align, or tie for closest, on the pairs of k > 1
@@ -255,14 +285,246 @@ def test_match_group_and_decisions_match_full_enumeration(rows, enumerated, monk
     assert ties == {Verdict.EQUIVALENT: 5, Verdict.INEQUIVALENT: 6}
 
 
-@pytest.mark.parametrize("k, reads", [(4, 128), (5, 650), (6, 3912)])
-def test_congruent_row_reads_2e_k_factorial_chunks(k, reads, monkeypatch):
-    # each surviving node reads its 2 (k - d) children and keeps one
-    # rotation of every remaining loop: 2 * sum_j k!/j!, j < k, chunk reads
+@pytest.mark.parametrize("k, reads", [(4, 40), (5, 70), (6, 112), (7, 168), (8, 240)])
+def test_congruent_row_reads_cubic_chunks(k, reads, monkeypatch):
+    # depth d of the first path reads its 2 (k - d) children; each of its
+    # k - 1 nodes above the leaves then enters one more child, 2 j (j + 1)
+    # reads below it for j = k - d loops left, whose first leaf gives an
+    # automorphism and jumps back; the found orbit then covers the rest:
+    # sum_{j <= k} j (j + 1) = k (k + 1) (k + 2) / 3 chunk reads
     calls = []
     chunk = diagram._chunk
     monkeypatch.setattr(diagram, "_chunk", lambda *args: calls.append(1) or chunk(*args))
-    _, readings = _minimal_readings(gauss_code(build_arrangement(eights_row(k))))
-    assert len(calls) == reads
-    assert reads == 2 * sum(math.factorial(k) // math.factorial(j) for j in range(k))
-    assert len(readings) == math.factorial(k)
+    found = _minimal_readings(gauss_code(build_arrangement(eights_row(k))))
+    assert len(calls) == reads == k * (k + 1) * (k + 2) // 3
+    assert len(found.automorphisms) == k - 1
+    assert found.order == math.factorial(k)
+
+
+# --- automorphism-pruned search against the tie-listing search ------------
+
+
+def assert_search_matches_tie_listing(arr):
+    """Serial, first reading, |G|, sorted elements and generators of the
+    pruned search equal those of the search that listed every tie."""
+    gc = gauss_code(arr)
+    found = _minimal_readings(gc)
+    serial, readings = oracles.tie_listing_readings(gc)
+    assert found.serial == serial
+    assert items(found.first) == items(readings[0])
+    assert found.order == len(readings)
+    assert _group(arr, found) == oracles.tie_listing_group(arr, readings)
+    return serial, readings
+
+
+def assert_pairs_match_tie_listing(pairs):
+    for a, b in pairs:
+        readings_a = assert_search_matches_tie_listing(a)
+        readings_b = assert_search_matches_tie_listing(b)
+        decisions = (labelled_equivalent(a, b), symplectically_equivalent(a, b))
+        assert decisions == oracle_decisions(a, b, readings_a, readings_b)
+
+
+def test_arrangements_match_tie_listing(arrangements):
+    # neighbours: mostly INCOMPARABLE, some with a common crossing pattern
+    arrs = list(arrangements)
+    assert_pairs_match_tie_listing(zip(arrs, arrs[1:] + arrs[:1]))
+
+
+def nested_rings(k):
+    """k concentric rings of radii 1 + 0.05 i: G is trivial."""
+    return ClosedCurve(tuple(circle_curve(n=64, radius=1.0 + 0.05 * i).loops[0]
+                             for i in range(k)))
+
+
+def ring_of_discs(k):
+    """A ring of radius 3 holding k discs of radius 0.5 on a circle of radius 1.8."""
+    discs = tuple(circle_curve(n=48, radius=0.5, center=(1.8 * np.cos(2 * np.pi * i / k),
+                                                          1.8 * np.sin(2 * np.pi * i / k))).loops[0]
+                  for i in range(k))
+    return ClosedCurve((circle_curve(n=128, radius=3.0).loops[0],) + discs)
+
+
+PETALS = [(perm, shift) for perm in ((0, 1, 2), (1, 2, 0)) for shift in (0, 171)]
+
+
+def petal_circles(perm, shift):
+    """trefoil_curve(513), its samples rolled by shift, with a circle in each
+    petal, in petal order perm: the first minimal reading in (loop order,
+    rotations) order is not the first one the search reaches, so it comes
+    from the least image of the reference reading."""
+    tref = trefoil_curve(n=513)
+    petals = [f.centroid for f in build_arrangement(tref).faces
+              if not f.is_outer and np.linalg.norm(f.centroid) > 0.5]
+    circles = tuple(circle_curve(n=32, radius=0.2, center=petals[i]).loops[0] for i in perm)
+    return ClosedCurve((np.roll(tref.loops[0], shift, axis=0),) + circles)
+
+
+MIXED = {  # loop kinds of each seeded row, and its |G|: counts! * 3^trefoils
+    "eights-trefoil-circles": (("eight", "eight", "trefoil", "circle", "circle"), 12),
+    "trefoil-circles": (("trefoil", "circle", "circle", "circle", "eight"), 18),
+    "trefoils-eights": (("trefoil", "trefoil", "eight", "eight", "eight"), 108),
+    "three-trefoils": (("trefoil", "trefoil", "trefoil", "eight", "circle"), 162),
+}
+
+
+def mixed_row(kinds, seed):
+    """The loops of kinds, each at a random basepoint, in random slots 7 apart."""
+    rng = np.random.default_rng(seed)
+    shapes = {"eight": gerono_curve(n=128).loops[0], "trefoil": trefoil_curve(n=192).loops[0],
+              "circle": circle_curve(n=64).loops[0]}
+    slots = rng.permutation(len(kinds))
+    return ClosedCurve(tuple(
+        np.roll(shapes[kind], int(rng.integers(len(shapes[kind]))), axis=0) + (7.0 * slot, 0.0)
+        for kind, slot in zip(kinds, slots)
+    ))
+
+
+def moved(curve, seed):
+    """curve with its loops in a seeded order, each at a seeded basepoint."""
+    rng = np.random.default_rng(seed)
+    loops = [curve.loops[i] for i in rng.permutation(len(curve.loops))]
+    return ClosedCurve(tuple(np.roll(p, int(rng.integers(len(p))), axis=0) for p in loops))
+
+
+def shrunk_first(curve, factor=0.9):
+    """curve with its first loop scaled about its centroid."""
+    loop = curve.loops[0]
+    centre = loop.mean(axis=0)
+    return ClosedCurve((centre + factor * (loop - centre),) + curve.loops[1:])
+
+
+def with_copies(curve, seed):
+    """(curve, moved copy) and (curve, moved copy with one loop shrunk)."""
+    a = build_arrangement(curve)
+    copy = moved(curve, seed)
+    return [(a, build_arrangement(copy)), (a, build_arrangement(shrunk_first(copy)))]
+
+
+CASES = {
+    "holed": lambda: [holed_curve()],
+    "enclosed": lambda: [ClosedCurve((
+        circle_curve(n=128, radius=0.8, center=(0.0, 2.0)).loops[0],
+        circle_curve(n=128, center=(10.0, 0.0)).loops[0],
+        gerono_curve(n=256, scale=4.0).loops[0]))],
+    "three-trefoils": lambda: [ClosedCurve((
+        trefoil_curve(n=192).loops[0],
+        np.roll(trefoil_curve(n=192).loops[0], 32, axis=0) + (7.0, 0.0),
+        trefoil_curve(n=192).loops[0] + (14.0, 0.0)))],
+    "disjoint-circles": lambda: [circles_row(k) for k in range(1, 8)],
+    "nested-rings": lambda: [nested_rings(k) for k in range(1, 7)],
+    "ring-of-discs": lambda: [ring_of_discs(k) for k in range(1, 6)],
+    "petal-circles": lambda: [petal_circles(perm, shift) for perm, shift in PETALS],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_curves_match_tie_listing(case):
+    pairs = []
+    for seed, curve in enumerate(CASES[case]()):
+        pairs += with_copies(curve, seed)
+    assert_pairs_match_tie_listing(pairs)
+
+
+@pytest.mark.parametrize("name", sorted(MIXED))
+def test_mixed_rows_match_tie_listing(name):
+    kinds, order = MIXED[name]
+    curve = mixed_row(kinds, seed=len(name))
+    pairs = with_copies(curve, seed=len(kinds))
+    assert symmetry_group(pairs[0][0]).order == order
+    assert_pairs_match_tie_listing(pairs)
+
+
+def motifs():
+    """Small diagrams, each centred at the origin as a list of loops."""
+    def disc(radius, centre=(0.0, 0.0), n=48):
+        return circle_curve(n=n, radius=radius, center=centre).loops[0]
+
+    eight = gerono_curve(n=128).loops[0]
+    tref = trefoil_curve(n=513)
+    petals = [f.centroid for f in build_arrangement(tref).faces
+              if not f.is_outer and np.linalg.norm(f.centroid) > 0.5]
+    return [
+        [disc(1.0)],
+        [eight],
+        [0.5 * trefoil_curve(n=192).loops[0]],
+        [disc(1.2), disc(0.5)],
+        [1.5 * eight, disc(0.25, (0.0, 0.75))],
+        [disc(1.4), disc(0.4, (-0.6, 0.0)), disc(0.4, (0.6, 0.0))],
+        [disc(1.2), disc(0.9)],
+        [disc(0.8, (-0.4, 0.0)), disc(0.8, (0.4, 0.0))],
+        [0.5 * tref.loops[0]] + [disc(0.1, 0.5 * p, n=24) for p in petals],
+    ]
+
+
+def motif_row(shapes, rng, most=6):
+    """Motifs drawn at random, once or twice each, 4 apart, up to `most`
+    loops in all; then the loops shuffled, each at a random basepoint."""
+    loops = []
+    while True:
+        shape = shapes[rng.integers(len(shapes))]
+        for _ in range(1 + rng.integers(2)):
+            if len(loops) + len(shape) > most:
+                break
+            slot = len(loops)
+            loops += [loop + (4.0 * slot, 0.0) for loop in shape]
+        if len(loops) + len(shape) > most or rng.random() < 0.3:
+            break
+    return ClosedCurve(tuple(np.roll(loops[i], int(rng.integers(len(loops[i]))), axis=0)
+                             for i in rng.permutation(len(loops))))
+
+
+def test_seeded_motif_rows_match_tie_listing():
+    # nested, crossing and repeated motifs: ties among readings that are
+    # not minimal, so automorphisms found early need not fix a later
+    # node's prefix and must not prune it
+    shapes = motifs()
+    orders = set()
+    for seed in range(80):
+        arr = build_arrangement(motif_row(shapes, np.random.default_rng(seed)))
+        _, readings = assert_search_matches_tie_listing(arr)
+        orders.add(len(readings))
+    assert max(orders) >= 48
+
+
+def test_petal_circles_first_reading_is_not_the_first_reached():
+    # the search reaches readings in (loop, rotation) pair order, the first
+    # minimal reading is the least in (loop order, rotations) order
+    differ = 0
+    for perm, shift in PETALS:
+        gc = gauss_code(build_arrangement(petal_circles(perm, shift)))
+        serial, _ = oracles.tie_listing_readings(gc)
+        keys = [key for key in oracles._candidates(gc) if oracles._read(gc, *key)[0] == serial]
+        differ += min(keys) != min(keys, key=lambda key: list(zip(*key)))
+    assert differ == 2
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_AREA_TOL, 1e-12, 0.5])
+def test_orbit_decision_matches_the_loop(rows, tol):
+    # the array pass keeps the first aligning element, else the first
+    # closest one, and the witness bits; 1e-12 aligns nothing, 0.5 aligns
+    # the first element
+    for a, b, _ in rows:
+        corr, perms = isotopy_match(a, b), symmetry_group(a).face_perms
+        for group in (perms, perms[::-1], (tuple(range(a.r)),)):
+            got = moduli._orbit_decision(a, b, corr, group, tol, None, None)
+            assert got == oracles.orbit_decision(a, b, corr, group, tol, None, None)
+            assert type(got.witness.face_map[0]) is int
+
+
+def test_group_order_budget_is_checked_before_any_element(monkeypatch):
+    assert MAX_GROUP_ORDER >= math.factorial(8)
+    found = _minimal_readings(gauss_code(build_arrangement(circles_row(9))))
+    assert found.order == math.factorial(9) > MAX_GROUP_ORDER
+    monkeypatch.setattr(diagram, "_correspondence", None)  # listing an element would call it
+    with pytest.raises(ValidationError, match="exceeds the budget"):
+        _group(build_arrangement(circles_row(9)), found)
+
+
+def test_group_closure_must_have_the_orbit_order():
+    arr = build_arrangement(eights_row(4))
+    found = _minimal_readings(gauss_code(arr))
+    assert _group(arr, found).order == found.order == 24
+    for wrong in (found._replace(order=25), found._replace(automorphisms=found.automorphisms[1:])):
+        with pytest.raises(InconsistencyError, match="close to"):
+            _group(arr, wrong)
