@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .arrangement import Arrangement
 from .errors import InconsistencyError, ValidationError
 
@@ -148,18 +150,14 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     An automorphism carries each candidate reading (orientation-preserving
     basepoint shifts and loop reorderings) to one with the same serial,
     and two readings with the same serial differ by one. The reading
-    search records such pairs as it prunes ties, and they generate G; G
-    is listed as their closure, after its order, known from the search,
-    is checked against MAX_GROUP_ORDER (ValidationError above it). The
-    closure must have that order, and the sorted element set is checked
-    to be a group while its generators are found.
+    search records such pairs as it prunes ties, and they generate G.
+    After |G|, known from the search, is checked against MAX_GROUP_ORDER
+    (ValidationError above it), G is listed from them in whole cosets of
+    one permutation array (Dimino's algorithm) and must have that order.
+    The same coset routine then runs on the sorted elements: it picks
+    the greedy generators and checks that the elements form a group.
     """
     return _group(arr, _minimal_readings(gauss_code(arr)))
-
-
-def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    """g after h: the image of i is g[h[i]]."""
-    return tuple(map(g.__getitem__, h))
 
 
 def perm_cycles(perm: tuple[int, ...]) -> str:
@@ -405,45 +403,35 @@ def _match(a: Arrangement, b: Arrangement, found_a: Readings, found_b: Readings)
 
 
 def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
-    """G as the closure of the automorphisms found for arr (see `symmetry_group`).
+    """G listed from the automorphisms found for arr (see `symmetry_group`).
 
     Its order is known before any element is listed; above
-    MAX_GROUP_ORDER this raises ValidationError instead.
+    MAX_GROUP_ORDER this raises ValidationError instead. Each element is
+    one row, the face permutation followed by r + the vertex permutation,
+    so g after h is the gather g[h].
     """
     if found.order > MAX_GROUP_ORDER:
         raise ValidationError(
             f"symmetry group of {found.order} elements exceeds the budget of "
             f"{MAX_GROUP_ORDER} elements"
         )
-    ident = (tuple(range(arr.r)), tuple(range(len(arr.vertices))))
-    elements, used = {ident}, []
+    r, n = arr.r, arr.r + len(arr.vertices)
+    autos = []
     for (_, *reading), (_, *image) in found.automorphisms:
         corr = _correspondence(arr, arr, *reading, *image)
-        h = (tuple(f - 1 for f in corr.faces), corr.vertices)
-        if h in elements:
-            continue
-        used.append(h)
-        frontier = list(elements)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for u in used:
-                    prod = (compose_perms(g[0], u[0]), compose_perms(g[1], u[1]))
-                    if prod not in elements:
-                        elements.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-    if len(elements) != found.order:
+        autos.append([f - 1 for f in corr.faces] + [r + v for v in corr.vertices])
+    rows, _ = _cosets(np.asarray(autos, dtype=np.intp).reshape(-1, n))
+    if len(rows) != found.order:
         raise InconsistencyError(
-            f"automorphisms close to {len(elements)} elements, orbits give {found.order}"
+            f"automorphisms close to {len(rows)} elements, orbits give {found.order}"
         )
-    elements = sorted(elements)
-    generators = _checked_generators(elements)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    generators = _checked_generators(rows)
     return SymmetryGroup(
-        degree=arr.r,
-        marked=len(arr.vertices),
-        face_perms=tuple(e[0] for e in elements),
-        vertex_perms=tuple(e[1] for e in elements),
+        degree=r,
+        marked=n - r,
+        face_perms=tuple(map(tuple, rows[:, :r].tolist())),
+        vertex_perms=tuple(map(tuple, (rows[:, r:] - r).tolist())),
         generators=generators,
     )
 
@@ -465,40 +453,69 @@ def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert
     return FaceCorrespondence(faces=tuple(faces), vertices=verts)
 
 
-def _checked_generators(elements):
-    """Greedy generators of the sorted element list, checking the group axioms.
+def _checked_generators(rows):
+    """Greedy generators of the element rows in their order, checking the
+    group axioms.
 
-    Each element not yet generated becomes a generator, and the generated
-    set is closed under right multiplication by the generators. Every
-    product must be an element and the identity must be one. Then every
-    element is generated and the set is closed under products with the
-    generators, so it equals the group the generators span; a finite set
-    of permutations closed under products also holds every inverse.
+    Each row not yet generated becomes a generator (`_cosets`), and every
+    row generated must be one of the given rows, which must be distinct
+    and hold the identity. Then the rows are exactly the group the
+    generators span.
     """
-    present = set(elements)
-    n_f, n_v = (len(elements[0][0]), len(elements[0][1])) if elements else (0, 0)
-    ident = (tuple(range(n_f)), tuple(range(n_v)))
-    if ident not in present:
+    present = set(_keys(rows))
+    if len(present) != len(rows):
+        raise InconsistencyError("automorphism set repeats an element")
+    if np.arange(rows.shape[1], dtype=rows.dtype).tobytes() not in present:
         raise InconsistencyError("automorphism set lacks the identity")
-    generated = {ident}
-    gens: list[int] = []
-    for k, el in enumerate(elements):
-        if el in generated:
+    return _cosets(rows, present)[1]
+
+
+def _cosets(rows, present=None):
+    """Dimino's listing of the group spanned by the rows, taken in order:
+    (its elements, the indices of the rows that were needed).
+
+    A row not yet listed joins the generators and extends the subgroup
+    found so far, sub, by whole right cosets sub[:, x]: x is first the
+    row, then each product of a coset representative with a generator
+    that is not yet listed. The cosets listed are then closed under right
+    multiplication by every generator, so they make up the group, and
+    cosets of a permutation group never overlap, so no row is listed
+    twice. A generator that is not a permutation raises
+    InconsistencyError, and so, given `present` (a set of row keys), does
+    a listed row outside it.
+    """
+    n = rows.shape[1]
+    sub = np.arange(n, dtype=rows.dtype)[None]
+    seen, perm = {sub.tobytes()}, set(range(n))
+    gens, used = [], []
+
+    def add_coset(x):
+        block = sub[:, x]
+        new = _keys(block)
+        if present is not None and not present.issuperset(new):
+            raise InconsistencyError("automorphism set not closed under composition")
+        seen.update(new)
+        blocks.append(block)
+        reps.append(x)
+
+    for i, key in enumerate(_keys(rows)):
+        if key in seen:
             continue
-        gens.append(k)
-        frontier = list(generated)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h_idx in gens:
-                    h = elements[h_idx]
-                    prod = (compose_perms(g[0], h[0]), compose_perms(g[1], h[1]))
-                    if prod not in generated:
-                        if prod not in present:
-                            raise InconsistencyError(
-                                "automorphism set not closed under composition"
-                            )
-                        generated.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-    return tuple(gens)
+        if set(rows[i].tolist()) != perm:
+            raise InconsistencyError("automorphism is not a permutation")
+        gens.append(rows[i])
+        used.append(i)
+        blocks, reps = [sub], []
+        add_coset(rows[i])
+        for x in reps:  # grows while it is read
+            for g in gens:
+                y = x[g]
+                if y.tobytes() not in seen:
+                    add_coset(y)
+        sub = np.concatenate(blocks)
+    return sub, tuple(used)
+
+
+def _keys(rows):
+    """The bytes of each row of a 2-D array, as hashable keys."""
+    return np.ascontiguousarray(rows).view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()

@@ -5,9 +5,10 @@ orientation-preserving symmetry of the diagram carries the bounded-face
 area vector of one to the other, so the decision reduces to an orbit
 search over the finite symmetry group composed with one fixed isotopy
 correspondence. One reading search of the first curve yields both that
-correspondence and the automorphisms whose closure is the group, which
-is listed only up to `diagram.MAX_GROUP_ORDER` elements; the orbit
-search then takes every element's area discrepancy in one array pass.
+correspondence and the automorphisms that generate the group, which is
+listed in coset blocks of one permutation array, only up to
+`diagram.MAX_GROUP_ORDER` elements; the orbit search then takes every
+element's area discrepancy in one array pass.
 
 Curves with catalogued non-generic points are handled at the dimension
 level only: each declared singular germ contributes its local moduli

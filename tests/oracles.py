@@ -22,11 +22,10 @@ from symplane.curves import ClosedCurve, Violation, _beside_crossing
 from symplane.diagram import (
     FaceCorrespondence,
     GaussCode,
+    MAX_GROUP_ORDER,
     SymmetryGroup,
-    _checked_generators,
     _chunk,
     _correspondence,
-    compose_perms,
     gauss_code,
     perm_cycles,
 )
@@ -819,6 +818,92 @@ def tie_listing_readings(gc: GaussCode):
     visit((), (), {}, {}, {}, "")
     leaves.sort(key=lambda leaf: leaf[0])
     return best, [(faces, verts) for _, faces, verts in leaves]
+
+
+def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    """The original `diagram.compose_perms`: g after h, the image of i is g[h[i]]."""
+    return tuple(map(g.__getitem__, h))
+
+
+def _group(arr: Arrangement, found) -> SymmetryGroup:
+    """The `diagram._group` that listed G as the tuple closure of the
+    automorphisms found for arr, then found its generators in a second
+    closure pass that checked the group axioms (`_checked_generators`)."""
+    if found.order > MAX_GROUP_ORDER:
+        raise ValidationError(
+            f"symmetry group of {found.order} elements exceeds the budget of "
+            f"{MAX_GROUP_ORDER} elements"
+        )
+    ident = (tuple(range(arr.r)), tuple(range(len(arr.vertices))))
+    elements, used = {ident}, []
+    for (_, *reading), (_, *image) in found.automorphisms:
+        corr = _correspondence(arr, arr, *reading, *image)
+        h = (tuple(f - 1 for f in corr.faces), corr.vertices)
+        if h in elements:
+            continue
+        used.append(h)
+        frontier = list(elements)
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for u in used:
+                    prod = (compose_perms(g[0], u[0]), compose_perms(g[1], u[1]))
+                    if prod not in elements:
+                        elements.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
+    if len(elements) != found.order:
+        raise InconsistencyError(
+            f"automorphisms close to {len(elements)} elements, orbits give {found.order}"
+        )
+    elements = sorted(elements)
+    generators = _checked_generators(elements)
+    return SymmetryGroup(
+        degree=arr.r,
+        marked=len(arr.vertices),
+        face_perms=tuple(e[0] for e in elements),
+        vertex_perms=tuple(e[1] for e in elements),
+        generators=generators,
+    )
+
+
+def _checked_generators(elements):
+    """Greedy generators of the sorted element list, checking the group axioms.
+
+    Each element not yet generated becomes a generator, and the generated
+    set is closed under right multiplication by the generators. Every
+    product must be an element and the identity must be one. Then every
+    element is generated and the set is closed under products with the
+    generators, so it equals the group the generators span; a finite set
+    of permutations closed under products also holds every inverse.
+    """
+    present = set(elements)
+    n_f, n_v = (len(elements[0][0]), len(elements[0][1])) if elements else (0, 0)
+    ident = (tuple(range(n_f)), tuple(range(n_v)))
+    if ident not in present:
+        raise InconsistencyError("automorphism set lacks the identity")
+    generated = {ident}
+    gens: list[int] = []
+    for k, el in enumerate(elements):
+        if el in generated:
+            continue
+        gens.append(k)
+        frontier = list(generated)
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for h_idx in gens:
+                    h = elements[h_idx]
+                    prod = (compose_perms(g[0], h[0]), compose_perms(g[1], h[1]))
+                    if prod not in generated:
+                        if prod not in present:
+                            raise InconsistencyError(
+                                "automorphism set not closed under composition"
+                            )
+                        generated.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
+    return tuple(gens)
 
 
 def tie_listing_group(arr: Arrangement, readings) -> SymmetryGroup:

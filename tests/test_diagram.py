@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 from conftest import circle_curve, eights_row, gerono_curve, trefoil_curve
-from oracles import invert_perm
+from oracles import compose_perms, invert_perm
 
 from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import ClosedCurve, resample, transform_curve
 from symplane.diagram import (
+    MAX_GROUP_ORDER,
     canonical_code,
-    compose_perms,
     gauss_code,
     isotopy_match,
     perm_cycles,
@@ -173,13 +173,22 @@ def test_eights_row_group_permutes_loops(k):
 
 
 def test_eights_row_of_seven_group_has_order_5040():
-    # 7! automorphisms found by the pruned reading search and checked to be
-    # a group by _checked_generators inside symmetry_group
+    # 7! automorphisms found by the pruned reading search, listed as
+    # cosets and checked to be a group inside symmetry_group
     g = symmetry_group(build_arrangement(eights_row(7)))
     assert g.order == math.factorial(7)
     assert g.face_perms[0] == tuple(range(14)) and g.vertex_perms[0] == tuple(range(7))
     assert len(set(g.face_perms)) == g.order
     assert 0 < len(g.generators) < 7
+
+
+def test_eights_row_of_eight_group_is_listed_at_the_budget():
+    # 8! = MAX_GROUP_ORDER elements, listed in coset blocks
+    g = symmetry_group(build_arrangement(eights_row(8)))
+    assert g.order == math.factorial(8) == MAX_GROUP_ORDER
+    assert g.face_perms[0] == tuple(range(16)) and g.vertex_perms[0] == tuple(range(8))
+    assert len(set(zip(g.face_perms, g.vertex_perms))) == g.order
+    assert 0 < len(g.generators) < 8
 
 
 @pytest.mark.parametrize(

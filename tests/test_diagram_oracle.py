@@ -1,15 +1,17 @@
 """Reading search and group check against the code they replaced.
 
 `canonical_code`, `isotopy_match` and `symmetry_group` share one search
-for the minimal readings, and the group axioms are checked while the
-generators are found. Their results must equal the old separate loops
-of `oracles` exactly: the same strings, the same correspondences, the
-same sorted elements and the same generator indices. The
-automorphism-pruned `_minimal_readings` must return the same serial,
-the same first minimal reading and |G| as the full enumeration, and the
-group it closes and both compare decisions must equal those of the
-search that listed every tie (`oracles.tie_listing_readings`), which it
-replaced. The array-pass orbit decision must equal the loop it replaced.
+for the minimal readings, and G is listed in coset blocks of one
+permutation array, whose axioms are checked while its generators are
+found. Their results must equal the old separate loops of `oracles`
+exactly: the same strings, the same correspondences, the same sorted
+elements and the same generator indices. The automorphism-pruned
+`_minimal_readings` must return the same serial, the same first minimal
+reading and |G| as the full enumeration, and the group listed from it
+and both compare decisions must equal those of the search that listed
+every tie (`oracles.tie_listing_readings`), which it replaced, and of
+the tuple closure (`oracles._group`). The array-pass orbit decision must
+equal the loop it replaced.
 The half-edge polylines, cut for all arcs of a loop at once, must equal
 the per-arc cut and the old per-sample loop.
 """
@@ -130,26 +132,77 @@ def test_arc_points_match_per_sample_loop(arrangements, extra):
 
 
 @pytest.fixture(scope="module")
-def trefoil_elements(trefoil512):
+def trefoil_rows(trefoil512):
+    """The sorted element rows of the trefoil's G: the face permutation,
+    then r + the vertex permutation."""
     group = symmetry_group(build_arrangement(trefoil512))
-    return list(zip(group.face_perms, group.vertex_perms))
+    return np.array([f + tuple(group.degree + v for v in p)
+                     for f, p in zip(group.face_perms, group.vertex_perms)])
 
 
-def test_checked_generators_of_trefoil(trefoil_elements):
-    assert len(trefoil_elements) == 3
-    assert _checked_generators(trefoil_elements) == (1,)
+def test_checked_generators_of_trefoil(trefoil_rows):
+    assert len(trefoil_rows) == 3
+    assert _checked_generators(trefoil_rows) == (1,)
 
 
-@pytest.mark.parametrize("drop", [0, 1, 2], ids=["identity", "middle", "last"])
-def test_checked_generators_rejects_a_dropped_element(trefoil_elements, drop):
-    elements = trefoil_elements[:drop] + trefoil_elements[drop + 1:]
-    with pytest.raises(InconsistencyError):
-        _checked_generators(elements)
+@pytest.mark.parametrize("drop, error", [(0, "identity"), (1, "not closed"), (2, "not closed")],
+                         ids=["identity", "middle", "last"])
+def test_checked_generators_rejects_a_dropped_element(trefoil_rows, drop, error):
+    with pytest.raises(InconsistencyError, match=error):
+        _checked_generators(np.delete(trefoil_rows, drop, axis=0))
 
 
 def test_checked_generators_rejects_empty_set():
     with pytest.raises(InconsistencyError, match="identity"):
-        _checked_generators([])
+        _checked_generators(np.zeros((0, 7), dtype=np.intp))
+
+
+def test_checked_generators_rejects_a_repeated_row(trefoil_rows):
+    # a set of the rows would hide the copy
+    for i in range(3):
+        rows = np.insert(trefoil_rows, i, trefoil_rows[i], axis=0)
+        with pytest.raises(InconsistencyError, match="repeats"):
+            _checked_generators(rows)
+
+
+def test_checked_generators_rejects_a_row_that_breaks_closure(trefoil_rows):
+    # swapping two petals (faces and crossings) with the rotations spans S_3
+    ident = trefoil_rows[0]
+    petals = [j for j in range(4) if trefoil_rows[1][j] != j]
+    swap = ident.copy()
+    swap[petals[:2]] = petals[1::-1]
+    crossings = ident[4:]
+    swap[4:] = crossings[[1, 0, 2]]
+    for rows in (np.vstack([trefoil_rows, swap]), np.vstack([swap, trefoil_rows])):
+        with pytest.raises(InconsistencyError, match="not closed"):
+            _checked_generators(rows)
+
+
+def test_checked_generators_rejects_a_row_that_is_no_permutation(trefoil_rows):
+    rows = trefoil_rows.copy()
+    rows[1, 0] = rows[1, 1]
+    with pytest.raises(InconsistencyError, match="not a permutation"):
+        _checked_generators(rows)
+
+
+def assert_group_matches_closure(arr, found):
+    """`_group` equals the tuple closure it replaced, field for field, and
+    holds Python ints only."""
+    group = _group(arr, found)
+    assert group == oracles._group(arr, found)
+    perms = group.face_perms + group.vertex_perms
+    assert all(type(x) is int for perm in perms for x in perm)
+    assert all(type(i) is int for i in group.generators)
+    return group
+
+
+@pytest.mark.parametrize("row, ks", [(eights_row, range(1, 8)), (circles_row, range(1, 7))],
+                         ids=["eights", "circles"])
+def test_group_matches_closure_on_rows(row, ks):
+    for k in ks:
+        arr = build_arrangement(row(k))
+        group = assert_group_matches_closure(arr, _minimal_readings(gauss_code(arr)))
+        assert group.order == math.factorial(k)
 
 
 # --- pruned reading search against the full enumeration -------------------
@@ -306,14 +359,16 @@ def test_congruent_row_reads_cubic_chunks(k, reads, monkeypatch):
 
 def assert_search_matches_tie_listing(arr):
     """Serial, first reading, |G|, sorted elements and generators of the
-    pruned search equal those of the search that listed every tie."""
+    pruned search equal those of the search that listed every tie, and G
+    equals the tuple closure of the automorphisms found."""
     gc = gauss_code(arr)
     found = _minimal_readings(gc)
     serial, readings = oracles.tie_listing_readings(gc)
     assert found.serial == serial
     assert items(found.first) == items(readings[0])
     assert found.order == len(readings)
-    assert _group(arr, found) == oracles.tie_listing_group(arr, readings)
+    group = assert_group_matches_closure(arr, found)
+    assert group == oracles.tie_listing_group(arr, readings)
     return serial, readings
 
 
