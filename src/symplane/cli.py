@@ -225,10 +225,11 @@ def cmd_symmetry(args, out) -> int:
     out.write(f"bounded faces: {arr.r}\n")
     out.write(f"marked vertices: {group.marked}\n")
     out.write(f"group order: {group.order}\n")
-    gens = [perm_cycles(group.face_perms[i]) for i in group.generators]
+    face_perms = group.face_perms.tolist()
+    gens = [perm_cycles(face_perms[i]) for i in group.generators]
     out.write(f"generators: {' '.join(gens) if gens else 'none (trivial)'}\n")
     out.write("elements:\n")
-    for fperm, vperm in group:
+    for fperm, vperm in zip(face_perms, group.vertex_perms.tolist()):
         out.write(f"  faces {perm_cycles(fperm)}; vertices {perm_cycles(vperm)}\n")
     return 0
 

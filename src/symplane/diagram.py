@@ -15,6 +15,7 @@ comparisons respect the curve orientation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,11 +48,8 @@ class GaussCode:
     num_faces: int
 
     def __post_init__(self):
-        counts: dict[int, int] = {}
-        for loop in self.occ:
-            for v, _ in loop:
-                counts[v] = counts.get(v, 0) + 1
-        if sorted(counts) != list(range(len(self.base_sign))) and counts:
+        counts = Counter(v for loop in self.occ for v, _ in loop)
+        if sorted(counts) != list(range(len(self.base_sign))):
             raise ValidationError("occurrences do not cover vertices 0..n-1")
         if any(c != 2 for c in counts.values()):
             raise ValidationError("every crossing must be visited exactly twice")
@@ -85,23 +83,26 @@ class FaceCorrespondence:
 class SymmetryGroup:
     """Diagram automorphisms as paired face and crossing permutations.
 
-    Face permutations act on canonical labels 1..r (stored 0-indexed:
-    face_perms[k][j] is the image of label j+1, minus one). Crossing
-    permutations act on arrangement vertex indices.
+    Row k of each read-only int array is element k, sorted, identity first.
+    Face permutations act on canonical labels 1..r, 0-indexed (face_perms[k, j]
+    is the image of label j+1, minus one), crossing ones on vertex indices.
     """
 
-    degree: int
-    marked: int
-    face_perms: tuple[tuple[int, ...], ...]
-    vertex_perms: tuple[tuple[int, ...], ...]
-    generators: tuple[int, ...]  # indices into the element list
+    face_perms: np.ndarray  # (|G|, r)
+    vertex_perms: np.ndarray  # (|G|, V)
+    generators: tuple[int, ...]  # indices into the element rows
 
     @property
     def order(self) -> int:
         return len(self.face_perms)
 
-    def __iter__(self):
-        return iter(zip(self.face_perms, self.vertex_perms))
+    @property
+    def degree(self) -> int:
+        return self.face_perms.shape[1]
+
+    @property
+    def marked(self) -> int:
+        return self.vertex_perms.shape[1]
 
 
 def gauss_code(arr: Arrangement) -> GaussCode:
@@ -145,7 +146,8 @@ def isotopy_match(a: Arrangement, b: Arrangement) -> FaceCorrespondence | None:
 
 
 def symmetry_group(arr: Arrangement) -> SymmetryGroup:
-    """All diagram automorphisms, as face and crossing permutations.
+    """All diagram automorphisms, as face and crossing permutation
+    arrays (read-only; row k is element k, sorted, identity first).
 
     An automorphism carries each candidate reading (orientation-preserving
     basepoint shifts and loop reorderings) to one with the same serial,
@@ -154,8 +156,8 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     After |G|, known from the search, is checked against MAX_GROUP_ORDER
     (ValidationError above it), G is listed from them in whole cosets of
     one permutation array (Dimino's algorithm) and must have that order.
-    The same coset routine then runs on the sorted elements: it picks
-    the greedy generators and checks that the elements form a group.
+    The same coset routine then picks the greedy generators of the
+    sorted rows and checks that they form a group.
     """
     return _group(arr, _minimal_readings(gauss_code(arr)))
 
@@ -427,13 +429,9 @@ def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
         )
     rows = rows[np.lexsort(rows.T[::-1])]
     generators = _checked_generators(rows)
-    return SymmetryGroup(
-        degree=r,
-        marked=n - r,
-        face_perms=tuple(map(tuple, rows[:, :r].tolist())),
-        vertex_perms=tuple(map(tuple, (rows[:, r:] - r).tolist())),
-        generators=generators,
-    )
+    rows[:, r:] -= r
+    rows.setflags(write=False)
+    return SymmetryGroup(rows[:, :r], rows[:, r:], generators)
 
 
 def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert_b):

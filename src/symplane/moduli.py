@@ -5,10 +5,10 @@ orientation-preserving symmetry of the diagram carries the bounded-face
 area vector of one to the other, so the decision reduces to an orbit
 search over the finite symmetry group composed with one fixed isotopy
 correspondence. One reading search of the first curve yields both that
-correspondence and the automorphisms that generate the group, which is
-listed in coset blocks of one permutation array, only up to
-`diagram.MAX_GROUP_ORDER` elements; the orbit search then takes every
-element's area discrepancy in one array pass.
+correspondence and the automorphisms that generate the group, listed
+only up to `diagram.MAX_GROUP_ORDER` elements as a read-only int array
+whose row k is element k (sorted, identity first); the orbit search
+gathers every element's area discrepancy from those rows in one pass.
 
 Curves with catalogued non-generic points are handled at the dimension
 level only: each declared singular germ contributes its local moduli
@@ -181,7 +181,7 @@ def _orbit_decision(a, b, corr, perms, tol, areas_a, areas_b) -> Decision:
     vb = _area_vector(b, areas_b)
     scale = max(va.max(), vb.max())
     # row i: area of a-face j minus that of its image corr(g_i(j)) in b
-    mismatch = va - vb[np.asarray(corr.faces) - 1][np.asarray(perms)]
+    mismatch = va - vb[np.asarray(corr.faces) - 1][perms]
     discs = np.maximum.reduce(np.abs(mismatch), axis=1)
     aligned = discs <= tol * scale
     i = int(aligned.argmax())
@@ -189,8 +189,8 @@ def _orbit_decision(a, b, corr, perms, tol, areas_a, areas_b) -> Decision:
         verdict = Verdict.EQUIVALENT
     else:
         i, verdict = int(discs.argmin()), Verdict.INEQUIVALENT
-    composite = tuple(corr.faces[j] for j in perms[i])
-    witness = Witness(composite, perm_cycles(perms[i]), float(discs[i]))
+    g = perms[i].tolist()
+    witness = Witness(tuple(corr.faces[j] for j in g), perm_cycles(g), float(discs[i]))
     return Decision(verdict, tol, witness)
 
 
@@ -213,7 +213,7 @@ def labelled_equivalent(
         corr = isotopy_match(a, b)
         if corr is None:
             return Decision(Verdict.INCOMPARABLE, tol)
-    return _orbit_decision(a, b, corr, (tuple(range(a.r)),), tol, areas_a, areas_b)
+    return _orbit_decision(a, b, corr, np.arange(a.r)[None], tol, areas_a, areas_b)
 
 
 def symplectically_equivalent(

@@ -78,6 +78,7 @@ def _inputs():
     holed = ClosedCurve((circle_curve(n=128, radius=3.0).loops[0], eight.loops[0]))
     overflow = circle_curve(n=16).loops[0].tolist()
     overflow[5] = [1e308, 1e308]
+    row5 = eights_row(5)
     bump0, bump1 = _bump_pair()
     dip0, dip1 = dipping_pair()
     rows0, rows1 = dip_bump_pair(np.random.default_rng(3), 24)
@@ -99,7 +100,8 @@ def _inputs():
         "row3": row,
         "row3-moved": moved,
         "row3-shrunk": shrunk,
-        "row5": eights_row(5),
+        "row5": row5,
+        "row5-reordered": ClosedCurve(row5.loops[::-1]),
         "holed": holed,
         "near": near,
         "cusp": cusp_curve(),
@@ -160,6 +162,8 @@ CALLS = [
     ("compare-symplectic-turned", ["compare", "trefoil.curve", "trefoil-turned.curve", "--symplectic"]),
     ("compare-symplectic-moved", ["compare", "row3.curve", "row3-moved.curve", "--symplectic"]),
     ("compare-symplectic-shrunk", ["compare", "row3.curve", "row3-shrunk.curve", "--symplectic"]),
+    ("compare-symplectic-row5-reordered",
+     ["compare", "row5.curve", "row5-reordered.curve", "--symplectic"]),
     ("compare-symplectic-incomparable", ["compare", "eight.curve", "trefoil.curve", "--symplectic"]),
     ("compare-not-generic", ["compare", "cusp.curve", "eight.curve", "--labelled"]),
     ("compare-no-mode", ["compare", "eight.curve", "eight.curve"]),

@@ -858,12 +858,15 @@ def _group(arr: Arrangement, found) -> SymmetryGroup:
         )
     elements = sorted(elements)
     generators = _checked_generators(elements)
+    return _packaged(elements, generators)
+
+
+def _packaged(elements, generators) -> SymmetryGroup:
+    """The sorted (face, vertex) tuple pairs as `SymmetryGroup`'s int arrays."""
     return SymmetryGroup(
-        degree=arr.r,
-        marked=len(arr.vertices),
-        face_perms=tuple(e[0] for e in elements),
-        vertex_perms=tuple(e[1] for e in elements),
-        generators=generators,
+        np.array([e[0] for e in elements], dtype=np.intp),
+        np.array([e[1] for e in elements], dtype=np.intp),
+        generators,
     )
 
 
@@ -915,13 +918,7 @@ def tie_listing_group(arr: Arrangement, readings) -> SymmetryGroup:
         elements.add((tuple(v - 1 for v in corr.faces), corr.vertices))
     elements = sorted(elements)
     generators = _checked_generators(elements)
-    return SymmetryGroup(
-        degree=arr.r,
-        marked=len(arr.vertices),
-        face_perms=tuple(e[0] for e in elements),
-        vertex_perms=tuple(e[1] for e in elements),
-        generators=generators,
-    )
+    return _packaged(elements, generators)
 
 
 def orbit_decision(a, b, corr, perms, tol, areas_a, areas_b) -> Decision:
@@ -1001,13 +998,7 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     elements.sort()
     _verify_group(elements)
     generators = _find_generators(elements)
-    return SymmetryGroup(
-        degree=arr.r,
-        marked=len(arr.vertices),
-        face_perms=tuple(e[0] for e in elements),
-        vertex_perms=tuple(e[1] for e in elements),
-        generators=generators,
-    )
+    return _packaged(elements, generators)
 
 
 def invert_perm(g: tuple[int, ...]) -> tuple[int, ...]:

@@ -269,7 +269,7 @@ def test_criterion_7_moduli_dimensions():
 def test_criterion_8_orbit_classification(trefoil512):
     arr = build_arrangement(trefoil512)
     group = symmetry_group(arr)
-    allowed = set(group.face_perms)
+    allowed = set(map(tuple, group.face_perms.tolist()))
     g = next(p for p in allowed if p != tuple(range(4)))
     center = next(j for j in range(4) if g[j] == j)
     petals = [j for j in range(4) if j != center]

@@ -13,12 +13,14 @@ from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import ClosedCurve, resample, transform_curve
 from symplane.diagram import (
     MAX_GROUP_ORDER,
+    GaussCode,
     canonical_code,
     gauss_code,
     isotopy_match,
     perm_cycles,
     symmetry_group,
 )
+from symplane.errors import ValidationError
 
 
 def rotated(curve, theta, shift=(0.0, 0.0)):
@@ -31,6 +33,12 @@ def test_circle_code_empty():
     gc = gauss_code(arr)
     assert gc.labelled_sequences() == ((),)
     assert gc.base_sign == ()
+
+
+def test_gauss_code_rejects_a_declared_vertex_that_no_loop_visits():
+    # one vertex sign, but the only loop has no occurrences
+    with pytest.raises(ValidationError, match="do not cover"):
+        GaussCode(occ=((),), arcs=(((0, 1),),), base_sign=(1,), outer_face=1, num_faces=2)
 
 
 def test_gerono_code_single_crossing_consistent_signs(gerono256):
@@ -101,7 +109,7 @@ def test_isotopy_match_with_rotated_copy(trefoil512):
     # composing the two correspondences gives an element of the symmetry group
     composed = tuple(back.faces[corr.faces[j] - 1] - 1 for j in range(4))
     group = symmetry_group(arr)
-    assert composed in group.face_perms
+    assert list(composed) in group.face_perms.tolist()
 
 
 def test_isotopy_match_absent_for_different_shapes(circle512, gerono256):
@@ -112,7 +120,19 @@ def test_symmetry_group_circle_trivial(circle512):
     g = symmetry_group(build_arrangement(circle512))
     assert g.order == 1
     assert g.degree == 1
-    assert g.face_perms == ((0,),)
+    assert g.face_perms.tolist() == [[0]]
+
+
+@pytest.mark.parametrize("name, order, r, v", [("trefoil512", 3, 4, 3), ("circle512", 1, 1, 0)])
+def test_symmetry_group_rows_are_read_only_int_arrays(name, order, r, v, request):
+    g = symmetry_group(build_arrangement(request.getfixturevalue(name)))
+    assert g.face_perms.dtype == g.vertex_perms.dtype == np.intp
+    assert g.face_perms.shape == (order, r) and g.vertex_perms.shape == (order, v)
+    assert g.face_perms[0].tolist() == list(range(r))
+    assert g.vertex_perms[0].tolist() == list(range(v))
+    for perms in (g.face_perms, g.vertex_perms):
+        with pytest.raises(ValueError, match="read-only"):
+            perms[0] = perms[-1]
 
 
 def test_symmetry_group_figure_eight_trivial(gerono256):
@@ -126,7 +146,7 @@ def test_symmetry_group_trefoil_cyclic_of_order_3(trefoil512):
     assert g.degree == 4
     assert g.marked == 3
     assert g.order == 3
-    non_identity = [p for p in g.face_perms if p != tuple(range(4))]
+    non_identity = [p for p in map(tuple, g.face_perms.tolist()) if p != tuple(range(4))]
     assert len(non_identity) == 2
     for p in non_identity:
         assert compose_perms(p, compose_perms(p, p)) == tuple(range(4))
@@ -139,7 +159,8 @@ def test_symmetry_group_trefoil_cyclic_of_order_3(trefoil512):
 
 def test_symmetry_group_closure_explicitly(trefoil512):
     g = symmetry_group(build_arrangement(trefoil512))
-    elements = set(zip(g.face_perms, g.vertex_perms))
+    faces, verts = g.face_perms.tolist(), g.vertex_perms.tolist()
+    elements = set(zip(map(tuple, faces), map(tuple, verts)))
     for f1, v1 in elements:
         assert (invert_perm(f1), invert_perm(v1)) in elements
         for f2, v2 in elements:
@@ -177,8 +198,9 @@ def test_eights_row_of_seven_group_has_order_5040():
     # cosets and checked to be a group inside symmetry_group
     g = symmetry_group(build_arrangement(eights_row(7)))
     assert g.order == math.factorial(7)
-    assert g.face_perms[0] == tuple(range(14)) and g.vertex_perms[0] == tuple(range(7))
-    assert len(set(g.face_perms)) == g.order
+    assert g.face_perms[0].tolist() == list(range(14))
+    assert g.vertex_perms[0].tolist() == list(range(7))
+    assert len(np.unique(g.face_perms, axis=0)) == g.order
     assert 0 < len(g.generators) < 7
 
 
@@ -186,8 +208,9 @@ def test_eights_row_of_eight_group_is_listed_at_the_budget():
     # 8! = MAX_GROUP_ORDER elements, listed in coset blocks
     g = symmetry_group(build_arrangement(eights_row(8)))
     assert g.order == math.factorial(8) == MAX_GROUP_ORDER
-    assert g.face_perms[0] == tuple(range(16)) and g.vertex_perms[0] == tuple(range(8))
-    assert len(set(zip(g.face_perms, g.vertex_perms))) == g.order
+    assert g.face_perms[0].tolist() == list(range(16))
+    assert g.vertex_perms[0].tolist() == list(range(8))
+    assert len(np.unique(np.hstack([g.face_perms, g.vertex_perms]), axis=0)) == g.order
     assert 0 < len(g.generators) < 8
 
 

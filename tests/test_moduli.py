@@ -31,7 +31,7 @@ from symplane.moduli import (
 def trefoil_orbit_labels(arr):
     """(petal labels in cyclic order, center label) from the symmetry group."""
     group = symmetry_group(arr)
-    g = next(p for p in group.face_perms if p != tuple(range(4)))
+    g = next(p for p in group.face_perms.tolist() if p != list(range(4)))
     center = next(j for j in range(4) if g[j] == j)
     start = next(j for j in range(4) if j != center)
     cycle = [start, g[start], g[g[start]]]
@@ -222,7 +222,7 @@ def test_symplectic_verdict_invariant_under_own_relabelling(trefoil512):
 
 def test_symplectic_matches_brute_force_oracle(trefoil512):
     arr = build_arrangement(trefoil512)
-    allowed = set(symmetry_group(arr).face_perms)
+    allowed = set(map(tuple, symmetry_group(arr).face_perms.tolist()))
     rng = np.random.default_rng(4321)
     tol = 1e-3
     for _ in range(50):
