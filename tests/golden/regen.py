@@ -78,6 +78,8 @@ def _inputs():
     holed = ClosedCurve((circle_curve(n=128, radius=3.0).loops[0], eight.loops[0]))
     overflow = circle_curve(n=16).loops[0].tolist()
     overflow[5] = [1e308, 1e308]
+    repeated = circle_curve(n=16).loops[0].tolist()
+    repeated[5] = repeated[4]
     row5 = eights_row(5)
     bump0, bump1 = _bump_pair()
     dip0, dip1 = dipping_pair()
@@ -111,6 +113,11 @@ def _inputs():
     files = {f"{name}.curve": serialize_curve(c) for name, c in curves.items()}
     # written by hand: a ClosedCurve refuses this sample
     files["overflow.curve"] = "curve v1\nloop 16\n" + "".join(f"{x!r} {y!r}\n" for x, y in overflow)
+    # loop 0 repeats a sample and loop 1 is too short: the first error is loop 0's
+    files["loop-errors.curve"] = (
+        "curve v1\nloop 16\n" + "".join(f"{x!r} {y!r}\n" for x, y in repeated)
+        + "loop 5\n" + "".join(f"{x!r} {y!r}\n" for x, y in repeated[:5])
+    )
     files["malformed.curve"] = "curve v1\nnot a number\n"
     files["short.curve"] = "curve v1\nloop 3\n0 0\n1 0\n"
     files["latin1.curve"] = b"curve v1\n# caf\xe9\n" + serialize_curve(eight).split("\n", 1)[1].encode()
@@ -150,6 +157,7 @@ CALLS = [
     ("analyze-short", ["analyze", "short.curve"]),
     ("analyze-latin1", ["analyze", "latin1.curve"]),
     ("analyze-overflow", ["analyze", "overflow.curve"]),
+    ("analyze-loop-errors", ["analyze", "loop-errors.curve"]),
     ("analyze-angle-tol-nan", ["analyze", "eight.curve", "--angle-tol", "nan"]),
     ("analyze-angle-tol-inf", ["analyze", "eight.curve", "--angle-tol", "inf"]),
     ("analyze-angle-tol-zero", ["analyze", "eight.curve", "--angle-tol", "0"]),
@@ -158,6 +166,8 @@ CALLS = [
     # compare
     ("compare-labelled-equivalent", ["compare", "eight.curve", "eight-sheared.curve", "--labelled"]),
     ("compare-labelled-inequivalent", ["compare", "eight.curve", "eight-scaled.curve", "--labelled"]),
+    ("compare-labelled-row5-reordered",
+     ["compare", "row5.curve", "row5-reordered.curve", "--labelled"]),
     ("compare-labelled-incomparable", ["compare", "eight.curve", "circle.curve", "--labelled"]),
     ("compare-symplectic-turned", ["compare", "trefoil.curve", "trefoil-turned.curve", "--symplectic"]),
     ("compare-symplectic-moved", ["compare", "row3.curve", "row3-moved.curve", "--symplectic"]),
