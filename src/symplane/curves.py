@@ -15,7 +15,7 @@ sample turns sharply enough to look like a cusp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
@@ -30,7 +30,7 @@ MIN_LOOP_SAMPLES = 8
 # up to 1e7 samples below the float maximum (about 1.8e308)
 MAX_COORD = 1e100
 # smallest loop extent (the longer side of its bounding box): the segment
-# tests of geometry and arrangement._loop_arcs use absolute 1e-12 floors,
+# tests of geometry and arrangement._build_half_edges use absolute 1e-12 floors,
 # and the trefoil loses its crossings below an extent near 5e-12 at any
 # sample count; this keeps a margin of 1000
 MIN_EXTENT = 1e-9
@@ -44,54 +44,46 @@ PAIR_CHUNK = 1_000_000
 
 @dataclass(frozen=True)
 class ClosedCurve:
-    """One or more closed polyline loops, each an (n, 2) float array."""
+    """One or more closed polyline loops, each an (n, 2) float array.
+
+    The loops are copied once into `points`, one read-only (N, 2) array
+    with loop k at rows offsets[k]:offsets[k + 1], and `loops` are
+    read-only views of it, so no caller's array aliases a validated
+    curve. succ[i] is the next sample of sample i's loop.
+    """
 
     loops: tuple[np.ndarray, ...]
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    succ: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.loops:
             raise ValidationError("curve needs at least one loop")
-        checked = []
-        for k, pts in enumerate(self.loops):
-            pts = np.asarray(pts, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 2:
-                raise ValidationError(f"loop {k}: expected shape (n, 2), got {pts.shape}")
-            if len(pts) < MIN_LOOP_SAMPLES:
-                raise ValidationError(
-                    f"loop {k}: {len(pts)} samples, need at least {MIN_LOOP_SAMPLES}"
-                )
-            if not np.all(np.isfinite(pts)):
-                raise ValidationError(f"loop {k}: non-finite coordinate")
-            if np.any(np.abs(pts) > MAX_COORD):
-                raise ValidationError(
-                    f"loop {k}: coordinate magnitude above {MAX_COORD:g}, "
-                    "where face moments can overflow"
-                )
-            extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-            if extent < MIN_EXTENT:
-                raise ValidationError(
-                    f"loop {k}: extent {extent:.3g} below {MIN_EXTENT:g}, "
-                    "where fixed tolerances lose crossings"
-                )
-            step = np.roll(pts, -1, axis=0) - pts
-            if np.any(np.hypot(step[:, 0], step[:, 1]) == 0.0):
-                raise ValidationError(f"loop {k}: repeated consecutive sample")
-            checked.append(pts)
-        object.__setattr__(self, "loops", tuple(checked))
+        arrays = [np.asarray(pts, dtype=float) for pts in self.loops]
+        for k, pts in enumerate(arrays):
+            if pts.shape[1:] != (2,) or not pts.size:
+                if k:
+                    _stacked(arrays[:k])  # an earlier loop's error comes first
+                if pts.shape[1:] != (2,):
+                    raise ValidationError(f"loop {k}: expected shape (n, 2), got {pts.shape}")
+                raise ValidationError(f"loop {k}: 0 samples, need at least {MIN_LOOP_SAMPLES}")
+        points, offsets, succ = _stacked(arrays)
+        points.setflags(write=False)
+        stops = offsets.tolist()
+        object.__setattr__(self, "loops", tuple(points[a:b] for a, b in zip(stops, stops[1:])))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "succ", succ)
 
     @property
     def sample_count(self) -> int:
-        return sum(len(pts) for pts in self.loops)
+        return len(self.points)
 
     def bbox(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) over all loops."""
-        allpts = np.vstack(self.loops)
-        return (
-            float(allpts[:, 0].min()),
-            float(allpts[:, 0].max()),
-            float(allpts[:, 1].min()),
-            float(allpts[:, 1].max()),
-        )
+        x, y = self.points[:, 0], self.points[:, 1]
+        return float(x.min()), float(x.max()), float(y.min()), float(y.max())
 
     def bbox_diagonal(self) -> float:
         x0, x1, y0, y1 = self.bbox()
@@ -115,6 +107,45 @@ class ClosedCurve:
         if norm == 0.0:
             raise ValidationError(f"loop {loop}: degenerate tangent at t={t}")
         return d / norm
+
+
+def _stacked(arrays):
+    """(points, offsets, succ) of non-empty (n, 2) loops, checked in one pass.
+
+    Raises the first failure, loop by loop and check by check: too few
+    samples, a non-finite coordinate, a coordinate above MAX_COORD, an
+    extent below MIN_EXTENT, a repeated consecutive sample. Each loop's
+    coordinate minima and maxima carry any nan or inf. A failed loop's
+    later checks may read meaningless values (inf - inf), so
+    floating-point warnings are off.
+    """
+    points = np.concatenate(arrays) if len(arrays) > 1 else arrays[0].copy()
+    sizes = [len(pts) for pts in arrays]
+    offsets = np.array([0, *accumulate(sizes)])
+    first = offsets[:-1]
+    succ = np.arange(1, len(points) + 1)
+    succ[offsets[1:] - 1] = first
+    with np.errstate(all="ignore"):
+        lo, hi = np.minimum.reduceat(points, first), np.maximum.reduceat(points, first)
+        extent = (hi - lo).max(axis=1)
+        same = points.take(succ, axis=0) == points
+        fails = np.array([
+            np.less(sizes, MIN_LOOP_SAMPLES),
+            ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1),
+            ((lo < -MAX_COORD) | (hi > MAX_COORD)).any(axis=1),
+            extent < MIN_EXTENT,
+            np.logical_or.reduceat(same[:, 0] & same[:, 1], first),
+        ]).T
+    if fails.any():
+        k, check = divmod(int(np.argmax(fails)), fails.shape[1])
+        raise ValidationError(f"loop {k}: " + (
+            f"{sizes[k]} samples, need at least {MIN_LOOP_SAMPLES}",
+            "non-finite coordinate",
+            f"coordinate magnitude above {MAX_COORD:g}, where face moments can overflow",
+            f"extent {extent[k]:.3g} below {MIN_EXTENT:g}, where fixed tolerances lose crossings",
+            "repeated consecutive sample",
+        )[check])
+    return points, offsets, succ
 
 
 @dataclass(frozen=True)
@@ -413,12 +444,11 @@ def _segments(curve):
     Segment i of loop l runs from sample i to sample i + 1 (cyclically);
     all five are arrays over the stacked segments.
     """
-    pts = np.vstack(curve.loops)
-    nxt = np.vstack([np.roll(p, -1, axis=0) for p in curve.loops])
-    sizes = np.array([len(p) for p in curve.loops])
+    pts, offsets = curve.points, curve.offsets
+    sizes = np.diff(offsets)
     loop = np.repeat(np.arange(len(sizes)), sizes)
-    index = np.arange(len(pts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return pts, nxt, loop, index, sizes[loop]
+    nxt = pts.take(curve.succ, axis=0)
+    return pts, nxt, loop, np.arange(len(pts)) - offsets[loop], sizes[loop]
 
 
 def _candidate_pairs(segs, sep_tol):
@@ -567,16 +597,22 @@ def _merge_germs(germs, curve):
 
 
 def _check_cusps(curve, violations):
-    for k, pts in enumerate(curve.loops):
-        step = np.roll(pts, -1, axis=0) - pts
-        prev = np.roll(step, 1, axis=0)
-        turn = np.abs(np.arctan2(cross2(prev, step), np.einsum("ij,ij->i", prev, step)))
-        for i in np.flatnonzero(turn >= MAX_TURN):
-            violations.append(
-                Violation(
-                    "cusp-proxy",
-                    pts[i],
-                    ((k, float(i)),),
-                    f"turning angle {turn[i]:.3g} >= {MAX_TURN:.3g} at sample {i}",
-                )
+    """Flag every sample, of all loops in one pass, whose turning angle is
+    at least MAX_TURN, in loop and sample order."""
+    pts, succ, offsets = curve.points, curve.succ, curve.offsets
+    pred = np.empty_like(succ)
+    pred[succ] = np.arange(len(succ))
+    step = pts.take(succ, axis=0) - pts
+    prev = step.take(pred, axis=0)  # the step into each sample
+    turn = np.abs(np.arctan2(cross2(prev, step), np.einsum("ij,ij->i", prev, step)))
+    for s in np.flatnonzero(turn >= MAX_TURN).tolist():
+        k = int(np.searchsorted(offsets, s, side="right")) - 1
+        i = s - int(offsets[k])
+        violations.append(
+            Violation(
+                "cusp-proxy",
+                pts[s],
+                ((k, float(i)),),
+                f"turning angle {turn[s]:.3g} >= {MAX_TURN:.3g} at sample {i}",
             )
+        )

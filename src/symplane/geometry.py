@@ -1,8 +1,9 @@
 """Planar geometry primitives shared by the curve and arrangement layers.
 
-Point sets are numpy arrays of shape (n, 2). Polygon functions take a
-closed polyline's edges as arrays (starts, ends) = (closed[:-1],
-closed[1:]), with the last point of `closed` repeating the first.
+Point sets are numpy arrays of shape (n, 2). A closed polyline's last
+point repeats its first; winding_numbers takes its edges as arrays
+(starts, ends) = (closed[:-1], closed[1:]), and walk_moments takes many
+closed polylines laid end to end.
 """
 
 from __future__ import annotations
@@ -19,19 +20,31 @@ def cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def polygon_moments(starts, ends):
-    """Shoelace (signed area, area centroid) of a closed polygon's edges.
+def walk_moments(closed, stops):
+    """Shoelace (signed area, area centroid) of closed polylines laid end
+    to end: polyline w is closed[stops[w - 1]:stops[w]] (from row 0 for
+    w = 0), its last point repeating its first.
 
-    The area is positive for counterclockwise polygons; a polygon of zero
-    area gets the mean of its vertices as centroid.
+    The shoelace terms of all edges are taken in one elementwise pass
+    (the terms between two polylines are never read). Each polyline's
+    sums are np.sum over its own slice of the terms, with the bits of
+    summing that polyline alone; np.add.reduceat would add in another
+    order. The area is positive for counterclockwise polylines; one of
+    zero area gets the mean of its vertices as centroid.
     """
-    x, y = starts[:, 0], starts[:, 1]
-    xn, yn = ends[:, 0], ends[:, 1]
+    x, y = closed[:-1, 0], closed[:-1, 1]
+    xn, yn = closed[1:, 0], closed[1:, 1]
     w = x * yn - xn * y
-    area = 0.5 * float(np.sum(w))
-    if area == 0:
-        return area, starts.mean(axis=0)
-    return area, np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * area)
+    terms = np.array([w, (x + xn) * w, (y + yn) * w])
+    out = []
+    for a, b in zip([0, *stops[:-1]], stops):
+        sums = np.sum(terms[:, a : b - 1], axis=1)
+        area = 0.5 * float(sums[0])
+        if area == 0:
+            out.append((area, closed[a : b - 1].mean(axis=0)))
+        else:
+            out.append((area, sums[1:] / (6.0 * area)))
+    return out
 
 
 def segment_intersections(p0, p1, q0, q1):

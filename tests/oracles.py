@@ -17,8 +17,16 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from symplane import arrangement, curves
-from symplane.arrangement import Arrangement, Face, Vertex, _cycle_polygon, _extract_cycles
-from symplane.curves import ClosedCurve, Violation, _beside_crossing
+from symplane.arrangement import Arrangement, Face, Vertex, _extract_cycles, _row_norms
+from symplane.curves import (
+    MAX_COORD,
+    MAX_TURN,
+    MIN_EXTENT,
+    MIN_LOOP_SAMPLES,
+    ClosedCurve,
+    Violation,
+    _beside_crossing,
+)
 from symplane.diagram import (
     FaceCorrespondence,
     GaussCode,
@@ -671,6 +679,35 @@ def arc_points(curve, loop, t0, t1, p_start, p_end):
     return np.vstack([p_start[None, :], mids[keep], p_end[None, :]])
 
 
+def loop_arcs(pts, per, vertices):
+    """The per-loop `arrangement._loop_arcs`: directed polylines of the arcs
+    between consecutive passages of one loop, cut with one index pass."""
+    n, k = len(pts), len(per)
+    succ = np.arange(1, k + 1) % k
+    t0 = np.array([t for t, _ in per])
+    span = (t0[succ] - t0) % n
+    span[span == 0.0] = n  # single passage: the arc is the whole loop
+    first = np.floor(t0).astype(np.int64) + 1
+    count = np.ceil(t0 + span - 1e-9).astype(np.int64) - first
+    # the samples strictly inside each arc, arc after arc
+    inside = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    mids = pts.take(inside % n, axis=0)
+    ends = np.array([vertices[v].point for _, v in per])
+    # drop interior samples that coincide with an endpoint (crossing at a sample)
+    keep = (_row_norms(mids - np.repeat(ends, count, axis=0)) > 1e-12) & (
+        _row_norms(mids - np.repeat(ends[succ], count, axis=0)) > 1e-12
+    )
+    arc = np.repeat(np.arange(k), count)[keep]
+    size = np.bincount(arc, minlength=k) + 2
+    stop = np.cumsum(size)
+    rows = np.arange(stop[-1]) - 2 * np.repeat(np.arange(k), size) - 1
+    rows[stop - size] = len(arc) + np.arange(k)
+    rows[stop - 1] = len(arc) + k + np.arange(k)
+    out = np.concatenate([np.compress(keep, mids, axis=0), ends, ends[succ]]).take(rows, axis=0)
+    stop = stop.tolist()
+    return [out[a:b] for a, b in zip([0] + stop[:-1], stop)]
+
+
 def _arc_points(curve, loop, t0, t1, p_start, p_end):
     """The original `arrangement._arc_points`: two norms per interior sample."""
     pts = curve.loops[loop]
@@ -1266,6 +1303,70 @@ def _loop_components(num_loops, passages):
             roots[root] = len(roots)
         comp.append(roots[root])
     return tuple(comp)
+
+
+def _cycle_polygon(half_edges, cycle):
+    """The original `arrangement._cycle_polygon`: one walk's closed
+    polyline, whose last point is its first, bit for bit."""
+    return np.vstack([half_edges[cycle[0]].points] + [half_edges[i].points[1:] for i in cycle[1:]])
+
+
+def polygon_moments(starts, ends):
+    """The per-walk `geometry.polygon_moments`: shoelace (signed area,
+    area centroid) of one closed polygon's edges."""
+    x, y = starts[:, 0], starts[:, 1]
+    xn, yn = ends[:, 0], ends[:, 1]
+    w = x * yn - xn * y
+    area = 0.5 * float(np.sum(w))
+    if area == 0:
+        return area, starts.mean(axis=0)
+    return area, np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * area)
+
+
+def validate_loops(loops):
+    """The original per-loop checks of `ClosedCurve`: each loop's checks in
+    turn, loop after loop; raises the first failure's ValidationError."""
+    for k, pts in enumerate(loops):
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValidationError(f"loop {k}: expected shape (n, 2), got {pts.shape}")
+        if len(pts) < MIN_LOOP_SAMPLES:
+            raise ValidationError(
+                f"loop {k}: {len(pts)} samples, need at least {MIN_LOOP_SAMPLES}"
+            )
+        if not np.all(np.isfinite(pts)):
+            raise ValidationError(f"loop {k}: non-finite coordinate")
+        if np.any(np.abs(pts) > MAX_COORD):
+            raise ValidationError(
+                f"loop {k}: coordinate magnitude above {MAX_COORD:g}, "
+                "where face moments can overflow"
+            )
+        extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+        if extent < MIN_EXTENT:
+            raise ValidationError(
+                f"loop {k}: extent {extent:.3g} below {MIN_EXTENT:g}, "
+                "where fixed tolerances lose crossings"
+            )
+        step = np.roll(pts, -1, axis=0) - pts
+        if np.any(np.hypot(step[:, 0], step[:, 1]) == 0.0):
+            raise ValidationError(f"loop {k}: repeated consecutive sample")
+
+
+def check_cusps(curve, violations):
+    """The original `curves._check_cusps`: one turning-angle pass per loop."""
+    for k, pts in enumerate(curve.loops):
+        step = np.roll(pts, -1, axis=0) - pts
+        prev = np.roll(step, 1, axis=0)
+        turn = np.abs(np.arctan2(cross2(prev, step), np.einsum("ij,ij->i", prev, step)))
+        for i in np.flatnonzero(turn >= MAX_TURN):
+            violations.append(
+                Violation(
+                    "cusp-proxy",
+                    pts[i],
+                    ((k, float(i)),),
+                    f"turning angle {turn[i]:.3g} >= {MAX_TURN:.3g} at sample {i}",
+                )
+            )
 
 
 def signed_area(points) -> float:

@@ -81,6 +81,24 @@ def test_validation_rejects_short_and_degenerate_loops():
         ClosedCurve(())
 
 
+def test_curve_keeps_its_own_read_only_copy():
+    # a later write to the caller's array used to reach the validated
+    # curve, where a repeated sample broke check_generic
+    pts = circle_curve(n=16).loops[0].copy()
+    other = pts + 3.0
+    c = ClosedCurve((pts, other))
+    before = [loop.copy() for loop in c.loops]
+    pts[1] = pts[0]
+    other[:] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(c.loops, before))
+    assert len(check_generic(c).double_points) == 0
+    for k in range(2):
+        with pytest.raises(ValueError, match="read-only"):
+            c.loops[k][1] = c.loops[k][0]
+    # the loops are views of the curve's one stacked copy
+    assert all(np.shares_memory(loop, c.points) for loop in c.loops)
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_coordinates_are_rejected():
     pts = circle_curve(n=16).loops[0].copy()

@@ -115,11 +115,12 @@ def test_arc_points_match_per_sample_loop(arrangements, extra):
     for arr in arrs:
         vpoints = [v.point for v in arr.vertices]
         for loop, per in enumerate(arr.passages):
+            per_loop = oracles.loop_arcs(arr.curve.loops[loop], per, arr.vertices) if per else []
             for k, (t0, v0) in enumerate(per):
                 t1, v1 = per[(k + 1) % len(per)]
                 args = (arr.curve, loop, t0, t1, vpoints[v0], vpoints[v1])
                 new = arr.half_edges[arr.loop_arcs[loop][k]].points
-                for old in (oracles.arc_points(*args), oracles._arc_points(*args)):
+                for old in (per_loop[k], oracles.arc_points(*args), oracles._arc_points(*args)):
                     assert new.shape == old.shape
                     assert new.tobytes() == old.tobytes()
                 # arcs of an n-sample loop hold every sample strictly inside
