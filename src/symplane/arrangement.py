@@ -19,14 +19,12 @@ edges are the arrays (starts, ends) = (closed[:-1], closed[1:]) of its
 slice, read by every area, containment and distance query. The
 shoelace terms of all walks are taken in one elementwise pass, and the
 probes of all components are tested against all positive walks in one
-pass of crossing signs, where one winding_numbers call per positive
-walk took O(k) calls for k components. A row of 5 figure-eights (640
-samples, 15 walks) builds in about 0.55 ms against 1.1-1.3 ms with
-calls per loop and per walk (2-core x86-64 machine). Labels take one pass over the edges of all
-bounded faces, which tests each face's centroid against its own
-boundary with the crossing signs of winding_numbers; only a face whose
-centroid fails searches inward offsets, at one winding_numbers call
-per candidate point.
+winding_numbers call. A row of 5 figure-eights (640 samples, 15 walks)
+builds in about 0.55 ms (2-core x86-64 machine). Labels take one pass
+over the edges of all bounded faces, which tests each face's centroid
+against its own boundary with the crossing signs of winding_numbers;
+only a face whose centroid fails searches inward offsets, at one
+winding_numbers call per candidate point.
 
 The half-edges around a vertex need no tangent: the crossing's sign from
 check_generic fixes their cyclic order (see _link_next).
@@ -474,19 +472,25 @@ def _loop_components(num_loops, vertices):
     return tuple(comp)
 
 
-def _assemble_faces(curve, half_edges, cycles, components):
-    """Faces from the boundary walks, laid end to end in one array of
-    closed polylines: walk w is closed[stops[w - 1]:stops[w]]. A positive
-    walk bounds a face; a negative one is a hole or part of the outer
-    face. A face of one walk keeps that walk's edges as views.
-    """
+def _lay_walks(half_edges, cycles):
+    """The boundary walks laid end to end as closed polylines, each
+    ending on its first point bit for bit: walk w is
+    closed[stops[w - 1]:stops[w]] (from row 0 for w = 0)."""
     pieces, last = [], []
     for c in cycles:
         pieces.append(half_edges[c[0]].points)
         pieces.extend(half_edges[i].points[1:] for i in c[1:])
         last.append(len(pieces) - 1)
-    closed = np.concatenate(pieces)
     stops = np.cumsum([len(p) for p in pieces])[last].tolist()
+    return np.concatenate(pieces), stops
+
+
+def _assemble_faces(curve, half_edges, cycles, components):
+    """Faces from the boundary walks, laid end to end by _lay_walks. A
+    positive walk bounds a face; a negative one is a hole or part of the
+    outer face. A face of one walk keeps that walk's edges as views.
+    """
+    closed, stops = _lay_walks(half_edges, cycles)
     bounds = list(zip([0, *stops[:-1]], stops))
     edges = [(closed[a : b - 1], closed[a + 1 : b]) for a, b in bounds]
     moments = walk_moments(closed, stops)
@@ -503,7 +507,11 @@ def _assemble_faces(curve, half_edges, cycles, components):
     num_comp = max(components) + 1
     if num_comp > 1:
         probes = curve.points[curve.offsets[[components.index(c) for c in range(num_comp)]]]
-        winds = _walk_windings(probes, closed, [bounds[j] for j in positive])
+        # the edges of the positive walks, walk after walk
+        sizes = np.array([bounds[j][1] - 1 - bounds[j][0] for j in positive])
+        first = np.cumsum(sizes) - sizes
+        e = np.arange(sizes.sum()) + np.repeat(np.array([bounds[j][0] for j in positive]) - first, sizes)
+        winds = winding_numbers(probes, closed.take(e, axis=0), closed.take(e + 1, axis=0), first)
         around = dict(zip(positive, winds.T != 0))
     else:
         around = {}
@@ -555,28 +563,6 @@ def _assemble_faces(curve, half_edges, cycles, components):
             f"face areas {total_bounded:.12g} disagree with outer walk {-outer.area:.12g}"
         )
     return faces, outer.index
-
-
-def _walk_windings(probes, closed, bounds) -> np.ndarray:
-    """Winding number of each walk closed[a:b] of `bounds` around each
-    probe, as winding_numbers counts it, shape (len(probes), len(bounds)).
-
-    One crossing-sign pass over the edges of all walks; each walk's turns
-    are an integer np.add.reduceat over its own edges. Probes are taken
-    in chunks of about a million probe-edge pairs.
-    """
-    sizes = np.array([b - 1 - a for a, b in bounds])
-    first = np.cumsum(sizes) - sizes
-    e = np.arange(sizes.sum()) + np.repeat(np.array([a for a, _ in bounds]) - first, sizes)
-    a, b = closed.take(e, axis=0), closed.take(e + 1, axis=0)
-    wn = np.empty((len(probes), len(bounds)), dtype=np.int64)
-    chunk = max(1, 1_000_000 // len(e))
-    for s in range(0, len(probes), chunk):
-        px = probes[s : s + chunk, 0, None]
-        py = probes[s : s + chunk, 1, None]
-        up, down = crossing_signs(px, py, a[:, 0], a[:, 1], b[:, 0], b[:, 1])
-        wn[s : s + chunk] = np.add.reduceat(up.astype(np.int64) - down, first, axis=1)
-    return wn
 
 
 def _check_euler(arr: Arrangement) -> None:

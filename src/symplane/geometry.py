@@ -1,9 +1,9 @@
 """Planar geometry primitives shared by the curve and arrangement layers.
 
 Point sets are numpy arrays of shape (n, 2). A closed polyline's last
-point repeats its first; winding_numbers takes its edges as arrays
-(starts, ends) = (closed[:-1], closed[1:]), and walk_moments takes many
-closed polylines laid end to end.
+point repeats its first; winding_numbers takes the edges of one or many
+as arrays (starts, ends) = (closed[:-1], closed[1:]), and walk_moments
+takes many closed polylines laid end to end.
 """
 
 from __future__ import annotations
@@ -114,25 +114,29 @@ def crossing_signs(px, py, ax, ay, bx, by):
     return up, down
 
 
-def winding_numbers(points, starts, ends) -> np.ndarray:
+def winding_numbers(points, starts, ends, first=None) -> np.ndarray:
     """Winding number of closed polylines around each query point.
 
     The edges are the arrays (starts, ends) = (closed[:-1], closed[1:]);
-    stacking several polylines' edges sums their winding numbers. Uses
-    the signed crossing rule of crossing_signs: an upward edge strictly
-    left of the point adds one turn, a downward edge subtracts one.
-    Points on a polyline itself get an arbitrary neighboring value;
-    callers keep query points off the boundary. Points and edges are
-    broadcast against each other in chunks of about a million pairs.
+    stacking several polylines' edges sums their winding numbers, unless
+    `first` gives the index where each polyline's edges begin: then the
+    result has one column per polyline, shape (len(points), len(first)),
+    each an integer np.add.reduceat over its own edges. Uses the signed
+    crossing rule of crossing_signs: an upward edge strictly left of the
+    point adds one turn, a downward edge subtracts one. Points on a
+    polyline itself get an arbitrary neighboring value; callers keep
+    query points off the boundary. Points and edges are broadcast
+    against each other in chunks of about a million pairs.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     ax, ay = starts[:, 0], starts[:, 1]
     bx, by = ends[:, 0], ends[:, 1]
-    wn = np.empty(len(p), dtype=np.int64)
+    groups = [0] if first is None else first
+    wn = np.empty((len(p), len(groups)), dtype=np.int64)
     chunk = max(1, 1_000_000 // len(starts))
     for s in range(0, len(p), chunk):
         px = p[s : s + chunk, 0, None]
         py = p[s : s + chunk, 1, None]
         up, down = crossing_signs(px, py, ax, ay, bx, by)
-        wn[s : s + chunk] = np.count_nonzero(up, axis=1) - np.count_nonzero(down, axis=1)
-    return wn
+        wn[s : s + chunk] = np.add.reduceat(up.astype(np.int64) - down, groups, axis=1)
+    return wn[:, 0] if first is None else wn

@@ -3,7 +3,7 @@
 `build_arrangement` makes a negative walk (a component's outer
 boundary) a hole of the smallest positive walk of another component
 around that component's probe point. It tests every probe against
-every positive walk in one pass of crossing signs; the code it replaced
+every positive walk in one `winding_numbers` call; the code it replaced
 (`oracles.assemble_faces`) made one winding call per (negative walk,
 positive walk) pair. Each face's member walks, area, centroid and label point,
 and the label order, must agree bit for bit on nested curves.
@@ -85,14 +85,14 @@ def test_innermost_ring_is_a_hole_of_the_middle_ring(clockwise):
     assert np.allclose(areas, [np.pi, 3 * np.pi, 5 * np.pi], rtol=5e-3)
 
 
-@pytest.mark.parametrize("curve, hole_passes", [(eights_row(6), 1), (trefoil_curve(n=512), 0)],
+@pytest.mark.parametrize("curve, hole_calls", [(eights_row(6), 1), (trefoil_curve(n=512), 0)],
                          ids=["eights_row6", "trefoil"])
-def test_winding_calls_per_build(curve, hole_passes):
-    # one crossing-sign pass for the holes of all positive walks (none for
-    # one component), then one for every centroid; no winding_numbers
-    # call, since no face here falls back to the offset search
+def test_winding_calls_per_build(curve, hole_calls):
+    # one winding_numbers call for the holes of all positive walks (none
+    # for one component), then one crossing-sign pass for every centroid;
+    # no face here falls back to the offset search
     with patch.object(arrangement, "winding_numbers", wraps=geometry.winding_numbers) as spy, \
             patch.object(arrangement, "crossing_signs", wraps=geometry.crossing_signs) as signs:
         build_arrangement(curve)
-    assert spy.call_count == 0
-    assert signs.call_count == hole_passes + 1
+    assert spy.call_count == hole_calls
+    assert signs.call_count == 1

@@ -1,14 +1,15 @@
 """Half-edge wiring from crossing signs against the tangent-sorting code.
 
 `build_arrangement` orders the half-edges around each vertex by the
-crossing's sign from `check_generic`, and takes each boundary walk's
-area and centroid from one `polygon_moments` pass. The code it replaced
-(`oracles.wiring`) evaluated the four outgoing tangents, sorted them by
-angle, and ran the shoelace sum once for the area and again for the
-centroid. Both are built from the same genericity report and must agree
-exactly: next pointers, walks, polygons, areas, centroids, label points,
-loop components and Gauss signs. Each curve also runs mirrored
-(x -> -x) and with its samples reversed, so both crossing signs occur.
+crossing's sign from `check_generic`, lays the boundary walks end to
+end and takes each walk's area and centroid from one `walk_moments`
+pass over all walks. The code it replaced (`oracles.wiring`) evaluated
+the four outgoing tangents, sorted them by angle, and ran the shoelace
+sum once for the area and again for the centroid. Both are built from
+the same genericity report and must agree exactly: next pointers,
+walks, polygons, areas, centroids, label points, loop components and
+Gauss signs. Each curve also runs mirrored (x -> -x) and with its
+samples reversed, so both crossing signs occur.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from conftest import (
     trefoil_curve,
 )
 
-from symplane.arrangement import _extract_cycles, build_arrangement, face_areas
+from symplane.arrangement import _extract_cycles, _lay_walks, build_arrangement, face_areas
 from symplane.curves import ClosedCurve, check_generic, transform_curve
 from symplane.diagram import gauss_code
+from symplane.geometry import walk_moments
 
 
 def mirrored(curve):
@@ -97,13 +99,20 @@ def assert_same_wiring(curve):
         assert np.array_equal(he.points, he_old.points)
     cycles = _extract_cycles(arr.half_edges)
     assert cycles == old.cycles
-    for cycle, poly, area, centroid in zip(cycles, old.polygons, old.areas, old.centroids):
-        closed = oracles._cycle_polygon(arr.half_edges, cycle)
+    # the walks and moments the build reads: all walks laid end to end,
+    # each walk's shoelace sums over its own slice
+    closed, stops = _lay_walks(arr.half_edges, cycles)
+    moments = walk_moments(closed, stops)
+    assert len(stops) == len(moments) == len(old.polygons)
+    walks = zip(cycles, [0, *stops[:-1]], stops, moments)
+    for (cycle, a, b, (new_area, new_centroid)), poly, area, centroid in zip(
+            walks, old.polygons, old.areas, old.centroids):
+        walk = closed[a:b]
         # the walk closes on its first point bit for bit, so its edge
         # arrays need no roll
-        assert bits(closed[-1]) == bits(closed[0])
-        assert np.array_equal(closed[:-1], poly)
-        new_area, new_centroid = oracles.polygon_moments(closed[:-1], closed[1:])
+        assert bits(walk[-1]) == bits(walk[0])
+        assert np.array_equal(walk[:-1], poly)
+        assert bits(walk) == bits(oracles._cycle_polygon(arr.half_edges, cycle))
         assert bits(new_area) == bits(area)
         assert bits(new_centroid) == bits(centroid)
     for face in arr.bounded_faces:
