@@ -32,8 +32,10 @@ from conftest import (  # noqa: E402
     dipping_pair,
     eights_row,
     gerono_curve,
+    tangent_circles_curve,
     thin_band_curve,
     trefoil_curve,
+    trifolium_curve,
 )
 from test_golden import INPUTS, MANIFEST, platform_key, run_corpus  # noqa: E402
 
@@ -107,6 +109,8 @@ def _inputs():
         "holed": holed,
         "near": near,
         "cusp": cusp_curve(),
+        "tangent-circles": tangent_circles_curve(),
+        "trifolium": trifolium_curve(),
         "thin-band": thin_band_curve(3e-5),
         "circles12": circles_row(12),
     }
@@ -163,6 +167,10 @@ CALLS = [
     ("analyze-angle-tol-zero", ["analyze", "eight.curve", "--angle-tol", "0"]),
     ("analyze-sep-tol-nan", ["analyze", "eight.curve", "--sep-tol", "nan"]),
     ("analyze-circles12", ["analyze", "circles12.curve"]),
+    # the crossing angles and merged strand germs of non-generic crossings
+    ("analyze-tangent-circles", ["analyze", "tangent-circles.curve"]),
+    ("analyze-eight-angle-tol-large", ["analyze", "eight.curve", "--angle-tol", "1.5"]),
+    ("analyze-trifolium", ["analyze", "trifolium.curve"]),
     # compare
     ("compare-labelled-equivalent", ["compare", "eight.curve", "eight-sheared.curve", "--labelled"]),
     ("compare-labelled-inequivalent", ["compare", "eight.curve", "eight-scaled.curve", "--labelled"]),
