@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -164,20 +165,27 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
 
 def perm_cycles(perm: tuple[int, ...]) -> str:
     """Cycle notation over 1-based labels, fixed points omitted; identity prints as 'id'."""
+    labels = _labels(len(perm))
     seen = [False] * len(perm)
     parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
+    for start, image in enumerate(perm):
+        if seen[start] or image == start:
             seen[start] = True
             continue
         cyc = []
         i = start
         while not seen[i]:
             seen[i] = True
-            cyc.append(i + 1)
+            cyc.append(labels[i])
             i = perm[i]
-        parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "id"
+        parts.append("(" + " ".join(cyc) + ")")
+    return "".join(parts) or "id"
+
+
+@lru_cache(maxsize=64)
+def _labels(n: int) -> tuple[str, ...]:
+    """The strings '1' to str(n), the labels of perm_cycles."""
+    return tuple(map(str, range(1, n + 1)))
 
 
 # internals

@@ -63,16 +63,16 @@ def segment_intersections(p0, p1, q0, q1):
     scale = np.maximum(np.maximum(np.abs(r).max(axis=1), np.abs(s).max(axis=1)), EPSILON)
     hit = np.abs(denom) > EPSILON * scale * scale
     rows = np.flatnonzero(hit)
-    d = q0[rows] - p0[rows]
-    t = cross2(d, s[rows]) / denom[rows]
-    u = cross2(d, r[rows]) / denom[rows]
+    d = q0.take(rows, axis=0) - p0.take(rows, axis=0)
+    t = cross2(d, s.take(rows, axis=0)) / denom[rows]
+    u = cross2(d, r.take(rows, axis=0)) / denom[rows]
     inside = (t >= -EPSILON) & (t <= 1.0 + EPSILON) & (u >= -EPSILON) & (u <= 1.0 + EPSILON)
     hit[rows[~inside]] = False
     rows, t, u = rows[inside], t[inside], u[inside]
     # clamp as min(max(t, 0.0), 1.0) does: -0.0 stays -0.0
     t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
     u = np.where(u < 0.0, 0.0, np.where(u > 1.0, 1.0, u))
-    return hit, t, u, p0[rows] + t[:, None] * r[rows]
+    return hit, t, u, p0.take(rows, axis=0) + t[:, None] * r.take(rows, axis=0)
 
 
 def point_segment_distance(points, a, b):

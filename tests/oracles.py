@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 from types import SimpleNamespace
-from unittest.mock import patch
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -19,11 +18,15 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 from symplane import arrangement, curves
 from symplane.arrangement import Arrangement, Face, Vertex, _extract_cycles, _row_norms
 from symplane.curves import (
+    DEFAULT_ANGLE_TOL,
     MAX_COORD,
     MAX_TURN,
     MIN_EXTENT,
     MIN_LOOP_SAMPLES,
+    SEP_TOL_FACTOR,
     ClosedCurve,
+    DoublePoint,
+    GenericityReport,
     Violation,
     _beside_crossing,
 )
@@ -37,7 +40,13 @@ from symplane.diagram import (
     gauss_code,
     perm_cycles,
 )
-from symplane.errors import FormatError, InconsistencyError, RealizationError, ValidationError
+from symplane.errors import (
+    FormatError,
+    InconsistencyError,
+    RealizationError,
+    ValidationError,
+    require_positive,
+)
 from symplane.forms import (
     DEFAULT_GRID,
     DEFAULT_STEPS,
@@ -1098,13 +1107,76 @@ def point_at(curve: ClosedCurve, loop: int, t: float) -> np.ndarray:
     return (1.0 - frac) * pts[i] + frac * pts[(i + 1) % n]
 
 
-def check_generic(curve, **kwargs):
-    """`curves.check_generic` run on the dense `_segment_hits` and the
-    all-pairs `_cluster_hits` below."""
-    with patch.object(curves, "_segment_hits", _segment_hits), patch.object(
-        curves, "_cluster_hits", _cluster_hits
-    ):
-        return curves.check_generic(curve, **kwargs)
+def tangent_at(curve: ClosedCurve, loop: int, t: float) -> np.ndarray:
+    """The original `ClosedCurve.tangent_at`: unit tangent at parameter t;
+    averaged across a sample point."""
+    pts = curve.loops[loop]
+    n = len(pts)
+    t = t % n
+    i = int(t)
+    frac = t - i
+    if 1e-9 < frac < 1.0 - 1e-9:
+        d = pts[(i + 1) % n] - pts[i]
+    else:
+        j = i if frac <= 1e-9 else (i + 1) % n
+        a = pts[j] - pts[(j - 1) % n]
+        b = pts[(j + 1) % n] - pts[j]
+        d = a / np.linalg.norm(a) + b / np.linalg.norm(b)
+    norm = np.linalg.norm(d)
+    if norm == 0.0:
+        raise ValidationError(f"loop {loop}: degenerate tangent at t={t}")
+    return d / norm
+
+
+def check_generic(curve, angle_tol=DEFAULT_ANGLE_TOL, sep_tol=None):
+    """The original `curves.check_generic`: the dense `_segment_hits` and
+    the all-pairs `_cluster_hits` below, then per cluster a mean point, a
+    germ merge, and two `tangent_at` calls."""
+    require_positive("angle_tol", angle_tol)
+    if sep_tol is None:
+        sep_tol = SEP_TOL_FACTOR * curve.bbox_diagonal()
+    require_positive("sep_tol", sep_tol)
+
+    violations: list[Violation] = []
+    hits = _segment_hits(curve, sep_tol, violations)
+    clusters = _cluster_hits(hits, sep_tol)
+
+    double_points: list[DoublePoint] = []
+    for cluster in clusters:
+        point = np.mean([h[0] for h in cluster], axis=0)
+        germs = curves._merge_germs([g for h in cluster for g in h[1]], curve)
+        if len(germs) > 2:
+            violations.append(
+                Violation("triple-point", point, tuple(germs), f"{len(germs)} strands meet")
+            )
+            continue
+        (la, ta), (lb, tb) = germs
+        u = tangent_at(curve, la, ta)
+        v = tangent_at(curve, lb, tb)
+        cross = float(cross2(u, v))
+        angle = float(np.arcsin(min(1.0, abs(cross))))
+        if angle < angle_tol:
+            violations.append(
+                Violation(
+                    "tangency", point, tuple(germs), f"crossing angle {angle:.3g} < {angle_tol:.3g}"
+                )
+            )
+        else:
+            # angle >= angle_tol > 0, so cross is nonzero
+            sign = 1 if cross > 0 else -1
+            double_points.append(DoublePoint(point, (la, ta), (lb, tb), angle, sign))
+
+    curves._check_cusps(curve, violations)
+
+    double_points.sort(key=lambda dp: dp.first)
+    violations.sort(key=lambda v: (v.kind, v.branches))
+    return GenericityReport(
+        is_generic=not violations,
+        double_points=tuple(double_points),
+        violations=tuple(violations),
+        angle_tol=angle_tol,
+        sep_tol=sep_tol,
+    )
 
 
 def _segment_hits(curve, sep_tol, violations):
@@ -1261,9 +1333,9 @@ def _link_next(curve, vertices, half_edges, passages):
             he.next = he.index  # crossing-free loop: the walk is the loop itself
             continue
         if he.t1 > he.t0:
-            d = curve.tangent_at(he.loop, he.t0 % len(curve.loops[he.loop]))
+            d = tangent_at(curve, he.loop, he.t0 % len(curve.loops[he.loop]))
         else:
-            d = -curve.tangent_at(he.loop, he.t0 % len(curve.loops[he.loop]))
+            d = -tangent_at(curve, he.loop, he.t0 % len(curve.loops[he.loop]))
         outgoing[he.origin].append((float(np.arctan2(d[1], d[0])), he.index))
     order_at = {}
     for vid, items in outgoing.items():
@@ -1477,8 +1549,8 @@ def gauss_signs(arr: Arrangement) -> tuple[int, ...]:
     """The tangent-sign block of the original `diagram.gauss_code`."""
     signs = []
     for v in arr.vertices:
-        u = arr.curve.tangent_at(*v.branches[0])
-        w = arr.curve.tangent_at(*v.branches[1])
+        u = tangent_at(arr.curve, *v.branches[0])
+        w = tangent_at(arr.curve, *v.branches[1])
         s = cross2(u, w)
         if s == 0:
             raise InconsistencyError("parallel strand tangents at a crossing")

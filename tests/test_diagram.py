@@ -183,6 +183,36 @@ def test_perm_cycles_formatting():
     assert perm_cycles((1, 0, 3, 2)) == "(1 2)(3 4)"
 
 
+def parse_cycles(text):
+    """The cycles, as lists of 0-based points, of cycle notation over 1-based labels."""
+    if text == "id":
+        return []
+    assert text[0] == "(" and text[-1] == ")"
+    return [[int(x) - 1 for x in cycle.split(" ")] for cycle in text[1:-1].split(")(")]
+
+
+def test_perm_cycles_round_trip():
+    # random permutations with any number of fixed points, the identity
+    # among them: the cycles rebuild the permutation, omit fixed points,
+    # start at their smallest point and come in order of it
+    rng = np.random.default_rng(13)
+    for n in range(41):
+        for _ in range(25):
+            perm = np.arange(n)
+            moved = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            perm[moved] = rng.permutation(moved)
+            perm = tuple(perm.tolist())
+            cycles = parse_cycles(perm_cycles(perm))
+            rebuilt = list(range(n))
+            for cycle in cycles:
+                assert len(cycle) > 1 and cycle[0] == min(cycle)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    rebuilt[a] = b
+            assert tuple(rebuilt) == perm
+            assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+        assert perm_cycles(tuple(range(n))) == "id"
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_eights_row_group_permutes_loops(k):
     # interchangeable loops in the outer face: every loop order is a symmetry,

@@ -22,7 +22,7 @@ from conftest import (
 
 from symplane.arrangement import Face, _face_raster, build_arrangement, integrate_density_over_faces
 from symplane.errors import InconsistencyError
-from symplane.geometry import winding_numbers
+from symplane.geometry import point_segment_distance, winding_numbers
 
 GRIDS = (64, 193, 256)
 
@@ -106,6 +106,39 @@ def test_winding_numbers_match_edge_loop_oracle(arrangements):
                 total += old
             # a face's stacked edges sum the winding numbers of its walks
             assert np.array_equal(winding_numbers(pts, *face.edges), total)
+
+
+def angle_sum_windings(points, poly):
+    """Winding numbers as the turning of the direction to each vertex, in
+    whole turns: a rule with no horizontal ray and no half-open ends."""
+    rel = poly[None, :, :] - points[:, None, :]
+    nxt = np.roll(rel, -1, axis=1)
+    cross = rel[..., 0] * nxt[..., 1] - rel[..., 1] * nxt[..., 0]
+    dot = (rel * nxt).sum(axis=2)
+    return np.rint(np.arctan2(cross, dot).sum(axis=1) / (2.0 * np.pi)).astype(np.int64)
+
+
+@pytest.mark.parametrize("poly", [
+    [(1, 0), (2, 1), (1, 2), (0, 1)],  # a diamond
+    [(0, 1), (1, 2), (2, 1), (1, 0)],  # the same, clockwise
+    [(0, 0), (4, 0), (4, 1), (3, 2), (4, 3), (4, 4), (2, 3), (0, 4), (1, 2)],  # notched
+    [(0, 0), (4, 0), (4, 4), (0, 4), (0, 1), (3, 1), (3, 3), (1, 3), (1, -1)],  # winds twice
+], ids=["diamond", "clockwise", "notched", "twice"])
+def test_winding_numbers_at_vertex_heights(poly):
+    # every query point lies at exactly some vertex's y: an edge spanning
+    # that height counts from its lower end on (ay <= py < by), so a
+    # vertex between two rising edges counts once, and a top or bottom
+    # vertex twice or never, as the shape demands
+    poly = np.array(poly, dtype=float)
+    xs = np.arange(-1.0, 5.0, 0.25) + 0.125
+    pts = np.array([(x, y) for y in np.unique(poly[:, 1]) for x in xs])
+    closed = np.vstack([poly, poly[:1]])
+    clear = point_segment_distance(pts[:, None, :], closed[:-1], closed[1:]).min(axis=1) > 1e-9
+    pts = pts[clear]
+    want = angle_sum_windings(pts, poly)
+    assert np.array_equal(winding_numbers(pts, closed[:-1], closed[1:]), want)
+    assert np.array_equal(oracles.winding_numbers(pts, poly), want)
+    assert want.any() and len(pts) > 20
 
 
 def test_boundary_distance_matches_per_segment_oracle(arrangements):

@@ -1,11 +1,13 @@
-"""Sort-and-sweep genericity broad phase against the dense code it replaced.
+"""Genericity check against the dense, per-cluster code it replaced.
 
 `curves._segment_hits` finds its candidate segment pairs by a sweep over
-segment x-intervals, and `curves._cluster_hits` measures only hit pairs
-that are close in x. The whole genericity report (double points, strand
-parameters, angles, violations and their order) must equal the one made
-with the dense n x n candidate arrays and the all-pairs clustering kept
-in `oracles`. The batched `segment_intersections` pass must test the same
+segment x-intervals, `curves._cluster_hits` measures only hit pairs
+that are close in x, and `check_generic` takes the tangents, angles and
+signs of all crossings in one array pass. The whole genericity report
+(double points, strand parameters, angles, signs, violations and their
+order) must equal the one made by `oracles.check_generic`: dense n x n
+candidate arrays, all-pairs clustering, and two `tangent_at` calls per
+cluster. The batched `segment_intersections` pass must test the same
 segment pairs, in the same order, as the oracle's scalar
 `segment_intersection` calls. Large loops must certify in bounded time
 and memory.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -35,7 +38,8 @@ from conftest import (
 )
 
 from symplane import curves
-from symplane.curves import ClosedCurve, check_generic
+from symplane.curves import ClosedCurve, check_generic, load_curve
+from symplane.errors import FormatError, ValidationError
 from symplane.geometry import point_segment_distance, segment_intersections, segment_pair_distances
 
 
@@ -45,7 +49,8 @@ def flat(report):
         report.is_generic,
         report.angle_tol,
         report.sep_tol,
-        [(dp.point.tolist(), dp.first, dp.second, dp.angle) for dp in report.double_points],
+        [(dp.point.tolist(), dp.first, dp.second, dp.angle, dp.sign)
+         for dp in report.double_points],
         [(v.kind, v.point.tolist(), v.branches, v.detail) for v in report.violations],
     )
 
@@ -179,6 +184,75 @@ def test_named_curves_match_dense():
         report, _ = assert_same(curve)
         assert report.is_generic
         assert len(report.double_points) == crossings
+
+
+def golden_curves():
+    """Every curve of the golden corpus that loads."""
+    out = []
+    for path in sorted((Path(__file__).parent / "golden" / "inputs").glob("*.curve")):
+        try:
+            out.append(load_curve(path))
+        except (FormatError, ValidationError):
+            continue
+    return out
+
+
+@pytest.mark.parametrize("angle_tol", [0.1, 0.5, 1.2, 1.5])
+def test_golden_curves_match_per_cluster_code(angle_tol):
+    # crossings on a sample are hit by four segment pairs, whose cluster
+    # takes a mean point and merges its germs; raising angle_tol turns
+    # crossings into tangencies one by one
+    multi = 0
+    kinds = set()
+    for curve in golden_curves():
+        report, _ = assert_same(curve, angle_tol=angle_tol)
+        kinds.update(v.kind for v in report.violations)
+        hits = curves._segment_hits(curve, report.sep_tol, [])
+        multi += sum(len(c) > 1 for c in curves._cluster_hits(hits, report.sep_tol))
+    assert multi >= 24
+    assert {"tangency", "triple-point"} <= kinds
+
+
+def test_tangents_match_tangent_at():
+    # parameters inside segments, exactly at samples, within 1e-9 of a
+    # sample on either side, and on every loop of a multi-loop curve, at
+    # every scale: each row equals the scalar oracle bit for bit
+    rng = np.random.default_rng(21)
+    for base in (trefoil_curve(n=512), eights_row(3), holed_curve(),
+                 petal_curve((3, 1.9, 0.4, 2.2, 0.1))):
+        for scale in (1e-6, 1.0, 1e6):
+            curve = ClosedCurve(tuple(pts * scale for pts in base.loops))
+            sizes = [len(pts) for pts in curve.loops]
+            loops = rng.integers(0, len(sizes), size=3000)
+            n = np.array(sizes)[loops]
+            i = rng.integers(0, n)
+            frac = rng.choice([0.0, 1e-10, 1e-9, 2e-9, 0.5, 1.0 - 2e-9, 1.0 - 1e-9, 1.0 - 1e-10],
+                              size=len(i))
+            frac = np.where(rng.random(len(i)) < 0.3, rng.random(len(i)), frac)
+            ts = i + frac
+            got = curves._unit_tangents(curve, loops, ts)
+            for k in range(len(ts)):
+                want = oracles.tangent_at(curve, int(loops[k]), float(ts[k]))
+                assert bits(got[k]) == bits(want)
+
+
+def test_degenerate_tangent_fails_like_per_cluster_code():
+    # loop 0 runs up to (1, 2), down to sample 4 at (1, 1) and straight
+    # back up; loop 1 touches it there with a sample of its own. The unit
+    # steps into and out of sample 4 cancel, so that crossing has no
+    # tangent on loop 0
+    spike = np.array([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (1.0, 2.0), (1.0, 1.0),
+                      (1.0, 2.0), (0.0, 2.0), (0.0, 1.0)])
+    t = np.pi / 2 + 2.0 * np.pi * np.arange(32) / 32
+    ring = np.column_stack([1.0 + 0.4 * np.cos(t), 0.6 + 0.4 * np.sin(t)])
+    ring[0] = 1.0, 1.0
+    curve = ClosedCurve((spike, ring))
+    errors = []
+    for check in (check_generic, oracles.check_generic):
+        with pytest.raises(ValidationError) as caught:
+            check(curve)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] == "loop 0: degenerate tangent at t=4.0"
 
 
 def test_many_hits_cluster_like_all_pairs():

@@ -30,6 +30,7 @@ from conftest import (
     trefoil_curve,
 )
 
+from symplane import curves
 from symplane.arrangement import _extract_cycles, _lay_walks, build_arrangement, face_areas
 from symplane.curves import ClosedCurve, check_generic, transform_curve
 from symplane.diagram import gauss_code
@@ -150,15 +151,16 @@ def test_offset_search_faces_match(curve, searched):
     [trefoil_curve(n=512), eights_row(5), holed_curve()],
     ids=["trefoil", "eights_row5", "holed"],
 )
-def test_tangent_at_runs_twice_per_crossing(curve):
-    # check_generic measures each crossing's two tangents; the arrangement
-    # and the Gauss code reuse its sign
-    with patch.object(
-        ClosedCurve, "tangent_at", autospec=True, side_effect=ClosedCurve.tangent_at
-    ) as spy:
-        gauss_code(build_arrangement(curve))
-    assert spy.call_count == 2 * len(check_generic(curve).double_points)
-    assert spy.call_count > 0
+def test_one_tangent_pass_per_check(curve):
+    # check_generic measures the two tangents of every crossing in one
+    # batched pass; the arrangement and the Gauss code reuse its sign
+    with patch.object(curves, "_unit_tangents", side_effect=curves._unit_tangents) as spy:
+        report = check_generic(curve)
+        assert spy.call_count == 1
+        (_, loops, ts), _ = spy.call_args
+        assert len(loops) == len(ts) == 2 * len(report.double_points) > 0
+        gauss_code(build_arrangement(curve, report))
+        assert spy.call_count == 1
 
 
 @pytest.mark.parametrize(
