@@ -347,6 +347,11 @@ def check_generic(
                     Violation("triple-point", point, tuple(germs), f"{len(germs)} strands meet")
                 )
                 continue
+            if len(germs) < 2:
+                # one passage meeting itself, not a double point: segments
+                # i and i + 2 cross only after a turn above pi/2 at sample
+                # i + 1 or i + 2, which _check_cusps flags
+                continue
         first, second = sorted(germs)
         points.append(point)
         strands += first, second

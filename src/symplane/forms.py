@@ -12,7 +12,7 @@ interpolation between densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,8 @@ FEASIBILITY_TOL = 1e-6
 # realize peaks near 55 bytes a node, so 4096^2 nodes need about 0.9 GB
 MAX_GRID_NODES = 4096 * 4096
 # largest nodes x steps of one Moser flow, checked before the flow starts:
-# 1024^2 nodes at 256 steps, about three minutes at the 0.6 us a node-step
-# that 64 steps on a 1024^2 grid take
+# 1024^2 nodes at 256 steps, about 70 s at the 0.26 us a node-step that
+# 64 steps on a 512^2 two-Gaussian pair take (4.3-4.5 s, 2-core x86-64)
 MAX_FLOW_NODE_STEPS = 1024 * 1024 * 256
 # values per block of columns that _distinct_rows reads at a time
 _ROW_BLOCK = 1 << 16
@@ -52,6 +52,7 @@ class Grid:
     """Uniform grid of nx by ny nodes over [x0, x1] x [y0, y1].
 
     A node array has shape (nx, ny): entry [i, j] is at (xs[i], ys[j]).
+    xs and ys are made once per grid and are read-only.
     """
 
     x0: float
@@ -73,13 +74,13 @@ class Grid:
                 f"{MAX_GRID_NODES} nodes"
             )
 
-    @property
+    @cached_property
     def xs(self):
-        return np.linspace(self.x0, self.x1, self.nx)
+        return _read_only(np.linspace(self.x0, self.x1, self.nx))
 
-    @property
+    @cached_property
     def ys(self):
-        return np.linspace(self.y0, self.y1, self.ny)
+        return _read_only(np.linspace(self.y0, self.y1, self.ny))
 
     @property
     def hx(self):
@@ -100,6 +101,31 @@ class Grid:
         bx0, bx1, by0, by1 = box
         x, y = self.xs[:, None], self.ys[None, :]
         return (x < bx0) | (x > bx1) | (y < by0) | (y > by1)
+
+    def outside_slabs(self, box):
+        """Four index pairs of node blocks whose union is outside(box).
+
+        They are the nodes left of, right of, below and above the box, in
+        that order; blocks may overlap at the corners. The node
+        coordinates are sorted, so searchsorted finds each block's edge.
+        A nan bound compares false with every coordinate, so its block is
+        empty; searchsorted places nan after every number, which gives
+        that on the upper bounds and needs a guard on the lower ones.
+        """
+        bx0, bx1, by0, by1 = box
+        xs, ys = self.xs, self.ys
+        every = slice(None)
+        return (
+            (slice(0, 0 if np.isnan(bx0) else np.searchsorted(xs, bx0, "left")), every),
+            (slice(np.searchsorted(xs, bx1, "right"), None), every),
+            (every, slice(0, 0 if np.isnan(by0) else np.searchsorted(ys, by0, "left"))),
+            (every, slice(np.searchsorted(ys, by1, "right"), None)),
+        )
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def _bilinear(grid, values, x, y):
@@ -127,13 +153,14 @@ def infer_support_box(x0, x1, y0, y1, nx, ny, values):
     """Tight box around the nodes where values differ from 1, one cell margin."""
     grid = Grid(x0, x1, y0, y1, nx, ny)
     xs, ys = grid.xs, grid.ys
-    off = np.argwhere(values != 1.0)
-    if len(off) == 0:
+    off = values != 1.0
+    ix = np.flatnonzero(off.any(axis=1))  # the x indices of nodes off 1
+    if not ix.size:
         cx = 0.5 * (x0 + x1)
         cy = 0.5 * (y0 + y1)
         return (cx, cx, cy, cy)
-    ix0, iy0 = off.min(axis=0)
-    ix1, iy1 = off.max(axis=0)
+    iy = np.flatnonzero(off.any(axis=0))
+    ix0, ix1, iy0, iy1 = ix[0], ix[-1], iy[0], iy[-1]
     return (
         float(xs[max(0, ix0 - 1)]),
         float(xs[min(nx - 1, ix1 + 1)]),
@@ -164,7 +191,7 @@ class Density(Grid):
         sx0, sx1, sy0, sy1 = self.support_box
         if sx0 < self.x0 or sx1 > self.x1 or sy0 < self.y0 or sy1 > self.y1:
             raise ValidationError("support box exceeds the grid domain")
-        if not np.all(vals[self.outside(self.support_box)] == 1.0):
+        if not all(np.all(vals[slab] == 1.0) for slab in self.outside_slabs(self.support_box)):
             raise ValidationError("density must equal 1 outside its support box")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -515,8 +542,9 @@ def realize_area_vector(
 
     bumps = _face_bumps(arr, base)
     integrate = face_integrator(arr, base)
-    values = np.array(base.values)
+    values = base.values  # read-only; copied below before any write
     if base_scale < 1.0:
+        values = np.array(values)
         for win, bump in bumps:
             values[win] = values[win] * (1.0 - (1.0 - base_scale) * bump)
     current = integrate(values)
@@ -585,13 +613,17 @@ def moser_interpolation(f0: Density, f1: Density, steps: int = DEFAULT_STEPS) ->
     the way, so it gets a +0 map without being integrated; a row of such
     nodes only is a row where f0 = f1. Each stage writes into buffers
     made once per flow, and a node's 12 coefficients are gathered again
-    only when it enters another interval. All of this is exact: each
-    stage is elementwise arithmetic on a node's own position and
-    coefficients, which depend only on its row and interval (the spline
-    solve treats each row on its own), so every node gets the bits, the
-    zero check and the overflow traps of the flow of all rows. For ny'
-    distinct rows, the spline build and the still test take
-    O(nx * ny') time and the spline coefficients 12 * (nx - 1) * ny'
+    only when it enters another interval. The stage loop calls ufuncs
+    and array methods, not numpy's Python-level wrappers (np.clip,
+    np.take, ndarray.any, np.flatnonzero), on constants and views bound
+    once per flow and in the operation order of the all-rows flow: on a
+    few hundred nodes the wrappers cost more than the arithmetic. All of
+    this is exact: each stage is elementwise arithmetic on a node's own
+    position and coefficients, which depend only on its row and interval
+    (the spline solve treats each row on its own), so every node gets
+    the bits, the zero check and the overflow traps of the flow of all
+    rows. For ny' distinct rows, the spline build and the still test
+    take O(nx * ny') time and the spline coefficients 12 * (nx - 1) * ny'
     floats; the flow then takes O(m * steps) time and buffers of 24
     floats and 6 integers per active node, for m active nodes (the
     not-still nodes of the distinct rows).
@@ -648,47 +680,62 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
         CubicSpline(xs, np.stack([A, vals0, vals1], axis=1), axis=0).c, 2, 1
     ).reshape(12, -1)
 
+    # The stage loop calls ufuncs and array methods only (and the thin
+    # np.count_nonzero): numpy's Python-level wrappers (np.clip, np.take,
+    # ndarray.any, np.flatnonzero, np.copyto's dispatch) and the
+    # conversion of a Python number operand cost more than the arithmetic
+    # on a few hundred nodes. Its constants are 0-d arrays made once per
+    # flow, with the bits the Python numbers had.
+    x0, x1, hx = (np.array(v, dtype=float) for v in (f0.x0, f0.x1, f0.hx))
+    last, width = np.array(f0.nx - 2), np.array(ny)
+
     def fields(rows):
         # An evaluator of A, f0 and f1 at positions px of the nodes on
-        # distinct rows `rows`, into buffers made once. A node's 12
+        # distinct rows `rows`, and the buffer it writes them to, made
+        # once: rows a, v0 and v1, bound once by the caller. A node's 12
         # coefficients depend only on its row and interval, so they are
         # gathered again only for nodes whose interval changed since the
         # last call; when more than a fifth did, one full gather is the
         # cheaper one.
         m = rows.size
         c, held = np.empty((4, 3, m)), np.full(m, -1)
+        flat, (c0, c1, c2, c3) = c.reshape(12, m), c
         cx, s, i, col = np.empty(m), np.empty(m), np.empty(m, int), np.empty(m, int)
         val, changed = np.empty((3, m)), np.empty(m, bool)
 
         def evaluate(px):
-            np.clip(px, f0.x0, f0.x1, out=cx)
-            np.divide(np.subtract(cx, f0.x0, out=s), f0.hx, out=s)
-            np.copyto(i, s, casting="unsafe")  # truncates, as astype(int)
-            np.minimum(i, f0.nx - 2, out=i)  # i >= 0 as cx >= x0
-            np.subtract(cx, np.take(xs, i, out=s, mode="clip"), out=s)
+            # clip's bits: maximum and minimum differ from it only in the
+            # sign of a zero equal to a bound, which reaches the cubic only
+            # as s = +-0 on a node whose A is +0.0 and density positive
+            np.minimum(np.maximum(px, x0, out=cx), x1, out=cx)
+            np.divide(np.subtract(cx, x0, out=s), hx, out=s)
+            i[...] = s  # truncates, as astype(int)
+            np.minimum(i, last, out=i)  # i >= 0 as cx >= x0
+            np.subtract(cx, xs.take(i, out=s, mode="clip"), out=s)
             n = np.count_nonzero(np.not_equal(i, held, out=changed))
             if n:
-                np.add(np.multiply(i, ny, out=col), rows, out=col)
+                np.add(np.multiply(i, width, out=col), rows, out=col)
                 if 5 * n > m:
-                    np.take(planes, col, axis=1, out=c.reshape(12, m), mode="clip")
-                    np.copyto(held, i)
+                    planes.take(col, axis=1, out=flat, mode="clip")
+                    held[...] = i
                 else:
-                    new = np.flatnonzero(changed)
-                    c.reshape(12, m)[:, new] = np.take(planes, col[new], axis=1)
+                    new = changed.nonzero()[0]
+                    flat[:, new] = planes.take(col[new], axis=1)
                     held[new] = i[new]
-            np.multiply(c[0], s, out=val)
-            for k in (1, 2):
-                np.multiply(np.add(val, c[k], out=val), s, out=val)
-            return np.add(val, c[3], out=val)
+            np.multiply(c0, s, out=val)
+            np.multiply(np.add(val, c1, out=val), s, out=val)
+            np.multiply(np.add(val, c2, out=val), s, out=val)
+            np.add(val, c3, out=val)
 
-        return evaluate
+        return evaluate, val
 
     # A node whose field is zero never leaves its place, so its map is +0.
     # If f0 and f1 also read one finite v >= 4 * tiny there,
     # (1 - t) v + t v > 0 at every stage time (t ends a few ulps from 1),
     # so the zero check cannot fire on it either. Such nodes skip the flow;
     # rows of them only are the rows where f0 = f1.
-    a, v0, v1 = fields(np.tile(np.arange(ny), f0.nx))(np.repeat(xs, ny))
+    evaluate, (a, v0, v1) = fields(np.tile(np.arange(ny), f0.nx))
+    evaluate(np.repeat(xs, ny))
     tiny = np.finfo(float).tiny
     still = ((a == 0) & (v0 == v1) & (v0 >= 4 * tiny) & np.isfinite(v0)).reshape(f0.nx, ny)
     # The flow runs on flat arrays of the active nodes: the nodes of the
@@ -696,14 +743,14 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
     knot, row = np.nonzero(~still)
     if not knot.size:
         return np.zeros((f0.nx, f0.ny))
-    field = fields(row)
+    evaluate, (a, v0, v1) = fields(row)
     m = knot.size
-    ft, low = np.empty(m), np.empty(m, bool)
+    ft, low, zero = np.empty(m), np.empty(m, bool), np.array(0.0)
 
     def velocity(px, t, out):
-        a, v0, v1 = field(px)
+        evaluate(px)
         np.add(np.multiply(v0, 1.0 - t, out=ft), np.multiply(v1, t, out=v1), out=ft)
-        if np.less_equal(ft, 0.0, out=low).any():
+        if np.logical_or.reduce(np.less_equal(ft, zero, out=low)):
             raise ValidationError(
                 "interpolated density hit zero during the flow; refine the grid "
                 "or smooth the densities"
@@ -714,16 +761,17 @@ def _flow_rows(f0: Density, f1: Density, steps: int) -> np.ndarray:
     x = xs[knot]
     k1, k2, k3, k4, xt = (np.empty(m) for _ in range(5))
     dt = 1.0 / steps
+    half, full, sixth, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
     t = 0.0
     for _ in range(steps):
         velocity(x, t, k1)
-        velocity(np.add(x, np.multiply(k1, 0.5 * dt, out=xt), out=xt), t + 0.5 * dt, k2)
-        velocity(np.add(x, np.multiply(k2, 0.5 * dt, out=xt), out=xt), t + 0.5 * dt, k3)
-        velocity(np.add(x, np.multiply(k3, dt, out=xt), out=xt), t + dt, k4)
-        k1 += np.multiply(k2, 2, out=k2)
-        k1 += np.multiply(k3, 2, out=k3)
+        velocity(np.add(x, np.multiply(k1, half, out=xt), out=xt), t + 0.5 * dt, k2)
+        velocity(np.add(x, np.multiply(k2, half, out=xt), out=xt), t + 0.5 * dt, k3)
+        velocity(np.add(x, np.multiply(k3, full, out=xt), out=xt), t + dt, k4)
+        k1 += np.multiply(k2, two, out=k2)
+        k1 += np.multiply(k3, two, out=k3)
         k1 += k4
-        x += np.multiply(k1, dt / 6.0, out=k1)
+        x += np.multiply(k1, sixth, out=k1)
         t += dt
 
     disp = np.zeros((f0.nx, ny))

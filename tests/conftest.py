@@ -294,6 +294,28 @@ def cusp_curve():
     return ClosedCurve((pts,))
 
 
+def sharp_fold_curve():
+    """Nine samples whose segments 0 and 2 cross, at t = 0.945 and t = 2.1.
+
+    The turns at samples 1 and 2 exceed pi/2, and the crossing's two
+    records lie within 1.5 samples of each other: one passage, not two.
+    """
+    pts = np.array(
+        [
+            [0.0, 0.0],
+            [1.0, 0.0],
+            [0.95, 0.1],
+            [0.9, -0.9],
+            [0.5, -1.5],
+            [-0.5, -1.5],
+            [-1.0, -0.5],
+            [-0.8, -0.2],
+            [-0.5, -0.05],
+        ]
+    )
+    return ClosedCurve((pts,))
+
+
 def trifolium_curve(n=48):
     """r = cos(3 theta): all three petals pass through the origin."""
     t = np.pi * np.arange(n) / n

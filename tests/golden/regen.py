@@ -32,6 +32,7 @@ from conftest import (  # noqa: E402
     dipping_pair,
     eights_row,
     gerono_curve,
+    sharp_fold_curve,
     tangent_circles_curve,
     thin_band_curve,
     trefoil_curve,
@@ -109,6 +110,7 @@ def _inputs():
         "holed": holed,
         "near": near,
         "cusp": cusp_curve(),
+        "sharp-fold": sharp_fold_curve(),
         "tangent-circles": tangent_circles_curve(),
         "trifolium": trifolium_curve(),
         "thin-band": thin_band_curve(3e-5),
@@ -155,6 +157,7 @@ CALLS = [
     ("analyze-holed", ["analyze", "holed.curve"]),
     ("analyze-near-sep-tol", ["analyze", "near.curve", "--sep-tol", "0.01"]),
     ("analyze-cusp", ["analyze", "cusp.curve"]),
+    ("analyze-sharp-fold", ["analyze", "sharp-fold.curve"]),
     ("analyze-thin-band", ["analyze", "thin-band.curve"]),
     ("analyze-missing", ["analyze", "missing.curve"]),
     ("analyze-malformed", ["analyze", "malformed.curve"]),

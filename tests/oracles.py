@@ -1131,7 +1131,9 @@ def tangent_at(curve: ClosedCurve, loop: int, t: float) -> np.ndarray:
 def check_generic(curve, angle_tol=DEFAULT_ANGLE_TOL, sep_tol=None):
     """The original `curves.check_generic`: the dense `_segment_hits` and
     the all-pairs `_cluster_hits` below, then per cluster a mean point, a
-    germ merge, and two `tangent_at` calls."""
+    germ merge, and two `tangent_at` calls. A cluster whose germs merge
+    into one passage is skipped, as the program skips it; the original
+    raised ValueError there."""
     require_positive("angle_tol", angle_tol)
     if sep_tol is None:
         sep_tol = SEP_TOL_FACTOR * curve.bbox_diagonal()
@@ -1149,6 +1151,8 @@ def check_generic(curve, angle_tol=DEFAULT_ANGLE_TOL, sep_tol=None):
             violations.append(
                 Violation("triple-point", point, tuple(germs), f"{len(germs)} strands meet")
             )
+            continue
+        if len(germs) < 2:
             continue
         (la, ta), (lb, tb) = germs
         u = tangent_at(curve, la, ta)

@@ -19,6 +19,7 @@ from conftest import (
     eights_row,
     gerono_curve,
     petal_curve,
+    sharp_fold_curve,
     thin_band_curve,
     trefoil_curve,
 )
@@ -552,6 +553,17 @@ def test_thin_face_exits_2_naming_the_face(tmp_path, capsys, w):
         code, text, err = run_captured(capsys, argv)
         assert (code, text) == (2, "")
         assert err.count("error:") == 1 and "narrower than the label search" in err
+
+
+def test_sharp_fold_is_two_cusps_not_a_crossing(tmp_path, capsys):
+    # segments 0 and 2 cross within 1.5 samples: one passage, whose
+    # records merge into one germ; the turns that fold it are reported
+    path = write_curve(tmp_path, "fold.curve", sharp_fold_curve())
+    code, text, err = run_captured(capsys, ["analyze", path])
+    assert (code, err) == (2, "")
+    assert "generic: no\nviolations: 2\n" in text
+    assert [line.split(":")[0].strip() for line in text.splitlines() if "cusp-proxy" in line] == [
+        "cusp-proxy at (1, 0)", "cusp-proxy at (0.95, 0.1)"]
 
 
 # --- render and wiring ----------------------------------------------------

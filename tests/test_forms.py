@@ -127,6 +127,70 @@ def test_density_rejects_stray_values_outside_support_box():
         Density(0, 1, 0, 1, 8, 8, vals, (0.5, 0.9, 0.5, 0.9))
 
 
+def _box_bounds(rng, nodes):
+    """A random bound for boxes on an axis with these nodes: on a node, next
+    to one, anywhere from half a span below to half a span above, or nan or
+    infinite."""
+    span = nodes[-1] - nodes[0]
+    node = rng.choice(nodes)
+    kind = rng.integers(6)
+    if kind == 0:
+        return float(node)
+    if kind == 1:
+        return float(np.nextafter(node, rng.choice([-np.inf, np.inf])))
+    if kind == 2:
+        return float(rng.choice([np.nan, -np.inf, np.inf]))
+    return float(rng.uniform(nodes[0] - span / 2, nodes[-1] + span / 2))
+
+
+def _random_box(rng, grid):
+    """Bounds of a random box: inside, straddling an edge, degenerate, inverted or with nan."""
+    bx0, bx1 = (_box_bounds(rng, grid.xs) for _ in range(2))
+    by0, by1 = (_box_bounds(rng, grid.ys) for _ in range(2))
+    kind = rng.integers(4)
+    if kind == 0:
+        bx0, bx1 = sorted((bx0, bx1))
+        by0, by1 = sorted((by0, by1))
+    elif kind == 1:
+        bx1, by1 = bx0, by0
+    return bx0, bx1, by0, by1
+
+
+@pytest.mark.parametrize(
+    "domain, nx, ny",
+    [((-1.0, 2.0, 0.5, 1.5), 9, 6), ((0, 1, 0, 1), 2, 3), ((-3.0, -0.0, 1e-3, 2e-3), 17, 5)],
+)
+def test_density_checks_exactly_the_nodes_outside_its_box(domain, nx, ny):
+    # Density checks "1 outside the support box" on four slabs found by
+    # searchsorted; together they must be the outside mask, for any box
+    rng = np.random.default_rng(nx * ny)
+    grid = Grid(*domain, nx, ny)
+    for _ in range(400):
+        box = _random_box(rng, grid)
+        covered = np.zeros((nx, ny), bool)
+        for slab in grid.outside_slabs(box):
+            covered[slab] = True
+        assert np.array_equal(covered, grid.outside(box)), box
+    # and a density is refused iff a node outside its box is off 1
+    x0, x1, y0, y1 = domain
+    for _ in range(200):
+        box = _random_box(rng, grid)
+        if box[0] < x0 or box[1] > x1 or box[2] < y0 or box[3] > y1:
+            continue  # the domain check refuses these first
+        outside = grid.outside(box)
+        for refused in (True, False):
+            nodes = np.argwhere(outside == refused)
+            if not len(nodes):
+                continue
+            vals = np.ones((nx, ny))
+            vals[tuple(nodes[rng.integers(len(nodes))])] = 2.0
+            if refused:
+                with pytest.raises(ValidationError, match="equal 1 outside its support box"):
+                    Density(*domain, nx, ny, vals, box)
+            else:
+                Density(*domain, nx, ny, vals, box)
+
+
 def test_density_rejects_nonpositive_values():
     vals = np.ones((8, 8))
     vals[3, 3] = 0.0
@@ -871,6 +935,12 @@ def island_row_pair():
     return make_density(0.0, 11.0, 0.0, 1.0, v0), make_density(0.0, 11.0, 0.0, 1.0, v1)
 
 
+def unbalanced_bump_pair(n=96):
+    """Unit f0 and f1 with one bump of mass on [-2.5, 2.5]^2: its rows do not balance."""
+    f1 = make_density(-2.5, 2.5, -2.5, 2.5, bump_values(n, 2.5, [(0.5, 0.8, 0.0, 0.0)]))
+    return unit_density(-2.5, 2.5, -2.5, 2.5, n, n), f1
+
+
 @pytest.mark.parametrize(
     "pair, steps",
     [
@@ -896,12 +966,18 @@ def island_row_pair():
         # every row still and every row equal
         (lambda: (conveyor_pair(0.17, nx=64, ny=4)[0],) * 2, 8),
         (lambda: repeated_rows_pair(ulp_apart=True, in_f1=True), 8),
+        # the benchmark's conveyor shape and step count
+        (lambda: conveyor_pair(0.16, nx=576), 64),
+        # nodes start on x1, or are pushed past it: the clamp into the last interval
+        (unbalanced_bump_pair, 16),
+        (lambda: unbalanced_bump_pair()[::-1], 16),
     ],
     ids=["dip-bump-16", "dip-bump-32", "dip-bump-128", "zero-row-64", "conveyor-576",
          "identical-64", "edge-rows-48", "near-tiny-shared-row", "repeated-rows",
          "one-ulp-apart", "conveyor-1152x4", "gaussian-64-9-steps", "conveyor-64x4-4-steps",
          "conveyor-64x4-9-steps", "island-row", "shared-f0", "far-rows", "still-y-invariant",
-         "one-ulp-apart-in-f1"],
+         "one-ulp-apart-in-f1", "conveyor-576x8-64-steps", "unbalanced-bump",
+         "unbalanced-bump-reversed"],
 )
 def test_moser_skips_still_rows_bit_for_bit(pair, steps):
     # rows with bit-equal f0 and f1 run once through every stage, still
@@ -1100,9 +1176,7 @@ def test_moser_zero_row_integrals_keep_support():
 def test_moser_unbalanced_rows_leak_support():
     # a single bump has nonzero row integrals: the horizontal gauge
     # displaces points all the way to the right edge
-    n = 96
-    f1 = make_density(-2.5, 2.5, -2.5, 2.5, bump_values(n, 2.5, [(0.5, 0.8, 0.0, 0.0)]))
-    f0 = unit_density(-2.5, 2.5, -2.5, 2.5, n, n)
+    f0, f1 = unbalanced_bump_pair()
     rho = moser_interpolation(f0, f1, steps=16)
     box = union_box(f0.support_box, f1.support_box)
     assert support_defect(rho, box) > 1e-4
