@@ -238,8 +238,9 @@ def _minimal_readings(gc: GaussCode) -> Readings:
 
     The serial of a reading is the header n{V}f{F}o{outer}| followed by
     the loop chunks joined by |. The search goes depth first over loop
-    positions: position p takes each unused loop of the same shape as
-    loop p at each basepoint rotation. All children of a node are read
+    positions: position p takes each unused loop of the p-th least shape
+    (occurrences, arcs) at each basepoint rotation, so the order in which
+    the loops are given does not matter. All children of a node are read
     before any is entered, and a child is dropped when its serial prefix
     (with a trailing | as chunks follow) is above a sibling's prefix or
     above the best serial cut to the same length; ties go on. Sibling
@@ -268,7 +269,7 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     k = len(gc.occ)
     shape = [(len(gc.occ[i]), len(gc.arcs[i])) for i in range(k)]
     mods = [max(1, m) for m, _ in shape]
-    fits = [[i for i in range(k) if shape[i] == shape[p]] for p in range(k)]
+    fits = [[i for i in range(k) if shape[i] == s] for s in sorted(shape)]
     head = f"n{len({v for occ in gc.occ for v, _ in occ})}f{gc.num_faces}o"
     outer = gc.outer_face
     best = ref = None  # ref: (key, faces, verts) of the first leaf at the best serial

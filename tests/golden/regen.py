@@ -108,6 +108,9 @@ def _inputs():
         "row5": row5,
         "row5-reordered": ClosedCurve(row5.loops[::-1]),
         "holed": holed,
+        # the loops in reverse order, each starting a third of its samples later
+        "holed-reversed": ClosedCurve(tuple(np.roll(loop, len(loop) // 3 + 1, axis=0)
+                                            for loop in holed.loops[::-1])),
         "near": near,
         "cusp": cusp_curve(),
         "sharp-fold": sharp_fold_curve(),
@@ -155,6 +158,7 @@ CALLS = [
     ("analyze-eight-svg", ["analyze", "eight.curve", "--svg", "eight.svg"]),
     ("analyze-trefoil", ["analyze", "trefoil.curve"]),
     ("analyze-holed", ["analyze", "holed.curve"]),
+    ("analyze-holed-reversed", ["analyze", "holed-reversed.curve"]),
     ("analyze-near-sep-tol", ["analyze", "near.curve", "--sep-tol", "0.01"]),
     ("analyze-cusp", ["analyze", "cusp.curve"]),
     ("analyze-sharp-fold", ["analyze", "sharp-fold.curve"]),
@@ -185,6 +189,10 @@ CALLS = [
     ("compare-symplectic-shrunk", ["compare", "row3.curve", "row3-shrunk.curve", "--symplectic"]),
     ("compare-symplectic-row5-reordered",
      ["compare", "row5.curve", "row5-reordered.curve", "--symplectic"]),
+    ("compare-labelled-holed-reversed",
+     ["compare", "holed.curve", "holed-reversed.curve", "--labelled"]),
+    ("compare-symplectic-holed-reversed",
+     ["compare", "holed.curve", "holed-reversed.curve", "--symplectic"]),
     ("compare-symplectic-incomparable", ["compare", "eight.curve", "trefoil.curve", "--symplectic"]),
     ("compare-not-generic", ["compare", "cusp.curve", "eight.curve", "--labelled"]),
     ("compare-no-mode", ["compare", "eight.curve", "eight.curve"]),

@@ -739,11 +739,10 @@ def _candidates(gc: GaussCode):
     loops = range(len(gc.occ))
     sizes = [len(gc.occ[k]) for k in loops]
     arcsizes = [len(gc.arcs[k]) for k in loops]
+    # position p takes a loop of the p-th least shape
+    slots = sorted(zip(sizes, arcsizes))
     for order in permutations(loops):
-        # a loop can only take the place of one with the same shape
-        if [sizes[k] for k in order] != list(sizes) or [arcsizes[k] for k in order] != list(
-            arcsizes
-        ):
+        if [(sizes[k], arcsizes[k]) for k in order] != slots:
             continue
         ranges = [range(max(1, sizes[k])) for k in order]
         for rots in product(*ranges):
@@ -814,8 +813,8 @@ def tie_listing_readings(gc: GaussCode):
 
     The serial of a reading is the header n{V}f{F}o{outer}| followed by
     the loop chunks joined by |. The search goes depth first over loop
-    positions: position p takes each unused loop of the same shape as
-    loop p at each basepoint rotation. All children of a node are read
+    positions: position p takes each unused loop of the p-th least shape
+    (occurrences, arcs) at each basepoint rotation. All children of a node are read
     before any is entered, and a child is dropped when its serial prefix
     (with a trailing | as chunks follow) is above a sibling's prefix or
     above the best serial cut to the same length; ties go on. Sibling
@@ -826,7 +825,7 @@ def tie_listing_readings(gc: GaussCode):
     """
     k = len(gc.occ)
     shape = [(len(gc.occ[i]), len(gc.arcs[i])) for i in range(k)]
-    fits = [[i for i in range(k) if shape[i] == shape[p]] for p in range(k)]
+    fits = [[i for i in range(k) if shape[i] == s] for s in sorted(shape)]
     head = f"n{len({v for occ in gc.occ for v, _ in occ})}f{gc.num_faces}o"
     outer = gc.outer_face
     best = None
@@ -1025,9 +1024,7 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     """The original `diagram.symmetry_group`: readings equal to the identity
     reading, then an O(|G|^2) axiom check and a separate generator search."""
     gc = gauss_code(arr)
-    ident_order = tuple(range(len(gc.occ)))
-    ident_rots = tuple(0 for _ in gc.occ)
-    base_serial, base_faces, base_verts = _read(gc, ident_order, ident_rots)
+    base_serial, base_faces, base_verts = _read(gc, *next(_candidates(gc)))
 
     elements = []
     seen = set()
