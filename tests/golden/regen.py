@@ -142,6 +142,7 @@ def _inputs():
     files["commented.density"] = "# the bump at x = 0.8\n" + serialize_density(bump0)
     ones = " ".join(["1.0"] * 4) + "\n"
     files["neginf.density"] = "density v1\n-inf 1.0 0.0 1.0 4 4\n" + ones * 4
+    files["wide.density"] = "density v1\n-1e308 1e308 0.0 1.0 4 4\n" + ones * 4
     files["flat.density"] = "density v1\n0.0 0.0 0.0 1.0 4 4\n" + ones * 4
     files["negcount.density"] = "density v1\n0 1 0 1 -2 -3\n" + ones
     files["zero.density"] = "density v1\n0.0 1.0 0.0 1.0 4 4\n" + ones * 3 + "1.0 0.0 1.0 1.0\n"
@@ -242,6 +243,7 @@ CALLS = [
     ("moser-mismatched-grids", ["moser", "bump0.density", "coarse.density", "--out", "mismatch.map"]),
     ("moser-negative-count", ["moser", "bump0.density", "negcount.density", "--out", "negcount.map"]),
     ("moser-neginf-domain", ["moser", "neginf.density", "neginf.density", "--out", "neginf.map"]),
+    ("moser-wide-domain", ["moser", "wide.density", "wide.density", "--out", "wide.map"]),
     ("moser-flat-domain", ["moser", "flat.density", "flat.density", "--out", "flat.map"]),
     ("moser-zero-value", ["moser", "zero.density", "zero.density", "--out", "zero.map"]),
     ("moser-steps-too-few", ["moser", "bump0.density", "bump1.density", "--steps", "3",

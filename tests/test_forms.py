@@ -334,21 +334,31 @@ def test_grid_files_share_one_domain_rule(tmp_path, load, tag, per_node, domain)
         load(path)
 
 
+GRID_BUILDERS = [
+    lambda dom: make_density(*dom, np.ones((4, 4))),
+    lambda dom: unit_density(*dom, 4),
+    lambda dom: Density(*dom, 4, 4, np.ones((4, 4)), dom),
+    lambda dom: Grid(*dom, 4, 4),
+    lambda dom: GridMap(*dom, np.zeros((4, 4)), np.zeros((4, 4))),
+    lambda dom: infer_support_box(*dom, 4, 4, np.ones((4, 4))),
+]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda dom: make_density(*dom, np.ones((4, 4))),
-        lambda dom: unit_density(*dom, 4),
-        lambda dom: Density(*dom, 4, 4, np.ones((4, 4)), dom),
-        lambda dom: Grid(*dom, 4, 4),
-        lambda dom: GridMap(*dom, np.zeros((4, 4)), np.zeros((4, 4))),
-        lambda dom: infer_support_box(*dom, 4, 4, np.ones((4, 4))),
-    ],
-)
+@pytest.mark.parametrize("build", GRID_BUILDERS)
 @pytest.mark.parametrize("domain", BAD_DOMAINS)
 def test_grid_builders_check_the_domain_first(build, domain):
     with pytest.raises(ValidationError, match="needs finite x0 < x1 and y0 < y1"):
+        build(domain)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", GRID_BUILDERS)
+@pytest.mark.parametrize("domain", [(-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, -1e308, 1e308)],
+                         ids=["x", "y"])
+def test_grid_builders_refuse_a_width_that_overflows(build, domain):
+    # finite bounds whose difference is inf: no spacing, node or cell exists
+    with pytest.raises(ValidationError, match="too wide"):
         build(domain)
 
 
