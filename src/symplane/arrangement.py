@@ -91,6 +91,7 @@ class Arrangement:
     passages: tuple[tuple[tuple[float, int], ...], ...]  # per loop: (t, vertex index)
     loop_arcs: tuple[tuple[int, ...], ...]  # per loop: forward half-edge per arc
     components: tuple[int, ...]  # component id per loop
+    hosts: tuple[int, ...]  # per component: the face it lies in (the outer face at the top)
 
     @property
     def r(self) -> int:
@@ -136,7 +137,7 @@ def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None
     _link_next(vertices, half_edges, passages, loop_arcs)
     cycles = _extract_cycles(half_edges)
     components = _loop_components(len(curve.loops), vertices)
-    faces, outer_face = _assemble_faces(curve, half_edges, cycles, components)
+    faces, outer_face, hosts = _assemble_faces(curve, half_edges, cycles, components)
 
     arr = Arrangement(
         curve=curve,
@@ -147,6 +148,7 @@ def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None
         passages=passages,
         loop_arcs=loop_arcs,
         components=components,
+        hosts=hosts,
     )
     _check_euler(arr)
     _assign_labels(arr)
@@ -486,9 +488,10 @@ def _lay_walks(half_edges, cycles):
 
 
 def _assemble_faces(curve, half_edges, cycles, components):
-    """Faces from the boundary walks, laid end to end by _lay_walks. A
-    positive walk bounds a face; a negative one is a hole or part of the
-    outer face. A face of one walk keeps that walk's edges as views.
+    """Faces from the boundary walks, laid end to end by _lay_walks, the
+    outer face's index, and each component's host face. A positive walk
+    bounds a face; a negative one is a hole or part of the outer face. A
+    face of one walk keeps that walk's edges as views.
     """
     closed, stops = _lay_walks(half_edges, cycles)
     bounds = list(zip([0, *stops[:-1]], stops))
@@ -519,11 +522,13 @@ def _assemble_faces(curve, half_edges, cycles, components):
     face_of_cycle = {}
     holes: dict[int, list[int]] = {i: [] for i in positive}
     outer_cycles = []
+    host_walk = [None] * num_comp  # the positive walk around each component, if any
     for i in negative:
         c = cycle_comp[i]
         hosts = [j for j in positive if cycle_comp[j] != c and around[j][c]]
         if hosts:
-            holes[min(hosts, key=lambda j: abs(areas[j]))].append(i)
+            host_walk[c] = min(hosts, key=lambda j: abs(areas[j]))
+            holes[host_walk[c]].append(i)
         else:
             outer_cycles.append(i)
 
@@ -562,7 +567,8 @@ def _assemble_faces(curve, half_edges, cycles, components):
         raise InconsistencyError(
             f"face areas {total_bounded:.12g} disagree with outer walk {-outer.area:.12g}"
         )
-    return faces, outer.index
+    hosts = tuple(outer.index if j is None else face_of_cycle[j] for j in host_walk)
+    return faces, outer.index, hosts
 
 
 def _check_euler(arr: Arrangement) -> None:

@@ -10,6 +10,12 @@ choice of basepoints and loop order reads off identical data.
 
 Only cyclic basepoint shifts are tried, never reversals, so all
 comparisons respect the curve orientation.
+
+Loops that cross each other form a component, and each component lies
+in one face of the others, its host. The faces and the components they
+host form a rooted forest under the outer face, so a diagram of several
+components is read component by component and the readings are
+combined down that forest (`_forest`).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +47,8 @@ class GaussCode:
     passage; a crossing-free loop has no occurrences and one arc.
     base_sign: per vertex, the orientation sign of (strand-0 tangent,
     strand-1 tangent).
+    components: per loop, its component 0..c-1 (loops joined by crossings).
+    hosts: per component, the face it lies in; the outer face at the top.
     """
 
     occ: tuple[tuple[tuple[int, int], ...], ...]
@@ -47,6 +56,8 @@ class GaussCode:
     base_sign: tuple[int, ...]
     outer_face: int
     num_faces: int
+    components: tuple[int, ...]
+    hosts: tuple[int, ...]
 
     def __post_init__(self):
         counts = Counter(v for loop in self.occ for v, _ in loop)
@@ -54,6 +65,13 @@ class GaussCode:
             raise ValidationError("occurrences do not cover vertices 0..n-1")
         if any(c != 2 for c in counts.values()):
             raise ValidationError("every crossing must be visited exactly twice")
+        if len(self.components) != len(self.occ) or set(self.components) != set(
+                range(len(self.hosts))):
+            raise ValidationError("components must number each loop's component 0..c-1, "
+                                  "one host face each")
+        comp = {v: self.components[i] for i, loop in enumerate(self.occ) for v, _ in loop}
+        if any(comp[v] != self.components[i] for i, loop in enumerate(self.occ) for v, _ in loop):
+            raise ValidationError("a crossing joins loops of two components")
 
     def labelled_sequences(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per loop: (crossing label, slot, sign) with labels 1.. by first visit."""
@@ -123,20 +141,32 @@ def gauss_code(arr: Arrangement) -> GaussCode:
         base_sign=tuple(v.sign for v in arr.vertices),
         outer_face=arr.outer_face,
         num_faces=len(arr.faces),
+        components=arr.components,
+        hosts=arr.hosts,
     )
 
 
 def canonical_code(gc: GaussCode) -> str:
-    """Minimal serialization over basepoint shifts and loop orderings.
+    """Canonical serialization over basepoint shifts and loop orderings.
 
-    The minimum is found by a depth-first search that drops every branch
-    whose serial prefix is already above another's and every tied branch
-    that an automorphism found so far maps onto a searched one, not by
-    reading every candidate: k congruent loops cost O(k^3) chunk reads,
-    not k!. Equal strings mean isomorphic oriented labelled plane
-    diagrams; the outer face and the traversal orientation are preserved
-    by every candidate, so a mirror image or a reversed loop will not
-    collide.
+    A diagram of one component gets its least serial, found by a
+    depth-first search that drops every branch whose serial prefix is
+    already above another's and every tied branch that an automorphism
+    found so far maps onto a searched one. A diagram of several components
+    searches each component once over its own loops and combines the
+    results down the nesting forest of faces and the components they hold
+    (rooted-tree isomorphism): the code is the serial of the reading that
+    takes each component at its least reading, with the subtrees its faces
+    hold after it, sorted by their own codes. It has the format of the
+    least serial, and often equals it; where it does not, it is the
+    serial of another reading of the same diagram. Chunk reads grow as 3k
+    for a row of k congruent figure-eights, 2k for k disjoint circles or
+    k nested rings and 2k + 2 for a ring holding k discs. Positions take
+    loops by ascending shape, and components by code, so the code does not
+    depend on the order in which the loops are given. Equal strings mean
+    isomorphic oriented labelled plane diagrams; the outer face and the
+    traversal orientation are preserved by every candidate, so a mirror
+    image or a reversed loop will not collide.
     """
     return _minimal_readings(gc).serial
 
@@ -153,12 +183,18 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     An automorphism carries each candidate reading (orientation-preserving
     basepoint shifts and loop reorderings) to one with the same serial,
     and two readings with the same serial differ by one. The reading
-    search records such pairs as it prunes ties, and they generate G.
-    After |G|, known from the search, is checked against MAX_GROUP_ORDER
-    (ValidationError above it), G is listed from them in whole cosets of
-    one permutation array (Dimino's algorithm) and must have that order.
-    The same coset routine then picks the greedy generators of the
-    sorted rows and checks that they form a group.
+    search records such pairs as it prunes ties; over the nesting forest
+    they are joined by the ties of each component's least code with its
+    held subtrees, and by swaps of equal sibling subtrees. Together they
+    generate G, and |G| is known from the search: the product of the
+    orbit lengths along the canonical reading, which over the forest is
+    the product of each component's tie count and m! for each run of m
+    equal siblings. It is checked against MAX_GROUP_ORDER (ValidationError
+    above it) before any element exists; then G is listed from the
+    generators in whole cosets of one permutation array (Dimino's
+    algorithm) and must have that order. The same coset routine then
+    picks the greedy generators of the sorted rows and checks that they
+    form a group.
     """
     return _group(arr, _minimal_readings(gauss_code(arr)))
 
@@ -228,26 +264,53 @@ class Readings(NamedTuple):
 
     serial: str
     first: tuple[dict, dict]  # (faces, verts) of the first minimal reading
-    automorphisms: tuple  # (reference, leaf): (key, faces, verts) readings with equal serials
+    automorphisms: tuple  # pair maps (perm, shift) that generate G
     order: int  # |G|
 
 
 def _minimal_readings(gc: GaussCode) -> Readings:
-    """The minimal serial, the first reading that reaches it in (loop order,
-    rotations) order, and diagram automorphisms that generate G.
+    """The canonical serial, the first reading that reaches it in (loop
+    order, rotations) order, and diagram automorphisms that generate G.
 
-    The serial of a reading is the header n{V}f{F}o{outer}| followed by
-    the loop chunks joined by |. The search goes depth first over loop
-    positions: position p takes each unused loop of the p-th least shape
-    (occurrences, arcs) at each basepoint rotation, so the order in which
-    the loops are given does not matter. All children of a node are read
-    before any is entered, and a child is dropped when its serial prefix
-    (with a trailing | as chunks follow) is above a sibling's prefix or
-    above the best serial cut to the same length; ties go on. Sibling
-    prefixes end in | and chunks hold none, so neither is a proper prefix
-    of the other and the lower one beats every completion of the higher.
-    The header is only known once the outer face has a label; until then
-    nothing is dropped.
+    A reading lists (loop, basepoint) pairs; its serial is the header
+    n{V}f{F}o{outer}| followed by the loop chunks joined by |. An
+    automorphism is kept as a pair map (perm, shift): it sends pair
+    (l, r) to (perm[l], r + shift[l]), and so each reading to one with the
+    same serial. A diagram of one component is read by `_search` over
+    all its loops, and its serial is the least one. A diagram of several
+    is read by `_forest`, component by component. Either way the
+    automorphisms found form a strong generating set along the canonical
+    reading, the base: the first minimal reading is the least image of
+    the base, found level by level through the transversals of their
+    orbits (`_least_image`), and read again when it is not the base.
+    """
+    mods = [max(1, len(occ)) for occ in gc.occ]
+    if len(gc.hosts) > 1:
+        return _forest(gc, mods)
+    serial, base, reading, gens = _search(gc, range(len(gc.occ)), gc.outer_face, mods)
+    if len(base) == 1:
+        # one loop: every leaf is read in key order, so the reference is the
+        # first minimal reading and each later minimal leaf one automorphism
+        return Readings(serial, reading, tuple(gens), 1 + len(gens))
+    order, first = _least_image(base, gens, mods)
+    return Readings(serial, _reread(gc, serial, first, base, reading), tuple(gens), order)
+
+
+def _search(gc: GaussCode, loops, outer, mods):
+    """The least serial of the diagram the given loops draw, with `outer`
+    as its outer face: (serial, reference reading as (loop, basepoint)
+    pairs, its (faces, verts) label maps, pair maps of automorphisms).
+
+    The search goes depth first over loop positions: position p takes
+    each unused loop of the p-th least shape (occurrences, arcs) at each
+    basepoint rotation, so the order in which the loops are given does
+    not matter. All children of a node are read before any is entered,
+    and a child is dropped when its serial prefix (with a trailing | as
+    chunks follow) is above a sibling's prefix or above the best serial
+    cut to the same length; ties go on. Sibling prefixes end in | and
+    chunks hold none, so neither is a proper prefix of the other and the
+    lower one beats every completion of the higher. The header is only
+    known once the outer face has a label; until then nothing is dropped.
 
     Ties are pruned by the automorphisms they reveal (McKay 1981): the
     reference is the first leaf that reaches the best serial, and a later
@@ -260,24 +323,22 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     every pair of the node's prefix; its subtree is an image of the
     sibling's. Along the reference path each level's found orbit is the
     whole orbit of its stabilizer, so the automorphisms found there form
-    a strong generating set: |G| is the product of those orbit lengths,
-    and the first minimal reading in (loop order, rotations) order, which
-    pruning may have skipped, is the least image of the reference, found
-    level by level through their transversals. A row of k congruent loops
-    costs about k^3/3 chunk reads and k - 1 automorphisms.
+    a strong generating set. A row of k congruent loops in one search
+    costs about k^3/3 chunk reads and k - 1 automorphisms; `_forest`
+    gives each component a search of its own.
     """
-    k = len(gc.occ)
-    shape = [(len(gc.occ[i]), len(gc.arcs[i])) for i in range(k)]
-    mods = [max(1, m) for m, _ in shape]
-    fits = [[i for i in range(k) if shape[i] == s] for s in sorted(shape)]
-    head = f"n{len({v for occ in gc.occ for v, _ in occ})}f{gc.num_faces}o"
-    outer = gc.outer_face
+    k = len(loops)
+    shape = {i: (len(gc.occ[i]), len(gc.arcs[i])) for i in loops}
+    fits = [[i for i in loops if shape[i] == s] for s in sorted(shape.values())]
+    n_verts = len({v for i in loops for v, _ in gc.occ[i]})
+    n_faces = len({f for i in loops for arc in gc.arcs[i] for f in arc})
+    head = f"n{n_verts}f{n_faces}o"
     best = ref = None  # ref: (key, faces, verts) of the first leaf at the best serial
-    autos = []  # (reference, leaf) with equal serials
+    autos = []  # (reference key, leaf key) with equal serials
     maps = []  # pair maps of autos, made when orbits are first needed
 
     def pair_maps():
-        maps.extend(_pair_map(a[0][0], a[1][0], mods) for a in autos[len(maps):])
+        maps.extend(_pair_map(zip(*a), zip(*b), mods) for a, b in autos[len(maps):])
         return maps
 
     def visit(order, rots, verts, strands, faces, body):
@@ -298,8 +359,8 @@ def _minimal_readings(gc: GaussCode) -> Readings:
                     if best is None or serial < best:
                         best, ref = serial, (key, f, v)
                     elif serial == best:
-                        autos.append((ref, (key, f, v)))
-                        (ref_order, ref_rots), _, _ = ref
+                        autos.append((ref[0], key))
+                        ref_order, ref_rots = ref[0]
                         if (ref_order[:depth], ref_rots[:depth]) != (order, rots):
                             # jump back to the node where the two readings part
                             return next(j for j in range(depth)
@@ -319,7 +380,7 @@ def _minimal_readings(gc: GaussCode) -> Readings:
             if autos:
                 if seen != (len(autos), len(entered)):
                     seen = (len(autos), len(entered))
-                    gens = [g for g in pair_maps() if _fixes(g, order, rots)]
+                    gens = [g for g in pair_maps() if _fixes(g, order)]
                     covered = _orbit(entered, gens, mods)
                 if pair in covered:
                     continue
@@ -330,39 +391,175 @@ def _minimal_readings(gc: GaussCode) -> Readings:
         return None
 
     visit((), (), {}, {}, {}, "")
-    (ref_order, ref_rots), faces, verts = ref
-    # one loop: every leaf is read in key order, so the reference is the
-    # first minimal reading and each later minimal leaf one automorphism
-    order = 1 + len(autos)
-    if autos and k > 1:
-        order = 1
-        base = tuple(zip(ref_order, ref_rots))
-        least = {(): (tuple(range(k)), (0,) * k)}  # least image prefixes, each with one g
-        for d, point in enumerate(base):
-            gens = [g for g in pair_maps() if _fixes(g, ref_order[:d], ref_rots[:d])]
-            transversal = _orbit([point], gens, mods)
-            order *= len(transversal)
-            images = [(img + (_apply(h, y, mods),), _compose(h, u, mods))
-                      for img, h in least.items() for y, u in transversal.items()]
-            low = min(img[-1][0] for img, _ in images)
-            least = {img: g for img, g in images if img[-1][0] == low}
-        first = min(least, key=lambda img: [rot for _, rot in img])
-        if first != base:
-            faces, verts, strands = {}, {}, {}
-            text = "|".join(_chunk(gc, loop, rot, verts, strands, faces) for loop, rot in first)
-            if f"{head}{faces[outer]}|{text}" != best:
-                raise InconsistencyError("least image of the reference reading is not minimal")
-    return Readings(best, (faces, verts), tuple(autos), order)
+    key, faces, verts = ref
+    return best, tuple(zip(*key)), (faces, verts), pair_maps()
 
 
-def _pair_map(ref_key, key, mods):
-    """The map of (loop, basepoint) pairs that carries reading ref_key to key:
-    loop order_ref[j] -> order[j], rotation r -> r + rots[j] - rots_ref[j]."""
-    perm, shift = [0] * len(mods), [0] * len(mods)
-    for loop_a, rot_a, loop_b, rot_b in zip(*ref_key, *key):
+def _forest(gc: GaussCode, mods) -> Readings:
+    """`_minimal_readings` of a diagram of several components.
+
+    Each component is searched once over its own loops (`_search`), with
+    its host face as outer face; its minimal readings are the images of
+    the reference under the automorphisms found, which act freely on its
+    (loop, basepoint) pairs, so they are the orbit of its first pair.
+    Bottom-up over the nesting forest (Aho, Hopcroft and Ullman 1974), a
+    component's code is the least, over its minimal readings, of its
+    serial with the sorted codes of the components each of its faces
+    holds attached, face by face in the reading's label order as
+    [label(code)(code)...]. Equal codes mean isomorphic subtrees.
+
+    The canonical reading reads each component at its least reading and
+    then, face by face in label order, the subtrees its faces hold,
+    sorted by code and, among equal codes, by their first loop; the top
+    level is the outer face's. Its serial, in the format of `_search`, is
+    the canonical code. G is generated by each component's readings that
+    tie for its least code, carried over to its subtree, and by swaps of
+    adjacent subtrees with equal codes in one face: |G| is the product of
+    the tie counts and of m! for each run of m equal siblings. When no
+    component has a tie, no generator moves a component within itself and
+    the canonical reading is the least image. A row of k congruent
+    figure-eights costs 2k chunk reads in the searches and k more for the
+    canonical reading; k nested rings or k disjoint circles cost 2k, and a
+    ring holding k discs 2k + 2.
+    """
+    loops_of = [[] for _ in gc.hosts]
+    for loop, comp in enumerate(gc.components):
+        loops_of[comp].append(loop)
+    found = [_search(gc, loops, host, mods) for loops, host in zip(loops_of, gc.hosts)]
+    # each bounded face lies inside exactly one component, its owner
+    owner = {f: c for c, (_, _, (faces, _), _) in enumerate(found)
+             for f in faces if f != gc.hosts[c]}
+    hosted = {}
+    for c, host in enumerate(gc.hosts):
+        hosted.setdefault(host, []).append(c)
+    depth = {}  # components deeper in the forest are read first
+    for c in range(len(gc.hosts)):
+        path, x = [], c
+        while x is not None and x not in depth:
+            path.append(x)
+            x = owner.get(gc.hosts[x])
+        d = -1 if x is None else depth[x]
+        for x in reversed(path):
+            d += 1
+            depth[x] = d
+    code, walk, gens, order = {}, {}, [], 1
+
+    def kids(f):
+        """The components face f holds, in canonical order."""
+        return sorted(hosted.get(f, ()), key=lambda x: (code[x], walk[x][0][0]))
+
+    def swaps(members):
+        """Generators swapping adjacent equal subtrees, and the count of the
+        permutations they span."""
+        count = 1
+        for run in (list(g) for _, g in groupby(members, key=code.get)):
+            count *= math.factorial(len(run))
+            gens.extend(_pair_map(walk[x] + walk[y], walk[y] + walk[x], mods)
+                        for x, y in zip(run, run[1:]))
+        return count
+
+    tied = False
+    for c in sorted(depth, key=depth.get, reverse=True):
+        serial, base, (faces, _), auts = found[c]
+        own = [f for f in sorted(faces, key=faces.get) if f != gc.hosts[c]]
+        nested = any(f in hosted for f in own)
+        best, ties = None, []  # the least held codes, and the subtree readings reaching them
+        for g in _orbit([base[0]], auts, mods).values():
+            reading = tuple(_apply(g, p, mods) for p in base)
+            held = ()
+            if nested:
+                fmap = _face_map(gc, g, loops_of[c])
+                held = tuple(tuple(code[x] for x in kids(fmap[f])) for f in own)
+                reading += tuple(chain.from_iterable(walk[x] for f in own for x in kids(fmap[f])))
+            if best is None or held < best:
+                best, ties = held, []
+            if held == best:
+                ties.append(reading)
+        walk[c] = ties[0]
+        gens.extend(_pair_map(ties[0], other, mods) for other in ties[1:])
+        tied = tied or len(ties) > 1
+        order *= len(ties)
+        code[c] = serial + "".join(f"[{faces[f]}" + "".join(f"({x})" for x in held) + "]"
+                                   for f, held in zip(own, best) if held)
+        for f in own:
+            order *= swaps(kids(f))
+    top = kids(gc.outer_face)
+    order *= swaps(top)
+    base = tuple(chain.from_iterable(walk[x] for x in top))
+    serial, faces, verts = _read(gc, base)
+    if not tied:
+        return Readings(serial, (faces, verts), tuple(gens), order)
+    least_order, first = _least_image(base, gens, mods)
+    if least_order != order:
+        raise InconsistencyError(
+            f"forest multiplicities give |G| = {order}, orbits give {least_order}")
+    return Readings(serial, _reread(gc, serial, first, base, (faces, verts)), tuple(gens), order)
+
+
+def _read(gc: GaussCode, pairs):
+    """Read every loop at its (loop, basepoint) pair, in turn: the serial
+    and the (faces, verts) label maps."""
+    verts, strands, faces = {}, {}, {}
+    text = "|".join(_chunk(gc, loop, rot, verts, strands, faces) for loop, rot in pairs)
+    return f"n{len(verts)}f{gc.num_faces}o{faces[gc.outer_face]}|{text}", faces, verts
+
+
+def _reread(gc: GaussCode, serial, first, base, reading):
+    """The (faces, verts) of reading `first`, which must read `serial`;
+    `reading` holds those of `base`."""
+    if first == base:
+        return reading
+    text, faces, verts = _read(gc, first)
+    if text != serial:
+        raise InconsistencyError("least image of the reference reading is not minimal")
+    return faces, verts
+
+
+def _least_image(base, gens, mods):
+    """|G| and the least image of reading `base` in (loop order,
+    rotations) order, given pair maps that form a strong generating set
+    of G along base: level d's transversal is the orbit of base[d] under
+    the maps that fix the pairs before it, and |G| is the product of
+    their lengths. The least image prefixes are kept level by level, each
+    with one element that reaches it."""
+    order = 1
+    least = {(): _identity(mods)}
+    for d, point in enumerate(base):
+        if d:
+            gens = [g for g in gens if _fixes(g, (base[d - 1][0],))]
+        transversal = _orbit([point], gens, mods)
+        order *= len(transversal)
+        images = [(img + (_apply(h, y, mods),), _compose(h, u, mods))
+                  for img, h in least.items() for y, u in transversal.items()]
+        low = min(img[-1][0] for img, _ in images)
+        least = {img: g for img, g in images if img[-1][0] == low}
+    return order, min(least, key=lambda img: [rot for _, rot in img])
+
+
+def _pair_map(src, dst, mods):
+    """The pair map that carries the (loop, basepoint) pairs of src to
+    those of dst, in turn: loop a -> b, rotation r -> r + rot_b - rot_a;
+    the identity on every loop src does not hold."""
+    perm, shift = list(range(len(mods))), [0] * len(mods)
+    for (loop_a, rot_a), (loop_b, rot_b) in zip(src, dst):
         perm[loop_a] = loop_b
         shift[loop_a] = (rot_b - rot_a) % mods[loop_a]
     return tuple(perm), tuple(shift)
+
+
+def _identity(mods):
+    return tuple(range(len(mods))), (0,) * len(mods)
+
+
+def _face_map(gc: GaussCode, g, loops):
+    """Where pair map g sends each face that the given loops touch."""
+    perm, shift = g
+    out = {}
+    for loop in loops:
+        arcs, image = gc.arcs[loop], gc.arcs[perm[loop]]
+        for a, (lf, rf) in enumerate(arcs):
+            out[lf], out[rf] = image[(a + shift[loop]) % len(image)]
+    return out
 
 
 def _apply(g, pair, mods):
@@ -377,16 +574,16 @@ def _compose(g, h, mods):
             tuple((s + g[1][p]) % mods[p] for p, s in zip(perm, shift)))
 
 
-def _fixes(g, order, rots):
-    """Whether pair map g fixes every (loop, rotation) pair of a prefix."""
+def _fixes(g, loops):
+    """Whether pair map g fixes every basepoint of the given loops."""
     perm, shift = g
-    return all(perm[loop] == loop and shift[loop] == 0 for loop in order)
+    return all(perm[loop] == loop and shift[loop] == 0 for loop in loops)
 
 
 def _orbit(points, gens, mods):
     """The pairs reachable from points under gens, each with a map of the
     group they generate that carries the first point of its orbit to it."""
-    ident = (tuple(range(len(mods))), (0,) * len(mods))
+    ident = _identity(mods)
     reached = {}
     for point in points:
         if point in reached:
@@ -427,10 +624,7 @@ def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
             f"{MAX_GROUP_ORDER} elements"
         )
     r, n = arr.r, arr.r + len(arr.vertices)
-    autos = []
-    for (_, *reading), (_, *image) in found.automorphisms:
-        corr = _correspondence(arr, arr, *reading, *image)
-        autos.append([f - 1 for f in corr.faces] + [r + v for v in corr.vertices])
+    autos = [_automorphism_row(arr, g) for g in found.automorphisms]
     rows, _ = _cosets(np.asarray(autos, dtype=np.intp).reshape(-1, n))
     if len(rows) != found.order:
         raise InconsistencyError(
@@ -441,6 +635,29 @@ def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
     rows[:, r:] -= r
     rows.setflags(write=False)
     return SymmetryGroup(rows[:, :r], rows[:, r:], generators)
+
+
+def _automorphism_row(arr: Arrangement, g):
+    """Pair map g as one element row of `_group`: arc j of loop l goes to
+    arc j + shift[l] of loop perm[l], taking the faces on its two sides
+    and the crossing it starts at along."""
+    perm, shift = g
+    r = arr.r
+    row = [-1] * (r + len(arr.vertices))
+    for loop, arcs in enumerate(arr.loop_arcs):
+        image, passages = arr.loop_arcs[perm[loop]], arr.passages[perm[loop]]
+        for j, he in enumerate(arcs):
+            k = (j + shift[loop]) % len(image)
+            for x, y in ((he, image[k]), (arr.half_edges[he].twin, arr.half_edges[image[k]].twin)):
+                fa, fb = arr.faces[arr.half_edges[x].face], arr.faces[arr.half_edges[y].face]
+                if fa.is_outer != fb.is_outer or (
+                        not fa.is_outer and row[fa.label - 1] not in (-1, fb.label - 1)):
+                    raise InconsistencyError("pair map is not a diagram automorphism")
+                if not fa.is_outer:
+                    row[fa.label - 1] = fb.label - 1
+            if passages:
+                row[r + arr.passages[loop][j][1]] = r + passages[k][1]
+    return row
 
 
 def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert_b):

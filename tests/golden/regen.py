@@ -118,6 +118,9 @@ def _inputs():
         "trifolium": trifolium_curve(),
         "thin-band": thin_band_curve(3e-5),
         "circles12": circles_row(12),
+        # 12 concentric rings of radii 1 + 0.05 i: G is trivial
+        "rings12": ClosedCurve(tuple(circle_curve(n=64, radius=1.0 + 0.05 * i).loops[0]
+                                     for i in range(12))),
     }
     files = {f"{name}.curve": serialize_curve(c) for name, c in curves.items()}
     # written by hand: a ClosedCurve refuses this sample
@@ -175,6 +178,7 @@ CALLS = [
     ("analyze-angle-tol-zero", ["analyze", "eight.curve", "--angle-tol", "0"]),
     ("analyze-sep-tol-nan", ["analyze", "eight.curve", "--sep-tol", "nan"]),
     ("analyze-circles12", ["analyze", "circles12.curve"]),
+    ("analyze-rings12", ["analyze", "rings12.curve"]),
     # the crossing angles and merged strand germs of non-generic crossings
     ("analyze-tangent-circles", ["analyze", "tangent-circles.curve"]),
     ("analyze-eight-angle-tol-large", ["analyze", "eight.curve", "--angle-tol", "1.5"]),
@@ -194,6 +198,8 @@ CALLS = [
      ["compare", "holed.curve", "holed-reversed.curve", "--labelled"]),
     ("compare-symplectic-holed-reversed",
      ["compare", "holed.curve", "holed-reversed.curve", "--symplectic"]),
+    ("compare-symplectic-circles12",
+     ["compare", "circles12.curve", "circles12.curve", "--symplectic"]),
     ("compare-symplectic-incomparable", ["compare", "eight.curve", "trefoil.curve", "--symplectic"]),
     ("compare-not-generic", ["compare", "cusp.curve", "eight.curve", "--labelled"]),
     ("compare-no-mode", ["compare", "eight.curve", "eight.curve"]),

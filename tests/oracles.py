@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -806,6 +807,190 @@ def _minimal_readings(gc: GaussCode):
     return best, readings
 
 
+class Readings(NamedTuple):
+    """What `pruned_readings` finds."""
+
+    serial: str
+    first: tuple[dict, dict]  # (faces, verts) of the first minimal reading
+    automorphisms: tuple  # (reference, leaf): (key, faces, verts) readings with equal serials
+    order: int  # |G|
+
+
+def pruned_readings(gc: GaussCode) -> Readings:
+    """The automorphism-pruned `diagram._minimal_readings` that searched all
+    loops of a diagram at once, before components were read one by one:
+    the minimal serial, the first reading that reaches it in (loop order,
+    rotations) order, and diagram automorphisms that generate G.
+
+    The serial of a reading is the header n{V}f{F}o{outer}| followed by
+    the loop chunks joined by |. The search goes depth first over loop
+    positions: position p takes each unused loop of the p-th least shape
+    (occurrences, arcs) at each basepoint rotation, so the order in which
+    the loops are given does not matter. All children of a node are read
+    before any is entered, and a child is dropped when its serial prefix
+    (with a trailing | as chunks follow) is above a sibling's prefix or
+    above the best serial cut to the same length; ties go on. Sibling
+    prefixes end in | and chunks hold none, so neither is a proper prefix
+    of the other and the lower one beats every completion of the higher.
+    The header is only known once the outer face has a label; until then
+    nothing is dropped.
+
+    Ties are pruned by the automorphisms they reveal (McKay 1981): the
+    reference is the first leaf that reaches the best serial, and a later
+    leaf with the same serial is its image under an automorphism, which
+    maps (loop, basepoint) pairs as the two readings do. The search then
+    jumps back to the node where the two readings part, since everything
+    below that node on the new side is the image of what was searched on
+    the reference side. A tied child is skipped when it lies in the orbit
+    of an entered sibling under the automorphisms found so far that fix
+    every pair of the node's prefix; its subtree is an image of the
+    sibling's. Along the reference path each level's found orbit is the
+    whole orbit of its stabilizer, so the automorphisms found there form
+    a strong generating set: |G| is the product of those orbit lengths,
+    and the first minimal reading in (loop order, rotations) order, which
+    pruning may have skipped, is the least image of the reference, found
+    level by level through their transversals. A row of k congruent loops
+    costs about k^3/3 chunk reads and k - 1 automorphisms.
+    """
+    k = len(gc.occ)
+    shape = [(len(gc.occ[i]), len(gc.arcs[i])) for i in range(k)]
+    mods = [max(1, m) for m, _ in shape]
+    fits = [[i for i in range(k) if shape[i] == s] for s in sorted(shape)]
+    head = f"n{len({v for occ in gc.occ for v, _ in occ})}f{gc.num_faces}o"
+    outer = gc.outer_face
+    best = ref = None  # ref: (key, faces, verts) of the first leaf at the best serial
+    autos = []  # (reference, leaf) with equal serials
+    maps = []  # pair maps of autos, made when orbits are first needed
+
+    def pair_maps():
+        maps.extend(_pair_map(a[0][0], a[1][0], mods) for a in autos[len(maps):])
+        return maps
+
+    def visit(order, rots, verts, strands, faces, body):
+        """Search below one node; return the depth to jump back to, if any."""
+        nonlocal best, ref
+        depth = len(order)
+        last = depth == k - 1
+        kids = []
+        for loop in fits[depth]:
+            if loop in order:
+                continue
+            for rot in range(mods[loop]):
+                v, s, f = dict(verts), dict(strands), dict(faces)
+                text = body + _chunk(gc, loop, rot, v, s, f)
+                key = (order + (loop,), rots + (rot,))
+                if last:
+                    serial = f"{head}{f[outer]}|{text}"
+                    if best is None or serial < best:
+                        best, ref = serial, (key, f, v)
+                    elif serial == best:
+                        autos.append((ref, (key, f, v)))
+                        (ref_order, ref_rots), _, _ = ref
+                        if (ref_order[:depth], ref_rots[:depth]) != (order, rots):
+                            # jump back to the node where the two readings part
+                            return next(j for j in range(depth)
+                                        if (ref_order[j], ref_rots[j]) != (order[j], rots[j]))
+                    continue
+                text += "|"
+                prefix = f"{head}{f[outer]}|{text}" if outer in f else None
+                kids.append((prefix, key, v, s, f, text))
+        low = min((kid[0] for kid in kids if kid[0] is not None), default=None)
+        entered, covered, seen = [], set(), None
+        for prefix, key, v, s, f, text in kids:
+            if prefix is not None and (
+                prefix > low or (best is not None and prefix > best[: len(prefix)])
+            ):
+                continue
+            pair = (key[0][-1], key[1][-1])
+            if autos:
+                if seen != (len(autos), len(entered)):
+                    seen = (len(autos), len(entered))
+                    gens = [g for g in pair_maps() if _fixes(g, order, rots)]
+                    covered = _orbit(entered, gens, mods)
+                if pair in covered:
+                    continue
+            entered.append(pair)
+            split = visit(*key, v, s, f, text)
+            if split is not None and split < depth:
+                return split
+        return None
+
+    visit((), (), {}, {}, {}, "")
+    (ref_order, ref_rots), faces, verts = ref
+    # one loop: every leaf is read in key order, so the reference is the
+    # first minimal reading and each later minimal leaf one automorphism
+    order = 1 + len(autos)
+    if autos and k > 1:
+        order = 1
+        base = tuple(zip(ref_order, ref_rots))
+        least = {(): (tuple(range(k)), (0,) * k)}  # least image prefixes, each with one g
+        for d, point in enumerate(base):
+            gens = [g for g in pair_maps() if _fixes(g, ref_order[:d], ref_rots[:d])]
+            transversal = _orbit([point], gens, mods)
+            order *= len(transversal)
+            images = [(img + (_apply(h, y, mods),), _compose(h, u, mods))
+                      for img, h in least.items() for y, u in transversal.items()]
+            low = min(img[-1][0] for img, _ in images)
+            least = {img: g for img, g in images if img[-1][0] == low}
+        first = min(least, key=lambda img: [rot for _, rot in img])
+        if first != base:
+            faces, verts, strands = {}, {}, {}
+            text = "|".join(_chunk(gc, loop, rot, verts, strands, faces) for loop, rot in first)
+            if f"{head}{faces[outer]}|{text}" != best:
+                raise InconsistencyError("least image of the reference reading is not minimal")
+    return Readings(best, (faces, verts), tuple(autos), order)
+
+
+def _pair_map(ref_key, key, mods):
+    """The map of (loop, basepoint) pairs that carries reading ref_key to key:
+    loop order_ref[j] -> order[j], rotation r -> r + rots[j] - rots_ref[j]."""
+    perm, shift = [0] * len(mods), [0] * len(mods)
+    for loop_a, rot_a, loop_b, rot_b in zip(*ref_key, *key):
+        perm[loop_a] = loop_b
+        shift[loop_a] = (rot_b - rot_a) % mods[loop_a]
+    return tuple(perm), tuple(shift)
+
+
+def _apply(g, pair, mods):
+    loop, rot = pair
+    return g[0][loop], (rot + g[1][loop]) % mods[loop]
+
+
+def _compose(g, h, mods):
+    """g after h, on (loop, basepoint) pairs."""
+    perm, shift = h
+    return (tuple(g[0][p] for p in perm),
+            tuple((s + g[1][p]) % mods[p] for p, s in zip(perm, shift)))
+
+
+def _fixes(g, order, rots):
+    """Whether pair map g fixes every (loop, rotation) pair of a prefix."""
+    perm, shift = g
+    return all(perm[loop] == loop and shift[loop] == 0 for loop in order)
+
+
+def _orbit(points, gens, mods):
+    """The pairs reachable from points under gens, each with a map of the
+    group they generate that carries the first point of its orbit to it."""
+    ident = (tuple(range(len(mods))), (0,) * len(mods))
+    reached = {}
+    for point in points:
+        if point in reached:
+            continue
+        reached[point] = ident
+        frontier = [point]
+        while frontier and gens:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = _apply(g, x, mods)
+                    if y not in reached:
+                        reached[y] = _compose(g, reached[x], mods)
+                        nxt.append(y)
+            frontier = nxt
+    return reached
+
+
 def tie_listing_readings(gc: GaussCode):
     """The pruned `diagram._minimal_readings` that listed every tie: the
     minimal serial and every (faces, verts) reading that reaches it, in
@@ -873,7 +1058,10 @@ def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
 def _group(arr: Arrangement, found) -> SymmetryGroup:
     """The `diagram._group` that listed G as the tuple closure of the
     automorphisms found for arr, then found its generators in a second
-    closure pass that checked the group axioms (`_checked_generators`)."""
+    closure pass that checked the group axioms (`_checked_generators`).
+    Each automorphism, a pair map, is turned into face and crossing
+    permutations by reading the diagram from every loop's first arc and
+    from the pair map's image of each."""
     if found.order > MAX_GROUP_ORDER:
         raise ValidationError(
             f"symmetry group of {found.order} elements exceeds the budget of "
@@ -881,7 +1069,13 @@ def _group(arr: Arrangement, found) -> SymmetryGroup:
         )
     ident = (tuple(range(arr.r)), tuple(range(len(arr.vertices))))
     elements, used = {ident}, []
-    for (_, *reading), (_, *image) in found.automorphisms:
+    gc = gauss_code(arr)
+    loops = tuple(range(len(gc.occ)))
+    mods = [max(1, len(occ)) for occ in gc.occ]
+    _, *reading = _read(gc, loops, (0,) * len(loops))
+    for perm, shift in found.automorphisms:
+        # the pair map carries the identity reading to its image reading
+        _, *image = _read(gc, tuple(perm), tuple(s % m for s, m in zip(shift, mods)))
         corr = _correspondence(arr, arr, *reading, *image)
         h = (tuple(f - 1 for f in corr.faces), corr.vertices)
         if h in elements:
@@ -1498,7 +1692,7 @@ def assemble_faces(arr: Arrangement) -> list[Face]:
     walk becomes a hole of the first smallest positive walk around it.
     Faces come in the library's order, one per positive walk and then
     the outer face, with edges rolled from their polygons. Returns the
-    faces and, face by face, their walks.
+    faces, face by face their walks, and each component's host face.
     """
     half_edges = arr.half_edges
     cycles = _extract_cycles(half_edges)
@@ -1513,6 +1707,7 @@ def assemble_faces(arr: Arrangement) -> list[Face]:
 
     holes: dict[int, list[int]] = {i: [] for i in positive}
     outer_cycles = []
+    hosts = {}  # component -> index of the face around it
     for i in negative:
         probe = comp_probe[cycle_comp[i]]
         best = None
@@ -1524,8 +1719,10 @@ def assemble_faces(arr: Arrangement) -> list[Face]:
                     best = j
         if best is None:
             outer_cycles.append(i)
+            hosts[cycle_comp[i]] = len(positive)
         else:
             holes[best].append(i)
+            hosts[cycle_comp[i]] = positive.index(best)
 
     def face(members, is_outer):
         walks = tuple(polys[m] for m in members)
@@ -1543,7 +1740,7 @@ def assemble_faces(arr: Arrangement) -> list[Face]:
     for j in positive:
         faces.append(face([j] + sorted(holes[j]), False))
     faces.append(face(sorted(outer_cycles), True))
-    return faces, walks_of
+    return faces, walks_of, tuple(hosts[c] for c in sorted(hosts))
 
 
 def gauss_signs(arr: Arrangement) -> tuple[int, ...]:

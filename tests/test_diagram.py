@@ -38,7 +38,8 @@ def test_circle_code_empty():
 def test_gauss_code_rejects_a_declared_vertex_that_no_loop_visits():
     # one vertex sign, but the only loop has no occurrences
     with pytest.raises(ValidationError, match="do not cover"):
-        GaussCode(occ=((),), arcs=(((0, 1),),), base_sign=(1,), outer_face=1, num_faces=2)
+        GaussCode(occ=((),), arcs=(((0, 1),),), base_sign=(1,), outer_face=1, num_faces=2,
+                  components=(0,), hosts=(1,))
 
 
 def test_gerono_code_single_crossing_consistent_signs(gerono256):

@@ -3,14 +3,17 @@
 `canonical_code`, `isotopy_match` and `symmetry_group` share one search
 for the minimal readings, and G is listed in coset blocks of one
 permutation array, whose axioms are checked while its generators are
-found. Their results must equal the old separate loops of `oracles`
-exactly: the same strings, the same correspondences, the same sorted
-elements and the same generator indices. The automorphism-pruned
-`_minimal_readings` must return the same serial, the same first minimal
-reading and |G| as the full enumeration, and the group listed from it
-and both compare decisions must equal those of the search that listed
-every tie (`oracles.tie_listing_readings`), which it replaced, and of
-the tuple closure (`oracles._group`). The array-pass orbit decision must
+found. On diagrams of one component their results must equal the old
+separate loops of `oracles` exactly: the same strings, the same
+correspondences, the same sorted elements and the same generator
+indices. A diagram of several components is read component by component
+down its nesting forest; its serial may differ from the one the
+whole-diagram search finds (`oracles.pruned_readings`, the full
+enumeration and `oracles.tie_listing_readings`), but equal and unequal
+codes must agree with it on every pair, |G| and the sorted elements of G
+must equal its, and the correspondence must be one of its
+isomorphisms. Where the serials agree, so must the first minimal
+reading and both compare decisions. The array-pass orbit decision must
 equal the loop it replaced.
 The half-edge polylines, cut for all arcs of a loop at once, must equal
 the per-arc cut and the old per-sample loop.
@@ -275,6 +278,20 @@ def items(reading):
     return [list(labels.items()) for labels in reading]
 
 
+def assert_matches_whole_search(gc, found, serial, readings):
+    """|G| is the count of minimal readings of the whole-diagram search;
+    where the canonical serial is the one it finds, which is always so for
+    one component, the first minimal reading is too. Returns whether the
+    serials agree."""
+    assert found.order == len(readings)
+    if found.serial != serial:
+        assert len(gc.hosts) > 1
+        return False
+    # the same numbering, assigned in the same order
+    assert items(found.first) == items(readings[0])
+    return True
+
+
 def test_minimal_readings_match_full_enumeration(arrangements, rows, enumerated):
     ring, eight = holed_curve().loops
     # read first, the circle in a lobe of the large figure-eight leaves the
@@ -291,17 +308,14 @@ def test_minimal_readings_match_full_enumeration(arrangements, rows, enumerated)
     extra = [ClosedCurve((eight, ring)), enclosed, trefoils]
     arrs = list(arrangements) + [build_arrangement(c) for c in extra]
     arrs += [arr for a, b, _ in rows for arr in (a, b)]
-    first_outer = []
+    first_outer, agree = [], 0
     for arr in arrs:
         gc = gauss_code(arr)
-        found = _minimal_readings(gc)
-        old_serial, old_readings = enumerated(gc)
-        assert found.serial == old_serial
-        # the same numbering, assigned in the same order
-        assert items(found.first) == items(old_readings[0])
-        assert found.order == len(old_readings)
+        agree += assert_matches_whole_search(gc, _minimal_readings(gc), *enumerated(gc))
         first_outer.append(any(gc.outer_face in arc for arc in gc.arcs[0]))
     assert not all(first_outer)
+    # the free circle is read before the figure-eight that holds the other
+    assert agree == len(arrs) - 1
 
 
 def tied(a, b, decision, perms):
@@ -348,44 +362,113 @@ def test_match_group_and_decisions_match_full_enumeration(rows, enumerated):
 
 @pytest.mark.parametrize("k, reads", [(4, 40), (5, 70), (6, 112), (7, 168), (8, 240)])
 def test_congruent_row_reads_cubic_chunks(k, reads, monkeypatch):
-    # depth d of the first path reads its 2 (k - d) children; each of its
-    # k - 1 nodes above the leaves then enters one more child, 2 j (j + 1)
-    # reads below it for j = k - d loops left, whose first leaf gives an
+    # the search over all loops at once, which the forest replaced: depth d
+    # of the first path reads its 2 (k - d) children; each of its k - 1
+    # nodes above the leaves then enters one more child, 2 j (j + 1) reads
+    # below it for j = k - d loops left, whose first leaf gives an
     # automorphism and jumps back; the found orbit then covers the rest:
     # sum_{j <= k} j (j + 1) = k (k + 1) (k + 2) / 3 chunk reads
     calls = []
-    chunk = diagram._chunk
-    monkeypatch.setattr(diagram, "_chunk", lambda *args: calls.append(1) or chunk(*args))
-    found = _minimal_readings(gauss_code(build_arrangement(eights_row(k))))
+    chunk = oracles._chunk
+    monkeypatch.setattr(oracles, "_chunk", lambda *args: calls.append(1) or chunk(*args))
+    found = oracles.pruned_readings(gauss_code(build_arrangement(eights_row(k))))
     assert len(calls) == reads == k * (k + 1) * (k + 2) // 3
     assert len(found.automorphisms) == k - 1
     assert found.order == math.factorial(k)
+
+
+def count_reads(monkeypatch, curve):
+    """The chunk reads of one `_minimal_readings` call, and its result."""
+    calls = []
+    chunk = diagram._chunk
+    monkeypatch.setattr(diagram, "_chunk", lambda *args: calls.append(1) or chunk(*args))
+    found = _minimal_readings(gauss_code(build_arrangement(curve)))
+    monkeypatch.setattr(diagram, "_chunk", chunk)
+    return len(calls), found
+
+
+GROWTH = {  # curve of k, chunk reads, |G|
+    # each figure-eight is searched at its two basepoints, then read once
+    "eights": (eights_row, lambda k: 3 * k, math.factorial),
+    # a crossing-free loop has one basepoint
+    "circles": (circles_row, lambda k: 2 * k, math.factorial),
+    "nested-rings": (lambda k: nested_rings(k), lambda k: 2 * k, lambda k: 1),
+    "ring-of-discs": (lambda k: ring_of_discs(k, disc=0.2), lambda k: 2 * (k + 1), math.factorial),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+def test_forest_reads_grow_linearly(name, monkeypatch):
+    # a return to reading whole loop orders (k^3 chunks for a row, k! for
+    # nested rings) fails here at once instead of timing out
+    curve, reads, order = GROWTH[name]
+    for k in range(4, 13):
+        count, found = count_reads(monkeypatch, curve(k))
+        assert (count, found.order) == (reads(k), order(k)), k
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_eights_row_group_matches_whole_search(k):
+    arr = build_arrangement(eights_row(k))
+    gc = gauss_code(arr)
+    found = _minimal_readings(gc)
+    whole = oracles.pruned_readings(gc)
+    assert (found.serial, found.order) == (whole.serial, whole.order)
+    assert items(found.first) == items(whole.first)
+    serial, readings = oracles.tie_listing_readings(gc)
+    assert_same_group(symmetry_group(arr), oracles.tie_listing_group(arr, readings))
 
 
 # --- automorphism-pruned search against the tie-listing search ------------
 
 
 def assert_search_matches_tie_listing(arr):
-    """Serial, first reading, |G|, sorted elements and generators of the
-    pruned search equal those of the search that listed every tie, and G
-    equals the tuple closure of the automorphisms found."""
+    """|G|, sorted elements and generators equal those of the whole-diagram
+    search that listed every tie, and G equals the tuple closure of the
+    automorphisms found; so do the serial and the first reading where the
+    serials agree. Returns the tie listing's serial and readings, and
+    whether the serials agree."""
     gc = gauss_code(arr)
     found = _minimal_readings(gc)
     serial, readings = oracles.tie_listing_readings(gc)
-    assert found.serial == serial
-    assert items(found.first) == items(readings[0])
-    assert found.order == len(readings)
+    same = assert_matches_whole_search(gc, found, serial, readings)
     group = assert_group_matches_closure(arr, found)
     assert_same_group(group, oracles.tie_listing_group(arr, readings))
-    return serial, readings
+    return serial, readings, same
+
+
+def isomorphisms(a, corr):
+    """Every face bijection a -> b that a diagram isomorphism makes: corr
+    after each element of G."""
+    return {tuple(corr.faces[j] for j in g) for g in symmetry_group(a).face_perms.tolist()}
 
 
 def assert_pairs_match_tie_listing(pairs):
+    """Each pair against the whole-diagram search: codes equal exactly when
+    its serials are, and, where both serials agree, the same decisions;
+    otherwise the correspondence is one of its isomorphisms and the
+    symplectic verdict and closest discrepancy are its. Returns how many
+    pairs agreed and how many did not."""
+    agreed = moved = 0
     for a, b in pairs:
-        readings_a = assert_search_matches_tie_listing(a)
-        readings_b = assert_search_matches_tie_listing(b)
+        serial_a, readings_a, same_a = assert_search_matches_tie_listing(a)
+        serial_b, readings_b, same_b = assert_search_matches_tie_listing(b)
+        equal = canonical_code(gauss_code(a)) == canonical_code(gauss_code(b))
+        assert equal == (serial_a == serial_b)
         decisions = (labelled_equivalent(a, b), symplectically_equivalent(a, b))
-        assert decisions == oracle_decisions(a, b, readings_a, readings_b)
+        want = oracle_decisions(a, b, (serial_a, readings_a), (serial_b, readings_b))
+        if same_a and same_b or not equal:
+            assert decisions == want
+            agreed += 1
+            continue
+        moved += 1
+        old = _correspondence(a, b, *readings_a[0], *readings_b[0])
+        assert isomorphisms(a, isotopy_match(a, b)) == isomorphisms(a, old)
+        got, expected = decisions[1], want[1]
+        assert got.verdict is expected.verdict
+        if got.verdict is Verdict.INEQUIVALENT:
+            assert got.witness.max_discrepancy == expected.witness.max_discrepancy
+    return agreed, moved
 
 
 def test_arrangements_match_tie_listing(arrangements):
@@ -400,9 +483,9 @@ def nested_rings(k):
                              for i in range(k)))
 
 
-def ring_of_discs(k):
-    """A ring of radius 3 holding k discs of radius 0.5 on a circle of radius 1.8."""
-    discs = tuple(circle_curve(n=48, radius=0.5, center=(1.8 * np.cos(2 * np.pi * i / k),
+def ring_of_discs(k, disc=0.5):
+    """A ring of radius 3 holding k discs of radius `disc` on a circle of radius 1.8."""
+    discs = tuple(circle_curve(n=48, radius=disc, center=(1.8 * np.cos(2 * np.pi * i / k),
                                                           1.8 * np.sin(2 * np.pi * i / k))).loops[0]
                   for i in range(k))
     return ClosedCurve((circle_curve(n=128, radius=3.0).loops[0],) + discs)
@@ -486,7 +569,10 @@ def test_curves_match_tie_listing(case):
     pairs = []
     for seed, curve in enumerate(CASES[case]()):
         pairs += with_copies(curve, seed)
-    assert_pairs_match_tie_listing(pairs)
+    _, moved = assert_pairs_match_tie_listing(pairs)
+    # the whole search reads the small circles first; the forest reads the
+    # loops around them first
+    assert (moved > 0) == (case in ("enclosed", "petal-circles"))
 
 
 @pytest.mark.parametrize("name", sorted(MIXED))
@@ -542,12 +628,15 @@ def test_seeded_motif_rows_match_tie_listing():
     # not minimal, so automorphisms found early need not fix a later
     # node's prefix and must not prune it
     shapes = motifs()
-    orders = set()
+    orders, agreed = set(), 0
     for seed in range(80):
         arr = build_arrangement(motif_row(shapes, np.random.default_rng(seed)))
-        _, readings = assert_search_matches_tie_listing(arr)
+        _, readings, same = assert_search_matches_tie_listing(arr)
         orders.add(len(readings))
+        agreed += same
     assert max(orders) >= 48
+    # nested motifs read inside out by the whole search; rows of free ones agree
+    assert 0 < agreed < 80
 
 
 def two_lobed(n):
@@ -574,9 +663,12 @@ def lobed_pair(perm, shift):
     return ClosedCurve((np.roll(loop, shift, axis=0),) + copies)
 
 
-def test_petal_circles_first_reading_is_not_the_first_reached():
-    # the search reaches readings in (loop, rotation) pair order, the first
-    # minimal reading is the least in (loop order, rotations) order
+def test_petal_circles_first_reading_is_not_the_first_reached(monkeypatch):
+    # the whole-diagram search reaches readings in (loop, rotation) pair
+    # order, the first minimal reading is the least in (loop order,
+    # rotations) order; the forest reads the large loop first with the
+    # copies in the order its reference reading labels the lobes, so in
+    # the same two cases the first reading is the least image of another
     differ = 0
     for perm, shift in LOBES:
         gc = gauss_code(build_arrangement(lobed_pair(perm, shift)))
@@ -584,6 +676,14 @@ def test_petal_circles_first_reading_is_not_the_first_reached():
         keys = [key for key in oracles._candidates(gc) if oracles._read(gc, *key)[0] == serial]
         differ += min(keys) != min(keys, key=lambda key: list(zip(*key)))
     assert differ == 2
+    moved = []
+    reread = diagram._reread
+    monkeypatch.setattr(diagram, "_reread", lambda gc, serial, first, base, reading: (
+        moved.append(first != base) or reread(gc, serial, first, base, reading)))
+    for perm, shift in LOBES:
+        arr = build_arrangement(lobed_pair(perm, shift))
+        assert assert_search_matches_tie_listing(arr)[2]
+    assert sum(moved) == 2
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_AREA_TOL, 1e-12, 0.5])
@@ -603,7 +703,7 @@ def test_group_order_budget_is_checked_before_any_element(monkeypatch):
     assert MAX_GROUP_ORDER >= math.factorial(8)
     found = _minimal_readings(gauss_code(build_arrangement(circles_row(9))))
     assert found.order == math.factorial(9) > MAX_GROUP_ORDER
-    monkeypatch.setattr(diagram, "_correspondence", None)  # listing an element would call it
+    monkeypatch.setattr(diagram, "_automorphism_row", None)  # listing an element would call it
     with pytest.raises(ValidationError, match="exceeds the budget"):
         _group(build_arrangement(circles_row(9)), found)
 

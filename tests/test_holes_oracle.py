@@ -6,7 +6,8 @@ around that component's probe point. It tests every probe against
 every positive walk in one `winding_numbers` call; the code it replaced
 (`oracles.assemble_faces`) made one winding call per (negative walk,
 positive walk) pair. Each face's member walks, area, centroid and label point,
-and the label order, must agree bit for bit on nested curves.
+and the label order, must agree bit for bit on nested curves, and so
+must the face each component lies in.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def test_holes_match_per_pair_oracle(name, reverse):
     if reverse:
         curve = ClosedCurve(curve.loops[::-1])
     arr = build_arrangement(curve)
-    old, old_walks = oracles.assemble_faces(arr)
+    old, old_walks, old_hosts = oracles.assemble_faces(arr)
+    assert arr.hosts == old_hosts
     assert len(arr.faces) == len(old)
     for new, ref, ref_walks in zip(arr.faces, old, old_walks):
         assert new.is_outer == ref.is_outer
