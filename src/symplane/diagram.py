@@ -469,8 +469,9 @@ def _forest(gc: GaussCode, mods) -> Readings:
             held = ()
             if nested:
                 fmap = _face_map(gc, g, loops_of[c])
-                held = tuple(tuple(code[x] for x in kids(fmap[f])) for f in own)
-                reading += tuple(chain.from_iterable(walk[x] for f in own for x in kids(fmap[f])))
+                inside = [kids(fmap[f]) for f in own]
+                held = tuple(tuple(code[x] for x in xs) for xs in inside)
+                reading += tuple(chain.from_iterable(walk[x] for xs in inside for x in xs))
             if best is None or held < best:
                 best, ties = held, []
             if held == best:
@@ -481,11 +482,9 @@ def _forest(gc: GaussCode, mods) -> Readings:
         order *= len(ties)
         code[c] = serial + "".join(f"[{faces[f]}" + "".join(f"({x})" for x in held) + "]"
                                    for f, held in zip(own, best) if held)
-        for f in own:
-            order *= swaps(kids(f))
-    top = kids(gc.outer_face)
-    order *= swaps(top)
-    base = tuple(chain.from_iterable(walk[x] for x in top))
+    for f in hosted:
+        order *= swaps(kids(f))
+    base = tuple(chain.from_iterable(walk[x] for x in kids(gc.outer_face)))
     serial, faces, verts = _read(gc, base)
     if not tied:
         return Readings(serial, (faces, verts), tuple(gens), order)

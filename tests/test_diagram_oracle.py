@@ -22,6 +22,7 @@ the per-arc cut and the old per-sample loop.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import oracles
@@ -34,10 +35,11 @@ from conftest import (
     holed_curve,
     trefoil_curve,
 )
+from test_golden import INPUTS
 
 from symplane import diagram, moduli
 from symplane.arrangement import build_arrangement, face_areas
-from symplane.curves import ClosedCurve, transform_curve
+from symplane.curves import ClosedCurve, load_curve, transform_curve
 from symplane.diagram import (
     MAX_GROUP_ORDER,
     _checked_generators,
@@ -49,7 +51,7 @@ from symplane.diagram import (
     isotopy_match,
     symmetry_group,
 )
-from symplane.errors import InconsistencyError, ValidationError
+from symplane.errors import FormatError, GenericityError, InconsistencyError, ValidationError
 from symplane.moduli import (
     DEFAULT_AREA_TOL,
     Decision,
@@ -405,6 +407,23 @@ def test_forest_reads_grow_linearly(name, monkeypatch):
     for k in range(4, 13):
         count, found = count_reads(monkeypatch, curve(k))
         assert (count, found.order) == (reads(k), order(k)), k
+
+
+def test_golden_codes_agree_with_whole_search():
+    # rings12 is left out: the whole-diagram search reads every order of
+    # its rings, which takes minutes
+    codes = {}
+    for path in sorted(INPUTS.glob("*.curve")):
+        if path.stem == "rings12":
+            continue
+        try:
+            gc = gauss_code(build_arrangement(load_curve(path)))
+        except (FormatError, GenericityError, ValidationError):  # unreadable or not generic
+            continue
+        codes[path.stem] = (canonical_code(gc), oracles.pruned_readings(gc).serial)
+    assert len(codes) >= 15
+    for a, b in combinations(codes.values(), 2):
+        assert (a[0] == b[0]) == (a[1] == b[1])
 
 
 @pytest.mark.parametrize("k", range(1, 7))
