@@ -277,12 +277,13 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     automorphism is kept as a pair map (perm, shift): it sends pair
     (l, r) to (perm[l], r + shift[l]), and so each reading to one with the
     same serial. A diagram of one component is read by `_search` over
-    all its loops, and its serial is the least one. A diagram of several
-    is read by `_forest`, component by component. Either way the
-    automorphisms found form a strong generating set along the canonical
-    reading, the base: the first minimal reading is the least image of
-    the base, found level by level through the transversals of their
-    orbits (`_least_image`), and read again when it is not the base.
+    all its loops, and its serial is the least one; the automorphisms it
+    finds form a strong generating set along the reference reading, the
+    base, so the first minimal reading is the least image of the base,
+    found level by level through the transversals of their orbits
+    (`_least_image`). A diagram of several components is read by
+    `_forest`, component by component. Either way the first minimal
+    reading is read again when it is not the base.
     """
     mods = [max(1, len(occ)) for occ in gc.occ]
     if len(gc.hosts) > 1:
@@ -415,9 +416,14 @@ def _forest(gc: GaussCode, mods) -> Readings:
     the canonical code. G is generated by each component's readings that
     tie for its least code, carried over to its subtree, and by swaps of
     adjacent subtrees with equal codes in one face: |G| is the product of
-    the tie counts and of m! for each run of m equal siblings. When no
-    component has a tie, no generator moves a component within itself and
-    the canonical reading is the least image. A row of k congruent
+    the tie counts and of m! for each run of m equal siblings.
+
+    The least image of the canonical reading in (loop order, rotations)
+    order is found bottom-up too: a subtree's is the least, over its
+    component's tied readings, of that reading followed, face by face,
+    by the least images of the subtrees the face holds, equal codes
+    ordered by their first loop; subtrees hold disjoint loops, so each is
+    best at its own least image. A row of k congruent
     figure-eights costs 2k chunk reads in the searches and k more for the
     canonical reading; k nested rings or k disjoint circles cost 2k, and a
     ring holding k discs 2k + 2.
@@ -444,10 +450,6 @@ def _forest(gc: GaussCode, mods) -> Readings:
             depth[x] = d
     code, walk, gens, order = {}, {}, [], 1
 
-    def kids(f):
-        """The components face f holds, in canonical order."""
-        return sorted(hosted.get(f, ()), key=lambda x: (code[x], walk[x][0][0]))
-
     def swaps(members):
         """Generators swapping adjacent equal subtrees, and the count of the
         permutations they span."""
@@ -458,40 +460,43 @@ def _forest(gc: GaussCode, mods) -> Readings:
                         for x, y in zip(run, run[1:]))
         return count
 
-    tied = False
+    def arranged(members, readings):
+        """The subtrees of one face at the given readings, in canonical
+        order, equal codes ordered by the first loop of their reading."""
+        return tuple(chain.from_iterable(readings[x] for x in sorted(
+            members, key=lambda x: (code[x], readings[x][0][0]))))
+
+    least = {}  # per component: the least image of its subtree's reading
     for c in sorted(depth, key=depth.get, reverse=True):
         serial, base, (faces, _), auts = found[c]
         own = [f for f in sorted(faces, key=faces.get) if f != gc.hosts[c]]
         nested = any(f in hosted for f in own)
-        best, ties = None, []  # the least held codes, and the subtree readings reaching them
+        best, ties = None, []  # the least held codes; per tie, its own reading and held subtrees
         for g in _orbit([base[0]], auts, mods).values():
-            reading = tuple(_apply(g, p, mods) for p in base)
-            held = ()
+            inside, held = [], ()
             if nested:
                 fmap = _face_map(gc, g, loops_of[c])
-                inside = [kids(fmap[f]) for f in own]
-                held = tuple(tuple(code[x] for x in xs) for xs in inside)
-                reading += tuple(chain.from_iterable(walk[x] for xs in inside for x in xs))
+                inside = [hosted.get(fmap[f], ()) for f in own]
+                held = tuple(tuple(sorted(code[x] for x in xs)) for xs in inside)
             if best is None or held < best:
                 best, ties = held, []
             if held == best:
-                ties.append(reading)
-        walk[c] = ties[0]
-        gens.extend(_pair_map(ties[0], other, mods) for other in ties[1:])
-        tied = tied or len(ties) > 1
+                ties.append((tuple(_apply(g, p, mods) for p in base), inside))
+        readings = [own_reading + tuple(chain.from_iterable(arranged(xs, walk) for xs in inside))
+                    for own_reading, inside in ties]
+        walk[c] = readings[0]
+        gens.extend(_pair_map(readings[0], other, mods) for other in readings[1:])
         order *= len(ties)
-        code[c] = serial + "".join(f"[{faces[f]}" + "".join(f"({x})" for x in held) + "]"
-                                   for f, held in zip(own, best) if held)
+        code[c] = serial + "".join(f"[{faces[f]}" + "".join(f"({x})" for x in codes) + "]"
+                                   for f, codes in zip(own, best) if codes)
+        least[c] = min((own_reading + tuple(chain.from_iterable(arranged(xs, least) for xs in inside))
+                        for own_reading, inside in ties),
+                       key=lambda r: ([loop for loop, _ in r], [rot for _, rot in r]))
     for f in hosted:
-        order *= swaps(kids(f))
-    base = tuple(chain.from_iterable(walk[x] for x in kids(gc.outer_face)))
+        order *= swaps(sorted(hosted[f], key=lambda x: (code[x], walk[x][0][0])))
+    base = arranged(hosted[gc.outer_face], walk)
     serial, faces, verts = _read(gc, base)
-    if not tied:
-        return Readings(serial, (faces, verts), tuple(gens), order)
-    least_order, first = _least_image(base, gens, mods)
-    if least_order != order:
-        raise InconsistencyError(
-            f"forest multiplicities give |G| = {order}, orbits give {least_order}")
+    first = arranged(hosted[gc.outer_face], least)
     return Readings(serial, _reread(gc, serial, first, base, (faces, verts)), tuple(gens), order)
 
 

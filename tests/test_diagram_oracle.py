@@ -379,34 +379,57 @@ def test_congruent_row_reads_cubic_chunks(k, reads, monkeypatch):
     assert found.order == math.factorial(k)
 
 
-def count_reads(monkeypatch, curve):
-    """The chunk reads of one `_minimal_readings` call, and its result."""
-    calls = []
-    chunk = diagram._chunk
-    monkeypatch.setattr(diagram, "_chunk", lambda *args: calls.append(1) or chunk(*args))
-    found = _minimal_readings(gauss_code(build_arrangement(curve)))
-    monkeypatch.setattr(diagram, "_chunk", chunk)
-    return len(calls), found
+def count_work(monkeypatch, curve, cap):
+    """The chunk reads and pair map applications of one `_minimal_readings`
+    call, and its result; more than `cap` applications raise at once."""
+    reads, applied = [], []
+    chunk, apply = diagram._chunk, diagram._apply
+
+    def counted(*args):
+        applied.append(1)
+        if len(applied) > cap:
+            raise AssertionError(f"more than {cap} pair map applications")
+        return apply(*args)
+
+    monkeypatch.setattr(diagram, "_chunk", lambda *args: reads.append(1) or chunk(*args))
+    monkeypatch.setattr(diagram, "_apply", counted)
+    try:
+        found = _minimal_readings(gauss_code(build_arrangement(curve)))
+    finally:
+        monkeypatch.setattr(diagram, "_chunk", chunk)
+        monkeypatch.setattr(diagram, "_apply", apply)
+    return len(reads), len(applied), found
 
 
-GROWTH = {  # curve of k, chunk reads, |G|
+def trefoils_row(k):
+    """k trefoils 7 apart, each from another basepoint: |G| = k! 3^k."""
+    loop = trefoil_curve(n=192).loops[0]
+    return ClosedCurve(tuple(np.roll(loop, 17 * i, axis=0) + (7.0 * i, 0.0) for i in range(k)))
+
+
+GROWTH = {  # curve of k; chunk reads, pair map applications and |G| at k
     # each figure-eight is searched at its two basepoints, then read once
-    "eights": (eights_row, lambda k: 3 * k, math.factorial),
+    "eights": (eights_row, lambda k: (3 * k, k, math.factorial(k))),
     # a crossing-free loop has one basepoint
-    "circles": (circles_row, lambda k: 2 * k, math.factorial),
-    "nested-rings": (lambda k: nested_rings(k), lambda k: 2 * k, lambda k: 1),
-    "ring-of-discs": (lambda k: ring_of_discs(k, disc=0.2), lambda k: 2 * (k + 1), math.factorial),
+    "circles": (circles_row, lambda k: (2 * k, k, math.factorial(k))),
+    "nested-rings": (lambda k: nested_rings(k), lambda k: (2 * k, k, 1)),
+    "ring-of-discs": (lambda k: ring_of_discs(k, disc=0.2),
+                      lambda k: (2 * k + 2, k + 1, math.factorial(k))),
+    # six basepoints each, three of them tied: every trefoil's least image
+    # is taken on its own, not over the 3^k combinations
+    "trefoils": (trefoils_row, lambda k: (7 * k, 9 * k, math.factorial(k) * 3**k)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GROWTH))
-def test_forest_reads_grow_linearly(name, monkeypatch):
+def test_forest_work_grows_linearly(name, monkeypatch):
     # a return to reading whole loop orders (k^3 chunks for a row, k! for
-    # nested rings) fails here at once instead of timing out
-    curve, reads, order = GROWTH[name]
+    # nested rings) or to a least image over all tied readings fails here
+    # at once instead of timing out
+    curve, expected = GROWTH[name]
     for k in range(4, 13):
-        count, found = count_reads(monkeypatch, curve(k))
-        assert (count, found.order) == (reads(k), order(k)), k
+        reads, applied, found = count_work(monkeypatch, curve(k), cap=20 * k)
+        assert (reads, applied, found.order) == expected(k), k
 
 
 def test_golden_codes_agree_with_whole_search():
