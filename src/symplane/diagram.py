@@ -451,10 +451,11 @@ def _forest(gc: GaussCode, mods) -> Readings:
     code, walk, gens, order = {}, {}, [], 1
 
     def swaps(members):
-        """Generators swapping adjacent equal subtrees, and the count of the
-        permutations they span."""
+        """Generators swapping adjacent equal subtrees of one face, and the
+        count of the permutations they span."""
         count = 1
-        for run in (list(g) for _, g in groupby(members, key=code.get)):
+        ranked = sorted(members, key=lambda x: (code[x], walk[x][0][0]))
+        for run in (list(g) for _, g in groupby(ranked, key=code.get)):
             count *= math.factorial(len(run))
             gens.extend(_pair_map(walk[x] + walk[y], walk[y] + walk[x], mods)
                         for x, y in zip(run, run[1:]))
@@ -465,6 +466,11 @@ def _forest(gc: GaussCode, mods) -> Readings:
         order, equal codes ordered by the first loop of their reading."""
         return tuple(chain.from_iterable(readings[x] for x in sorted(
             members, key=lambda x: (code[x], readings[x][0][0]))))
+
+    def subtree(own_reading, inside, readings):
+        """A component's reading followed, face by face, by the subtrees
+        each face holds at the given readings."""
+        return own_reading + tuple(chain.from_iterable(arranged(xs, readings) for xs in inside))
 
     least = {}  # per component: the least image of its subtree's reading
     for c in sorted(depth, key=depth.get, reverse=True):
@@ -482,18 +488,16 @@ def _forest(gc: GaussCode, mods) -> Readings:
                 best, ties = held, []
             if held == best:
                 ties.append((tuple(_apply(g, p, mods) for p in base), inside))
-        readings = [own_reading + tuple(chain.from_iterable(arranged(xs, walk) for xs in inside))
-                    for own_reading, inside in ties]
+        readings = [subtree(*tie, walk) for tie in ties]
         walk[c] = readings[0]
         gens.extend(_pair_map(readings[0], other, mods) for other in readings[1:])
         order *= len(ties)
         code[c] = serial + "".join(f"[{faces[f]}" + "".join(f"({x})" for x in codes) + "]"
                                    for f, codes in zip(own, best) if codes)
-        least[c] = min((own_reading + tuple(chain.from_iterable(arranged(xs, least) for xs in inside))
-                        for own_reading, inside in ties),
+        least[c] = min((subtree(*tie, least) for tie in ties),
                        key=lambda r: ([loop for loop, _ in r], [rot for _, rot in r]))
-    for f in hosted:
-        order *= swaps(sorted(hosted[f], key=lambda x: (code[x], walk[x][0][0])))
+    for members in hosted.values():
+        order *= swaps(members)
     base = arranged(hosted[gc.outer_face], walk)
     serial, faces, verts = _read(gc, base)
     first = arranged(hosted[gc.outer_face], least)

@@ -66,7 +66,8 @@ class Grid:
         bounds = (self.x0, self.x1, self.y0, self.y1)
         if not (np.all(np.isfinite(bounds)) and self.x1 > self.x0 and self.y1 > self.y0):
             raise ValidationError(f"grid domain {bounds} needs finite x0 < x1 and y0 < y1")
-        if not np.all(np.isfinite([float(self.x1) - float(self.x0), float(self.y1) - float(self.y0)])):
+        widths = [float(self.x1) - float(self.x0), float(self.y1) - float(self.y0)]
+        if not np.all(np.isfinite(widths)):
             raise ValidationError(f"grid domain {bounds} is too wide: x1 - x0 or y1 - y0 overflows")
         if self.nx < 2 or self.ny < 2:
             raise ValidationError("grid needs at least 2 nodes per axis")

@@ -27,7 +27,8 @@ from test_golden import INPUTS
 from symplane.cli import main
 from symplane.curves import ClosedCurve, load_curve, serialize_curve
 
-GOLDEN = ["holed", "row3", "row3-moved", "row3-shrunk", "row5", "row5-reordered", "circles12"]
+GOLDEN = ["holed", "holed-reversed", "row3", "row3-moved", "row3-shrunk", "row5", "row5-reordered",
+          "circles12", "rings12"]
 
 
 def families():
@@ -44,7 +45,8 @@ def families():
 
 def reversed_copy(curve):
     """The loops in reverse order, each starting a third of its samples later."""
-    return ClosedCurve(tuple(np.roll(loop, len(loop) // 3 + 1, axis=0) for loop in curve.loops[::-1]))
+    return ClosedCurve(tuple(np.roll(loop, len(loop) // 3 + 1, axis=0)
+                             for loop in curve.loops[::-1]))
 
 
 def cli(*argv):
