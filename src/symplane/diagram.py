@@ -15,7 +15,7 @@ Loops that cross each other form a component, and each component lies
 in one face of the others, its host. The faces and the components they
 host form a rooted forest under the outer face, so a diagram of several
 components is read component by component and the readings are
-combined down that forest (`_forest`).
+combined down that forest (`_minimal_readings`).
 """
 
 from __future__ import annotations
@@ -182,19 +182,17 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
 
     An automorphism carries each candidate reading (orientation-preserving
     basepoint shifts and loop reorderings) to one with the same serial,
-    and two readings with the same serial differ by one. The reading
-    search records such pairs as it prunes ties; over the nesting forest
-    they are joined by the ties of each component's least code with its
-    held subtrees, and by swaps of equal sibling subtrees. Together they
-    generate G, and |G| is known from the search: the product of the
-    orbit lengths along the canonical reading, which over the forest is
-    the product of each component's tie count and m! for each run of m
-    equal siblings. It is checked against MAX_GROUP_ORDER (ValidationError
-    above it) before any element exists; then G is listed from the
-    generators in whole cosets of one permutation array (Dimino's
-    algorithm) and must have that order. The same coset routine then
-    picks the greedy generators of the sorted rows and checks that they
-    form a group.
+    and two readings with the same serial differ by one. G is generated
+    by the ties of each component's least code, with its held subtrees,
+    and by the swaps of equal sibling subtrees (of a single loop: by the
+    ties the reading search records as it prunes), and |G| is known from
+    the search: the product of each component's tie count and m! for
+    each run of m equal siblings. It is checked against MAX_GROUP_ORDER
+    (ValidationError above it) before any element exists; then G is
+    listed from the generators in whole cosets of one permutation array
+    (Dimino's algorithm) and must have that order. The same coset routine
+    then picks the greedy generators of the sorted rows and checks that
+    they form a group.
     """
     return _group(arr, _minimal_readings(gauss_code(arr)))
 
@@ -276,128 +274,7 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     n{V}f{F}o{outer}| followed by the loop chunks joined by |. An
     automorphism is kept as a pair map (perm, shift): it sends pair
     (l, r) to (perm[l], r + shift[l]), and so each reading to one with the
-    same serial. A diagram of one component is read by `_search` over
-    all its loops, and its serial is the least one; the automorphisms it
-    finds form a strong generating set along the reference reading, the
-    base, so the first minimal reading is the least image of the base,
-    found level by level through the transversals of their orbits
-    (`_least_image`). A diagram of several components is read by
-    `_forest`, component by component. Either way the first minimal
-    reading is read again when it is not the base.
-    """
-    mods = [max(1, len(occ)) for occ in gc.occ]
-    if len(gc.hosts) > 1:
-        return _forest(gc, mods)
-    serial, base, reading, gens = _search(gc, range(len(gc.occ)), gc.outer_face, mods)
-    if len(base) == 1:
-        # one loop: every leaf is read in key order, so the reference is the
-        # first minimal reading and each later minimal leaf one automorphism
-        return Readings(serial, reading, tuple(gens), 1 + len(gens))
-    order, first = _least_image(base, gens, mods)
-    return Readings(serial, _reread(gc, serial, first, base, reading), tuple(gens), order)
-
-
-def _search(gc: GaussCode, loops, outer, mods):
-    """The least serial of the diagram the given loops draw, with `outer`
-    as its outer face: (serial, reference reading as (loop, basepoint)
-    pairs, its (faces, verts) label maps, pair maps of automorphisms).
-
-    The search goes depth first over loop positions: position p takes
-    each unused loop of the p-th least shape (occurrences, arcs) at each
-    basepoint rotation, so the order in which the loops are given does
-    not matter. All children of a node are read before any is entered,
-    and a child is dropped when its serial prefix (with a trailing | as
-    chunks follow) is above a sibling's prefix or above the best serial
-    cut to the same length; ties go on. Sibling prefixes end in | and
-    chunks hold none, so neither is a proper prefix of the other and the
-    lower one beats every completion of the higher. The header is only
-    known once the outer face has a label; until then nothing is dropped.
-
-    Ties are pruned by the automorphisms they reveal (McKay 1981): the
-    reference is the first leaf that reaches the best serial, and a later
-    leaf with the same serial is its image under an automorphism, which
-    maps (loop, basepoint) pairs as the two readings do. The search then
-    jumps back to the node where the two readings part, since everything
-    below that node on the new side is the image of what was searched on
-    the reference side. A tied child is skipped when it lies in the orbit
-    of an entered sibling under the automorphisms found so far that fix
-    every pair of the node's prefix; its subtree is an image of the
-    sibling's. Along the reference path each level's found orbit is the
-    whole orbit of its stabilizer, so the automorphisms found there form
-    a strong generating set. A row of k congruent loops in one search
-    costs about k^3/3 chunk reads and k - 1 automorphisms; `_forest`
-    gives each component a search of its own.
-    """
-    k = len(loops)
-    shape = {i: (len(gc.occ[i]), len(gc.arcs[i])) for i in loops}
-    fits = [[i for i in loops if shape[i] == s] for s in sorted(shape.values())]
-    n_verts = len({v for i in loops for v, _ in gc.occ[i]})
-    n_faces = len({f for i in loops for arc in gc.arcs[i] for f in arc})
-    head = f"n{n_verts}f{n_faces}o"
-    best = ref = None  # ref: (key, faces, verts) of the first leaf at the best serial
-    autos = []  # (reference key, leaf key) with equal serials
-    maps = []  # pair maps of autos, made when orbits are first needed
-
-    def pair_maps():
-        maps.extend(_pair_map(zip(*a), zip(*b), mods) for a, b in autos[len(maps):])
-        return maps
-
-    def visit(order, rots, verts, strands, faces, body):
-        """Search below one node; return the depth to jump back to, if any."""
-        nonlocal best, ref
-        depth = len(order)
-        last = depth == k - 1
-        kids = []
-        for loop in fits[depth]:
-            if loop in order:
-                continue
-            for rot in range(mods[loop]):
-                v, s, f = dict(verts), dict(strands), dict(faces)
-                text = body + _chunk(gc, loop, rot, v, s, f)
-                key = (order + (loop,), rots + (rot,))
-                if last:
-                    serial = f"{head}{f[outer]}|{text}"
-                    if best is None or serial < best:
-                        best, ref = serial, (key, f, v)
-                    elif serial == best:
-                        autos.append((ref[0], key))
-                        ref_order, ref_rots = ref[0]
-                        if (ref_order[:depth], ref_rots[:depth]) != (order, rots):
-                            # jump back to the node where the two readings part
-                            return next(j for j in range(depth)
-                                        if (ref_order[j], ref_rots[j]) != (order[j], rots[j]))
-                    continue
-                text += "|"
-                prefix = f"{head}{f[outer]}|{text}" if outer in f else None
-                kids.append((prefix, key, v, s, f, text))
-        low = min((kid[0] for kid in kids if kid[0] is not None), default=None)
-        entered, covered, seen = [], set(), None
-        for prefix, key, v, s, f, text in kids:
-            if prefix is not None and (
-                prefix > low or (best is not None and prefix > best[: len(prefix)])
-            ):
-                continue
-            pair = (key[0][-1], key[1][-1])
-            if autos:
-                if seen != (len(autos), len(entered)):
-                    seen = (len(autos), len(entered))
-                    gens = [g for g in pair_maps() if _fixes(g, order)]
-                    covered = _orbit(entered, gens, mods)
-                if pair in covered:
-                    continue
-            entered.append(pair)
-            split = visit(*key, v, s, f, text)
-            if split is not None and split < depth:
-                return split
-        return None
-
-    visit((), (), {}, {}, {}, "")
-    key, faces, verts = ref
-    return best, tuple(zip(*key)), (faces, verts), pair_maps()
-
-
-def _forest(gc: GaussCode, mods) -> Readings:
-    """`_minimal_readings` of a diagram of several components.
+    same serial.
 
     Each component is searched once over its own loops (`_search`), with
     its host face as outer face; its minimal readings are the images of
@@ -413,21 +290,30 @@ def _forest(gc: GaussCode, mods) -> Readings:
     then, face by face in label order, the subtrees its faces hold,
     sorted by code and, among equal codes, by their first loop; the top
     level is the outer face's. Its serial, in the format of `_search`, is
-    the canonical code. G is generated by each component's readings that
-    tie for its least code, carried over to its subtree, and by swaps of
+    the canonical code; a diagram of one component gets the least serial
+    of its search. G is generated by each component's readings that tie
+    for its least code, carried over to its subtree, and by swaps of
     adjacent subtrees with equal codes in one face: |G| is the product of
     the tie counts and of m! for each run of m equal siblings.
 
     The least image of the canonical reading in (loop order, rotations)
-    order is found bottom-up too: a subtree's is the least, over its
-    component's tied readings, of that reading followed, face by face,
-    by the least images of the subtrees the face holds, equal codes
-    ordered by their first loop; subtrees hold disjoint loops, so each is
-    best at its own least image. A row of k congruent
+    order, the first minimal reading, is found bottom-up too: a subtree's
+    is the least, over its component's tied readings, of that reading
+    followed, face by face, by the least images of the subtrees the face
+    holds, equal codes ordered by their first loop; subtrees hold
+    disjoint loops, so each is best at its own least image. It is read
+    again when it is not the canonical reading. A row of k congruent
     figure-eights costs 2k chunk reads in the searches and k more for the
     canonical reading; k nested rings or k disjoint circles cost 2k, and a
     ring holding k discs 2k + 2.
     """
+    mods = [max(1, len(occ)) for occ in gc.occ]
+    if len(gc.occ) == 1:
+        # one loop: every leaf is read in key order, so the reference is the
+        # first minimal reading and each later minimal leaf one automorphism;
+        # the forest's bookkeeping below would double or triple its time
+        serial, _, reading, auts = _search(gc, (0,), gc.outer_face, mods)
+        return Readings(serial, reading, tuple(auts), 1 + len(auts))
     loops_of = [[] for _ in gc.hosts]
     for loop, comp in enumerate(gc.components):
         loops_of[comp].append(loop)
@@ -504,6 +390,105 @@ def _forest(gc: GaussCode, mods) -> Readings:
     return Readings(serial, _reread(gc, serial, first, base, (faces, verts)), tuple(gens), order)
 
 
+def _search(gc: GaussCode, loops, outer, mods):
+    """The least serial of the diagram the given loops draw, with `outer`
+    as its outer face: (serial, reference reading as (loop, basepoint)
+    pairs, its (faces, verts) label maps, pair maps of automorphisms).
+
+    The search goes depth first over loop positions: position p takes
+    each unused loop of the p-th least shape (occurrences, arcs) at each
+    basepoint rotation, so the order in which the loops are given does
+    not matter. All children of a node are read before any is entered,
+    and a child is dropped when its serial prefix (with a trailing | as
+    chunks follow) is above a sibling's prefix or above the best serial
+    cut to the same length; ties go on. Sibling prefixes end in | and
+    chunks hold none, so neither is a proper prefix of the other and the
+    lower one beats every completion of the higher. The header is only
+    known once the outer face has a label; until then nothing is dropped.
+
+    Ties are pruned by the automorphisms they reveal (McKay 1981): the
+    reference is the first leaf that reaches the best serial, and a later
+    leaf with the same serial is its image under an automorphism, which
+    maps (loop, basepoint) pairs as the two readings do. The search then
+    jumps back to the node where the two readings part, since everything
+    below that node on the new side is the image of what was searched on
+    the reference side. A tied child is skipped when it lies in the orbit
+    of an entered sibling under the automorphisms found so far that fix
+    every pair of the node's prefix; its subtree is an image of the
+    sibling's. Along the reference path each level's found orbit is the
+    whole orbit of its stabilizer, so the automorphisms found there form
+    a strong generating set. A row of k congruent loops in one search
+    costs about k^3/3 chunk reads and k - 1 automorphisms;
+    `_minimal_readings` gives each component a search of its own.
+    """
+    k = len(loops)
+    shape = {i: (len(gc.occ[i]), len(gc.arcs[i])) for i in loops}
+    fits = [[i for i in loops if shape[i] == s] for s in sorted(shape.values())]
+    n_verts = len({v for i in loops for v, _ in gc.occ[i]})
+    n_faces = len({f for i in loops for arc in gc.arcs[i] for f in arc})
+    head = f"n{n_verts}f{n_faces}o"
+    best = ref = None  # ref: (key, faces, verts) of the first leaf at the best serial
+    autos = []  # (reference key, leaf key) with equal serials
+    maps = []  # pair maps of autos, made when orbits are first needed
+
+    def pair_maps():
+        maps.extend(_pair_map(zip(*a), zip(*b), mods) for a, b in autos[len(maps):])
+        return maps
+
+    def visit(order, rots, verts, strands, faces, body):
+        """Search below one node; return the depth to jump back to, if any."""
+        nonlocal best, ref
+        depth = len(order)
+        last = depth == k - 1
+        kids = []
+        for loop in fits[depth]:
+            if loop in order:
+                continue
+            for rot in range(mods[loop]):
+                v, s, f = dict(verts), dict(strands), dict(faces)
+                text = body + _chunk(gc, loop, rot, v, s, f)
+                key = (order + (loop,), rots + (rot,))
+                if last:
+                    serial = f"{head}{f[outer]}|{text}"
+                    if best is None or serial < best:
+                        best, ref = serial, (key, f, v)
+                    elif serial == best:
+                        autos.append((ref[0], key))
+                        ref_order, ref_rots = ref[0]
+                        if (ref_order[:depth], ref_rots[:depth]) != (order, rots):
+                            # jump back to the node where the two readings part
+                            return next(j for j in range(depth)
+                                        if (ref_order[j], ref_rots[j]) != (order[j], rots[j]))
+                    continue
+                text += "|"
+                prefix = f"{head}{f[outer]}|{text}" if outer in f else None
+                kids.append((prefix, key, v, s, f, text))
+        low = min((kid[0] for kid in kids if kid[0] is not None), default=None)
+        entered, covered, seen = [], set(), None
+        for prefix, key, v, s, f, text in kids:
+            if prefix is not None and (
+                prefix > low or (best is not None and prefix > best[: len(prefix)])
+            ):
+                continue
+            pair = (key[0][-1], key[1][-1])
+            if autos:
+                if seen != (len(autos), len(entered)):
+                    seen = (len(autos), len(entered))
+                    gens = [g for g in pair_maps() if _fixes(g, order)]
+                    covered = _orbit(entered, gens, mods)
+                if pair in covered:
+                    continue
+            entered.append(pair)
+            split = visit(*key, v, s, f, text)
+            if split is not None and split < depth:
+                return split
+        return None
+
+    visit((), (), {}, {}, {}, "")
+    key, faces, verts = ref
+    return best, tuple(zip(*key)), (faces, verts), pair_maps()
+
+
 def _read(gc: GaussCode, pairs):
     """Read every loop at its (loop, basepoint) pair, in turn: the serial
     and the (faces, verts) label maps."""
@@ -521,27 +506,6 @@ def _reread(gc: GaussCode, serial, first, base, reading):
     if text != serial:
         raise InconsistencyError("least image of the reference reading is not minimal")
     return faces, verts
-
-
-def _least_image(base, gens, mods):
-    """|G| and the least image of reading `base` in (loop order,
-    rotations) order, given pair maps that form a strong generating set
-    of G along base: level d's transversal is the orbit of base[d] under
-    the maps that fix the pairs before it, and |G| is the product of
-    their lengths. The least image prefixes are kept level by level, each
-    with one element that reaches it."""
-    order = 1
-    least = {(): _identity(mods)}
-    for d, point in enumerate(base):
-        if d:
-            gens = [g for g in gens if _fixes(g, (base[d - 1][0],))]
-        transversal = _orbit([point], gens, mods)
-        order *= len(transversal)
-        images = [(img + (_apply(h, y, mods),), _compose(h, u, mods))
-                  for img, h in least.items() for y, u in transversal.items()]
-        low = min(img[-1][0] for img, _ in images)
-        least = {img: g for img, g in images if img[-1][0] == low}
-    return order, min(least, key=lambda img: [rot for _, rot in img])
 
 
 def _pair_map(src, dst, mods):
@@ -648,10 +612,20 @@ def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
 def _automorphism_row(arr: Arrangement, g):
     """Pair map g as one element row of `_group`: arc j of loop l goes to
     arc j + shift[l] of loop perm[l], taking the faces on its two sides
-    and the crossing it starts at along."""
+    and the crossing it starts at along. A map that sends a face or a
+    crossing to two places, a bounded face to the outer one, or a passage
+    to one whose crossing turns the other way is no diagram automorphism
+    and raises InconsistencyError."""
     perm, shift = g
     r = arr.r
     row = [-1] * (r + len(arr.vertices))
+
+    def turn(loop, passage):
+        """The sign of the crossing seen from this passage's strand."""
+        t, v = passage
+        vertex = arr.vertices[v]
+        return vertex.sign if vertex.branches[0] == (loop, t) else -vertex.sign
+
     for loop, arcs in enumerate(arr.loop_arcs):
         image, passages = arr.loop_arcs[perm[loop]], arr.passages[perm[loop]]
         for j, he in enumerate(arcs):
@@ -664,7 +638,11 @@ def _automorphism_row(arr: Arrangement, g):
                 if not fa.is_outer:
                     row[fa.label - 1] = fb.label - 1
             if passages:
-                row[r + arr.passages[loop][j][1]] = r + passages[k][1]
+                v, w = r + arr.passages[loop][j][1], r + passages[k][1]
+                if row[v] not in (-1, w) or (
+                        turn(loop, arr.passages[loop][j]) != turn(perm[loop], passages[k])):
+                    raise InconsistencyError("pair map is not a diagram automorphism")
+                row[v] = w
     return row
 
 

@@ -1050,6 +1050,37 @@ def tie_listing_readings(gc: GaussCode):
     return best, [(faces, verts) for _, faces, verts in leaves]
 
 
+def target_readings(gc: GaussCode, target: str):
+    """Every (faces, verts) reading of gc whose serial is `target`, in
+    (loop order, rotations) order. Every position may take any loop left,
+    whatever its shape, since a reading combined over the nesting forest
+    need not list the loops by shape; a node is dropped once its chunks
+    are not a prefix of the target's, and each leaf left is read again in
+    full by `_read`."""
+    k = len(gc.occ)
+    body = target.partition("|")[2]
+    leaves = []
+
+    def visit(order, rots, verts, strands, faces, text):
+        for loop in range(k):
+            if loop in order:
+                continue
+            for rot in range(max(1, len(gc.occ[loop]))):
+                v, s, f = dict(verts), dict(strands), dict(faces)
+                read = text + _chunk(gc, loop, rot, v, s, f)
+                key = (order + (loop,), rots + (rot,))
+                if len(order) == k - 1:
+                    serial, f, v = _read(gc, *key)
+                    if serial == target:
+                        leaves.append((key, f, v))
+                elif body.startswith(read + "|"):
+                    visit(*key, v, s, f, read + "|")
+
+    visit((), (), {}, {}, {}, "")
+    leaves.sort(key=lambda leaf: leaf[0])
+    return [(faces, verts) for _, faces, verts in leaves]
+
+
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """The original `diagram.compose_perms`: g after h, the image of i is g[h[i]]."""
     return tuple(map(g.__getitem__, h))

@@ -10,11 +10,13 @@ indices. A diagram of several components is read component by component
 down its nesting forest; its serial may differ from the one the
 whole-diagram search finds (`oracles.pruned_readings`, the full
 enumeration and `oracles.tie_listing_readings`), but equal and unequal
-codes must agree with it on every pair, |G| and the sorted elements of G
-must equal its, and the correspondence must be one of its
-isomorphisms. Where the serials agree, so must the first minimal
-reading and both compare decisions. The array-pass orbit decision must
-equal the loop it replaced.
+codes must agree with it on every pair, and |G| and the sorted elements
+of G must equal its. The first minimal reading must be the first, in
+(loop order, rotations) order, of all readings that read the canonical
+serial (`oracles.target_readings` where the serial moved), and both
+compare decisions, face maps included, must equal those made from it;
+where a serial moved, the verdicts must equal the whole search's. The
+array-pass orbit decision must equal the loop it replaced.
 The half-edge polylines, cut for all arcs of a loop at once, must equal
 the per-arc cut and the old per-sample loop.
 """
@@ -22,6 +24,7 @@ the per-arc cut and the old per-sample loop.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -42,6 +45,7 @@ from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import ClosedCurve, load_curve, transform_curve
 from symplane.diagram import (
     MAX_GROUP_ORDER,
+    _automorphism_row,
     _checked_generators,
     _correspondence,
     _group,
@@ -281,17 +285,21 @@ def items(reading):
 
 
 def assert_matches_whole_search(gc, found, serial, readings):
-    """|G| is the count of minimal readings of the whole-diagram search;
-    where the canonical serial is the one it finds, which is always so for
-    one component, the first minimal reading is too. Returns whether the
-    serials agree."""
+    """|G| is the count of minimal readings of the whole-diagram search.
+    The first minimal reading is the first, in (loop order, rotations)
+    order, of the readings that read the canonical serial: the search's
+    own where the serials agree, which is always so for one component,
+    and otherwise those `oracles.target_readings` lists, as many as |G|.
+    Returns those readings and whether the serials agree."""
     assert found.order == len(readings)
-    if found.serial != serial:
+    same = found.serial == serial
+    if not same:
         assert len(gc.hosts) > 1
-        return False
+        readings = oracles.target_readings(gc, found.serial)
+        assert len(readings) == found.order
     # the same numbering, assigned in the same order
     assert items(found.first) == items(readings[0])
-    return True
+    return readings, same
 
 
 def test_minimal_readings_match_full_enumeration(arrangements, rows, enumerated):
@@ -313,7 +321,7 @@ def test_minimal_readings_match_full_enumeration(arrangements, rows, enumerated)
     first_outer, agree = [], 0
     for arr in arrs:
         gc = gauss_code(arr)
-        agree += assert_matches_whole_search(gc, _minimal_readings(gc), *enumerated(gc))
+        agree += assert_matches_whole_search(gc, _minimal_readings(gc), *enumerated(gc))[1]
         first_outer.append(any(gc.outer_face in arc for arc in gc.arcs[0]))
     assert not all(first_outer)
     # the free circle is read before the figure-eight that holds the other
@@ -467,50 +475,42 @@ def test_eights_row_group_matches_whole_search(k):
 def assert_search_matches_tie_listing(arr):
     """|G|, sorted elements and generators equal those of the whole-diagram
     search that listed every tie, and G equals the tuple closure of the
-    automorphisms found; so do the serial and the first reading where the
-    serials agree. Returns the tie listing's serial and readings, and
-    whether the serials agree."""
+    automorphisms found; the first reading is the first that reads the
+    canonical serial (`assert_matches_whole_search`). Returns the tie
+    listing's (serial, readings), the canonical serial with the readings
+    that read it, and whether the two serials agree."""
     gc = gauss_code(arr)
     found = _minimal_readings(gc)
     serial, readings = oracles.tie_listing_readings(gc)
-    same = assert_matches_whole_search(gc, found, serial, readings)
+    listed, same = assert_matches_whole_search(gc, found, serial, readings)
     group = assert_group_matches_closure(arr, found)
     assert_same_group(group, oracles.tie_listing_group(arr, readings))
-    return serial, readings, same
-
-
-def isomorphisms(a, corr):
-    """Every face bijection a -> b that a diagram isomorphism makes: corr
-    after each element of G."""
-    return {tuple(corr.faces[j] for j in g) for g in symmetry_group(a).face_perms.tolist()}
+    return (serial, readings), (found.serial, listed), same
 
 
 def assert_pairs_match_tie_listing(pairs):
     """Each pair against the whole-diagram search: codes equal exactly when
-    its serials are, and, where both serials agree, the same decisions;
-    otherwise the correspondence is one of its isomorphisms and the
-    symplectic verdict and closest discrepancy are its. Returns how many
-    pairs agreed and how many did not."""
-    agreed = moved = 0
+    its serials are. Both compare decisions, face map, symmetry applied
+    and discrepancy included, equal those made from the first readings
+    that read the canonical serials and from the group they list; where
+    both serials are the search's, those are its own decisions. Where a
+    serial moved, the verdicts must still be the ones the search's
+    readings give. Returns how many pairs had a serial that moved, and
+    how many of those print another decision than the search's."""
+    moved = changed = 0
     for a, b in pairs:
-        serial_a, readings_a, same_a = assert_search_matches_tie_listing(a)
-        serial_b, readings_b, same_b = assert_search_matches_tie_listing(b)
+        old_a, new_a, same_a = assert_search_matches_tie_listing(a)
+        old_b, new_b, same_b = assert_search_matches_tie_listing(b)
         equal = canonical_code(gauss_code(a)) == canonical_code(gauss_code(b))
-        assert equal == (serial_a == serial_b)
+        assert equal == (old_a[0] == old_b[0])
         decisions = (labelled_equivalent(a, b), symplectically_equivalent(a, b))
-        want = oracle_decisions(a, b, (serial_a, readings_a), (serial_b, readings_b))
-        if same_a and same_b or not equal:
-            assert decisions == want
-            agreed += 1
-            continue
-        moved += 1
-        old = _correspondence(a, b, *readings_a[0], *readings_b[0])
-        assert isomorphisms(a, isotopy_match(a, b)) == isomorphisms(a, old)
-        got, expected = decisions[1], want[1]
-        assert got.verdict is expected.verdict
-        if got.verdict is Verdict.INEQUIVALENT:
-            assert got.witness.max_discrepancy == expected.witness.max_discrepancy
-    return agreed, moved
+        assert decisions == oracle_decisions(a, b, new_a, new_b)
+        old = oracle_decisions(a, b, old_a, old_b)
+        assert [d.verdict for d in decisions] == [d.verdict for d in old]
+        if not (same_a and same_b):
+            moved += 1
+            changed += decisions != old
+    return moved, changed
 
 
 def test_arrangements_match_tie_listing(arrangements):
@@ -611,10 +611,11 @@ def test_curves_match_tie_listing(case):
     pairs = []
     for seed, curve in enumerate(CASES[case]()):
         pairs += with_copies(curve, seed)
-    _, moved = assert_pairs_match_tie_listing(pairs)
+    moved, changed = assert_pairs_match_tie_listing(pairs)
     # the whole search reads the small circles first; the forest reads the
-    # loops around them first
+    # loops around them first, but pairs them alike
     assert (moved > 0) == (case in ("enclosed", "petal-circles"))
+    assert changed == 0
 
 
 @pytest.mark.parametrize("name", sorted(MIXED))
@@ -668,17 +669,20 @@ def motif_row(shapes, rng, most=6):
 def test_seeded_motif_rows_match_tie_listing():
     # nested, crossing and repeated motifs: ties among readings that are
     # not minimal, so automorphisms found early need not fix a later
-    # node's prefix and must not prune it
+    # node's prefix and must not prune it; each row also against its moved
+    # copy and a shrunk one
     shapes = motifs()
-    orders, agreed = set(), 0
+    orders, agreed, moved = set(), 0, 0
     for seed in range(80):
-        arr = build_arrangement(motif_row(shapes, np.random.default_rng(seed)))
-        _, readings, same = assert_search_matches_tie_listing(arr)
+        curve = motif_row(shapes, np.random.default_rng(seed))
+        (_, readings), _, same = assert_search_matches_tie_listing(build_arrangement(curve))
         orders.add(len(readings))
         agreed += same
+        moved += assert_pairs_match_tie_listing(with_copies(curve, seed))[0]
     assert max(orders) >= 48
     # nested motifs read inside out by the whole search; rows of free ones agree
     assert 0 < agreed < 80
+    assert moved > 0
 
 
 def two_lobed(n):
@@ -757,3 +761,42 @@ def test_group_closure_must_have_the_orbit_order():
     for wrong in (found._replace(order=25), found._replace(automorphisms=found.automorphisms[1:])):
         with pytest.raises(InconsistencyError, match="close to"):
             _group(arr, wrong)
+
+
+def swap_of(arr):
+    """The automorphism found for a two-loop row that swaps its loops."""
+    return next(g for g in _minimal_readings(gauss_code(arr)).automorphisms if g[0] == (1, 0))
+
+
+def test_automorphism_row_refuses_a_mirrored_crossing():
+    # with the second figure-eight's crossing turned the other way every
+    # face still has one image, but no automorphism swaps the loops
+    arr = build_arrangement(eights_row(2))
+    g = swap_of(arr)
+    assert sorted(_automorphism_row(arr, g)[arr.r:]) == [arr.r, arr.r + 1]
+    v = arr.passages[1][0][1]
+    vertices = list(arr.vertices)
+    vertices[v] = replace(vertices[v], sign=-vertices[v].sign)
+    with pytest.raises(InconsistencyError, match="not a diagram automorphism"):
+        _automorphism_row(replace(arr, vertices=tuple(vertices)), g)
+
+
+def test_automorphism_row_refuses_a_crossing_sent_to_two_places():
+    # the second trefoil's first and third passages trade crossings, strands
+    # and all: faces still match and every passage keeps the turn of its
+    # crossing, but the swap now sends one crossing of the first trefoil
+    # to two crossings
+    arr = build_arrangement(trefoils_row(2))
+    g = swap_of(arr)
+    _automorphism_row(arr, g)
+    (t0, a), second, (t2, c) = arr.passages[1][:3]
+    vertices = list(arr.vertices)
+    for v, old, new in ((a, t0, t2), (c, t2, t0)):
+        vertices[v] = replace(vertices[v], branches=tuple(
+            (loop, new) if (loop, t) == (1, old) else (loop, t)
+            for loop, t in vertices[v].branches))
+    passages = list(arr.passages)
+    passages[1] = ((t0, c), second, (t2, a)) + arr.passages[1][3:]
+    bad = replace(arr, vertices=tuple(vertices), passages=tuple(passages))
+    with pytest.raises(InconsistencyError, match="not a diagram automorphism"):
+        _automorphism_row(bad, g)
