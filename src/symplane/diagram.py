@@ -69,9 +69,11 @@ class GaussCode:
                 range(len(self.hosts))):
             raise ValidationError("components must number each loop's component 0..c-1, "
                                   "one host face each")
-        comp = {v: self.components[i] for i, loop in enumerate(self.occ) for v, _ in loop}
-        if any(comp[v] != self.components[i] for i, loop in enumerate(self.occ) for v, _ in loop):
-            raise ValidationError("a crossing joins loops of two components")
+        if len(self.hosts) > 1:
+            comp = {v: self.components[i] for i, loop in enumerate(self.occ) for v, _ in loop}
+            if any(comp[v] != self.components[i]
+                   for i, loop in enumerate(self.occ) for v, _ in loop):
+                raise ValidationError("a crossing joins loops of two components")
 
     def labelled_sequences(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per loop: (crossing label, slot, sign) with labels 1.. by first visit."""
@@ -596,7 +598,7 @@ def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
             f"{MAX_GROUP_ORDER} elements"
         )
     r, n = arr.r, arr.r + len(arr.vertices)
-    autos = [_automorphism_row(arr, g) for g in found.automorphisms]
+    autos = _automorphism_rows(arr, found.automorphisms)
     rows, _ = _cosets(np.asarray(autos, dtype=np.intp).reshape(-1, n))
     if len(rows) != found.order:
         raise InconsistencyError(
@@ -609,41 +611,44 @@ def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
     return SymmetryGroup(rows[:, :r], rows[:, r:], generators)
 
 
-def _automorphism_row(arr: Arrangement, g):
-    """Pair map g as one element row of `_group`: arc j of loop l goes to
-    arc j + shift[l] of loop perm[l], taking the faces on its two sides
-    and the crossing it starts at along. A map that sends a face or a
-    crossing to two places, a bounded face to the outer one, or a passage
-    to one whose crossing turns the other way is no diagram automorphism
-    and raises InconsistencyError."""
-    perm, shift = g
+def _automorphism_rows(arr: Arrangement, maps):
+    """Pair maps as element rows of `_group`: under (perm, shift), arc j
+    of loop l goes to arc j + shift[l] of loop perm[l], taking the faces
+    on its two sides and the crossing it starts at along. A map that
+    sends a face or a crossing to two places, a bounded face to the outer
+    one, or a passage to one whose crossing turns the other way is no
+    diagram automorphism and raises InconsistencyError."""
     r = arr.r
-    row = [-1] * (r + len(arr.vertices))
+    # per loop and passage: the sign of its crossing seen from its strand
+    turns = [[_turn(arr.vertices[v], loop, t) for t, v in per]
+             for loop, per in enumerate(arr.passages)]
+    rows = []
+    for perm, shift in maps:
+        row = [-1] * (r + len(arr.vertices))
+        for loop, arcs in enumerate(arr.loop_arcs):
+            image, passages = arr.loop_arcs[perm[loop]], arr.passages[perm[loop]]
+            for j, he in enumerate(arcs):
+                k = (j + shift[loop]) % len(image)
+                for x, y in ((he, image[k]),
+                             (arr.half_edges[he].twin, arr.half_edges[image[k]].twin)):
+                    fa, fb = arr.faces[arr.half_edges[x].face], arr.faces[arr.half_edges[y].face]
+                    if fa.is_outer != fb.is_outer or (
+                            not fa.is_outer and row[fa.label - 1] not in (-1, fb.label - 1)):
+                        raise InconsistencyError("pair map is not a diagram automorphism")
+                    if not fa.is_outer:
+                        row[fa.label - 1] = fb.label - 1
+                if passages:
+                    v, w = r + arr.passages[loop][j][1], r + passages[k][1]
+                    if row[v] not in (-1, w) or turns[loop][j] != turns[perm[loop]][k]:
+                        raise InconsistencyError("pair map is not a diagram automorphism")
+                    row[v] = w
+        rows.append(row)
+    return rows
 
-    def turn(loop, passage):
-        """The sign of the crossing seen from this passage's strand."""
-        t, v = passage
-        vertex = arr.vertices[v]
-        return vertex.sign if vertex.branches[0] == (loop, t) else -vertex.sign
 
-    for loop, arcs in enumerate(arr.loop_arcs):
-        image, passages = arr.loop_arcs[perm[loop]], arr.passages[perm[loop]]
-        for j, he in enumerate(arcs):
-            k = (j + shift[loop]) % len(image)
-            for x, y in ((he, image[k]), (arr.half_edges[he].twin, arr.half_edges[image[k]].twin)):
-                fa, fb = arr.faces[arr.half_edges[x].face], arr.faces[arr.half_edges[y].face]
-                if fa.is_outer != fb.is_outer or (
-                        not fa.is_outer and row[fa.label - 1] not in (-1, fb.label - 1)):
-                    raise InconsistencyError("pair map is not a diagram automorphism")
-                if not fa.is_outer:
-                    row[fa.label - 1] = fb.label - 1
-            if passages:
-                v, w = r + arr.passages[loop][j][1], r + passages[k][1]
-                if row[v] not in (-1, w) or (
-                        turn(loop, arr.passages[loop][j]) != turn(perm[loop], passages[k])):
-                    raise InconsistencyError("pair map is not a diagram automorphism")
-                row[v] = w
-    return row
+def _turn(vertex, loop, t):
+    """The sign of a crossing seen from the strand of loop `loop` at t."""
+    return vertex.sign if vertex.branches[0] == (loop, t) else -vertex.sign
 
 
 def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert_b):

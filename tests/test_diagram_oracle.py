@@ -45,7 +45,7 @@ from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import ClosedCurve, load_curve, transform_curve
 from symplane.diagram import (
     MAX_GROUP_ORDER,
-    _automorphism_row,
+    _automorphism_rows,
     _checked_generators,
     _correspondence,
     _group,
@@ -749,7 +749,7 @@ def test_group_order_budget_is_checked_before_any_element(monkeypatch):
     assert MAX_GROUP_ORDER >= math.factorial(8)
     found = _minimal_readings(gauss_code(build_arrangement(circles_row(9))))
     assert found.order == math.factorial(9) > MAX_GROUP_ORDER
-    monkeypatch.setattr(diagram, "_automorphism_row", None)  # listing an element would call it
+    monkeypatch.setattr(diagram, "_automorphism_rows", None)  # listing an element would call it
     with pytest.raises(ValidationError, match="exceeds the budget"):
         _group(build_arrangement(circles_row(9)), found)
 
@@ -768,27 +768,27 @@ def swap_of(arr):
     return next(g for g in _minimal_readings(gauss_code(arr)).automorphisms if g[0] == (1, 0))
 
 
-def test_automorphism_row_refuses_a_mirrored_crossing():
+def test_automorphism_rows_refuse_a_mirrored_crossing():
     # with the second figure-eight's crossing turned the other way every
     # face still has one image, but no automorphism swaps the loops
     arr = build_arrangement(eights_row(2))
     g = swap_of(arr)
-    assert sorted(_automorphism_row(arr, g)[arr.r:]) == [arr.r, arr.r + 1]
+    assert sorted(_automorphism_rows(arr, [g])[0][arr.r:]) == [arr.r, arr.r + 1]
     v = arr.passages[1][0][1]
     vertices = list(arr.vertices)
     vertices[v] = replace(vertices[v], sign=-vertices[v].sign)
     with pytest.raises(InconsistencyError, match="not a diagram automorphism"):
-        _automorphism_row(replace(arr, vertices=tuple(vertices)), g)
+        _automorphism_rows(replace(arr, vertices=tuple(vertices)), [g])
 
 
-def test_automorphism_row_refuses_a_crossing_sent_to_two_places():
+def test_automorphism_rows_refuse_a_crossing_sent_to_two_places():
     # the second trefoil's first and third passages trade crossings, strands
     # and all: faces still match and every passage keeps the turn of its
     # crossing, but the swap now sends one crossing of the first trefoil
     # to two crossings
     arr = build_arrangement(trefoils_row(2))
     g = swap_of(arr)
-    _automorphism_row(arr, g)
+    _automorphism_rows(arr, [g])
     (t0, a), second, (t2, c) = arr.passages[1][:3]
     vertices = list(arr.vertices)
     for v, old, new in ((a, t0, t2), (c, t2, t0)):
@@ -799,4 +799,4 @@ def test_automorphism_row_refuses_a_crossing_sent_to_two_places():
     passages[1] = ((t0, c), second, (t2, a)) + arr.passages[1][3:]
     bad = replace(arr, vertices=tuple(vertices), passages=tuple(passages))
     with pytest.raises(InconsistencyError, match="not a diagram automorphism"):
-        _automorphism_row(bad, g)
+        _automorphism_rows(bad, [g])
