@@ -151,24 +151,27 @@ def gauss_code(arr: Arrangement) -> GaussCode:
 def canonical_code(gc: GaussCode) -> str:
     """Canonical serialization over basepoint shifts and loop orderings.
 
-    A diagram of one component gets its least serial, found by a
-    depth-first search that drops every branch whose serial prefix is
-    already above another's and every tied branch that an automorphism
-    found so far maps onto a searched one. A diagram of several components
-    searches each component once over its own loops and combines the
+    Each component gets the least serial of the readings that take first
+    a loop on its outer face and then, each time, a loop that crosses one
+    already read (`_search`): below the first loop no two choices tie, so
+    each first (loop, basepoint) pair fixes one reading, and a first pair
+    that an automorphism found so far maps onto a searched one is
+    skipped. A diagram of several components combines its components'
     results down the nesting forest of faces and the components they hold
     (rooted-tree isomorphism): the code is the serial of the reading that
     takes each component at its least reading, with the subtrees its faces
     hold after it, sorted by their own codes. It has the format of the
-    least serial, and often equals it; where it does not, it is the
-    serial of another reading of the same diagram. Chunk reads grow as 3k
-    for a row of k congruent figure-eights, 2k for k disjoint circles or
-    k nested rings and 2k + 2 for a ring holding k discs. Positions take
-    loops by ascending shape, and components by code, so the code does not
-    depend on the order in which the loops are given. Equal strings mean
-    isomorphic oriented labelled plane diagrams; the outer face and the
-    traversal orientation are preserved by every candidate, so a mirror
-    image or a reversed loop will not collide.
+    least serial over all readings, and often equals it; where it does
+    not, as for some components of several loops, it is the serial of
+    another reading of the same diagram. Chunk reads grow as 3k for a row
+    of k congruent figure-eights, 2k for k disjoint circles or k nested
+    rings, 2k + 2 for a ring holding k discs, 2k^2 + 7k + 1 for a flower
+    of k petals on a circle and 21k - 24 for a necklace of k circles. The
+    reading rule and the order of components by code do not depend on the
+    order in which the loops are given. Equal strings mean isomorphic
+    oriented labelled plane diagrams; the outer face and the traversal
+    orientation are preserved by every candidate, so a mirror image or a
+    reversed loop will not collide.
     """
     return _minimal_readings(gc).serial
 
@@ -187,9 +190,9 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     and two readings with the same serial differ by one. G is generated
     by the ties of each component's least code, with its held subtrees,
     and by the swaps of equal sibling subtrees (of a single loop: by the
-    ties the reading search records as it prunes), and |G| is known from
-    the search: the product of each component's tie count and m! for
-    each run of m equal siblings. It is checked against MAX_GROUP_ORDER
+    basepoints whose reading ties with the first least one), and |G| is
+    known from the search: the product of each component's tie count and
+    m! for each run of m equal siblings. It is checked against MAX_GROUP_ORDER
     (ValidationError above it) before any element exists; then G is
     listed from the generators in whole cosets of one permutation array
     (Dimino's algorithm) and must have that order. The same coset routine
@@ -279,8 +282,9 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     same serial.
 
     Each component is searched once over its own loops (`_search`), with
-    its host face as outer face; its minimal readings are the images of
-    the reference under the automorphisms found, which act freely on its
+    its host face as outer face, loop after crossing loop from a first
+    loop on that face; its minimal readings are the images of the
+    reference under the automorphisms found, which act freely on its
     (loop, basepoint) pairs, so they are the orbit of its first pair.
     Bottom-up over the nesting forest (Aho, Hopcroft and Ullman 1974), a
     component's code is the least, over its minimal readings, of its
@@ -307,7 +311,10 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     again when it is not the canonical reading. A row of k congruent
     figure-eights costs 2k chunk reads in the searches and k more for the
     canonical reading; k nested rings or k disjoint circles cost 2k, and a
-    ring holding k discs 2k + 2.
+    ring holding k discs 2k + 2. Within one component the search costs
+    O(k^2): 2k^2 + 6k reads for a flower of k petals on a circle and
+    20k - 24 for a necklace of k circles, k + 1 and k more for the
+    canonical reading.
     """
     mods = [max(1, len(occ)) for occ in gc.occ]
     if len(gc.occ) == 1:
@@ -393,102 +400,85 @@ def _minimal_readings(gc: GaussCode) -> Readings:
 
 
 def _search(gc: GaussCode, loops, outer, mods):
-    """The least serial of the diagram the given loops draw, with `outer`
-    as its outer face: (serial, reference reading as (loop, basepoint)
-    pairs, its (faces, verts) label maps, pair maps of automorphisms).
+    """The least serial of the connected diagram the given loops draw,
+    with `outer` as its outer face, over the readings that take first a
+    loop on the outer face and then, each time, a loop that crosses one
+    already read: (serial, reference reading as (loop, basepoint) pairs,
+    its (faces, verts) label maps, pair maps of automorphisms).
 
-    The search goes depth first over loop positions: position p takes
-    each unused loop of the p-th least shape (occurrences, arcs) at each
-    basepoint rotation, so the order in which the loops are given does
-    not matter. All children of a node are read before any is entered,
-    and a child is dropped when its serial prefix (with a trailing | as
-    chunks follow) is above a sibling's prefix or above the best serial
-    cut to the same length; ties go on. Sibling prefixes end in | and
-    chunks hold none, so neither is a proper prefix of the other and the
-    lower one beats every completion of the higher. The header is only
-    known once the outer face has a label; until then nothing is dropped.
+    Below the root no two children tie: a later loop passes each crossing
+    it shares with the loops read, at least one, exactly once, and no
+    other loop passes it, so sibling chunks differ in which labels they
+    hold or where. Sibling prefixes end in | and chunks hold none, so the
+    least child beats every completion of the others, and a root pair
+    fixes its least reading (Weinberg 1966): the search reads all
+    children of a node and follows the least, and drops the path once its
+    prefix is above the best serial cut to its length.
 
-    Ties are pruned by the automorphisms they reveal (McKay 1981): the
-    reference is the first leaf that reaches the best serial, and a later
-    leaf with the same serial is its image under an automorphism, which
-    maps (loop, basepoint) pairs as the two readings do. The search then
-    jumps back to the node where the two readings part, since everything
-    below that node on the new side is the image of what was searched on
-    the reference side. A tied child is skipped when it lies in the orbit
-    of an entered sibling under the automorphisms found so far that fix
-    every pair of the node's prefix; its subtree is an image of the
-    sibling's. Along the reference path each level's found orbit is the
-    whole orbit of its stabilizer, so the automorphisms found there form
-    a strong generating set. A row of k congruent loops in one search
-    costs about k^3/3 chunk reads and k - 1 automorphisms;
-    `_minimal_readings` gives each component a search of its own.
+    The roots are every (loop, basepoint) pair on the outer face; those
+    whose first chunk is above the least are dropped. The reference is
+    the first reading that reaches the best serial, and a later one with
+    that serial is its image under an automorphism, which maps pairs as
+    the two readings do; a smaller serial clears them. A root is skipped
+    when it lies in the orbit of an entered root under the automorphisms
+    found so far, since its reading is an image of that root's. The
+    automorphisms found generate G, which acts freely on the roots, and
+    for one loop every root is a leaf and none is skipped, so |G| is one
+    more than their count. A flower of k petals on a circle or a necklace
+    of k circles costs O(k^2) chunk reads.
     """
     k = len(loops)
-    shape = {i: (len(gc.occ[i]), len(gc.arcs[i])) for i in loops}
-    fits = [[i for i in loops if shape[i] == s] for s in sorted(shape.values())]
-    n_verts = len({v for i in loops for v, _ in gc.occ[i]})
+    passers = {}  # per crossing: the loops that pass it
+    for i in loops:
+        for v, _ in gc.occ[i]:
+            passers.setdefault(v, set()).add(i)
+    crosses = {i: set().union(*(passers[v] for v, _ in gc.occ[i])) - {i} for i in loops}
     n_faces = len({f for i in loops for arc in gc.arcs[i] for f in arc})
-    head = f"n{n_verts}f{n_faces}o"
-    best = ref = None  # ref: (key, faces, verts) of the first leaf at the best serial
-    autos = []  # (reference key, leaf key) with equal serials
-    maps = []  # pair maps of autos, made when orbits are first needed
+    head = f"n{len(passers)}f{n_faces}o"
+    best = ref = None  # ref: (pairs, faces, verts) of the first reading at the best serial
+    auts = []  # pair maps from ref to each later reading at the best serial
 
-    def pair_maps():
-        maps.extend(_pair_map(zip(*a), zip(*b), mods) for a, b in autos[len(maps):])
-        return maps
-
-    def visit(order, rots, verts, strands, faces, body):
-        """Search below one node; return the depth to jump back to, if any."""
-        nonlocal best, ref
-        depth = len(order)
-        last = depth == k - 1
-        kids = []
-        for loop in fits[depth]:
-            if loop in order:
-                continue
+    def children(text, pairs, verts, strands, faces, candidates):
+        """Each candidate loop read next at each basepoint, as nodes whose
+        text is the serial so far, with a trailing | while loops are left."""
+        tail = "" if len(pairs) == k - 1 else "|"
+        out = []
+        for loop in candidates:
             for rot in range(mods[loop]):
                 v, s, f = dict(verts), dict(strands), dict(faces)
-                text = body + _chunk(gc, loop, rot, v, s, f)
-                key = (order + (loop,), rots + (rot,))
-                if last:
-                    serial = f"{head}{f[outer]}|{text}"
-                    if best is None or serial < best:
-                        best, ref = serial, (key, f, v)
-                    elif serial == best:
-                        autos.append((ref[0], key))
-                        ref_order, ref_rots = ref[0]
-                        if (ref_order[:depth], ref_rots[:depth]) != (order, rots):
-                            # jump back to the node where the two readings part
-                            return next(j for j in range(depth)
-                                        if (ref_order[j], ref_rots[j]) != (order[j], rots[j]))
-                    continue
-                text += "|"
-                prefix = f"{head}{f[outer]}|{text}" if outer in f else None
-                kids.append((prefix, key, v, s, f, text))
-        low = min((kid[0] for kid in kids if kid[0] is not None), default=None)
-        entered, covered, seen = [], set(), None
-        for prefix, key, v, s, f, text in kids:
-            if prefix is not None and (
-                prefix > low or (best is not None and prefix > best[: len(prefix)])
-            ):
-                continue
-            pair = (key[0][-1], key[1][-1])
-            if autos:
-                if seen != (len(autos), len(entered)):
-                    seen = (len(autos), len(entered))
-                    gens = [g for g in pair_maps() if _fixes(g, order)]
-                    covered = _orbit(entered, gens, mods)
-                if pair in covered:
-                    continue
-            entered.append(pair)
-            split = visit(*key, v, s, f, text)
-            if split is not None and split < depth:
-                return split
-        return None
+                chunk = _chunk(gc, loop, rot, v, s, f)
+                out.append(((text or f"{head}{f[outer]}|") + chunk + tail,
+                            pairs + ((loop, rot),), v, s, f))
+        return out
 
-    visit((), (), {}, {}, {}, "")
-    key, faces, verts = ref
-    return best, tuple(zip(*key)), (faces, verts), pair_maps()
+    def complete(node):
+        """Follow the least child from a root to a full reading, unless its
+        prefix rises above the best serial, and keep that reading."""
+        nonlocal best, ref
+        while len(node[1]) < k:
+            if best is not None and node[0] > best[: len(node[0])]:
+                return
+            read = {loop for loop, _ in node[1]}
+            node = min(children(*node, [i for i in loops if i not in read and crosses[i] & read]),
+                       key=lambda kid: kid[0])
+        text, pairs, verts, _, faces = node
+        if best is None or text < best:
+            best, ref = text, (pairs, faces, verts)
+            auts.clear()
+        elif text == best:
+            auts.append(_pair_map(ref[0], pairs, mods))
+
+    roots = children("", (), {}, {}, {}, [i for i in loops if any(outer in arc for arc in gc.arcs[i])])
+    low = min(text for text, *_ in roots)
+    entered, covered = [], {}
+    for node in roots:
+        if node[0] == low and node[1][0] not in covered:
+            entered.append(node[1][0])
+            complete(node)
+            if k > 1:
+                covered = _orbit(entered, auts, mods)
+    pairs, faces, verts = ref
+    return best, pairs, (faces, verts), auts
 
 
 def _read(gc: GaussCode, pairs):
@@ -546,12 +536,6 @@ def _compose(g, h, mods):
     perm, shift = h
     return (tuple(g[0][p] for p in perm),
             tuple((s + g[1][p]) % mods[p] for p, s in zip(perm, shift)))
-
-
-def _fixes(g, loops):
-    """Whether pair map g fixes every basepoint of the given loops."""
-    perm, shift = g
-    return all(perm[loop] == loop and shift[loop] == 0 for loop in loops)
 
 
 def _orbit(points, gens, mods):

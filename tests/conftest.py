@@ -214,6 +214,42 @@ def circles_row(k, n=32):
     ))
 
 
+def flower_curve(k, n=128):
+    """A unit circle of n samples crossed by k circles of radius 0.25 (64
+    samples each) centred on it, the petals, each sampled as the first
+    one turned by its angle: one component whose congruent petals tie
+    until the centre is read, |G| = k. The curve is k-fold symmetric up
+    to rounding when k divides n; otherwise the petals' faces differ in
+    area in the sixth or seventh digit."""
+    turns = 2 * np.pi * np.arange(k) / k
+    return ClosedCurve((circle_curve(n=n).loops[0],) + tuple(
+        circle_curve(n=64, radius=0.25, center=(np.cos(t), np.sin(t)), phase=t).loops[0]
+        for t in turns
+    ))
+
+
+def necklace_curve(k):
+    """k circles of radius 1.2 sin(pi / k) (64 samples each) centred on a
+    unit ring, each sampled as the first one turned by its angle and
+    crossing its two neighbours: one component, k-fold symmetric up to
+    rounding, |G| = k."""
+    radius = 1.2 * np.sin(np.pi / k)
+    turns = 2 * np.pi * np.arange(k) / k
+    return ClosedCurve(tuple(
+        circle_curve(n=64, radius=radius, center=(np.cos(t), np.sin(t)), phase=t).loops[0]
+        for t in turns
+    ))
+
+
+def inner_chain():
+    """A unit circle crossed by a circle of radius 0.5 on it, which a small
+    circle inside the first crosses: one component, and the small circle
+    never touches its outer face."""
+    return ClosedCurve((circle_curve(n=128).loops[0],
+                        circle_curve(n=64, radius=0.5, center=(1.0, 0.0)).loops[0],
+                        circle_curve(n=48, radius=0.15, center=(0.5, 0.0)).loops[0]))
+
+
 def serpentine_curve(strands=128, n=16384, cut=0.25):
     """One loop of `strands` horizontal strands 1 apart, joined alternately
     at the right and left ends and closed by a vertical return at x = -1.

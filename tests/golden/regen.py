@@ -31,6 +31,7 @@ from conftest import (  # noqa: E402
     dip_bump_pair,
     dipping_pair,
     eights_row,
+    flower_curve,
     gerono_curve,
     sharp_fold_curve,
     tangent_circles_curve,
@@ -121,6 +122,9 @@ def _inputs():
         # 12 concentric rings of radii 1 + 0.05 i: G is trivial
         "rings12": ClosedCurve(tuple(circle_curve(n=64, radius=1.0 + 0.05 * i).loops[0]
                                      for i in range(12))),
+        # one component of 13 loops whose 12 congruent petals tie until the
+        # centre is read
+        "flower12": flower_curve(12),
     }
     files = {f"{name}.curve": serialize_curve(c) for name, c in curves.items()}
     # written by hand: a ClosedCurve refuses this sample
@@ -179,6 +183,7 @@ CALLS = [
     ("analyze-sep-tol-nan", ["analyze", "eight.curve", "--sep-tol", "nan"]),
     ("analyze-circles12", ["analyze", "circles12.curve"]),
     ("analyze-rings12", ["analyze", "rings12.curve"]),
+    ("analyze-flower12", ["analyze", "flower12.curve"]),
     # the crossing angles and merged strand germs of non-generic crossings
     ("analyze-tangent-circles", ["analyze", "tangent-circles.curve"]),
     ("analyze-eight-angle-tol-large", ["analyze", "eight.curve", "--angle-tol", "1.5"]),
@@ -218,6 +223,7 @@ CALLS = [
     ("symmetry-mirror", ["symmetry", "mirror.curve"]),
     ("symmetry-holed", ["symmetry", "holed.curve"]),
     ("symmetry-circles12", ["symmetry", "circles12.curve"]),
+    ("symmetry-flower12", ["symmetry", "flower12.curve"]),
     # realize
     ("realize-eight", ["realize", "eight.curve", "2", "2", "--grid", "64", "--out", "eight.density"]),
     ("realize-eight-base-scale",

@@ -1081,6 +1081,32 @@ def target_readings(gc: GaussCode, target: str):
     return [(faces, verts) for _, faces, verts in leaves]
 
 
+def crossing_order_readings(gc: GaussCode):
+    """Every reading of a diagram of one component that takes first a loop
+    on the outer face and then, each time, a loop that crosses one already
+    read, at every basepoint, each read in full by `_read`: the least
+    serial and the (faces, verts) readings that reach it, in (loop order,
+    rotations) order."""
+    passers = {}
+    for loop, occ in enumerate(gc.occ):
+        for v, _ in occ:
+            passers.setdefault(v, set()).add(loop)
+    best, readings = None, []
+    for order in permutations(range(len(gc.occ))):
+        if not any(gc.outer_face in arc for arc in gc.arcs[order[0]]):
+            continue
+        if not all(any(passers[v] & set(order[:i]) for v, _ in gc.occ[loop])
+                   for i, loop in enumerate(order) if i):
+            continue
+        for rots in product(*(range(max(1, len(gc.occ[loop]))) for loop in order)):
+            serial, faces, verts = _read(gc, order, rots)
+            if best is None or serial < best:
+                best, readings = serial, []
+            if serial == best:
+                readings.append((faces, verts))
+    return best, readings
+
+
 def compose_perms(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """The original `diagram.compose_perms`: g after h, the image of i is g[h[i]]."""
     return tuple(map(g.__getitem__, h))

@@ -7,8 +7,9 @@ found. On diagrams of one component their results must equal the old
 separate loops of `oracles` exactly: the same strings, the same
 correspondences, the same sorted elements and the same generator
 indices. A diagram of several components is read component by component
-down its nesting forest; its serial may differ from the one the
-whole-diagram search finds (`oracles.pruned_readings`, the full
+down its nesting forest, and a component of several loops in crossing
+order from its outer face; the serial of either may differ from the one
+the whole-diagram search finds (`oracles.pruned_readings`, the full
 enumeration and `oracles.tie_listing_readings`), but equal and unequal
 codes must agree with it on every pair, and |G| and the sorted elements
 of G must equal its. The first minimal reading must be the first, in
@@ -34,8 +35,11 @@ from conftest import (
     circle_curve,
     circles_row,
     eights_row,
+    flower_curve,
     gerono_curve,
     holed_curve,
+    inner_chain,
+    necklace_curve,
     trefoil_curve,
 )
 from test_golden import INPUTS
@@ -288,13 +292,13 @@ def assert_matches_whole_search(gc, found, serial, readings):
     """|G| is the count of minimal readings of the whole-diagram search.
     The first minimal reading is the first, in (loop order, rotations)
     order, of the readings that read the canonical serial: the search's
-    own where the serials agree, which is always so for one component,
-    and otherwise those `oracles.target_readings` lists, as many as |G|.
+    own where the serials agree, which is always so for one loop, and
+    otherwise those `oracles.target_readings` lists, as many as |G|.
     Returns those readings and whether the serials agree."""
     assert found.order == len(readings)
     same = found.serial == serial
     if not same:
-        assert len(gc.hosts) > 1
+        assert len(gc.occ) > 1
         readings = oracles.target_readings(gc, found.serial)
         assert len(readings) == found.order
     # the same numbering, assigned in the same order
@@ -426,14 +430,24 @@ GROWTH = {  # curve of k; chunk reads, pair map applications and |G| at k
     # six basepoints each, three of them tied: every trefoil's least image
     # is taken on its own, not over the 3^k combinations
     "trefoils": (trefoils_row, lambda k: (7 * k, 9 * k, math.factorial(k) * 3**k)),
+    # 4k roots, two of the centre's read down, k(k + 1) chunks each (2 per
+    # petal left at each level), and the canonical reading once; the
+    # forest places each of the k tied readings, k + 1 pairs each
+    "flower": (flower_curve, lambda k: (2 * k * k + 7 * k + 1, k * (k + 3), k)),
+    # 4k roots, two of them read down, 8 chunks at each level (two loops
+    # cross those read, 4 basepoints each) but the last, which has one loop
+    # left, and the canonical reading once
+    "necklace": (necklace_curve, lambda k: (21 * k - 24, k * (k + 2), k)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GROWTH))
 def test_forest_work_grows_linearly(name, monkeypatch):
     # a return to reading whole loop orders (k^3 chunks for a row, k! for
-    # nested rings) or to a least image over all tied readings fails here
-    # at once instead of timing out
+    # nested rings or for the petal orders of a flower) or to a least image
+    # over all tied readings fails here at once instead of timing out. A
+    # flower or a necklace is one component: their chunk reads grow as k^2
+    # and k, and their pair map applications as k^2
     curve, expected = GROWTH[name]
     for k in range(4, 13):
         reads, applied, found = count_work(monkeypatch, curve(k), cap=20 * k)
@@ -441,11 +455,11 @@ def test_forest_work_grows_linearly(name, monkeypatch):
 
 
 def test_golden_codes_agree_with_whole_search():
-    # rings12 is left out: the whole-diagram search reads every order of
-    # its rings, which takes minutes
+    # rings12 and flower12 are left out: the whole-diagram search reads
+    # every order of the rings, and of the petals, which takes minutes
     codes = {}
     for path in sorted(INPUTS.glob("*.curve")):
-        if path.stem == "rings12":
+        if path.stem in ("rings12", "flower12"):
             continue
         try:
             gc = gauss_code(build_arrangement(load_curve(path)))
@@ -603,6 +617,9 @@ CASES = {
     "nested-rings": lambda: [nested_rings(k) for k in range(1, 7)],
     "ring-of-discs": lambda: [ring_of_discs(k) for k in range(1, 6)],
     "petal-circles": lambda: [petal_circles(perm, shift) for perm, shift in PETALS],
+    "flower": lambda: [flower_curve(k) for k in range(3, 7)],
+    "necklace": lambda: [necklace_curve(k) for k in range(3, 9)],
+    "inner-chain": lambda: [inner_chain()],
 }
 
 
@@ -613,9 +630,25 @@ def test_curves_match_tie_listing(case):
         pairs += with_copies(curve, seed)
     moved, changed = assert_pairs_match_tie_listing(pairs)
     # the whole search reads the small circles first; the forest reads the
-    # loops around them first, but pairs them alike
-    assert (moved > 0) == (case in ("enclosed", "petal-circles"))
+    # loops around them first, and a component from its outer face in
+    # crossing order, but pairs them alike
+    assert (moved > 0) == (case in ("enclosed", "petal-circles", "flower", "inner-chain"))
     assert changed == 0
+
+
+def test_one_component_reads_its_least_crossing_order_serial():
+    # the least serial over every reading that starts on the outer face and
+    # goes on, loop by loop, to one that crosses a loop read; |G| is the
+    # number of readings that reach it. A shorter chunk that begins a
+    # longer sibling's is above it, as its serial goes on with a |
+    curves = [flower_curve(k) for k in (3, 4)] + [necklace_curve(k) for k in (3, 4)]
+    curves += [inner_chain(), ClosedCurve(tuple(motifs()[7]))]  # two discs that cross
+    for curve in curves:
+        gc = gauss_code(build_arrangement(curve))
+        assert len(gc.hosts) == 1 < len(gc.occ)
+        found = _minimal_readings(gc)
+        serial, readings = oracles.crossing_order_readings(gc)
+        assert (found.serial, found.order) == (serial, len(readings))
 
 
 @pytest.mark.parametrize("name", sorted(MIXED))
@@ -668,9 +701,8 @@ def motif_row(shapes, rng, most=6):
 
 def test_seeded_motif_rows_match_tie_listing():
     # nested, crossing and repeated motifs: ties among readings that are
-    # not minimal, so automorphisms found early need not fix a later
-    # node's prefix and must not prune it; each row also against its moved
-    # copy and a shrunk one
+    # not minimal, whose automorphisms are cleared once a smaller serial is
+    # found; each row also against its moved copy and a shrunk one
     shapes = motifs()
     orders, agreed, moved = set(), 0, 0
     for seed in range(80):
