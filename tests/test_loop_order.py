@@ -37,8 +37,8 @@ from symplane.cli import main
 from symplane.curves import ClosedCurve, load_curve, serialize_curve
 
 # flower12 is left out: 12 does not divide the 128 samples of its centre, so
-# its petals' faces differ in area in the seventh digit, and `compare` may
-# pair them at another turn than the loop-by-loop one
+# faces that its symmetries swap differ in area in the sixth digit, and
+# `compare` may pair them at another turn than the loop-by-loop one
 GOLDEN = ["holed", "holed-reversed", "row3", "row3-moved", "row3-shrunk", "row5", "row5-reordered",
           "circles12", "rings12"]
 
