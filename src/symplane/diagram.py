@@ -424,8 +424,8 @@ def _search(gc: GaussCode, loops, outer, mods):
     found so far, since its reading is an image of that root's. The
     automorphisms found generate G, which acts freely on the roots, and
     for one loop every root is a leaf and none is skipped, so |G| is one
-    more than their count. A flower of k petals on a circle or a necklace
-    of k circles costs O(k^2) chunk reads.
+    more than their count. A flower of k petals on a circle costs O(k^2)
+    chunk reads, and a necklace of k circles O(k).
     """
     k = len(loops)
     passers = {}  # per crossing: the loops that pass it
