@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError, require_positive
-from .geometry import cross2, segment_intersections, segment_pair_distances
+from .geometry import PAIR_CHUNK, cross2, segment_intersections, segment_pair_distances
 
 MIN_LOOP_SAMPLES = 8
 # largest coordinate magnitude: face centroid moments are cubic in the
@@ -38,8 +38,6 @@ DEFAULT_ANGLE_TOL = 0.1
 SEP_TOL_FACTOR = 1e-6
 # samplewise turning angle at or above which a sample is a cusp proxy
 MAX_TURN = np.pi / 2
-# window pairs expanded at a time by the genericity broad phase
-PAIR_CHUNK = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -158,20 +158,21 @@ def canonical_code(gc: GaussCode) -> str:
     that an automorphism found so far maps onto a searched one is
     skipped. A diagram of several components combines its components'
     results down the nesting forest of faces and the components they hold
-    (rooted-tree isomorphism): the code is the serial of the reading that
-    takes each component at its least reading, with the subtrees its faces
-    hold after it, sorted by their own codes. It has the format of the
-    least serial over all readings, and often equals it; where it does
-    not, as for some components of several loops, it is the serial of
-    another reading of the same diagram. Chunk reads grow as 3k for a row
-    of k congruent figure-eights, 2k for k disjoint circles or k nested
-    rings, 2k + 2 for a ring holding k discs, 2k^2 + 7k + 1 for a flower
-    of k petals on a circle and 21k - 24 for a necklace of k circles. The
-    reading rule and the order of components by code do not depend on the
-    order in which the loops are given. Equal strings mean isomorphic
-    oriented labelled plane diagrams; the outer face and the traversal
-    orientation are preserved by every candidate, so a mirror image or a
-    reversed loop will not collide.
+    (rooted-tree isomorphism): the code is the serial of the canonical
+    reading, the first minimal reading in (loop order, rotations) order,
+    read once. It takes each component at the least of its tied readings,
+    with the subtrees its faces hold after it, sorted by their own codes.
+    It has the format of the least serial over all readings, and often
+    equals it; where it does not, as for some components of several loops,
+    it is the serial of another reading of the same diagram. Chunk reads
+    grow as 3k for a row of k congruent figure-eights, 2k for k disjoint
+    circles or k nested rings, 2k + 2 for a ring holding k discs,
+    2k^2 + 7k + 1 for a flower of k petals on a circle and 21k - 24 for a
+    necklace of k circles. The reading rule and the order of components by
+    code do not depend on the order in which the loops are given. Equal
+    strings mean isomorphic oriented labelled plane diagrams; the outer
+    face and the traversal orientation are preserved by every candidate,
+    so a mirror image or a reversed loop will not collide.
     """
     return _minimal_readings(gc).serial
 
@@ -188,16 +189,17 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     An automorphism carries each candidate reading (orientation-preserving
     basepoint shifts and loop reorderings) to one with the same serial,
     and two readings with the same serial differ by one. G is generated
-    by the ties of each component's least code, with its held subtrees,
-    and by the swaps of equal sibling subtrees (of a single loop: by the
-    basepoints whose reading ties with the first least one), and |G| is
-    known from the search: the product of each component's tie count and
-    m! for each run of m equal siblings. It is checked against MAX_GROUP_ORDER
-    (ValidationError above it) before any element exists; then G is
-    listed from the generators in whole cosets of one permutation array
-    (Dimino's algorithm) and must have that order. The same coset routine
-    then picks the greedy generators of the sorted rows and checks that
-    they form a group.
+    by the maps from each component's reading in the canonical reading,
+    the first minimal one, to its other ties for its least code, with
+    their held subtrees, and by the swaps of equal sibling subtrees (of a
+    single loop: by the basepoints whose reading ties with the first least
+    one), and |G| is known from the search: the product of each
+    component's tie count and m! for each run of m equal siblings. It is
+    checked against MAX_GROUP_ORDER (ValidationError above it) before any
+    element exists; then G is listed from the generators in whole cosets
+    of one permutation array (Dimino's algorithm) and must have that
+    order. The same coset routine then picks the greedy generators of the
+    sorted rows and checks that they form a group.
     """
     return _group(arr, _minimal_readings(gauss_code(arr)))
 
@@ -266,14 +268,15 @@ class Readings(NamedTuple):
     """What the reading search finds (see `_minimal_readings`)."""
 
     serial: str
-    first: tuple[dict, dict]  # (faces, verts) of the first minimal reading
+    first: tuple[dict, dict]  # (faces, verts) of the canonical reading, the first minimal one
     automorphisms: tuple  # pair maps (perm, shift) that generate G
     order: int  # |G|
 
 
 def _minimal_readings(gc: GaussCode) -> Readings:
-    """The canonical serial, the first reading that reaches it in (loop
-    order, rotations) order, and diagram automorphisms that generate G.
+    """The canonical serial, the canonical reading's (faces, verts) label
+    maps, and diagram automorphisms that generate G; the canonical reading
+    is the first minimal reading in (loop order, rotations) order.
 
     A reading lists (loop, basepoint) pairs; its serial is the header
     n{V}f{F}o{outer}| followed by the loop chunks joined by |. An
@@ -292,29 +295,26 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     holds attached, face by face in the reading's label order as
     [label(code)(code)...]. Equal codes mean isomorphic subtrees.
 
-    The canonical reading reads each component at its least reading and
-    then, face by face in label order, the subtrees its faces hold,
-    sorted by code and, among equal codes, by their first loop; the top
-    level is the outer face's. Its serial, in the format of `_search`, is
-    the canonical code; a diagram of one component gets the least serial
-    of its search. G is generated by each component's readings that tie
-    for its least code, carried over to its subtree, and by swaps of
+    The minimal readings that reach that least are the component's ties.
+    Each tie is followed, face by face in its label order, by the
+    subtrees the face holds, sorted by code and, among equal codes, by
+    their first loop, each at its own reading; the least of these in
+    (loop order, rotations) order is the component's reading. Subtrees
+    hold disjoint loops, so each is least at its own reading, and the
+    outer face's subtrees, arranged so, make the canonical reading: the
+    first minimal reading, read once. Its serial, in the format of
+    `_search`, is the canonical code; a diagram of one component must
+    read the least serial of its search. G is generated by the pair maps
+    from each component's reading to its other ties and by swaps of
     adjacent subtrees with equal codes in one face: |G| is the product of
     the tie counts and of m! for each run of m equal siblings.
 
-    The least image of the canonical reading in (loop order, rotations)
-    order, the first minimal reading, is found bottom-up too: a subtree's
-    is the least, over its component's tied readings, of that reading
-    followed, face by face, by the least images of the subtrees the face
-    holds, equal codes ordered by their first loop; subtrees hold
-    disjoint loops, so each is best at its own least image. It is read
-    again when it is not the canonical reading. A row of k congruent
-    figure-eights costs 2k chunk reads in the searches and k more for the
-    canonical reading; k nested rings or k disjoint circles cost 2k, and a
-    ring holding k discs 2k + 2. Within one component the search costs
-    O(k^2): 2k^2 + 6k reads for a flower of k petals on a circle and
-    20k - 24 for a necklace of k circles, k + 1 and k more for the
-    canonical reading.
+    A row of k congruent figure-eights costs 2k chunk reads in the
+    searches and k more for the canonical reading; k nested rings or k
+    disjoint circles cost 2k, and a ring holding k discs 2k + 2. Within
+    one component the search costs O(k^2): 2k^2 + 6k reads for a flower
+    of k petals on a circle and 20k - 24 for a necklace of k circles,
+    k + 1 and k more for the canonical reading.
     """
     mods = [max(1, len(occ)) for occ in gc.occ]
     if len(gc.occ) == 1:
@@ -327,22 +327,15 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     for loop, comp in enumerate(gc.components):
         loops_of[comp].append(loop)
     found = [_search(gc, loops, host, mods) for loops, host in zip(loops_of, gc.hosts)]
-    # each bounded face lies inside exactly one component, its owner
-    owner = {f: c for c, (_, _, (faces, _), _) in enumerate(found)
-             for f in faces if f != gc.hosts[c]}
     hosted = {}
     for c, host in enumerate(gc.hosts):
         hosted.setdefault(host, []).append(c)
-    depth = {}  # components deeper in the forest are read first
-    for c in range(len(gc.hosts)):
-        path, x = [], c
-        while x is not None and x not in depth:
-            path.append(x)
-            x = owner.get(gc.hosts[x])
-        d = -1 if x is None else depth[x]
-        for x in reversed(path):
-            d += 1
-            depth[x] = d
+    own = {}  # per component: its faces other than its host, in its reference's label order
+    down = list(hosted[gc.outer_face])  # each component after the one whose face holds it
+    for c in down:  # grows while it is read
+        faces = found[c][2][0]
+        own[c] = [f for f in sorted(faces, key=faces.get) if f != gc.hosts[c]]
+        down.extend(chain.from_iterable(hosted.get(f, ()) for f in own[c]))
     code, walk, gens, order = {}, {}, [], 1
 
     def swaps(members):
@@ -356,47 +349,40 @@ def _minimal_readings(gc: GaussCode) -> Readings:
                         for x, y in zip(run, run[1:]))
         return count
 
-    def arranged(members, readings):
-        """The subtrees of one face at the given readings, in canonical
-        order, equal codes ordered by the first loop of their reading."""
-        return tuple(chain.from_iterable(readings[x] for x in sorted(
-            members, key=lambda x: (code[x], readings[x][0][0]))))
+    def arranged(members):
+        """The subtrees of one face at their readings, in canonical order,
+        equal codes ordered by their first loop."""
+        return tuple(chain.from_iterable(walk[x] for x in sorted(
+            members, key=lambda x: (code[x], walk[x][0][0]))))
 
-    def subtree(own_reading, inside, readings):
-        """A component's reading followed, face by face, by the subtrees
-        each face holds at the given readings."""
-        return own_reading + tuple(chain.from_iterable(arranged(xs, readings) for xs in inside))
-
-    least = {}  # per component: the least image of its subtree's reading
-    for c in sorted(depth, key=depth.get, reverse=True):
+    for c in reversed(down):
         serial, base, (faces, _), auts = found[c]
-        own = [f for f in sorted(faces, key=faces.get) if f != gc.hosts[c]]
-        nested = any(f in hosted for f in own)
+        nested = any(f in hosted for f in own[c])
         best, ties = None, []  # the least held codes; per tie, its own reading and held subtrees
         for g in _orbit([base[0]], auts, mods).values():
             inside, held = [], ()
             if nested:
                 fmap = _face_map(gc, g, loops_of[c])
-                inside = [hosted.get(fmap[f], ()) for f in own]
+                inside = [hosted.get(fmap[f], ()) for f in own[c]]
                 held = tuple(tuple(sorted(code[x] for x in xs)) for xs in inside)
             if best is None or held < best:
                 best, ties = held, []
             if held == best:
                 ties.append((tuple(_apply(g, p, mods) for p in base), inside))
-        readings = [subtree(*tie, walk) for tie in ties]
+        readings = sorted((mine + tuple(chain.from_iterable(map(arranged, inside)))
+                           for mine, inside in ties),
+                          key=lambda r: ([loop for loop, _ in r], [rot for _, rot in r]))
         walk[c] = readings[0]
         gens.extend(_pair_map(readings[0], other, mods) for other in readings[1:])
         order *= len(ties)
         code[c] = serial + "".join(f"[{faces[f]}" + "".join(f"({x})" for x in codes) + "]"
-                                   for f, codes in zip(own, best) if codes)
-        least[c] = min((subtree(*tie, least) for tie in ties),
-                       key=lambda r: ([loop for loop, _ in r], [rot for _, rot in r]))
+                                   for f, codes in zip(own[c], best) if codes)
     for members in hosted.values():
         order *= swaps(members)
-    base = arranged(hosted[gc.outer_face], walk)
-    serial, faces, verts = _read(gc, base)
-    first = arranged(hosted[gc.outer_face], least)
-    return Readings(serial, _reread(gc, serial, first, base, (faces, verts)), tuple(gens), order)
+    serial, faces, verts = _read(gc, arranged(hosted[gc.outer_face]))
+    if len(gc.hosts) == 1 and serial != found[0][0]:
+        raise InconsistencyError("first minimal reading does not read its search's serial")
+    return Readings(serial, (faces, verts), tuple(gens), order)
 
 
 def _search(gc: GaussCode, loops, outer, mods):
@@ -487,17 +473,6 @@ def _read(gc: GaussCode, pairs):
     verts, strands, faces = {}, {}, {}
     text = "|".join(_chunk(gc, loop, rot, verts, strands, faces) for loop, rot in pairs)
     return f"n{len(verts)}f{gc.num_faces}o{faces[gc.outer_face]}|{text}", faces, verts
-
-
-def _reread(gc: GaussCode, serial, first, base, reading):
-    """The (faces, verts) of reading `first`, which must read `serial`;
-    `reading` holds those of `base`."""
-    if first == base:
-        return reading
-    text, faces, verts = _read(gc, first)
-    if text != serial:
-        raise InconsistencyError("least image of the reference reading is not minimal")
-    return faces, verts
 
 
 def _pair_map(src, dst, mods):

@@ -547,14 +547,15 @@ def ring_of_discs(k, disc=0.5):
     return ClosedCurve((circle_curve(n=128, radius=3.0).loops[0],) + discs)
 
 
-PETALS = [(perm, shift) for perm in ((0, 1, 2), (1, 2, 0)) for shift in (0, 171)]
+PETALS = [(perm, shift) for perm in ((0, 1, 2), (1, 2, 0), (0,), (1, 2)) for shift in (0, 171)]
 
 
 def petal_circles(perm, shift):
     """trefoil_curve(513), its samples rolled by shift, with a circle in each
-    petal, in petal order perm: the first minimal reading in (loop order,
-    rotations) order is not the first one the search reaches, so it comes
-    from the least image of the reference reading."""
+    petal that perm lists, in that order. With three circles, the first
+    minimal reading in (loop order, rotations) order is not the first one
+    the search reaches; with one or two, only one of the trefoil's three
+    tied readings holds the least codes, and it must be read there."""
     tref = trefoil_curve(n=513)
     petals = [f.centroid for f in build_arrangement(tref).faces
               if not f.is_outer and np.linalg.norm(f.centroid) > 0.5]
@@ -745,8 +746,9 @@ def test_petal_circles_first_reading_is_not_the_first_reached(monkeypatch):
     # the whole-diagram search reaches readings in (loop, rotation) pair
     # order, the first minimal reading is the least in (loop order,
     # rotations) order; the forest reads the large loop first with the
-    # copies in the order its reference reading labels the lobes, so in
-    # the same two cases the first reading is the least image of another
+    # copies in the order its reading labels the lobes, so in the same two
+    # cases it reads the large loop at its other tie, not its search's
+    # reference
     differ = 0
     for perm, shift in LOBES:
         gc = gauss_code(build_arrangement(lobed_pair(perm, shift)))
@@ -754,14 +756,61 @@ def test_petal_circles_first_reading_is_not_the_first_reached(monkeypatch):
         keys = [key for key in oracles._candidates(gc) if oracles._read(gc, *key)[0] == serial]
         differ += min(keys) != min(keys, key=lambda key: list(zip(*key)))
     assert differ == 2
-    moved = []
-    reread = diagram._reread
-    monkeypatch.setattr(diagram, "_reread", lambda gc, serial, first, base, reading: (
-        moved.append(first != base) or reread(gc, serial, first, base, reading)))
+    search, read = diagram._search, diagram._read
+    reference, moved = {}, []
+
+    def spied_search(*args):
+        found = search(*args)
+        reference.update(found[1])  # each loop's basepoint in its component's reference
+        return found
+
+    def spied_read(gc, pairs):
+        moved.append(dict(pairs)[0] != reference[0])  # the large loop from another basepoint
+        return read(gc, pairs)
+
+    monkeypatch.setattr(diagram, "_search", spied_search)
+    monkeypatch.setattr(diagram, "_read", spied_read)
     for perm, shift in LOBES:
         arr = build_arrangement(lobed_pair(perm, shift))
         assert assert_search_matches_tie_listing(arr)[2]
     assert sum(moved) == 2
+
+
+def test_one_component_must_read_its_search_serial(monkeypatch):
+    # a pair map that is no automorphism, a turn of the reference's first
+    # loop alone, puts another reading first, which does not read the
+    # search's least serial
+    search = diagram._search
+
+    def with_a_false_turn(gc, loops, outer, mods):
+        serial, reference, maps, auts = search(gc, loops, outer, mods)
+        shift = [0] * len(mods)
+        shift[reference[0][0]] = 1
+        return serial, reference, maps, auts + [(tuple(range(len(mods))), tuple(shift))]
+
+    monkeypatch.setattr(diagram, "_search", with_a_false_turn)
+    # two crossing circles, rolled so that the reference reads its first
+    # loop from basepoint 1: the false turn's image, from 0, comes first
+    circles = (circle_curve(n=64).loops[0], circle_curve(n=64, radius=0.7, center=(1.0, 0.0)).loops[0])
+    gc = gauss_code(build_arrangement(ClosedCurve(tuple(np.roll(c, 32, axis=0) for c in circles))))
+    with pytest.raises(InconsistencyError, match="search's serial"):
+        _minimal_readings(gc)
+
+
+def test_several_loops_are_read_once(monkeypatch):
+    # each component is read at its least tie, so the canonical reading is
+    # the first minimal reading and is read once, also where it is not the
+    # reading of the searches' references (two of the LOBES curves)
+    curves = [lobed_pair(perm, shift) for perm, shift in LOBES]
+    curves += [mixed_row(kinds, seed=len(name)) for name, (kinds, _) in sorted(MIXED.items())]
+    curves += [curve(4) for curve, _ in GROWTH.values()]
+    read, reads = diagram._read, []
+    monkeypatch.setattr(diagram, "_read", lambda *args: reads.append(1) or read(*args))
+    for curve in curves:
+        gc = gauss_code(build_arrangement(curve))
+        reads.clear()
+        _minimal_readings(gc)
+        assert len(gc.occ) > 1 and len(reads) == 1
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_AREA_TOL, 1e-12, 0.5])
