@@ -70,6 +70,7 @@ class Face:
     centroid: np.ndarray | None  # net area centroid, bounded faces only
     label: int | None = None  # canonical 1..r, bounded faces only
     rep_point: np.ndarray | None = None
+    clearance: float | None = None  # boundary_distance(rep_point), bounded faces only
 
     def contains(self, points) -> np.ndarray:
         """Boolean mask: which query points lie in the open face region."""
@@ -180,9 +181,14 @@ def face_integrator(arr: Arrangement, grid):
     Midpoint rule on the grid's cells: each cell contributes its center
     value (mean of the four corner nodes) times the cell area iff the
     center lies in the face. Which face each center lies in is read from
-    one face raster of the grid (see _face_raster), built once here. The
-    grid (x0, x1, y0, y1, nx, ny) must cover the curve's bounding box so
-    that no bounded face leaks outside it.
+    one face raster of the grid (see _face_raster), built once here,
+    which keeps each face's cells as the flat indices of their lower
+    left nodes. The full pass gathers a face's four corner nodes at
+    those indices and offsets (+ny, +1, +ny + 1), so it makes no array
+    larger than the face and sums exactly the cell means _cell_means
+    would give, in flat cell order. The grid (x0, x1, y0, y1, nx, ny)
+    must cover the curve's bounding box so that no bounded face leaks
+    outside it.
 
     The returned function's `on_window(vals, window, j)` weighs node
     values that are `vals` on the node window (wx, wy) and 0 elsewhere,
@@ -202,19 +208,35 @@ def face_integrator(arr: Arrangement, grid):
     centers_x = xs[:-1] + 0.5 * hx
     centers_y = ys[:-1] + 0.5 * hy
     # the smallest type that holds 0..r, since on_window keeps it
-    labels = _face_raster(arr, centers_x, centers_y).astype(np.min_scalar_type(arr.r))
+    labels = _face_raster(arr, centers_x, centers_y).astype(np.min_scalar_type(arr.r), order="C")
     lab = labels.ravel()
-    cells = [np.flatnonzero(lab == j) for j in range(1, arr.r + 1)]
+    # cell (i, k) is flat cell i * (ny - 1) + k and has lower left node i * ny + k
+    corners = [c + c // (ny - 1) for c in (np.flatnonzero(lab == j) for j in range(1, arr.r + 1))]
+
+    def total(means):
+        return float(np.sum(means) * hx * hy)
 
     def face_sum(flat_vals, j):
-        return float(np.sum(flat_vals[cells[j]]) * hx * hy)
+        return total(flat_vals[corners[j]])
 
     def integrate(vals) -> np.ndarray:
-        flat_vals = _cell_means(vals).ravel()
-        return np.array([face_sum(flat_vals, j) for j in range(arr.r)])
+        flat = np.ravel(vals)
+        out = np.empty(arr.r)
+        for j, at in enumerate(corners):
+            # ((v00 + v10) + v01) + v11, then x 0.25, as _cell_means adds them
+            means = flat.take(at)
+            means += flat[ny:].take(at)
+            means += flat[1:].take(at)
+            means += flat[ny + 1:].take(at)
+            means *= 0.25
+            out[j] = total(means)
+        return out
 
-    flat_cells = np.zeros((nx - 1) * (ny - 1))  # +0.0 between on_window calls
-    cell_vals = flat_cells.reshape(nx - 1, ny - 1)
+    # node-shaped, so face_sum reads it at the corner indices; the cell
+    # means sit at their lower left nodes, and every entry is +0.0
+    # between on_window calls
+    flat_cells = np.zeros(nx * ny)
+    cell_vals = flat_cells.reshape(nx, ny)
 
     def on_window(vals, window, j):
         wx, wy = window
@@ -248,8 +270,10 @@ def _face_raster(arr: Arrangement, centers_x, centers_y) -> np.ndarray:
     forward half-edge segment is used once; the cell rows it crosses
     follow the half-open rule lo <= y < hi of winding_numbers, and its
     change is entered at the first cell center right of its
-    x-intercept, so a cumulative sum along each row gives the labels.
-    Returns an int array of shape (len(centers_x), len(centers_y)).
+    x-intercept, so a cumulative sum along each row, taken in place,
+    gives the labels. Returns a view of shape (len(centers_x),
+    len(centers_y)) into that one buffer, of the narrowest signed
+    integer type that the row sums need.
 
     Internal check: the outer face is unbounded, so every row must end
     at label 0 and every label must lie in [0, r]; else
@@ -281,9 +305,13 @@ def _face_raster(arr: Arrangement, centers_x, centers_y) -> np.ndarray:
     x = ax + (centers_y[row] - ay) * (bx - ax) / (by - ay)
     col = np.searchsorted(centers_x, x, side="right")
 
-    delta = np.zeros((len(centers_y), len(centers_x) + 1), dtype=np.int64)
-    np.add.at(delta, (row, col), np.where(up[seg], -w[seg], w[seg]))
-    labels = np.cumsum(delta, axis=1)
+    # a row's partial sums are bounded by its crossings times the largest
+    # weight, r, so the narrowest type that holds that bound cannot overflow
+    most = int(np.bincount(row).max(initial=0))
+    kind = np.min_scalar_type(-max(arr.r * most, 1))
+    labels = np.zeros((len(centers_y), len(centers_x) + 1), dtype=kind)
+    np.add.at(labels, (row, col), np.where(up[seg], -w[seg], w[seg]).astype(kind))
+    np.cumsum(labels, axis=1, out=labels)
     if np.any(labels[:, -1] != 0) or labels.min() < 0 or labels.max() > arr.r:
         raise InconsistencyError(
             "face raster is not a partition: a cell row does not return to the "
@@ -589,7 +617,8 @@ def _assign_labels(arr: Arrangement) -> None:
     every bounded face's centroid against its own boundary edges, with
     the crossing signs of winding_numbers and the distances of
     point_segment_distance; a face whose centroid fails falls back to
-    _offset_point.
+    _offset_point. Each face keeps its point's distance to the boundary
+    as its clearance.
     """
     bounded = [f for f in arr.faces if not f.is_outer]
     sizes = np.array([len(f.edges[0]) for f in bounded])
@@ -603,15 +632,16 @@ def _assign_labels(arr: Arrangement) -> None:
     clearance = np.minimum.reduceat(point_segment_distance(at, starts, ends), first)
     scale = np.sqrt([f.area for f in bounded])
     inside = (winding == 1) & (clearance > 1e-6 * scale)
-    for face, ok in zip(bounded, inside.tolist()):
-        face.rep_point = face.centroid if ok else _offset_point(face)
+    for face, ok, gap in zip(bounded, inside.tolist(), clearance.tolist()):
+        face.rep_point, face.clearance = (face.centroid, gap) if ok else _offset_point(face)
     bounded.sort(key=lambda f: (f.rep_point[0], f.rep_point[1]))
     for label, face in enumerate(bounded, start=1):
         face.label = label
 
 
-def _offset_point(face: Face) -> np.ndarray:
-    """A deterministic interior point of a face whose centroid is not one.
+def _offset_point(face: Face) -> tuple[np.ndarray, float]:
+    """A deterministic interior point of a face whose centroid is not one,
+    with its distance to the face's boundary.
 
     The centroid can land outside a crescent shaped or holed face, or on
     its boundary; an inward offset of a boundary edge midpoint is searched
@@ -629,8 +659,9 @@ def _offset_point(face: Face) -> np.ndarray:
             # face lies left of the directed boundary
             inward = np.array([-d[1], d[0]]) / norm
             p = 0.5 * (a + b) + delta * inward
-            if face.contains(p)[0] and face.boundary_distance(p) > 0.4 * delta:
-                return p
+            gap = face.boundary_distance(p) if face.contains(p)[0] else 0.0
+            if gap > 0.4 * delta:
+                return p, gap
     raise ValidationError(f"face {face.index} (area {face.area:.6g}) is narrower than the label search "
                           f"reaches: no point lies 0.002*sqrt(area) = {0.4 * delta:.3g} inside it")
 

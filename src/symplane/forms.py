@@ -37,7 +37,10 @@ UNIT_SNAP = 1e-12
 # realize_area_vector still accepts as roundoff
 FEASIBILITY_TOL = 1e-6
 # largest node count of any grid, checked before a node array exists:
-# realize peaks near 55 bytes a node, so 4096^2 nodes need about 0.9 GB
+# realize_area_vector peaks near 29 bytes a node under tracemalloc (a
+# trefoil at 1024^2: base, output and window buffer at 8 each, face
+# labels and corner indices), so 4096^2 nodes need about 0.5 GB; the
+# CLI's density file text comes on top
 MAX_GRID_NODES = 4096 * 4096
 # largest nodes x steps of one Moser flow, checked before the flow starts:
 # 1024^2 nodes at 256 steps, about 70 s at the 0.26 us a node-step that
@@ -172,16 +175,28 @@ def infer_support_box(x0, x1, y0, y1, nx, ny, values):
     )
 
 
+class _Owned:
+    """Node values made here for one Density and used by nothing else:
+    the Density keeps them without a copy."""
+
+    def __init__(self, values):
+        self.values = values
+
+
 @dataclass(frozen=True)
 class Density(Grid):
-    """Positive grid density, exactly 1 outside its support box."""
+    """Positive grid density, exactly 1 outside its support box.
+
+    Values passed in are copied, so no caller can change a Density.
+    """
 
     values: np.ndarray
     support_box: tuple
 
     def __post_init__(self):
         super().__post_init__()
-        vals = np.array(self.values, dtype=float)
+        vals = self.values
+        vals = vals.values if isinstance(vals, _Owned) else np.array(vals, dtype=float)
         if vals.shape != (self.nx, self.ny):
             raise ValidationError(
                 f"values shape {vals.shape} does not match grid "
@@ -227,7 +242,7 @@ def unit_density(x0, x1, y0, y1, nx=DEFAULT_GRID, ny=None):
     values = np.ones((nx, ny))
     # the box infer_support_box finds for a grid of ones, without its scan
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return Density(x0, x1, y0, y1, *values.shape, values, (cx, cx, cy, cy))
+    return Density(x0, x1, y0, y1, *values.shape, _Owned(values), (cx, cx, cy, cy))
 
 
 def density_for_curve(curve, n=DEFAULT_GRID):
@@ -300,7 +315,8 @@ def _serialize_grid(tag, g, rows, background) -> str:
         f"{float(g.x0)!r} {float(g.x1)!r} {float(g.y0)!r} {float(g.y1)!r} {g.nx} {g.ny}",
     ]
     lines.extend(texts[k] for k in group.tolist())
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, so the text is joined once
+    return "\n".join(lines)
 
 
 def _parse_grid(text, tag, per_node, noun):
@@ -506,7 +522,7 @@ def _face_bumps(arr: Arrangement, omega: Density):
     for face in arr.bounded_faces:
         rx, ry = face.rep_point
         # > 0: _assign_labels keeps only points strictly off the boundary
-        eps = 0.5 * face.boundary_distance(np.array([rx, ry]))
+        eps = 0.5 * face.clearance
         wx, wy = _node_window(xs, rx, eps), _node_window(ys, ry, eps)
         r2 = ((xs[wx, None] - rx) ** 2 + (ys[None, wy] - ry) ** 2) / (eps * eps)
         bumps.append(((wx, wy), _mollifier(r2)))
@@ -579,7 +595,8 @@ def realize_area_vector(
 
     if np.any(out <= 0):
         raise RealizationError("realized density lost positivity")
-    result = make_density(base.x0, base.x1, base.y0, base.y1, out)
+    box = infer_support_box(base.x0, base.x1, base.y0, base.y1, *out.shape, out)
+    result = Density(base.x0, base.x1, base.y0, base.y1, *out.shape, _Owned(out), box)
     achieved = integrate(result.values)
     if np.max(np.abs(achieved - target)) > 1e-9 * scale:
         if leaking:

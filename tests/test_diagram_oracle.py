@@ -454,6 +454,17 @@ def test_forest_work_grows_linearly(name, monkeypatch):
         assert (reads, applied, found.order) == expected(k), k
 
 
+def test_flower_of_crossing_petals_work_grows_quadratically(monkeypatch):
+    # from k = 13 neighbouring petal centres are 2 sin(pi / k) < 0.5
+    # apart, so each petal crosses its two neighbours (V = 4k, not 2k)
+    # and GROWTH's flower count no longer holds. These chunk reads are
+    # counted, not derived: the step from k to k + 1 grows by 12 each
+    # time. Pair map applications and |G| keep the flower's k(k + 3) and k
+    for k in range(13, 25):
+        reads, applied, found = count_work(monkeypatch, flower_curve(k), cap=k * (k + 3))
+        assert (reads, applied, found.order) == (6 * k * k - 11 * k + 109, k * (k + 3), k), k
+
+
 def test_golden_codes_agree_with_whole_search():
     # rings12 and flower12 are left out: the whole-diagram search reads
     # every order of the rings, and of the petals, which takes minutes

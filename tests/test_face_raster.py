@@ -8,6 +8,7 @@ closely: face integrals feed density files whose bytes must not move.
 
 from __future__ import annotations
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,16 +16,19 @@ import oracles
 import pytest
 from conftest import (
     circle_curve,
+    circles_row,
     gerono_curve,
     holed_curve,
     trefoil_curve,
 )
 
 from symplane.arrangement import Face, _face_raster, build_arrangement, integrate_density_over_faces
-from symplane.errors import InconsistencyError
+from symplane.curves import ClosedCurve, load_curve
+from symplane.errors import FormatError, GenericityError, InconsistencyError, ValidationError
 from symplane.geometry import point_segment_distance, winding_numbers
 
 GRIDS = (64, 193, 256)
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def random_density(arr, n, rng, inflate=0.1):
@@ -56,6 +60,21 @@ def test_integrals_match_per_face_winding_oracle(arrangements, n):
         new = integrate_density_over_faces(arr, d)
         old = oracles.integrate_density_over_faces(arr, d)
         assert np.array_equal(new, old)
+        assert new.tobytes() == oracles.face_integrator(arr, d)(d.values).tobytes()
+
+
+def test_integrals_match_both_oracles_on_a_non_square_grid(arrangements):
+    # nx != ny: the corner gathers step by ny nodes per cell column
+    rng = np.random.default_rng(97)
+    for k, arr in enumerate(arrangements):
+        if k >= 4 and k % 3:
+            continue
+        x0, x1, y0, y1 = arr.curve.bbox()
+        d = SimpleNamespace(x0=x0 - 0.1, x1=x1 + 0.3, y0=y0 - 0.2, y1=y1 + 0.1, nx=97, ny=61,
+                            values=rng.uniform(0.1, 3.0, size=(97, 61)))
+        new = integrate_density_over_faces(arr, d)
+        assert new.tobytes() == oracles.integrate_density_over_faces(arr, d).tobytes()
+        assert new.tobytes() == oracles.face_integrator(arr, d)(d.values).tobytes()
 
 
 def test_raster_agrees_with_face_contains(arrangements):
@@ -151,11 +170,52 @@ def test_boundary_distance_matches_per_segment_oracle(arrangements):
                 assert face.boundary_distance(p) == oracles.boundary_distance(face, p)
 
 
+def golden_arrangements():
+    """Arrangements of the golden corpus's curve inputs that build."""
+    out = []
+    for path in sorted(GOLDEN_INPUTS.glob("*.curve")):
+        try:
+            out.append(build_arrangement(load_curve(path)))
+        except (FormatError, GenericityError, ValidationError):
+            continue
+    return out
+
+
+def test_clearance_is_the_boundary_distance_of_the_label_point(arrangements):
+    # an annulus's centroid is its hole's centre, so its label point comes
+    # from the offset search, as do the golden holed curves' and rings'
+    annuli = [build_arrangement(ClosedCurve(circle_curve(n=n).loops
+                                            + circle_curve(n=n, radius=radius).loops))
+              for n, radius in ((512, 0.95), (128, 0.5))]
+    searched = []
+    for arr in [*arrangements, *annuli, *golden_arrangements()]:
+        for face in arr.bounded_faces:
+            assert face.clearance.hex() == face.boundary_distance(face.rep_point).hex()
+            searched.append(face.rep_point is not face.centroid)
+    assert sum(searched) >= len(annuli) + 13
+
+
 def test_boundary_distance_of_zero_length_segment():
     closed = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     face = Face(index=0, edges=(closed[:-1], closed[1:]), area=2.0, is_outer=False, centroid=None)
     for p in ([-3.0, -4.0], [0.5, 0.5], [1.0, -1.0]):
         assert face.boundary_distance(p) == oracles.boundary_distance(face, p)
+
+
+def test_raster_holds_labels_past_a_signed_byte():
+    # 130 disjoint circles: labels up to 130 overflow an int8, so the
+    # raster's type comes from its bound, not from the common case
+    arr = build_arrangement(circles_row(130))
+    x0, x1, y0, y1 = arr.curve.bbox()
+    d = SimpleNamespace(x0=x0 - 0.5, x1=x1 + 0.5, y0=y0 - 0.5, y1=y1 + 0.5, nx=1041, ny=9)
+    cx, cy = cell_centers(d)
+    lab = _face_raster(arr, cx, cy)
+    for face in arr.bounded_faces:
+        # the cell whose center is nearest the label point lies well inside
+        i = np.argmin(np.abs(cx - face.rep_point[0]))
+        k = np.argmin(np.abs(cy - face.rep_point[1]))
+        assert lab[i, k] == face.label
+    assert arr.r == 130 and lab.max() == 130
 
 
 def test_raster_rejects_corrupted_face_assignment():

@@ -694,7 +694,8 @@ def test_realize_builds_one_face_raster(monkeypatch, trefoil512):
 
 
 def full_grid_cell_passes(monkeypatch, curve, n):
-    """Cell-average passes over the whole n^2 grid in one realization."""
+    """Cell-average passes over the whole n^2 grid in one realization, and
+    all cell-average passes."""
     arr = build_arrangement(curve)
     shapes = []
     means = arrangement._cell_means
@@ -710,11 +711,13 @@ def full_grid_cell_passes(monkeypatch, curve, n):
 
 
 def test_realize_cell_passes_do_not_grow_with_face_count(monkeypatch):
-    # the base and the result are integrated in full; each bump only on its window
+    # each bump's cells are averaged on its window only; the base and the
+    # result are summed face by face from corner gathers, with no
+    # full-grid array of cell means
     one = full_grid_cell_passes(monkeypatch, circle_curve(n=128), 128)
     twelve = full_grid_cell_passes(monkeypatch, eights_row(6), 128)
-    assert one == (2, 2 + 1)
-    assert twelve == (2, 2 + 12)
+    assert one == (0, 1)
+    assert twelve == (0, 12)
 
 
 def realize_peak(curve, n):
@@ -727,6 +730,15 @@ def realize_peak(curve, n):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_realize_peak_per_node_stays_below_a_full_grid_temporary(trefoil512):
+    # base, output and the integrator's window buffer are 8 bytes a node
+    # each, its corner indices and labels about 5 more; one more float
+    # array over the whole grid would pass the bound
+    n = 512
+    per_node = realize_peak(trefoil512, n) / (n * n)
+    assert per_node < 33.0, per_node
 
 
 def test_realize_memory_does_not_grow_with_face_count():

@@ -8,7 +8,8 @@ full-grid bump per face and integrates through a fresh face raster
 each time. The face integrals it returns with the density must equal,
 bit for bit, a separate `integrate_density_over_faces` of that density. Each bump's mass and leak test, read on its window by the
 integrator's `on_window`, must equal `oracles.bump_masses`, which runs
-the whole-grid integrator once per bump.
+the whole-grid integrator once per bump, and the `on_window` of
+`oracles.face_integrator`, which keeps a cell-shaped window buffer.
 """
 
 from __future__ import annotations
@@ -141,12 +142,15 @@ def test_window_masses_match_full_grid_loop(realize_arrangements, n):
         for base in (unit, varied):
             bumps = _face_bumps(arr, base)
             integrate = face_integrator(arr, base)
+            full_pass = oracles.face_integrator(arr, base)
             for base_scale in (1.0, 0.2):
                 values = np.array(base.values)
                 for win, bump in bumps:
                     values[win] = values[win] * (1.0 - (1.0 - base_scale) * bump)
                 new, old = window_and_full_grid(integrate, values, bumps)
                 assert new == old
+                assert new == hexed(full_pass.on_window(bump * values[win], win, j)
+                                    for j, (win, bump) in enumerate(bumps))
                 leaks += [leak for _, leak in new]
     # the leaking petal's face 1 bump reaches another face on the 256^2 grid
     assert any(leaks) == (n == 256)
