@@ -170,11 +170,6 @@ def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:
     return face_integrator(arr, density)(density.values)
 
 
-def _cell_means(vals):
-    """Mean of the four corner nodes of each cell; vals has shape (nx, ny), x first."""
-    return 0.25 * (vals[:-1, :-1] + vals[1:, :-1] + vals[:-1, 1:] + vals[1:, 1:])
-
-
 def face_integrator(arr: Arrangement, grid):
     """Map node values on `grid` to their integrals over each bounded face.
 
@@ -183,18 +178,20 @@ def face_integrator(arr: Arrangement, grid):
     center lies in the face. Which face each center lies in is read from
     one face raster of the grid (see _face_raster), built once here,
     which keeps each face's cells as the flat indices of their lower
-    left nodes. The full pass gathers a face's four corner nodes at
-    those indices and offsets (+ny, +1, +ny + 1), so it makes no array
-    larger than the face and sums exactly the cell means _cell_means
-    would give, in flat cell order. The grid (x0, x1, y0, y1, nx, ny)
-    must cover the curve's bounding box so that no bounded face leaks
+    left nodes. One face sum serves every call: it gathers the face's
+    four corner nodes at those indices and offsets (+ny, +1, +ny + 1),
+    so it makes no array larger than the face, and adds each cell's
+    mean in flat cell order. The grid (x0, x1, y0, y1, nx, ny) must
+    cover the curve's bounding box so that no bounded face leaks
     outside it.
 
     The returned function's `on_window(vals, window, j)` weighs node
     values that are `vals` on the node window (wx, wy) and 0 elsewhere,
-    finite and >= 0, at the cost of the window and face j's cells. It
-    returns face j's integral, bit for bit what the full-grid pass gives,
-    and whether any other bounded face's integral is > 0.
+    finite and >= 0. It writes them into a node buffer that is zero
+    elsewhere and sums face j there, and every other face with a cell
+    in reach of the window. It returns face j's integral, bit for bit
+    what the full-grid pass gives, and whether any other bounded face's
+    integral is > 0.
     """
     x0, x1, y0, y1 = grid.x0, grid.x1, grid.y0, grid.y1
     cx0, cx1, cy0, cy1 = arr.curve.bbox()
@@ -213,48 +210,35 @@ def face_integrator(arr: Arrangement, grid):
     # cell (i, k) is flat cell i * (ny - 1) + k and has lower left node i * ny + k
     corners = [c + c // (ny - 1) for c in (np.flatnonzero(lab == j) for j in range(1, arr.r + 1))]
 
-    def total(means):
+    def face_sum(flat, j):
+        # ((v00 + v10) + v01) + v11, then x 0.25: each cell's mean
+        at = corners[j]
+        means = flat.take(at)
+        means += flat[ny:].take(at)
+        means += flat[1:].take(at)
+        means += flat[ny + 1:].take(at)
+        means *= 0.25
         return float(np.sum(means) * hx * hy)
-
-    def face_sum(flat_vals, j):
-        return total(flat_vals[corners[j]])
 
     def integrate(vals) -> np.ndarray:
         flat = np.ravel(vals)
-        out = np.empty(arr.r)
-        for j, at in enumerate(corners):
-            # ((v00 + v10) + v01) + v11, then x 0.25, as _cell_means adds them
-            means = flat.take(at)
-            means += flat[ny:].take(at)
-            means += flat[1:].take(at)
-            means += flat[ny + 1:].take(at)
-            means *= 0.25
-            out[j] = total(means)
-        return out
+        return np.array([face_sum(flat, j) for j in range(arr.r)])
 
-    # node-shaped, so face_sum reads it at the corner indices; the cell
-    # means sit at their lower left nodes, and every entry is +0.0
-    # between on_window calls
-    flat_cells = np.zeros(nx * ny)
-    cell_vals = flat_cells.reshape(nx, ny)
+    flat_nodes = np.zeros(nx * ny)  # +0.0 between on_window calls
+    nodes = flat_nodes.reshape(nx, ny)
 
     def on_window(vals, window, j):
         wx, wy = window
-        # the cells with a corner node in the window; every other cell
-        # averages four zero nodes, so it holds +0.0 as in the full pass,
-        # and face j's sum gathers the same values in the same order
+        nodes[wx, wy] = vals
+        mass = face_sum(flat_nodes, j)
+        # only the cells with a corner node in the window can be > 0, and
+        # a face with no such cell sums to +0.0, so summing every face with
+        # a cell there gives the full pass's flags, underflow included
         cx = slice(max(wx.start - 1, 0), min(wx.stop, nx - 1))
         cy = slice(max(wy.start - 1, 0), min(wy.stop, ny - 1))
-        margins = ((wx.start - cx.start, cx.stop + 1 - wx.stop),
-                   (wy.start - cy.start, cy.stop + 1 - wy.stop))
-        cell_vals[cx, cy] = _cell_means(np.pad(vals, margins))
-        mass = face_sum(flat_cells, j)
-        # cells are finite and >= 0, so a face's cell sum is > 0 iff one of
-        # its cells is, and only window cells can be; the product with the
-        # cell area may still underflow, so such a face is summed in full
-        near = np.unique(labels[cx, cy][cell_vals[cx, cy] > 0])
-        leaks = any(face_sum(flat_cells, k - 1) > 0 for k in near.tolist() if k not in (0, j + 1))
-        cell_vals[cx, cy] = 0.0
+        near = np.unique(labels[cx, cy])
+        leaks = any(face_sum(flat_nodes, k - 1) > 0 for k in near.tolist() if k not in (0, j + 1))
+        nodes[wx, wy] = 0.0
         return mass, leaks
 
     integrate.on_window = on_window

@@ -38,7 +38,7 @@ UNIT_SNAP = 1e-12
 FEASIBILITY_TOL = 1e-6
 # largest node count of any grid, checked before a node array exists:
 # realize_area_vector peaks near 29 bytes a node under tracemalloc (a
-# trefoil at 1024^2: base, output and window buffer at 8 each, face
+# trefoil at 1024^2: base, output and node buffer at 8 each, face
 # labels and corner indices), so 4096^2 nodes need about 0.5 GB; the
 # CLI's density file text comes on top
 MAX_GRID_NODES = 4096 * 4096

@@ -482,11 +482,17 @@ def integrate_density_over_faces(arr: Arrangement, density) -> np.ndarray:
     return out
 
 
+def _cell_means(vals):
+    """Mean of the four corner nodes of each cell; vals has shape (nx, ny), x first."""
+    return 0.25 * (vals[:-1, :-1] + vals[1:, :-1] + vals[:-1, 1:] + vals[1:, 1:])
+
+
 def face_integrator(arr: Arrangement, grid):
     """The full-pass `arrangement.face_integrator`: one full-grid array of
     cell means per call, summed at each face's flat cell indices.
 
-    Its `on_window` keeps a cell-shaped buffer of the window's means.
+    Its `on_window` keeps a cell-shaped buffer of the cell means of the
+    zero-padded window, and sums the other faces with a positive cell.
     """
     x0, x1, y0, y1 = grid.x0, grid.x1, grid.y0, grid.y1
     cx0, cx1, cy0, cy1 = arr.curve.bbox()
@@ -508,7 +514,7 @@ def face_integrator(arr: Arrangement, grid):
         return float(np.sum(flat_vals[cells[j]]) * hx * hy)
 
     def integrate(vals) -> np.ndarray:
-        flat_vals = arrangement._cell_means(vals).ravel()
+        flat_vals = _cell_means(vals).ravel()
         return np.array([face_sum(flat_vals, j) for j in range(arr.r)])
 
     flat_cells = np.zeros((nx - 1) * (ny - 1))  # +0.0 between on_window calls
@@ -523,7 +529,7 @@ def face_integrator(arr: Arrangement, grid):
         cy = slice(max(wy.start - 1, 0), min(wy.stop, ny - 1))
         margins = ((wx.start - cx.start, cx.stop + 1 - wx.stop),
                    (wy.start - cy.start, cy.stop + 1 - wy.stop))
-        cell_vals[cx, cy] = arrangement._cell_means(np.pad(vals, margins))
+        cell_vals[cx, cy] = _cell_means(np.pad(vals, margins))
         mass = face_sum(flat_cells, j)
         # cells are finite and >= 0, so a face's cell sum is > 0 iff one of
         # its cells is, and only window cells can be; the product with the

@@ -693,31 +693,40 @@ def test_realize_builds_one_face_raster(monkeypatch, trefoil512):
     assert len(calls) == 1
 
 
-def full_grid_cell_passes(monkeypatch, curve, n):
-    """Cell-average passes over the whole n^2 grid in one realization, and
-    all cell-average passes."""
+def integrator_passes(monkeypatch, curve, n):
+    """Full-grid passes and windowed calls of the face integrator in one
+    realization."""
     arr = build_arrangement(curve)
-    shapes = []
-    means = arrangement._cell_means
+    counts = [0, 0]
+    made = arrangement.face_integrator
 
-    def spied(vals):
-        shapes.append(vals.shape)
-        return means(vals)
+    def counted(*args):
+        integrate = made(*args)
 
-    monkeypatch.setattr(arrangement, "_cell_means", spied)
+        def full_pass(vals):
+            counts[0] += 1
+            return integrate(vals)
+
+        def on_window(*window_args):
+            counts[1] += 1
+            return integrate.on_window(*window_args)
+
+        full_pass.on_window = on_window
+        return full_pass
+
+    monkeypatch.setattr(forms, "face_integrator", counted)
     realize_area_vector(arr, 2.0 * face_areas(arr) + 1.0, base_scale=0.5, grid_n=n)
     monkeypatch.undo()
-    return shapes.count((n, n)), len(shapes)
+    return tuple(counts)
 
 
 def test_realize_cell_passes_do_not_grow_with_face_count(monkeypatch):
-    # each bump's cells are averaged on its window only; the base and the
-    # result are summed face by face from corner gathers, with no
-    # full-grid array of cell means
-    one = full_grid_cell_passes(monkeypatch, circle_curve(n=128), 128)
-    twelve = full_grid_cell_passes(monkeypatch, eights_row(6), 128)
-    assert one == (0, 1)
-    assert twelve == (0, 12)
+    # the base and the result are summed over the whole grid; each bump
+    # is weighed on its window only, one windowed call per face
+    one = integrator_passes(monkeypatch, circle_curve(n=128), 128)
+    twelve = integrator_passes(monkeypatch, eights_row(6), 128)
+    assert one == (2, 1)
+    assert twelve == (2, 12)
 
 
 def realize_peak(curve, n):
@@ -733,7 +742,7 @@ def realize_peak(curve, n):
 
 
 def test_realize_peak_per_node_stays_below_a_full_grid_temporary(trefoil512):
-    # base, output and the integrator's window buffer are 8 bytes a node
+    # base, output and the integrator's node buffer are 8 bytes a node
     # each, its corner indices and labels about 5 more; one more float
     # array over the whole grid would pass the bound
     n = 512

@@ -27,7 +27,6 @@ from conftest import (
     trefoil_curve,
 )
 
-from symplane import arrangement
 from symplane.arrangement import (
     build_arrangement,
     face_areas,
@@ -41,6 +40,7 @@ from symplane.forms import (
     density_for_curve,
     make_density,
     realize_area_vector,
+    unit_density,
 )
 
 GRIDS = (64, 193, 256)
@@ -131,14 +131,26 @@ def window_and_full_grid(integrate, values, bumps):
     return hexed(new), hexed(oracles.bump_masses(integrate, values, bumps))
 
 
-@pytest.mark.parametrize("n", GRIDS)
-def test_window_masses_match_full_grid_loop(realize_arrangements, n):
-    rng = np.random.default_rng(n)
-    leaks = []
+def unit_on(arr, nx, ny):
+    """The unit density on a square grid over the curve's inflated box, or
+    on test_face_raster's non-square grid, whose margins differ per side."""
+    if nx == ny:
+        return density_for_curve(arr.curve, n=nx)
+    x0, x1, y0, y1 = arr.curve.bbox()
+    return unit_density(x0 - 0.1, x1 + 0.3, y0 - 0.2, y1 + 0.1, nx, ny)
+
+
+@pytest.mark.parametrize("nx, ny", [(n, n) for n in GRIDS] + [(97, 61)],
+                         ids=[str(n) for n in GRIDS] + ["97x61"])
+def test_window_masses_match_full_grid_loop(realize_arrangements, nx, ny):
+    # nx != ny: a window's cell range reaches nx - 1 cells along x and
+    # ny - 1 along y
+    rng = np.random.default_rng(nx)
+    leaks, reach = [], []
     for arr in realize_arrangements:
-        unit = density_for_curve(arr.curve, n=n)
+        unit = unit_on(arr, nx, ny)
         varied = make_density(unit.x0, unit.x1, unit.y0, unit.y1,
-                              rng.uniform(0.5, 2.0, size=(n, n)))
+                              rng.uniform(0.5, 2.0, size=(nx, ny)))
         for base in (unit, varied):
             bumps = _face_bumps(arr, base)
             integrate = face_integrator(arr, base)
@@ -152,8 +164,17 @@ def test_window_masses_match_full_grid_loop(realize_arrangements, n):
                 assert new == hexed(full_pass.on_window(bump * values[win], win, j)
                                     for j, (win, bump) in enumerate(bumps))
                 leaks += [leak for _, leak in new]
+            # the far third of the grid along x, then along y, weighed for
+            # every face: it reaches the cells of faces there
+            for far in ((slice(nx - nx // 3, nx), slice(0, ny)),
+                        (slice(0, nx), slice(ny - ny // 3, ny))):
+                filled = [(far, np.ones(base.values[far].shape))] * arr.r
+                new, old = window_and_full_grid(integrate, base.values, filled)
+                assert new == old
+                reach += [leak for _, leak in new]
+    assert any(reach)
     # the leaking petal's face 1 bump reaches another face on the 256^2 grid
-    assert any(leaks) == (n == 256)
+    assert any(leaks) == (nx == ny == 256)
 
 
 def test_window_masses_at_the_grid_edge_and_on_underflow():
@@ -185,7 +206,7 @@ def test_window_masses_at_the_grid_edge_and_on_underflow():
     tiny[1, 1] = 2e-323
     nodes = np.zeros((n, n))
     nodes[win] = tiny
-    assert np.any(arrangement._cell_means(nodes) > 0)
+    assert np.any(oracles._cell_means(nodes) > 0)
     new, old = window_and_full_grid(integrate, ones, [(win, tiny)] * arr.r)
     assert new == old == [(0.0.hex(), False)] * arr.r
     # scaled up, the same node weighs on face 2 alone
