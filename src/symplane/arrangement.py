@@ -181,9 +181,9 @@ def face_integrator(arr: Arrangement, grid):
     left nodes. One face sum serves every call: it gathers the face's
     four corner nodes at those indices and offsets (+ny, +1, +ny + 1),
     so it makes no array larger than the face, and adds each cell's
-    mean in flat cell order. The grid (x0, x1, y0, y1, nx, ny) must
-    cover the curve's bounding box so that no bounded face leaks
-    outside it.
+    mean in flat cell order. The grid (x0, x1, y0, y1, nx, ny), whose
+    node coordinates are its xs and ys, must cover the curve's bounding
+    box so that no bounded face leaks outside it.
 
     The returned function's `on_window(vals, window, j)` weighs node
     values that are `vals` on the node window (wx, wy) and 0 elsewhere,
@@ -198,8 +198,7 @@ def face_integrator(arr: Arrangement, grid):
     if not (x0 <= cx0 and x1 >= cx1 and y0 <= cy0 and y1 >= cy1):
         raise ValidationError("density grid does not cover the curve bounding box")
     nx, ny = grid.nx, grid.ny
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
+    xs, ys = grid.xs, grid.ys
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     centers_x = xs[:-1] + 0.5 * hx

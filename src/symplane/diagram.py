@@ -196,12 +196,18 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     one), and |G| is known from the search: the product of each
     component's tie count and m! for each run of m equal siblings. It is
     checked against MAX_GROUP_ORDER (ValidationError above it) before any
-    element exists; then G is listed from the generators in whole cosets
-    of one permutation array (Dimino's algorithm) and must have that
-    order. The same coset routine then picks the greedy generators of the
-    sorted rows and checks that they form a group.
+    element exists. Each generator is a pair map that holds only the
+    loops its two readings hold, so k - 1 swaps of k disjoint circles
+    hold 2(k - 1) entries, and it is checked one way: its image of the
+    canonical reading must read the canonical serial (InconsistencyError
+    otherwise), and the two readings' label maps give its face and
+    crossing permutations. Then G is listed from the generators in whole
+    cosets of one permutation array (Dimino's algorithm) and must have
+    that order. The same coset routine then picks the greedy generators
+    of the sorted rows and checks that they form a group.
     """
-    return _group(arr, _minimal_readings(gauss_code(arr)))
+    gc = gauss_code(arr)
+    return _group(arr, gc, _minimal_readings(gc))
 
 
 def perm_cycles(perm: tuple[int, ...]) -> str:
@@ -265,24 +271,31 @@ def _chunk(gc: GaussCode, loop, rot, vert_label, first_strand, face_label) -> st
 
 
 class Readings(NamedTuple):
-    """What the reading search finds (see `_minimal_readings`)."""
+    """What the reading search finds (see `_minimal_readings`): the
+    canonical serial, the canonical reading as (loop, basepoint) pairs
+    with its label maps, the pair maps that generate G, and |G|. A pair
+    map {loop: (image loop, shift)} holds the loops its readings hold and
+    fixes every other loop; `_group` reads each one's image of the
+    canonical reading to check it and to list G."""
 
     serial: str
-    first: tuple[dict, dict]  # (faces, verts) of the canonical reading, the first minimal one
-    automorphisms: tuple  # pair maps (perm, shift) that generate G
+    reading: tuple  # (loop, basepoint) pairs of the canonical reading, the first minimal one
+    first: tuple[dict, dict]  # its (faces, verts) label maps
+    automorphisms: tuple  # pair maps {loop: (image loop, shift)} that generate G
     order: int  # |G|
 
 
 def _minimal_readings(gc: GaussCode) -> Readings:
-    """The canonical serial, the canonical reading's (faces, verts) label
-    maps, and diagram automorphisms that generate G; the canonical reading
-    is the first minimal reading in (loop order, rotations) order.
+    """The canonical serial, the canonical reading with its (faces, verts)
+    label maps, and diagram automorphisms that generate G; the canonical
+    reading is the first minimal reading in (loop order, rotations) order.
 
     A reading lists (loop, basepoint) pairs; its serial is the header
     n{V}f{F}o{outer}| followed by the loop chunks joined by |. An
-    automorphism is kept as a pair map (perm, shift): it sends pair
-    (l, r) to (perm[l], r + shift[l]), and so each reading to one with the
-    same serial.
+    automorphism is kept as a pair map {l: (l', s)} over the loops its
+    two readings hold: it sends pair (l, r) to (l', r + s), every other
+    loop's pairs to themselves, and so each reading to one with the same
+    serial.
 
     Each component is searched once over its own loops (`_search`), with
     its host face as outer face, loop after crossing loop from a first
@@ -321,8 +334,8 @@ def _minimal_readings(gc: GaussCode) -> Readings:
         # one loop: every leaf is read in key order, so the reference is the
         # first minimal reading and each later minimal leaf one automorphism;
         # the forest's bookkeeping below would double or triple its time
-        serial, _, reading, auts = _search(gc, (0,), gc.outer_face, mods)
-        return Readings(serial, reading, tuple(auts), 1 + len(auts))
+        serial, pairs, maps, auts = _search(gc, (0,), gc.outer_face, mods)
+        return Readings(serial, pairs, maps, tuple(auts), 1 + len(auts))
     loops_of = [[] for _ in gc.hosts]
     for loop, comp in enumerate(gc.components):
         loops_of[comp].append(loop)
@@ -379,10 +392,11 @@ def _minimal_readings(gc: GaussCode) -> Readings:
                                    for f, codes in zip(own[c], best) if codes)
     for members in hosted.values():
         order *= swaps(members)
-    serial, faces, verts = _read(gc, arranged(hosted[gc.outer_face]))
+    pairs = arranged(hosted[gc.outer_face])
+    serial, faces, verts = _read(gc, pairs)
     if len(gc.hosts) == 1 and serial != found[0][0]:
         raise InconsistencyError("first minimal reading does not read its search's serial")
-    return Readings(serial, (faces, verts), tuple(gens), order)
+    return Readings(serial, pairs, (faces, verts), tuple(gens), order)
 
 
 def _search(gc: GaussCode, loops, outer, mods):
@@ -477,51 +491,49 @@ def _read(gc: GaussCode, pairs):
 
 def _pair_map(src, dst, mods):
     """The pair map that carries the (loop, basepoint) pairs of src to
-    those of dst, in turn: loop a -> b, rotation r -> r + rot_b - rot_a;
-    the identity on every loop src does not hold."""
-    perm, shift = list(range(len(mods))), [0] * len(mods)
-    for (loop_a, rot_a), (loop_b, rot_b) in zip(src, dst):
-        perm[loop_a] = loop_b
-        shift[loop_a] = (rot_b - rot_a) % mods[loop_a]
-    return tuple(perm), tuple(shift)
-
-
-def _identity(mods):
-    return tuple(range(len(mods))), (0,) * len(mods)
+    those of dst, in turn, as {a: (b, rot_b - rot_a)} over the loops src
+    holds: loop a -> b, rotation r -> r + rot_b - rot_a. Every other loop
+    maps to itself at its own basepoints, so a map holds only the loops
+    its readings do."""
+    return {loop_a: (loop_b, (rot_b - rot_a) % mods[loop_a])
+            for (loop_a, rot_a), (loop_b, rot_b) in zip(src, dst)}
 
 
 def _face_map(gc: GaussCode, g, loops):
     """Where pair map g sends each face that the given loops touch."""
-    perm, shift = g
     out = {}
     for loop in loops:
-        arcs, image = gc.arcs[loop], gc.arcs[perm[loop]]
+        image, shift = g.get(loop, (loop, 0))
+        arcs, image_arcs = gc.arcs[loop], gc.arcs[image]
         for a, (lf, rf) in enumerate(arcs):
-            out[lf], out[rf] = image[(a + shift[loop]) % len(image)]
+            out[lf], out[rf] = image_arcs[(a + shift) % len(image_arcs)]
     return out
 
 
 def _apply(g, pair, mods):
     loop, rot = pair
-    return g[0][loop], (rot + g[1][loop]) % mods[loop]
+    image, shift = g.get(loop, (loop, 0))
+    return image, (rot + shift) % mods[loop]
 
 
 def _compose(g, h, mods):
-    """g after h, on (loop, basepoint) pairs."""
-    perm, shift = h
-    return (tuple(g[0][p] for p in perm),
-            tuple((s + g[1][p]) % mods[p] for p, s in zip(perm, shift)))
+    """g after h, on (loop, basepoint) pairs, over the loops either holds."""
+    out = {}
+    for loop in dict.fromkeys(chain(h, g)):
+        mid, s = h.get(loop, (loop, 0))
+        image, t = g.get(mid, (mid, 0))
+        out[loop] = image, (s + t) % mods[loop]
+    return out
 
 
 def _orbit(points, gens, mods):
     """The pairs reachable from points under gens, each with a map of the
     group they generate that carries the first point of its orbit to it."""
-    ident = _identity(mods)
     reached = {}
     for point in points:
         if point in reached:
             continue
-        reached[point] = ident
+        reached[point] = {}
         frontier = [point]
         while frontier and gens:
             nxt = []
@@ -543,22 +555,24 @@ def _match(a: Arrangement, b: Arrangement, found_a: Readings, found_b: Readings)
     return _correspondence(a, b, *found_a.first, *found_b.first)
 
 
-def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
-    """G listed from the automorphisms found for arr (see `symmetry_group`).
+def _group(arr: Arrangement, gc: GaussCode, found: Readings) -> SymmetryGroup:
+    """G listed from the automorphisms found for arr, whose Gauss code is
+    gc (see `symmetry_group`).
 
     Its order is known before any element is listed; above
     MAX_GROUP_ORDER this raises ValidationError instead. Each element is
     one row, the face permutation followed by r + the vertex permutation,
-    so g after h is the gather g[h].
+    so g after h is the gather g[h]; the generators' rows come from
+    `_generator_rows`, which checks each one.
     """
     if found.order > MAX_GROUP_ORDER:
         raise ValidationError(
             f"symmetry group of {found.order} elements exceeds the budget of "
             f"{MAX_GROUP_ORDER} elements"
         )
-    r, n = arr.r, arr.r + len(arr.vertices)
-    autos = _automorphism_rows(arr, found.automorphisms)
-    rows, _ = _cosets(np.asarray(autos, dtype=np.intp).reshape(-1, n))
+    r = arr.r
+    rows, _ = _cosets(np.asarray(_generator_rows(arr, gc, found), dtype=np.intp)
+                      .reshape(-1, r + len(arr.vertices)))
     if len(rows) != found.order:
         raise InconsistencyError(
             f"automorphisms close to {len(rows)} elements, orbits give {found.order}"
@@ -570,44 +584,24 @@ def _group(arr: Arrangement, found: Readings) -> SymmetryGroup:
     return SymmetryGroup(rows[:, :r], rows[:, r:], generators)
 
 
-def _automorphism_rows(arr: Arrangement, maps):
-    """Pair maps as element rows of `_group`: under (perm, shift), arc j
-    of loop l goes to arc j + shift[l] of loop perm[l], taking the faces
-    on its two sides and the crossing it starts at along. A map that
-    sends a face or a crossing to two places, a bounded face to the outer
-    one, or a passage to one whose crossing turns the other way is no
-    diagram automorphism and raises InconsistencyError."""
-    r = arr.r
-    # per loop and passage: the sign of its crossing seen from its strand
-    turns = [[_turn(arr.vertices[v], loop, t) for t, v in per]
-             for loop, per in enumerate(arr.passages)]
+def _generator_rows(arr: Arrangement, gc: GaussCode, found: Readings):
+    """The automorphisms found, as element rows of `_group`.
+
+    Each pair map carries the canonical reading to an image reading, read
+    in full; two readings of one serial differ by a diagram automorphism
+    (Weinberg 1966), whose face and crossing bijections `_correspondence`
+    takes from their label maps. An image that reads another serial is
+    no diagram automorphism and raises InconsistencyError.
+    """
+    mods = [max(1, len(occ)) for occ in gc.occ]
     rows = []
-    for perm, shift in maps:
-        row = [-1] * (r + len(arr.vertices))
-        for loop, arcs in enumerate(arr.loop_arcs):
-            image, passages = arr.loop_arcs[perm[loop]], arr.passages[perm[loop]]
-            for j, he in enumerate(arcs):
-                k = (j + shift[loop]) % len(image)
-                for x, y in ((he, image[k]),
-                             (arr.half_edges[he].twin, arr.half_edges[image[k]].twin)):
-                    fa, fb = arr.faces[arr.half_edges[x].face], arr.faces[arr.half_edges[y].face]
-                    if fa.is_outer != fb.is_outer or (
-                            not fa.is_outer and row[fa.label - 1] not in (-1, fb.label - 1)):
-                        raise InconsistencyError("pair map is not a diagram automorphism")
-                    if not fa.is_outer:
-                        row[fa.label - 1] = fb.label - 1
-                if passages:
-                    v, w = r + arr.passages[loop][j][1], r + passages[k][1]
-                    if row[v] not in (-1, w) or turns[loop][j] != turns[perm[loop]][k]:
-                        raise InconsistencyError("pair map is not a diagram automorphism")
-                    row[v] = w
-        rows.append(row)
+    for g in found.automorphisms:
+        serial, faces, verts = _read(gc, [_apply(g, p, mods) for p in found.reading])
+        if serial != found.serial:
+            raise InconsistencyError("pair map is not a diagram automorphism")
+        corr = _correspondence(arr, arr, *found.first, faces, verts)
+        rows.append([f - 1 for f in corr.faces] + [arr.r + v for v in corr.vertices])
     return rows
-
-
-def _turn(vertex, loop, t):
-    """The sign of a crossing seen from the strand of loop `loop` at t."""
-    return vertex.sign if vertex.branches[0] == (loop, t) else -vertex.sign
 
 
 def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert_b):

@@ -232,11 +232,12 @@ def symplectically_equivalent(
     """
     require_positive("tolerance", tol)
     # one enumeration of a's readings serves both the correspondence and G
-    minimal_a = _minimal_readings(gauss_code(a))
+    gc_a = gauss_code(a)
+    minimal_a = _minimal_readings(gc_a)
     corr = _match(a, b, minimal_a, _minimal_readings(gauss_code(b)))
     if corr is None:
         return Decision(Verdict.INCOMPARABLE, tol)
-    perms = _group(a, minimal_a).face_perms
+    perms = _group(a, gc_a, minimal_a).face_perms
     return _orbit_decision(a, b, corr, perms, tol, areas_a, areas_b)
 
 

@@ -9,12 +9,22 @@ here too, since both the module suite and the acceptance gate use it.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from symplane.arrangement import build_arrangement
 from symplane.curves import ClosedCurve, check_generic, resample
-from symplane.forms import Density, make_density
+from symplane.forms import Density, Grid, make_density
+
+
+def node_values(x0, x1, y0, y1, nx, ny, values):
+    """Values at the nodes of a grid, without a Density's checks: the
+    grid's fields and its node coordinates xs and ys as Grid makes them."""
+    grid = Grid(x0, x1, y0, y1, nx, ny)
+    return SimpleNamespace(x0=x0, x1=x1, y0=y0, y1=y1, nx=nx, ny=ny,
+                           xs=grid.xs, ys=grid.ys, values=values)
 
 
 def circle_curve(n=64, radius=1.0, center=(0.0, 0.0), phase=0.0, clockwise=False):

@@ -220,6 +220,23 @@ def _row_primitive(d: Density):
     return primitive
 
 
+def outside(grid, box):
+    """The `forms.Grid.outside` mask of the nodes outside the box
+    (bx0, bx1, by0, by1)."""
+    bx0, bx1, by0, by1 = box
+    x, y = grid.xs[:, None], grid.ys[None, :]
+    return (x < bx0) | (x > bx1) | (y < by0) | (y > by1)
+
+
+def support_defect(gm: GridMap, box) -> float:
+    """The original `forms.support_defect`, over the full-grid mask of the
+    nodes outside the box."""
+    mask = outside(gm, box)
+    if not np.any(mask):
+        return 0.0
+    return float(max(np.max(np.abs(gm.disp_x[mask])), np.max(np.abs(gm.disp_y[mask]))))
+
+
 def moser_row_map(f0: Density, f1: Density) -> np.ndarray:
     """disp_x of the exact time-1 map of the Moser row flow.
 
@@ -595,7 +612,7 @@ def realize_area_vector(
             values = values * (1.0 - (1.0 - base_scale) * prof)
     carved = SimpleNamespace(
         x0=base.x0, x1=base.x1, y0=base.y0, y1=base.y1,
-        nx=base.nx, ny=base.ny, values=values,
+        nx=base.nx, ny=base.ny, xs=base.xs, ys=base.ys, values=values,
     )
     current = integrate_density_over_faces(arr, carved)
 
@@ -614,7 +631,7 @@ def realize_area_vector(
     for j, (c, prof) in enumerate(zip(coeffs, profiles)):
         weighted = SimpleNamespace(
             x0=base.x0, x1=base.x1, y0=base.y0, y1=base.y1,
-            nx=base.nx, ny=base.ny, values=prof * values,
+            nx=base.nx, ny=base.ny, xs=base.xs, ys=base.ys, values=prof * values,
         )
         masses = integrate_density_over_faces(arr, weighted)
         mass = masses[j]
@@ -1191,9 +1208,10 @@ def _group(arr: Arrangement, found) -> SymmetryGroup:
     loops = tuple(range(len(gc.occ)))
     mods = [max(1, len(occ)) for occ in gc.occ]
     _, *reading = _read(gc, loops, (0,) * len(loops))
-    for perm, shift in found.automorphisms:
+    for g in found.automorphisms:
         # the pair map carries the identity reading to its image reading
-        _, *image = _read(gc, tuple(perm), tuple(s % m for s, m in zip(shift, mods)))
+        perm, shift = zip(*(g.get(loop, (loop, 0)) for loop in loops))
+        _, *image = _read(gc, perm, tuple(s % m for s, m in zip(shift, mods)))
         corr = _correspondence(arr, arr, *reading, *image)
         h = (tuple(f - 1 for f in corr.faces), corr.vertices)
         if h in elements:
@@ -1216,6 +1234,49 @@ def _group(arr: Arrangement, found) -> SymmetryGroup:
     elements = sorted(elements)
     generators = _checked_generators(elements)
     return _packaged(elements, generators)
+
+
+def automorphism_rows(arr: Arrangement, maps):
+    """The `diagram._automorphism_rows` that turned pair maps into element
+    rows of `diagram._group` by walking the arrangement's half-edges:
+    under pair map g, arc j of loop l goes to arc j + s of loop l' for
+    g.get(l, (l, 0)) = (l', s), taking the faces on its two sides and the
+    crossing it starts at along. A map that sends a face or a crossing to
+    two places, a bounded face to the outer one, or a passage to one whose
+    crossing turns the other way is no diagram automorphism and raises
+    InconsistencyError."""
+    r = arr.r
+    # per loop and passage: the sign of its crossing seen from its strand
+    turns = [[_turn(arr.vertices[v], loop, t) for t, v in per]
+             for loop, per in enumerate(arr.passages)]
+    rows = []
+    for g in maps:
+        perm, shift = zip(*(g.get(loop, (loop, 0)) for loop in range(len(arr.loop_arcs))))
+        row = [-1] * (r + len(arr.vertices))
+        for loop, arcs in enumerate(arr.loop_arcs):
+            image, passages = arr.loop_arcs[perm[loop]], arr.passages[perm[loop]]
+            for j, he in enumerate(arcs):
+                k = (j + shift[loop]) % len(image)
+                for x, y in ((he, image[k]),
+                             (arr.half_edges[he].twin, arr.half_edges[image[k]].twin)):
+                    fa, fb = arr.faces[arr.half_edges[x].face], arr.faces[arr.half_edges[y].face]
+                    if fa.is_outer != fb.is_outer or (
+                            not fa.is_outer and row[fa.label - 1] not in (-1, fb.label - 1)):
+                        raise InconsistencyError("pair map is not a diagram automorphism")
+                    if not fa.is_outer:
+                        row[fa.label - 1] = fb.label - 1
+                if passages:
+                    v, w = r + arr.passages[loop][j][1], r + passages[k][1]
+                    if row[v] not in (-1, w) or turns[loop][j] != turns[perm[loop]][k]:
+                        raise InconsistencyError("pair map is not a diagram automorphism")
+                    row[v] = w
+        rows.append(row)
+    return rows
+
+
+def _turn(vertex, loop, t):
+    """The sign of a crossing seen from the strand of loop `loop` at t."""
+    return vertex.sign if vertex.branches[0] == (loop, t) else -vertex.sign
 
 
 def _packaged(elements, generators) -> SymmetryGroup:

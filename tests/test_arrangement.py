@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from conftest import circle_curve, gerono_curve, generic_trig_loops, trefoil_curve
+from conftest import circle_curve, gerono_curve, generic_trig_loops, node_values, trefoil_curve
 
 from symplane.arrangement import (
     build_arrangement,
@@ -22,15 +20,7 @@ def uniform_density(curve, value=1.0, n=256, inflate=0.25):
     x0, x1, y0, y1 = curve.bbox()
     px = inflate * (x1 - x0)
     py = inflate * (y1 - y0)
-    return SimpleNamespace(
-        x0=x0 - px,
-        x1=x1 + px,
-        y0=y0 - py,
-        y1=y1 + py,
-        nx=n,
-        ny=n,
-        values=np.full((n, n), float(value)),
-    )
+    return node_values(x0 - px, x1 + px, y0 - py, y1 + py, n, n, np.full((n, n), float(value)))
 
 
 def test_circle_single_face_area_pi(circle512):

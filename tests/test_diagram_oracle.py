@@ -49,9 +49,9 @@ from symplane.arrangement import build_arrangement, face_areas
 from symplane.curves import ClosedCurve, load_curve, transform_curve
 from symplane.diagram import (
     MAX_GROUP_ORDER,
-    _automorphism_rows,
     _checked_generators,
     _correspondence,
+    _generator_rows,
     _group,
     _minimal_readings,
     canonical_code,
@@ -212,7 +212,7 @@ def test_checked_generators_rejects_a_row_that_is_no_permutation(trefoil_rows):
 def assert_group_matches_closure(arr, found):
     """`_group` equals the tuple closure it replaced, field for field, and
     holds integer arrays."""
-    group = _group(arr, found)
+    group = _group(arr, gauss_code(arr), found)
     assert_same_group(group, oracles._group(arr, found))
     return group
 
@@ -419,25 +419,29 @@ def trefoils_row(k):
     return ClosedCurve(tuple(np.roll(loop, 17 * i, axis=0) + (7.0 * i, 0.0) for i in range(k)))
 
 
-GROWTH = {  # curve of k; chunk reads, pair map applications and |G| at k
-    # each figure-eight is searched at its two basepoints, then read once
-    "eights": (eights_row, lambda k: (3 * k, k, math.factorial(k))),
+GROWTH = {  # curve of k; chunk reads, pair map applications, |G| and pair map entries at k
+    # each figure-eight is searched at its two basepoints, then read once;
+    # k - 1 swaps of neighbours hold two loops each
+    "eights": (eights_row, lambda k: (3 * k, k, math.factorial(k), 2 * (k - 1))),
     # a crossing-free loop has one basepoint
-    "circles": (circles_row, lambda k: (2 * k, k, math.factorial(k))),
-    "nested-rings": (lambda k: nested_rings(k), lambda k: (2 * k, k, 1)),
+    "circles": (circles_row, lambda k: (2 * k, k, math.factorial(k), 2 * (k - 1))),
+    "nested-rings": (lambda k: nested_rings(k), lambda k: (2 * k, k, 1, 0)),
     "ring-of-discs": (lambda k: ring_of_discs(k, disc=0.2),
-                      lambda k: (2 * k + 2, k + 1, math.factorial(k))),
+                      lambda k: (2 * k + 2, k + 1, math.factorial(k), 2 * (k - 1))),
     # six basepoints each, three of them tied: every trefoil's least image
-    # is taken on its own, not over the 3^k combinations
-    "trefoils": (trefoils_row, lambda k: (7 * k, 9 * k, math.factorial(k) * 3**k)),
+    # is taken on its own, not over the 3^k combinations; its two turns
+    # hold it alone
+    "trefoils": (trefoils_row,
+                 lambda k: (7 * k, 9 * k, math.factorial(k) * 3**k, 2 * (k - 1) + 2 * k)),
     # 4k roots, two of the centre's read down, k(k + 1) chunks each (2 per
     # petal left at each level), and the canonical reading once; the
-    # forest places each of the k tied readings, k + 1 pairs each
-    "flower": (flower_curve, lambda k: (2 * k * k + 7 * k + 1, k * (k + 3), k)),
+    # forest places each of the k tied readings, k + 1 pairs each. One
+    # component: its k - 1 turns hold all k + 1 loops
+    "flower": (flower_curve, lambda k: (2 * k * k + 7 * k + 1, k * (k + 3), k, k * k - 1)),
     # 4k roots, two of them read down, 8 chunks at each level (two loops
     # cross those read, 4 basepoints each) but the last, which has one loop
-    # left, and the canonical reading once
-    "necklace": (necklace_curve, lambda k: (21 * k - 24, k * (k + 2), k)),
+    # left, and the canonical reading once; k - 1 turns of all k loops
+    "necklace": (necklace_curve, lambda k: (21 * k - 24, k * (k + 2), k, k * (k - 1))),
 }
 
 
@@ -447,11 +451,14 @@ def test_forest_work_grows_linearly(name, monkeypatch):
     # nested rings or for the petal orders of a flower) or to a least image
     # over all tied readings fails here at once instead of timing out. A
     # flower or a necklace is one component: their chunk reads grow as k^2
-    # and k, and their pair map applications as k^2
+    # and k, and their pair map applications as k^2. A pair map holds only
+    # the loops its readings hold, so a row's maps hold 2(k - 1) entries,
+    # not the k^2 of maps over every loop
     curve, expected = GROWTH[name]
     for k in range(4, 13):
         reads, applied, found = count_work(monkeypatch, curve(k), cap=20 * k)
-        assert (reads, applied, found.order) == expected(k), k
+        entries = sum(map(len, found.automorphisms))
+        assert (reads, applied, found.order, entries) == expected(k), k
 
 
 def test_flower_of_crossing_petals_work_grows_quadratically(monkeypatch):
@@ -459,10 +466,13 @@ def test_flower_of_crossing_petals_work_grows_quadratically(monkeypatch):
     # apart, so each petal crosses its two neighbours (V = 4k, not 2k)
     # and GROWTH's flower count no longer holds. These chunk reads are
     # counted, not derived: the step from k to k + 1 grows by 12 each
-    # time. Pair map applications and |G| keep the flower's k(k + 3) and k
+    # time. Pair map applications, |G| and pair map entries keep the
+    # flower's k(k + 3), k and k^2 - 1
     for k in range(13, 25):
         reads, applied, found = count_work(monkeypatch, flower_curve(k), cap=k * (k + 3))
-        assert (reads, applied, found.order) == (6 * k * k - 11 * k + 109, k * (k + 3), k), k
+        entries = sum(map(len, found.automorphisms))
+        assert (reads, applied, found.order, entries) == (
+            6 * k * k - 11 * k + 109, k * (k + 3), k, k * k - 1), k
 
 
 def test_golden_codes_agree_with_whole_search():
@@ -767,24 +777,21 @@ def test_petal_circles_first_reading_is_not_the_first_reached(monkeypatch):
         keys = [key for key in oracles._candidates(gc) if oracles._read(gc, *key)[0] == serial]
         differ += min(keys) != min(keys, key=lambda key: list(zip(*key)))
     assert differ == 2
-    search, read = diagram._search, diagram._read
-    reference, moved = {}, []
+    search = diagram._search
+    reference, moved = {}, 0
 
     def spied_search(*args):
         found = search(*args)
         reference.update(found[1])  # each loop's basepoint in its component's reference
         return found
 
-    def spied_read(gc, pairs):
-        moved.append(dict(pairs)[0] != reference[0])  # the large loop from another basepoint
-        return read(gc, pairs)
-
     monkeypatch.setattr(diagram, "_search", spied_search)
-    monkeypatch.setattr(diagram, "_read", spied_read)
     for perm, shift in LOBES:
         arr = build_arrangement(lobed_pair(perm, shift))
+        found = _minimal_readings(gauss_code(arr))
+        moved += dict(found.reading)[0] != reference[0]  # the large loop from another basepoint
         assert assert_search_matches_tie_listing(arr)[2]
-    assert sum(moved) == 2
+    assert moved == 2
 
 
 def test_one_component_must_read_its_search_serial(monkeypatch):
@@ -795,9 +802,8 @@ def test_one_component_must_read_its_search_serial(monkeypatch):
 
     def with_a_false_turn(gc, loops, outer, mods):
         serial, reference, maps, auts = search(gc, loops, outer, mods)
-        shift = [0] * len(mods)
-        shift[reference[0][0]] = 1
-        return serial, reference, maps, auts + [(tuple(range(len(mods))), tuple(shift))]
+        first = reference[0][0]
+        return serial, reference, maps, auts + [{first: (first, 1)}]
 
     monkeypatch.setattr(diagram, "_search", with_a_false_turn)
     # two crossing circles, rolled so that the reference reads its first
@@ -841,46 +847,61 @@ def test_group_order_budget_is_checked_before_any_element(monkeypatch):
     assert MAX_GROUP_ORDER >= math.factorial(8)
     found = _minimal_readings(gauss_code(build_arrangement(circles_row(9))))
     assert found.order == math.factorial(9) > MAX_GROUP_ORDER
-    monkeypatch.setattr(diagram, "_automorphism_rows", None)  # listing an element would call it
+    arr = build_arrangement(circles_row(9))
+    gc = gauss_code(arr)
+    monkeypatch.setattr(diagram, "_read", None)  # listing an element would call it
     with pytest.raises(ValidationError, match="exceeds the budget"):
-        _group(build_arrangement(circles_row(9)), found)
+        _group(arr, gc, found)
 
 
 def test_group_closure_must_have_the_orbit_order():
     arr = build_arrangement(eights_row(4))
-    found = _minimal_readings(gauss_code(arr))
-    assert _group(arr, found).order == found.order == 24
+    gc = gauss_code(arr)
+    found = _minimal_readings(gc)
+    assert _group(arr, gc, found).order == found.order == 24
     for wrong in (found._replace(order=25), found._replace(automorphisms=found.automorphisms[1:])):
         with pytest.raises(InconsistencyError, match="close to"):
-            _group(arr, wrong)
+            _group(arr, gc, wrong)
 
 
 def swap_of(arr):
     """The automorphism found for a two-loop row that swaps its loops."""
-    return next(g for g in _minimal_readings(gauss_code(arr)).automorphisms if g[0] == (1, 0))
+    return next(g for g in _minimal_readings(gauss_code(arr)).automorphisms
+                if g.get(0, (0, 0))[0] == 1)
 
 
-def test_automorphism_rows_refuse_a_mirrored_crossing():
+def refused_swap(bad, g):
+    """`_group` of the arrangement bad, given the swap g of the row it was
+    made from as its one generator: it must refuse g."""
+    gc = gauss_code(bad)
+    found = _minimal_readings(gc)
+    assert found.order < 2 or g not in found.automorphisms
+    with pytest.raises(InconsistencyError, match="not a diagram automorphism"):
+        _group(bad, gc, found._replace(automorphisms=(g,), order=2 * found.order))
+
+
+def test_group_refuses_a_mirrored_crossing():
     # with the second figure-eight's crossing turned the other way every
-    # face still has one image, but no automorphism swaps the loops
+    # face still has one image, but no automorphism swaps the loops: the
+    # swap's image of the canonical reading reads another serial
     arr = build_arrangement(eights_row(2))
     g = swap_of(arr)
-    assert sorted(_automorphism_rows(arr, [g])[0][arr.r:]) == [arr.r, arr.r + 1]
+    assert symmetry_group(arr).vertex_perms.tolist() == [[0, 1], [1, 0]]
     v = arr.passages[1][0][1]
     vertices = list(arr.vertices)
     vertices[v] = replace(vertices[v], sign=-vertices[v].sign)
-    with pytest.raises(InconsistencyError, match="not a diagram automorphism"):
-        _automorphism_rows(replace(arr, vertices=tuple(vertices)), [g])
+    refused_swap(replace(arr, vertices=tuple(vertices)), g)
 
 
-def test_automorphism_rows_refuse_a_crossing_sent_to_two_places():
+def test_group_refuses_a_crossing_sent_to_two_places():
     # the second trefoil's first and third passages trade crossings, strands
     # and all: faces still match and every passage keeps the turn of its
     # crossing, but the swap now sends one crossing of the first trefoil
-    # to two crossings
+    # to two crossings, so its image of the canonical reading reads
+    # another serial
     arr = build_arrangement(trefoils_row(2))
     g = swap_of(arr)
-    _automorphism_rows(arr, [g])
+    assert symmetry_group(arr).order == 18
     (t0, a), second, (t2, c) = arr.passages[1][:3]
     vertices = list(arr.vertices)
     for v, old, new in ((a, t0, t2), (c, t2, t0)):
@@ -889,6 +910,30 @@ def test_automorphism_rows_refuse_a_crossing_sent_to_two_places():
             for loop, t in vertices[v].branches))
     passages = list(arr.passages)
     passages[1] = ((t0, c), second, (t2, a)) + arr.passages[1][3:]
-    bad = replace(arr, vertices=tuple(vertices), passages=tuple(passages))
-    with pytest.raises(InconsistencyError, match="not a diagram automorphism"):
-        _automorphism_rows(bad, [g])
+    refused_swap(replace(arr, vertices=tuple(vertices), passages=tuple(passages)), g)
+
+
+def test_generator_rows_match_the_half_edge_walk(arrangements, extra):
+    # each generator's row, read off its image of the canonical reading,
+    # equals the row the walk over the arrangement's half-edges gives, bit
+    # for bit, on the seeded families and the golden inputs
+    arrs = list(arrangements) + [arr for pair in extra for arr in pair]
+    curves = [curve(4) for curve, _ in GROWTH.values()]
+    curves += [mixed_row(kinds, seed=len(name)) for name, (kinds, _) in sorted(MIXED.items())]
+    curves += [lobed_pair(perm, shift) for perm, shift in LOBES]
+    curves += [petal_circles(perm, shift) for perm, shift in PETALS]
+    for path in sorted(INPUTS.glob("*.curve")):
+        try:
+            curves.append(load_curve(path))
+            arrs.append(build_arrangement(curves.pop()))
+        except (FormatError, GenericityError, ValidationError):  # unreadable or not generic
+            continue
+    arrs += [build_arrangement(curve) for curve in curves]
+    moving = 0
+    for arr in arrs:
+        gc = gauss_code(arr)
+        found = _minimal_readings(gc)
+        rows = _generator_rows(arr, gc, found)
+        assert rows == oracles.automorphism_rows(arr, found.automorphisms)
+        moving += len(rows) > 0
+    assert moving >= 30

@@ -19,6 +19,7 @@ from conftest import (
     circles_row,
     gerono_curve,
     holed_curve,
+    node_values,
     trefoil_curve,
 )
 
@@ -34,8 +35,7 @@ GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 def random_density(arr, n, rng, inflate=0.1):
     x0, x1, y0, y1 = arr.curve.bbox()
     px, py = inflate * (x1 - x0), inflate * (y1 - y0)
-    return SimpleNamespace(x0=x0 - px, x1=x1 + px, y0=y0 - py, y1=y1 + py, nx=n, ny=n,
-                           values=rng.uniform(0.1, 3.0, size=(n, n)))
+    return node_values(x0 - px, x1 + px, y0 - py, y1 + py, n, n, rng.uniform(0.1, 3.0, size=(n, n)))
 
 
 def cell_centers(d):
@@ -70,8 +70,8 @@ def test_integrals_match_both_oracles_on_a_non_square_grid(arrangements):
         if k >= 4 and k % 3:
             continue
         x0, x1, y0, y1 = arr.curve.bbox()
-        d = SimpleNamespace(x0=x0 - 0.1, x1=x1 + 0.3, y0=y0 - 0.2, y1=y1 + 0.1, nx=97, ny=61,
-                            values=rng.uniform(0.1, 3.0, size=(97, 61)))
+        d = node_values(x0 - 0.1, x1 + 0.3, y0 - 0.2, y1 + 0.1, 97, 61,
+                        rng.uniform(0.1, 3.0, size=(97, 61)))
         new = integrate_density_over_faces(arr, d)
         assert new.tobytes() == oracles.integrate_density_over_faces(arr, d).tobytes()
         assert new.tobytes() == oracles.face_integrator(arr, d)(d.values).tobytes()
@@ -97,8 +97,8 @@ def test_raster_rows_through_curve_samples(curve):
     # samples at y = 0 and y = +-1; columns at odd multiples of 1/16
     # keep every center off the curve
     arr = build_arrangement(curve)
-    d = SimpleNamespace(x0=-1.5, x1=1.5, y0=-1.5625, y1=1.4375, nx=25, ny=25,
-                        values=np.random.default_rng(3).uniform(0.1, 3.0, size=(25, 25)))
+    d = node_values(-1.5, 1.5, -1.5625, 1.4375, 25, 25,
+                    np.random.default_rng(3).uniform(0.1, 3.0, size=(25, 25)))
     cx, cy = cell_centers(d)
     assert {-1.0, 0.0, 1.0} <= set(cy.tolist())
     lab = _face_raster(arr, cx, cy)

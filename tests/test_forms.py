@@ -161,23 +161,26 @@ def _random_box(rng, grid):
     [((-1.0, 2.0, 0.5, 1.5), 9, 6), ((0, 1, 0, 1), 2, 3), ((-3.0, -0.0, 1e-3, 2e-3), 17, 5)],
 )
 def test_density_checks_exactly_the_nodes_outside_its_box(domain, nx, ny):
-    # Density checks "1 outside the support box" on four slabs found by
-    # searchsorted; together they must be the outside mask, for any box
+    # Density checks "1 outside the support box" and support_defect takes
+    # its maximum on four slabs found by searchsorted; together they must
+    # be the outside mask, for any box, and the maximum the mask's
     rng = np.random.default_rng(nx * ny)
     grid = Grid(*domain, nx, ny)
+    gm = GridMap(*domain, rng.normal(size=(nx, ny)), rng.normal(size=(nx, ny)))
     for _ in range(400):
         box = _random_box(rng, grid)
         covered = np.zeros((nx, ny), bool)
         for slab in grid.outside_slabs(box):
             covered[slab] = True
-        assert np.array_equal(covered, grid.outside(box)), box
+        assert np.array_equal(covered, oracles.outside(grid, box)), box
+        assert support_defect(gm, box) == oracles.support_defect(gm, box), box
     # and a density is refused iff a node outside its box is off 1
     x0, x1, y0, y1 = domain
     for _ in range(200):
         box = _random_box(rng, grid)
         if box[0] < x0 or box[1] > x1 or box[2] < y0 or box[3] > y1:
             continue  # the domain check refuses these first
-        outside = grid.outside(box)
+        outside = oracles.outside(grid, box)
         for refused in (True, False):
             nodes = np.argwhere(outside == refused)
             if not len(nodes):
@@ -368,7 +371,7 @@ def test_density_and_map_share_one_grid_layout():
     assert gm.same_grid(d) and d.same_grid(gm)
     assert np.array_equal(gm.xs, d.xs) and np.array_equal(gm.ys, d.ys)
     assert (gm.hx, gm.hy) == (d.hx, d.hy)
-    assert np.array_equal(gm.outside(d.support_box), ~_inside(d, d.support_box))
+    assert np.array_equal(oracles.outside(gm, d.support_box), ~_inside(d, d.support_box))
     # maps are compared by identity, not by their grid fields
     assert GridMap(gm.x0, gm.x1, gm.y0, gm.y1, gm.disp_x, gm.disp_y) != gm
 
