@@ -17,14 +17,15 @@ The boundary walks are laid end to end in one array, built once, each a
 closed polyline whose last point is its first, bit for bit; a walk's
 edges are the arrays (starts, ends) = (closed[:-1], closed[1:]) of its
 slice, read by every area, containment and distance query. The
-shoelace terms of all walks are taken in one elementwise pass, and the
-probes of all components are tested against all positive walks in one
-winding_numbers call. A row of 5 figure-eights (640 samples, 15 walks)
-builds in about 0.55 ms (2-core x86-64 machine). Labels take one pass
-over the edges of all bounded faces, which tests each face's centroid
-against its own boundary with the crossing signs of winding_numbers;
-only a face whose centroid fails searches inward offsets, at one
-winding_numbers call per candidate point.
+shoelace terms of all walks are taken in one elementwise pass. Each
+positive walk winds only the component probes in its bounding box
+(found by searchsorted over the probes sorted by x), in one
+winding_numbers call on its own edges. A row of 5 figure-eights (640
+samples, 15 walks) builds in about 0.55 ms (2-core x86-64 machine).
+Labels take one pass over the edges of all bounded faces, which tests
+each face's centroid against its own boundary with the crossing signs
+of winding_numbers; only a face whose centroid fails searches inward
+offsets, at one winding_numbers call per candidate point.
 
 The half-edges around a vertex need no tangent: the crossing's sign from
 check_generic fixes their cyclic order (see _link_next).
@@ -501,12 +502,16 @@ def _lay_walks(half_edges, cycles):
 def _assemble_faces(curve, half_edges, cycles, components):
     """Faces from the boundary walks, laid end to end by _lay_walks, the
     outer face's index, and each component's host face. A positive walk
-    bounds a face; a negative one is a hole or part of the outer face. A
+    bounds a face; a negative one, its component's outer boundary, is a
+    hole of the least positive walk of another component around the
+    component's probe (its first sample; the first walk among equals),
+    or part of the outer face. Each positive walk winds only the probes
+    in its bounding box, in one winding_numbers call on its own edges. A
     face of one walk keeps that walk's edges as views.
     """
     closed, stops = _lay_walks(half_edges, cycles)
-    bounds = list(zip([0, *stops[:-1]], stops))
-    edges = [(closed[a : b - 1], closed[a + 1 : b]) for a, b in bounds]
+    firsts = [0, *stops[:-1]]
+    edges = [(closed[a : b - 1], closed[a + 1 : b]) for a, b in zip(firsts, stops)]
     moments = walk_moments(closed, stops)
     areas = [a for a, _ in moments]
     cycle_comp = [components[half_edges[c[0]].loop] for c in cycles]
@@ -514,34 +519,32 @@ def _assemble_faces(curve, half_edges, cycles, components):
     positive = [i for i, a in enumerate(areas) if a > 0]
     negative = [i for i, a in enumerate(areas) if a <= 0]
 
-    # a negative walk is the outer boundary of its component; it becomes a
-    # hole of the smallest positive walk (of another component) containing
-    # that component, or part of the outer face if nothing contains it;
-    # around[j][c]: positive walk j winds around component c's first sample
-    num_comp = max(components) + 1
-    if num_comp > 1:
-        probes = curve.points[curve.offsets[[components.index(c) for c in range(num_comp)]]]
-        # the edges of the positive walks, walk after walk
-        sizes = np.array([bounds[j][1] - 1 - bounds[j][0] for j in positive])
-        first = np.cumsum(sizes) - sizes
-        e = np.arange(sizes.sum()) + np.repeat(np.array([bounds[j][0] for j in positive]) - first, sizes)
-        winds = winding_numbers(probes, closed.take(e, axis=0), closed.take(e + 1, axis=0), first)
-        around = dict(zip(positive, winds.T != 0))
-    else:
-        around = {}
+    host_walk = [None] * (max(components) + 1)  # the positive walk around each component, if any
+    if len(host_walk) > 1:
+        # a probe outside a walk's box winds 0 in floating point too: above
+        # or below it no edge spans the probe's y, and left or right of it
+        # the probe lies at least sep_tol from the walk (else check_generic
+        # reports a near-miss), so no is_left sign rounds across zero
+        probes = curve.points[curve.offsets[np.unique(components, return_index=True)[1]]]
+        by_x = np.argsort(probes[:, 0], kind="stable")
+        xs, ys = probes[by_x, 0], probes[by_x, 1]
+        low = np.minimum.reduceat(closed, firsts)[positive]
+        high = np.maximum.reduceat(closed, firsts)[positive]
+        left = np.searchsorted(xs, low[:, 0], side="left").tolist()
+        right = np.searchsorted(xs, high[:, 0], side="right").tolist()
+        for j, a, b, (_, y0), (_, y1) in zip(positive, left, right, low.tolist(), high.tolist()):
+            near = by_x[a:b][(ys[a:b] >= y0) & (ys[a:b] <= y1) & (by_x[a:b] != cycle_comp[j])]
+            if len(near):
+                for c in near[winding_numbers(probes[near], *edges[j]) != 0].tolist():
+                    if host_walk[c] is None or abs(areas[j]) < abs(areas[host_walk[c]]):
+                        host_walk[c] = j
 
     face_of_cycle = {}
     holes: dict[int, list[int]] = {i: [] for i in positive}
     outer_cycles = []
-    host_walk = [None] * num_comp  # the positive walk around each component, if any
     for i in negative:
-        c = cycle_comp[i]
-        hosts = [j for j in positive if cycle_comp[j] != c and around[j][c]]
-        if hosts:
-            host_walk[c] = min(hosts, key=lambda j: abs(areas[j]))
-            holes[host_walk[c]].append(i)
-        else:
-            outer_cycles.append(i)
+        j = host_walk[cycle_comp[i]]
+        (outer_cycles if j is None else holes[j]).append(i)
 
     def face(members, **fields):
         if len(members) == 1:

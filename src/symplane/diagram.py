@@ -65,6 +65,8 @@ class GaussCode:
             raise ValidationError("occurrences do not cover vertices 0..n-1")
         if any(c != 2 for c in counts.values()):
             raise ValidationError("every crossing must be visited exactly twice")
+        if [s for _, s in sorted(chain.from_iterable(self.occ))] != [0, 1] * len(self.base_sign):
+            raise ValidationError("a crossing's two visits must take strands 0 and 1")
         if len(self.components) != len(self.occ) or set(self.components) != set(
                 range(len(self.hosts))):
             raise ValidationError("components must number each loop's component 0..c-1, "
@@ -238,12 +240,13 @@ def _labels(n: int) -> tuple[str, ...]:
 # internals
 
 
-def _chunk(gc: GaussCode, loop, rot, vert_label, first_strand, face_label) -> str:
+def _chunk(gc: GaussCode, loop, rot, vert_label, face_label) -> str:
     """Read one loop from basepoint `rot` on, extending the label maps.
 
     Vertices and faces are numbered in order of first encounter; the
     maps are updated in place and the loop's chunk of the serial is
-    returned.
+    returned. A crossing's two visits take strands 0 and 1, so each
+    visit's strand and slot fix the crossing's sign in the reading.
     """
     occ = gc.occ[loop]
     arcs = gc.arcs[loop]
@@ -254,11 +257,10 @@ def _chunk(gc: GaussCode, loop, rot, vert_label, first_strand, face_label) -> st
             v, strand = occ[(k + rot) % m]
             if v not in vert_label:
                 vert_label[v] = len(vert_label)
-                first_strand[v] = strand
                 slot = "a"
             else:
                 slot = "b"
-            sign = gc.base_sign[v] if first_strand[v] == 0 else -gc.base_sign[v]
+            sign = gc.base_sign[v] if (strand == 0) == (slot == "a") else -gc.base_sign[v]
             tok = f"{vert_label[v]}{slot}{'+' if sign > 0 else '-'}"
         else:
             tok = "."
@@ -438,17 +440,16 @@ def _search(gc: GaussCode, loops, outer, mods):
     best = ref = None  # ref: (pairs, faces, verts) of the first reading at the best serial
     auts = []  # pair maps from ref to each later reading at the best serial
 
-    def children(text, pairs, verts, strands, faces, candidates):
+    def children(text, pairs, verts, faces, candidates):
         """Each candidate loop read next at each basepoint, as nodes whose
         text is the serial so far, with a trailing | while loops are left."""
         tail = "" if len(pairs) == k - 1 else "|"
         out = []
         for loop in candidates:
             for rot in range(mods[loop]):
-                v, s, f = dict(verts), dict(strands), dict(faces)
-                chunk = _chunk(gc, loop, rot, v, s, f)
-                out.append(((text or f"{head}{f[outer]}|") + chunk + tail,
-                            pairs + ((loop, rot),), v, s, f))
+                v, f = dict(verts), dict(faces)
+                chunk = _chunk(gc, loop, rot, v, f)
+                out.append(((text or f"{head}{f[outer]}|") + chunk + tail, pairs + ((loop, rot),), v, f))
         return out
 
     def complete(node):
@@ -461,14 +462,14 @@ def _search(gc: GaussCode, loops, outer, mods):
             read = {loop for loop, _ in node[1]}
             node = min(children(*node, [i for i in loops if i not in read and crosses[i] & read]),
                        key=lambda kid: kid[0])
-        text, pairs, verts, _, faces = node
+        text, pairs, verts, faces = node
         if best is None or text < best:
             best, ref = text, (pairs, faces, verts)
             auts.clear()
         elif text == best:
             auts.append(_pair_map(ref[0], pairs, mods))
 
-    roots = children("", (), {}, {}, {}, [i for i in loops if any(outer in arc for arc in gc.arcs[i])])
+    roots = children("", (), {}, {}, [i for i in loops if any(outer in arc for arc in gc.arcs[i])])
     low = min(text for text, *_ in roots)
     entered, covered = [], {}
     for node in roots:
@@ -484,8 +485,8 @@ def _search(gc: GaussCode, loops, outer, mods):
 def _read(gc: GaussCode, pairs):
     """Read every loop at its (loop, basepoint) pair, in turn: the serial
     and the (faces, verts) label maps."""
-    verts, strands, faces = {}, {}, {}
-    text = "|".join(_chunk(gc, loop, rot, verts, strands, faces) for loop, rot in pairs)
+    verts, faces = {}, {}
+    text = "|".join(_chunk(gc, loop, rot, verts, faces) for loop, rot in pairs)
     return f"n{len(verts)}f{gc.num_faces}o{faces[gc.outer_face]}|{text}", faces, verts
 
 

@@ -122,29 +122,25 @@ def crossing_signs(px, py, ax, ay, bx, by):
     return up, down
 
 
-def winding_numbers(points, starts, ends, first=None) -> np.ndarray:
+def winding_numbers(points, starts, ends) -> np.ndarray:
     """Winding number of closed polylines around each query point.
 
     The edges are the arrays (starts, ends) = (closed[:-1], closed[1:]);
-    stacking several polylines' edges sums their winding numbers, unless
-    `first` gives the index where each polyline's edges begin: then the
-    result has one column per polyline, shape (len(points), len(first)),
-    each an integer np.add.reduceat over its own edges. Uses the signed
-    crossing rule of crossing_signs: an upward edge strictly left of the
-    point adds one turn, a downward edge subtracts one. Points on a
-    polyline itself get an arbitrary neighboring value; callers keep
-    query points off the boundary. Points and edges are broadcast
-    against each other in chunks of about PAIR_CHUNK pairs.
+    stacking several polylines' edges sums their winding numbers. Uses
+    the signed crossing rule of crossing_signs: an upward edge strictly
+    left of the point adds one turn, a downward edge subtracts one.
+    Points on a polyline itself get an arbitrary neighboring value;
+    callers keep query points off the boundary. Points and edges are
+    broadcast against each other in chunks of about PAIR_CHUNK pairs.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     ax, ay = starts[:, 0], starts[:, 1]
     bx, by = ends[:, 0], ends[:, 1]
-    groups = [0] if first is None else first
-    wn = np.empty((len(p), len(groups)), dtype=np.int64)
+    wn = np.empty(len(p), dtype=np.int64)
     chunk = max(1, PAIR_CHUNK // len(starts))
     for s in range(0, len(p), chunk):
         px = p[s : s + chunk, 0, None]
         py = p[s : s + chunk, 1, None]
         up, down = crossing_signs(px, py, ax, ay, bx, by)
-        wn[s : s + chunk] = np.add.reduceat(up.astype(np.int64) - down, groups, axis=1)
-    return wn[:, 0] if first is None else wn
+        wn[s : s + chunk] = (up.astype(np.int64) - down).sum(axis=1)
+    return wn

@@ -36,7 +36,6 @@ from symplane.diagram import (
     GaussCode,
     MAX_GROUP_ORDER,
     SymmetryGroup,
-    _chunk,
     _correspondence,
     gauss_code,
     perm_cycles,
@@ -812,6 +811,39 @@ def _arc_points(curve, loop, t0, t1, p_start, p_end):
         if np.linalg.norm(q - p_start) > 1e-12 and np.linalg.norm(q - p_end) > 1e-12:
             keep.append(q)
     return np.vstack([p_start[None, :], *[q[None, :] for q in keep], p_end[None, :]])
+
+
+def _chunk(gc: GaussCode, loop, rot, vert_label, first_strand, face_label) -> str:
+    """Read one loop from basepoint `rot` on, extending the label maps.
+
+    The original `diagram._chunk`, which kept each crossing's first
+    strand in the reading in its own map. Vertices and faces are
+    numbered in order of first encounter; the maps are updated in place
+    and the loop's chunk of the serial is returned.
+    """
+    occ = gc.occ[loop]
+    arcs = gc.arcs[loop]
+    m = len(occ)
+    toks = []
+    for k in range(max(m, len(arcs))):
+        if m:
+            v, strand = occ[(k + rot) % m]
+            if v not in vert_label:
+                vert_label[v] = len(vert_label)
+                first_strand[v] = strand
+                slot = "a"
+            else:
+                slot = "b"
+            sign = gc.base_sign[v] if first_strand[v] == 0 else -gc.base_sign[v]
+            tok = f"{vert_label[v]}{slot}{'+' if sign > 0 else '-'}"
+        else:
+            tok = "."
+        lf, rf = arcs[(k + rot) % len(arcs)]
+        for f in (lf, rf):
+            if f not in face_label:
+                face_label[f] = len(face_label)
+        toks.append(f"{tok}:{face_label[lf]}.{face_label[rf]}")
+    return ",".join(toks)
 
 
 def _candidates(gc: GaussCode):

@@ -13,7 +13,8 @@ from symplane.arrangement import (
     render_svg,
 )
 from symplane.curves import ClosedCurve, check_generic, resample, transform_curve
-from symplane.errors import GenericityError
+from symplane.errors import GenericityError, ValidationError
+from symplane.forms import unit_density
 
 
 def uniform_density(curve, value=1.0, n=256, inflate=0.25):
@@ -169,3 +170,12 @@ def test_render_svg_deterministic_and_labeled(trefoil512):
     assert svg.count("<circle") == 3
     for label in ("1", "2", "3", "4"):
         assert f">{label}</text>" in svg
+
+
+@pytest.mark.parametrize("box", [(2.0, 3.0, -1.0, 1.0), (-0.5, 0.5, -0.5, 0.5)],
+                         ids=["beside", "inside"])
+def test_face_integrals_refuse_a_grid_that_misses_the_curve_box(box):
+    # the unit circle's box is [-1, 1]^2: a grid beside it or inside it
+    # leaves bounded faces uncovered
+    with pytest.raises(ValidationError, match="density grid does not cover the curve bounding box"):
+        integrate_density_over_faces(build_arrangement(circle_curve(n=64)), unit_density(*box, nx=8))

@@ -416,6 +416,24 @@ def test_moduli_dim_missing_face_count(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("text, message", [
+    ("spec v2\nr 1\n", "expected header 'spec v1'"),
+    ("spec v1\nr one\n", "bad face count 'one'"),
+    ("spec v1\nr 1\nsurface torus\n", "unknown surface 'torus'"),
+    ("spec v1\nr 1\ngenus 2\n", "unknown spec line 'genus 2'"),
+    ("spec v1\nr -1\n", "face count must be non-negative"),
+    ("spec v1\nr 0\nsurface bounded\n", "always bounds at least one face"),
+], ids=["header", "face-count", "surface", "key", "negative-r", "bounded-r0"])
+def test_moduli_dim_refuses_a_bad_spec_file(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    code, out, err = run_captured(capsys, ["moduli-dim", str(path)])
+    assert code == 4
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 # --- input files ----------------------------------------------------------
 
 

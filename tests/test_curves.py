@@ -237,3 +237,13 @@ def test_double_point_angles_match_under_rotation():
     a = check_generic(curve).double_points[0].angle
     b = check_generic(moved).double_points[0].angle
     assert abs(a - b) < 1e-9
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: parse_curve("curve v1\nloop 0\n0.0 0.0\n"), FormatError,
+     "line 2: loop count must be positive"),
+    (lambda: resample(circle_curve(n=16), 7), ValidationError, "need at least 8 samples, got 7"),
+], ids=["loop-0", "resample-7"])
+def test_curve_inputs_are_refused_with_their_reason(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

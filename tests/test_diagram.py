@@ -42,6 +42,19 @@ def test_gauss_code_rejects_a_declared_vertex_that_no_loop_visits():
                   components=(0,), hosts=(1,))
 
 
+@pytest.mark.parametrize("occ, components, hosts, message", [
+    ((((0, 0),),), (0,), (1,), "visited exactly twice"),
+    ((((0, 0), (0, 0)),), (0,), (1,), "strands 0 and 1"),
+    ((((0, 0), (0, 1)),), (0,), (1, 2), "one host face each"),
+    ((((0, 0),), ((0, 1),)), (0, 1), (2, 2), "joins loops of two components"),
+], ids=["one-visit", "one-strand-twice", "component-without-loop", "crossing-between-components"])
+def test_gauss_code_refuses_inconsistent_traversals(occ, components, hosts, message):
+    arcs = tuple(((0, 1),) * len(loop) for loop in occ)
+    with pytest.raises(ValidationError, match=message):
+        GaussCode(occ=occ, arcs=arcs, base_sign=(1,), outer_face=1, num_faces=2,
+                  components=components, hosts=hosts)
+
+
 def test_gerono_code_single_crossing_consistent_signs(gerono256):
     arr = build_arrangement(gerono256)
     gc = gauss_code(arr)

@@ -24,7 +24,9 @@ the per-arc cut and the old per-sample loop.
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -46,7 +48,7 @@ from test_golden import INPUTS
 
 from symplane import diagram, moduli
 from symplane.arrangement import build_arrangement, face_areas
-from symplane.curves import ClosedCurve, load_curve, transform_curve
+from symplane.curves import ClosedCurve, check_generic, load_curve, transform_curve
 from symplane.diagram import (
     MAX_GROUP_ORDER,
     _checked_generators,
@@ -658,19 +660,89 @@ def test_curves_match_tie_listing(case):
     assert changed == 0
 
 
+def crossing_circles(count, seed=1):
+    """The first `count` seeded draws of 3 or 4 circles whose arrangement
+    is generic and of one component, as Gauss codes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k = int(rng.integers(3, 5))
+        centers, radii = rng.uniform(-1.0, 1.0, (k, 2)), rng.uniform(0.5, 1.5, k)
+        curve = ClosedCurve(tuple(circle_curve(n=64, radius=float(r), center=tuple(c)).loops[0]
+                                  for c, r in zip(centers, radii)))
+        if check_generic(curve).is_generic:
+            arr = build_arrangement(curve)
+            if len(set(arr.components)) == 1:
+                out.append(gauss_code(arr))
+    return out
+
+
+def one_component_codes():
+    """Gauss codes of one component and several loops: flowers, necklaces,
+    the inner chain, two crossing discs and eight seeded crossing circles."""
+    curves = [flower_curve(k) for k in (3, 4)] + [necklace_curve(k) for k in (3, 4)]
+    curves += [inner_chain(), ClosedCurve(tuple(motifs()[7]))]  # two discs that cross
+    return [gauss_code(build_arrangement(curve)) for curve in curves] + crossing_circles(8)
+
+
+def prune_hits():
+    """Trace `_search`'s nested `complete` and count how often its prune,
+    the one bare `return` of `_search`, runs."""
+    lines, start = inspect.getsourcelines(diagram._search)
+    prune = start + [line.strip() for line in lines].index("return")
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == prune:
+            hits.append(1)
+        return local
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        return local if (code.co_filename, code.co_name) == (diagram.__file__, "complete") else None
+
+    return hits, tracer
+
+
 def test_one_component_reads_its_least_crossing_order_serial():
     # the least serial over every reading that starts on the outer face and
     # goes on, loop by loop, to one that crosses a loop read; |G| is the
     # number of readings that reach it. A shorter chunk that begins a
-    # longer sibling's is above it, as its serial goes on with a |
-    curves = [flower_curve(k) for k in (3, 4)] + [necklace_curve(k) for k in (3, 4)]
-    curves += [inner_chain(), ClosedCurve(tuple(motifs()[7]))]  # two discs that cross
-    for curve in curves:
-        gc = gauss_code(build_arrangement(curve))
+    # longer sibling's is above it, as its serial goes on with a |. On
+    # some seeded circles a path's prefix rises above the best serial
+    # found, and the search drops it
+    hits, tracer = prune_hits()
+    for gc in one_component_codes():
         assert len(gc.hosts) == 1 < len(gc.occ)
-        found = _minimal_readings(gc)
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            found = _minimal_readings(gc)
+        finally:
+            sys.settrace(previous)
         serial, readings = oracles.crossing_order_readings(gc)
         assert (found.serial, found.order) == (serial, len(readings))
+    assert hits
+
+
+def test_chunk_reads_signs_from_the_visit(monkeypatch):
+    # a crossing's sign from its visit's strand and slot, against the
+    # chunk that kept each crossing's first strand: the same text and the
+    # same label maps after every chunk of every reading the crossing-order
+    # oracle makes
+    read = []
+    monkeypatch.setattr(oracles, "_read", lambda gc, order, rots: read.append((order, rots)) or
+                        ("", {}, {}))
+    for gc in one_component_codes():
+        read.clear()
+        oracles.crossing_order_readings(gc)
+        assert read
+        for order, rots in read:
+            verts, faces, old_verts, strands, old_faces = {}, {}, {}, {}, {}
+            for loop, rot in zip(order, rots):
+                assert diagram._chunk(gc, loop, rot, verts, faces) == \
+                    oracles._chunk(gc, loop, rot, old_verts, strands, old_faces)
+                assert (verts, faces) == (old_verts, old_faces)
 
 
 @pytest.mark.parametrize("name", sorted(MIXED))

@@ -201,6 +201,26 @@ def test_density_rejects_nonpositive_values():
         make_density(0, 1, 0, 1, vals)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Density(0, 1, 0, 1, 4, 4, np.ones((4, 5)), (0, 1, 0, 1)), ValidationError,
+     r"values shape \(4, 5\) does not match grid \(4, 4\)"),
+    (lambda: Density(0, 1, 0, 1, 4, 4, np.full((4, 4), np.nan), (0, 1, 0, 1)), ValidationError,
+     "density values must be finite"),
+    (lambda: Density(0, 1, 0, 1, 4, 4, np.ones((4, 4)), (0, 2, 0, 1)), ValidationError,
+     "support box exceeds the grid domain"),
+    (lambda: parse_density("density v1\n"), FormatError, "missing domain line"),
+    (lambda: parse_map("dispmap v1\n0 1 0 one 4 4\n" + "0 " * 32), FormatError, "bad domain line"),
+    (lambda: GridMap(0, 1, 0, 1, np.zeros((4, 4)), np.zeros((4, 5))), ValidationError,
+     "displacement grids must share a 2d shape"),
+    (lambda: moser_interpolation(*[make_density(0, 1, 0, 1, np.ones((3, 5)))] * 2), ValidationError,
+     "grid too coarse for spline field evaluation"),
+], ids=["density-shape", "density-finite", "density-box", "missing-domain", "bad-domain",
+        "map-shapes", "moser-coarse"])
+def test_grid_inputs_are_refused_with_their_reason(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_support_box_inference():
     d = smooth_bump_density(n=64)
     sx0, sx1, sy0, sy1 = d.support_box

@@ -2,12 +2,13 @@
 
 `build_arrangement` makes a negative walk (a component's outer
 boundary) a hole of the smallest positive walk of another component
-around that component's probe point. It tests every probe against
-every positive walk in one `winding_numbers` call; the code it replaced
-(`oracles.assemble_faces`) made one winding call per (negative walk,
-positive walk) pair. Each face's member walks, area, centroid and label point,
-and the label order, must agree bit for bit on nested curves, and so
-must the face each component lies in.
+around that component's probe point. It winds each positive walk, in
+one `winding_numbers` call on that walk's own edges, around only the
+probes of other components inside its bounding box; the code it
+replaced (`oracles.assemble_faces`) made one winding call per (negative
+walk, positive walk) pair. Each face's member walks, area, centroid and
+label point, and the label order, must agree bit for bit on nested and
+side-by-side curves, and so must the face each component lies in.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ NESTED = {
                           circle_curve(n=64, radius=0.4, center=(0.0, 1.8))),
     "holed-plus-ring": loops(holed_curve(), circle_curve(n=128, radius=4.0)),
 }
+# a 10 x 10 grid of circles: no probe lies in another circle's box
+NESTED["circle-grid"] = loops(*(circle_curve(n=8, center=(3.0 * (i % 10), 3.0 * (i // 10)))
+                                for i in range(100)))
+# a vertical column of circles: every probe lies in every walk's x range
+NESTED["circle-column"] = loops(*(circle_curve(n=16, center=(0.0, 3.0 * i)) for i in range(12)))
+NESTED["ring-disc-grid"] = loops(circle_curve(n=256, radius=9.0),
+                                 *(circle_curve(n=16, center=(3.0 * (i % 4) - 4.5, 3.0 * (i // 4) - 4.5))
+                                   for i in range(16)))
+NESTED["rings-six"] = loops(*(circle_curve(n=96, radius=r, clockwise=r % 2 == 0) for r in range(6, 0, -1)))
 for k in range(1, 7):
     NESTED[f"row{k}"] = eights_row(k)
     NESTED[f"row{k}-moved"] = eights_row(k, order=range(k)[::-1], shifts=[37 * i for i in range(k)])
@@ -87,12 +97,18 @@ def test_innermost_ring_is_a_hole_of_the_middle_ring(clockwise):
     assert np.allclose(areas, [np.pi, 3 * np.pi, 5 * np.pi], rtol=5e-3)
 
 
-@pytest.mark.parametrize("curve, hole_calls", [(eights_row(6), 1), (trefoil_curve(n=512), 0)],
-                         ids=["eights_row6", "trefoil"])
+@pytest.mark.parametrize("curve, hole_calls", [
+    (eights_row(6), 0),
+    (trefoil_curve(n=512), 0),
+    (NESTED["circle-grid"], 0),
+    (NESTED["ring-two-discs"], 1),
+    (NESTED["ring-disc-grid"], 1),
+], ids=["eights_row6", "trefoil", "circle-grid", "ring-two-discs", "ring-disc-grid"])
 def test_winding_calls_per_build(curve, hole_calls):
-    # one winding_numbers call for the holes of all positive walks (none
-    # for one component), then one crossing-sign pass for every centroid;
-    # no face here falls back to the offset search
+    # one winding_numbers call per positive walk whose box holds another
+    # component's probe (none for one component, nor for figure-eights or
+    # circles side by side), then one crossing-sign pass for every
+    # centroid; no face here falls back to the offset search
     with patch.object(arrangement, "winding_numbers", wraps=geometry.winding_numbers) as spy, \
             patch.object(arrangement, "crossing_signs", wraps=geometry.crossing_signs) as signs:
         build_arrangement(curve)

@@ -285,3 +285,15 @@ def test_decision_report_format():
         "symmetry applied: (1 2 3)\n"
         "max area discrepancy: 0.25\n"
     )
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: moduli.LocalSingularityType("X", -1), "local moduli dimension must be non-negative"),
+    (lambda: CurveSpec(r=-1), "face count must be non-negative"),
+    (lambda: CurveSpec(r=1, unstable_points=("E24",)), "unstable points must be catalogued types"),
+    (lambda: labelled_equivalent(*[build_arrangement(circle_curve(n=64))] * 2, areas_a=[1.0, 2.0]),
+     r"area override has \(2,\) entries, arrangement has 1"),
+], ids=["negative-dimension", "negative-r", "uncatalogued-point", "override-length"])
+def test_moduli_inputs_are_refused_with_their_reason(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
