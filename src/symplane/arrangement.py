@@ -37,22 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedCurve, GenericityReport, check_generic
+from .curves import ClosedCurve, DoublePoint, GenericityReport, check_generic, union_roots
 from .errors import GenericityError, InconsistencyError, ValidationError
 from .geometry import crossing_signs, point_segment_distance, walk_moments, winding_numbers
 
 SVG_WIDTH = 640  # pixels; the height follows the curve's aspect ratio
 
 
-@dataclass(frozen=True)
-class Vertex:
-    index: int
-    point: np.ndarray
-    branches: tuple[tuple[int, float], tuple[int, float]]  # (loop, parameter) per strand
-    sign: int  # +1 or -1: orientation of the strand tangents, as in DoublePoint
-
-
-@dataclass
+@dataclass(eq=False)
 class HalfEdge:
     index: int
     loop: int
@@ -62,7 +54,7 @@ class HalfEdge:
     points: np.ndarray  # directed polyline including both endpoints
 
 
-@dataclass
+@dataclass(eq=False)
 class Face:
     index: int
     edges: tuple[np.ndarray, np.ndarray]  # (starts, ends) of every boundary edge, walk by walk
@@ -83,10 +75,10 @@ class Face:
         return float(np.min(point_segment_distance(point, *self.edges)))
 
 
-@dataclass
+@dataclass(eq=False)
 class Arrangement:
     curve: ClosedCurve
-    vertices: tuple[Vertex, ...]
+    vertices: tuple[DoublePoint, ...]  # the genericity report's double points, in its order
     half_edges: list[HalfEdge]
     faces: list[Face]
     outer_face: int
@@ -124,15 +116,11 @@ def build_arrangement(curve: ClosedCurve, report: GenericityReport | None = None
             "see check_generic"
         )
 
-    vertices = tuple(
-        Vertex(i, dp.point, (dp.first, dp.second), dp.sign)
-        for i, dp in enumerate(report.double_points)
-    )
-
+    vertices = report.double_points
     per_loop: list[list[tuple[float, int]]] = [[] for _ in curve.loops]
-    for v in vertices:
-        for loop, t in v.branches:
-            per_loop[loop].append((t, v.index))
+    for i, v in enumerate(vertices):
+        for loop, t in (v.first, v.second):
+            per_loop[loop].append((t, i))
     passages = tuple(tuple(sorted(per)) for per in per_loop)
 
     half_edges, loop_arcs = _build_half_edges(curve, vertices, passages)
@@ -436,7 +424,7 @@ def _link_next(vertices, half_edges, passages, loop_arcs):
             for idx in (arcs[0], arcs[0] + 1):
                 half_edges[idx].next = idx  # crossing-free loop: the walk is the loop itself
         for k, (t, vid) in enumerate(per):
-            strand = vertices[vid].branches.index((loop, t))
+            strand = 0 if vertices[vid].first == (loop, t) else 1
             rings[vid][strand] = arcs[k]
             rings[vid][strand + 2] = half_edges[arcs[k - 1]].twin
     for v, ring in zip(vertices, rings):
@@ -465,25 +453,11 @@ def _extract_cycles(half_edges):
 
 
 def _loop_components(num_loops, vertices):
-    parent = list(range(num_loops))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in vertices:
-        (a, _), (b, _) = v.branches
-        parent[find(a)] = find(b)
-    roots = {}
-    comp = []
-    for loop in range(num_loops):
-        root = find(loop)
-        if root not in roots:
-            roots[root] = len(roots)
-        comp.append(roots[root])
-    return tuple(comp)
+    """Component of each loop, numbered by first loop: loops joined by a
+    crossing share one."""
+    roots: dict[int, int] = {}
+    return tuple(roots.setdefault(root, len(roots))
+                 for root in union_roots(num_loops, ((v.first[0], v.second[0]) for v in vertices)))
 
 
 def _lay_walks(half_edges, cycles):

@@ -40,7 +40,7 @@ SEP_TOL_FACTOR = 1e-6
 MAX_TURN = np.pi / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedCurve:
     """One or more closed polyline loops, each an (n, 2) float array.
 
@@ -127,7 +127,7 @@ def _stacked(arrays):
     return points, offsets, succ
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoublePoint:
     """A transverse self-intersection: where, which strands, how steeply."""
 
@@ -138,7 +138,7 @@ class DoublePoint:
     sign: int  # +1 or -1: orientation of the (first, second) unit tangents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Violation:
     kind: str  # tangency | triple-point | near-miss | cusp-proxy
     point: np.ndarray
@@ -146,13 +146,16 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericityReport:
-    is_generic: bool
     double_points: tuple[DoublePoint, ...]
     violations: tuple[Violation, ...]
     angle_tol: float
     sep_tol: float
+
+    @property
+    def is_generic(self) -> bool:
+        return not self.violations
 
 
 def load_curve(path: str | Path) -> ClosedCurve:
@@ -373,7 +376,6 @@ def check_generic(
     double_points.sort(key=lambda dp: dp.first)
     violations.sort(key=lambda v: (v.kind, v.branches))
     return GenericityReport(
-        is_generic=not violations,
         double_points=tuple(double_points),
         violations=tuple(violations),
         angle_tol=angle_tol,
@@ -542,14 +544,6 @@ def _cluster_hits(hits, sep_tol):
     their order, are those of a test of all pairs.
     """
     hits = list(hits)
-    parent = list(range(len(hits)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     x = np.array([h[0][0] for h in hits], dtype=float)
     order = np.argsort(x, kind="stable")
     end = np.searchsorted(x[order], x[order] + 2 * sep_tol, side="right").tolist()
@@ -559,13 +553,27 @@ def _cluster_hits(hits, sep_tol):
         for k in range(len(hits))
         for m in range(k + 1, end[k])
     )
-    for i, j in pairs:
-        if np.linalg.norm(hits[i][0] - hits[j][0]) <= sep_tol:
-            parent[find(i)] = find(j)
+    near = [(i, j) for i, j in pairs if np.linalg.norm(hits[i][0] - hits[j][0]) <= sep_tol]
     groups: dict[int, list] = {}
-    for i, h in enumerate(hits):
-        groups.setdefault(find(i), []).append(h)
+    for root, h in zip(union_roots(len(hits), near), hits):
+        groups.setdefault(root, []).append(h)
     return [groups[k] for k in sorted(groups)]
+
+
+def union_roots(n, pairs):
+    """Root of each of elements 0..n-1 after union(a, b) for every pair in
+    order: the root of a's set is hung under the root of b's."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(n)]
 
 
 def _one_passage(s, t, n):

@@ -102,7 +102,7 @@ class FaceCorrespondence:
     vertices: tuple[int, ...]  # arrangement vertex index in b per vertex of a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryGroup:
     """Diagram automorphisms as paired face and crossing permutations.
 
@@ -133,7 +133,8 @@ def gauss_code(arr: Arrangement) -> GaussCode:
     occ = []
     arcs = []
     for loop, per in enumerate(arr.passages):
-        occ.append(tuple((vid, arr.vertices[vid].branches.index((loop, t))) for t, vid in per))
+        occ.append(tuple((vid, 0 if arr.vertices[vid].first == (loop, t) else 1)
+                         for t, vid in per))
         row_arcs = []
         for he_idx in arr.loop_arcs[loop]:
             he = arr.half_edges[he_idx]
@@ -618,7 +619,7 @@ def _correspondence(a: Arrangement, b: Arrangement, face_a, vert_a, face_b, vert
         if fb.is_outer:
             raise InconsistencyError("face correspondence sent a bounded face to the outer face")
         faces[fa.label - 1] = fb.label
-    verts = tuple(vert_b_inv[vert_a[v.index]] for v in a.vertices)
+    verts = tuple(vert_b_inv[vert_a[v]] for v in range(len(a.vertices)))
     return FaceCorrespondence(faces=tuple(faces), vertices=verts)
 
 

@@ -1,12 +1,12 @@
 """Area-form engine on sampled grids.
 
 A Density is a Grid of node values of the coefficient f of an area form
-f dx dy, equal to 1 outside a stated support box. A GridMap is a plane
-map given by its displacement on a grid, with Jacobians by central
-differences; every map here is one. On top of these sit the pullback,
-the explicit primitive map (x, y) -> (integral of f along the row, y),
-bump-function realization of prescribed face areas, and Moser
-interpolation between densities.
+f dx dy, equal to 1 outside a support box derived from those values. A
+GridMap is a plane map given by its displacement on a grid, with
+Jacobians by central differences; every map here is one. On top of
+these sit the pullback, the explicit primitive map
+(x, y) -> (integral of f along the row, y), bump-function realization
+of prescribed face areas, and Moser interpolation between densities.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     require_positive,
 )
+from .geometry import PAIR_CHUNK
 
 DEFAULT_GRID = 256
 DEFAULT_STEPS = 64
@@ -46,8 +47,6 @@ MAX_GRID_NODES = 4096 * 4096
 # 1024^2 nodes at 256 steps, about 70 s at the 0.26 us a node-step that
 # 64 steps on a 512^2 two-Gaussian pair take (4.3-4.5 s, 2-core x86-64)
 MAX_FLOW_NODE_STEPS = 1024 * 1024 * 256
-# values per block of columns that _distinct_rows reads at a time
-_ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,26 +149,6 @@ def _bilinear(grid, values, x, y):
     )
 
 
-def infer_support_box(x0, x1, y0, y1, nx, ny, values):
-    """Tight box around the nodes where values differ from 1, one cell margin."""
-    grid = Grid(x0, x1, y0, y1, nx, ny)
-    xs, ys = grid.xs, grid.ys
-    off = values != 1.0
-    ix = np.flatnonzero(off.any(axis=1))  # the x indices of nodes off 1
-    if not ix.size:
-        cx = 0.5 * (x0 + x1)
-        cy = 0.5 * (y0 + y1)
-        return (cx, cx, cy, cy)
-    iy = np.flatnonzero(off.any(axis=0))
-    ix0, ix1, iy0, iy1 = ix[0], ix[-1], iy[0], iy[-1]
-    return (
-        float(xs[max(0, ix0 - 1)]),
-        float(xs[min(nx - 1, ix1 + 1)]),
-        float(ys[max(0, iy0 - 1)]),
-        float(ys[min(ny - 1, iy1 + 1)]),
-    )
-
-
 class _Owned:
     """Node values made here for one Density and used by nothing else:
     the Density keeps them without a copy."""
@@ -178,15 +157,15 @@ class _Owned:
         self.values = values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Density(Grid):
     """Positive grid density, exactly 1 outside its support box.
 
-    Values passed in are copied, so no caller can change a Density.
+    The support box is derived from the values, not given. Values passed
+    in are copied, so no caller can change a Density.
     """
 
     values: np.ndarray
-    support_box: tuple
 
     def __post_init__(self):
         super().__post_init__()
@@ -201,13 +180,28 @@ class Density(Grid):
             raise ValidationError("density values must be finite")
         if np.any(vals <= 0):
             raise ValidationError("density values must be positive")
-        sx0, sx1, sy0, sy1 = self.support_box
-        if sx0 < self.x0 or sx1 > self.x1 or sy0 < self.y0 or sy1 > self.y1:
-            raise ValidationError("support box exceeds the grid domain")
-        if not all(np.all(vals[slab] == 1.0) for slab in self.outside_slabs(self.support_box)):
-            raise ValidationError("density must equal 1 outside its support box")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def support_box(self):
+        """Tight box (x0, x1, y0, y1) around the nodes whose values differ
+        from 1, widened by one node each side within the grid; the domain's
+        centre point when every value is 1."""
+        off = self.values != 1.0
+        ix = np.flatnonzero(off.any(axis=1))  # the x indices of nodes off 1
+        if not ix.size:
+            cx = 0.5 * (self.x0 + self.x1)
+            cy = 0.5 * (self.y0 + self.y1)
+            return (cx, cx, cy, cy)
+        iy = np.flatnonzero(off.any(axis=0))
+        xs, ys = self.xs, self.ys
+        return (
+            float(xs[max(0, ix[0] - 1)]),
+            float(xs[min(self.nx - 1, ix[-1] + 1)]),
+            float(ys[max(0, iy[0] - 1)]),
+            float(ys[min(self.ny - 1, iy[-1] + 1)]),
+        )
 
     def value_at(self, points):
         """Bilinear value at each point, exactly 1 outside the grid."""
@@ -222,11 +216,10 @@ class Density(Grid):
 
 
 def make_density(x0, x1, y0, y1, values):
-    """Density over [x0,x1] x [y0,y1] with the support box inferred."""
+    """Density over [x0,x1] x [y0,y1] with the grid counts of the values."""
     values = np.asarray(values, dtype=float)
     nx, ny = values.shape
-    box = infer_support_box(x0, x1, y0, y1, nx, ny, values)
-    return Density(x0, x1, y0, y1, nx, ny, values, box)
+    return Density(x0, x1, y0, y1, nx, ny, values)
 
 
 def unit_density(x0, x1, y0, y1, nx=DEFAULT_GRID, ny=None):
@@ -235,9 +228,8 @@ def unit_density(x0, x1, y0, y1, nx=DEFAULT_GRID, ny=None):
         ny = nx
     Grid(x0, x1, y0, y1, nx, ny)  # the domain check, before any node array
     values = np.ones((nx, ny))
-    # the box infer_support_box finds for a grid of ones, without its scan
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return Density(x0, x1, y0, y1, *values.shape, _Owned(values), (cx, cx, cy, cy))
+    # the counts of values.shape are Python ints, whatever type nx and ny are
+    return Density(x0, x1, y0, y1, *values.shape, _Owned(values))
 
 
 def density_for_curve(curve, n=DEFAULT_GRID):
@@ -269,7 +261,7 @@ def _distinct_rows(*grids):
     """
     bits = [g.view(np.int64) for g in grids]
     n = len(bits[0])
-    step = max(1, _ROW_BLOCK // n)
+    step = max(1, PAIR_CHUNK // n)
     digest = np.zeros(n, np.int64)
     for k, b in enumerate(bits):
         # integer sums wrap around, so the digest is the sum mod 2**64
@@ -590,8 +582,7 @@ def realize_area_vector(
 
     if np.any(out <= 0):
         raise RealizationError("realized density lost positivity")
-    box = infer_support_box(base.x0, base.x1, base.y0, base.y1, *out.shape, out)
-    result = Density(base.x0, base.x1, base.y0, base.y1, *out.shape, _Owned(out), box)
+    result = Density(base.x0, base.x1, base.y0, base.y1, *out.shape, _Owned(out))
     achieved = integrate(result.values)
     if np.max(np.abs(achieved - target)) > 1e-9 * scale:
         if leaking:

@@ -12,7 +12,8 @@ import numpy as np
 
 EPSILON = 1e-12
 # pairs broadcast at a time, by the genericity broad phase and by
-# winding_numbers: few enough that the temporaries stay in cache. Against
+# winding_numbers, and values per column block that forms._distinct_rows
+# reads: few enough that the temporaries stay in cache. Against
 # 1M-pair chunks (2-core x86-64, in process, interleaved), check_generic
 # of the 16384-sample serpentine_curve() takes 23-24 ms, not 44-48 ms,
 # and peaks at 4.8 MB, not 37.6 MB, under tracemalloc; a 16384-sample

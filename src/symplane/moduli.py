@@ -197,22 +197,19 @@ def _orbit_decision(a, b, corr, perms, tol, areas_a, areas_b) -> Decision:
 def labelled_equivalent(
     a: Arrangement,
     b: Arrangement,
-    corr: FaceCorrespondence | None = None,
     tol: float = DEFAULT_AREA_TOL,
     areas_a=None,
     areas_b=None,
 ) -> Decision:
-    """Compare labelled area vectors along one fixed face correspondence.
-
-    corr defaults to the correspondence found by isotopy_match; without
-    a common isotopy class the curves are INCOMPARABLE. Tolerance is
-    relative to the largest face area of the pair.
+    """Compare labelled area vectors along the face correspondence that
+    isotopy_match finds; without a common isotopy class the curves are
+    INCOMPARABLE. Tolerance is relative to the largest face area of the
+    pair.
     """
     require_positive("tolerance", tol)
+    corr = isotopy_match(a, b)
     if corr is None:
-        corr = isotopy_match(a, b)
-        if corr is None:
-            return Decision(Verdict.INCOMPARABLE, tol)
+        return Decision(Verdict.INCOMPARABLE, tol)
     return _orbit_decision(a, b, corr, np.arange(a.r)[None], tol, areas_a, areas_b)
 
 

@@ -151,8 +151,7 @@ def conveyor_pair(eps, nx=2304, ny=8, speed=10.5):
 
     def dens(vals):
         grid = np.repeat(vals[:, None], ny, axis=1)
-        return Density(0.0, width, 0.0, 1.0, nx, ny, grid,
-                       support_box=(0.0, width, 0.0, 1.0))
+        return Density(0.0, width, 0.0, 1.0, nx, ny, grid)
 
     return dens(v0), dens(v1)
 

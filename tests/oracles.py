@@ -17,7 +17,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from symplane import arrangement, curves
-from symplane.arrangement import Arrangement, Face, Vertex, _extract_cycles, _row_norms
+from symplane.arrangement import Arrangement, Face, _extract_cycles, _row_norms
 from symplane.curves import (
     DEFAULT_ANGLE_TOL,
     MAX_COORD,
@@ -53,6 +53,7 @@ from symplane.forms import (
     MAX_FLOW_NODE_STEPS,
     MIN_STEPS,
     Density,
+    Grid,
     GridMap,
     _mollifier,
     _row_integral,
@@ -217,6 +218,27 @@ def _row_primitive(d: Density):
         return F - F_zero, f
 
     return primitive
+
+
+def infer_support_box(x0, x1, y0, y1, nx, ny, values):
+    """The original `forms.infer_support_box`: tight box around the nodes
+    where values differ from 1, one cell margin, of a throwaway Grid."""
+    grid = Grid(x0, x1, y0, y1, nx, ny)
+    xs, ys = grid.xs, grid.ys
+    off = values != 1.0
+    ix = np.flatnonzero(off.any(axis=1))  # the x indices of nodes off 1
+    if not ix.size:
+        cx = 0.5 * (x0 + x1)
+        cy = 0.5 * (y0 + y1)
+        return (cx, cx, cy, cy)
+    iy = np.flatnonzero(off.any(axis=0))
+    ix0, ix1, iy0, iy1 = ix[0], ix[-1], iy[0], iy[-1]
+    return (
+        float(xs[max(0, ix0 - 1)]),
+        float(xs[min(nx - 1, ix1 + 1)]),
+        float(ys[max(0, iy0 - 1)]),
+        float(ys[min(ny - 1, iy1 + 1)]),
+    )
 
 
 def outside(grid, box):
@@ -1308,7 +1330,7 @@ def automorphism_rows(arr: Arrangement, maps):
 
 def _turn(vertex, loop, t):
     """The sign of a crossing seen from the strand of loop `loop` at t."""
-    return vertex.sign if vertex.branches[0] == (loop, t) else -vertex.sign
+    return vertex.sign if vertex.first == (loop, t) else -vertex.sign
 
 
 def _packaged(elements, generators) -> SymmetryGroup:
@@ -1577,7 +1599,6 @@ def check_generic(curve, angle_tol=DEFAULT_ANGLE_TOL, sep_tol=None):
     double_points.sort(key=lambda dp: dp.first)
     violations.sort(key=lambda v: (v.kind, v.branches))
     return GenericityReport(
-        is_generic=not violations,
         double_points=tuple(double_points),
         violations=tuple(violations),
         angle_tol=angle_tol,
@@ -1958,13 +1979,23 @@ def gauss_signs(arr: Arrangement) -> tuple[int, ...]:
     """The tangent-sign block of the original `diagram.gauss_code`."""
     signs = []
     for v in arr.vertices:
-        u = tangent_at(arr.curve, *v.branches[0])
-        w = tangent_at(arr.curve, *v.branches[1])
+        u = tangent_at(arr.curve, *v.first)
+        w = tangent_at(arr.curve, *v.second)
         s = cross2(u, w)
         if s == 0:
             raise InconsistencyError("parallel strand tangents at a crossing")
         signs.append(1 if s > 0 else -1)
     return tuple(signs)
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """The original `arrangement.Vertex`: a double point with its index."""
+
+    index: int
+    point: np.ndarray
+    branches: tuple[tuple[int, float], tuple[int, float]]  # (loop, parameter) per strand
+    sign: int  # +1 or -1: orientation of the strand tangents, as in DoublePoint
 
 
 def wiring(curve, report):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import circle_curve, gerono_curve, generic_trig_loops, node_values, trefoil_curve
@@ -12,7 +14,14 @@ from symplane.arrangement import (
     integrate_density_over_faces,
     render_svg,
 )
-from symplane.curves import ClosedCurve, check_generic, resample, transform_curve
+from symplane.curves import (
+    ClosedCurve,
+    GenericityReport,
+    Violation,
+    check_generic,
+    resample,
+    transform_curve,
+)
 from symplane.errors import GenericityError, ValidationError
 from symplane.forms import unit_density
 
@@ -55,6 +64,17 @@ def test_trefoil_counts(trefoil512):
     assert len(arr.half_edges) // 2 == 6
     assert arr.r == 4
     assert len(arr.faces) == 5
+
+
+def test_vertices_are_the_report_double_points(trefoil512):
+    # the arrangement keeps the report's tuple; a vertex's index is its place
+    report = check_generic(trefoil512)
+    assert build_arrangement(trefoil512, report).vertices is report.double_points
+    # and a report's verdict is read off its violations, never stored
+    assert "is_generic" not in {f.name for f in dataclasses.fields(GenericityReport)}
+    assert report.is_generic is True
+    flagged = Violation("cusp-proxy", np.zeros(2), ((0, 1.0),), "turn")
+    assert GenericityReport((), (flagged,), 0.1, 1e-6).is_generic is False
 
 
 def test_area_scaling_quadratic():

@@ -977,9 +977,9 @@ def test_group_refuses_a_crossing_sent_to_two_places():
     (t0, a), second, (t2, c) = arr.passages[1][:3]
     vertices = list(arr.vertices)
     for v, old, new in ((a, t0, t2), (c, t2, t0)):
-        vertices[v] = replace(vertices[v], branches=tuple(
-            (loop, new) if (loop, t) == (1, old) else (loop, t)
-            for loop, t in vertices[v].branches))
+        one, two = ((loop, new) if (loop, t) == (1, old) else (loop, t)
+                    for loop, t in (vertices[v].first, vertices[v].second))
+        vertices[v] = replace(vertices[v], first=one, second=two)
     passages = list(arr.passages)
     passages[1] = ((t0, c), second, (t2, a)) + arr.passages[1][3:]
     refused_swap(replace(arr, vertices=tuple(vertices), passages=tuple(passages)), g)

@@ -19,6 +19,7 @@ from conftest import (
     dipping_pair,
     eights_row,
     gerono_curve,
+    holed_curve,
     petal_curve,
     trefoil_curve,
 )
@@ -38,7 +39,6 @@ from symplane.forms import (
     _row_integral,
     _serialize_grid,
     density_for_curve,
-    infer_support_box,
     load_density,
     load_map,
     make_density,
@@ -120,11 +120,20 @@ def zero_row_pair(n=128, a=0.5, R=0.7):
 # --- Density type ---------------------------------------------------------
 
 
-def test_density_rejects_stray_values_outside_support_box():
+def assert_reference_box(d):
+    """d's derived support box equals, bound by bound and in repr, the box
+    the reference infer_support_box gives for its domain and values."""
+    ref = oracles.infer_support_box(d.x0, d.x1, d.y0, d.y1, d.nx, d.ny, d.values)
+    assert list(map(repr, d.support_box)) == list(map(repr, ref))
+
+
+def test_density_box_holds_stray_values():
+    # a value off 1 in a corner: the box reaches it, one node beyond
     vals = np.ones((8, 8))
     vals[0, 0] = 2.0
-    with pytest.raises(ValidationError):
-        Density(0, 1, 0, 1, 8, 8, vals, (0.5, 0.9, 0.5, 0.9))
+    d = Density(0, 1, 0, 1, 8, 8, vals)
+    assert_reference_box(d)
+    assert d.support_box == (0.0, d.xs[1], 0.0, d.ys[1])
 
 
 def _box_bounds(rng, nodes):
@@ -161,9 +170,9 @@ def _random_box(rng, grid):
     [((-1.0, 2.0, 0.5, 1.5), 9, 6), ((0, 1, 0, 1), 2, 3), ((-3.0, -0.0, 1e-3, 2e-3), 17, 5)],
 )
 def test_density_checks_exactly_the_nodes_outside_its_box(domain, nx, ny):
-    # Density checks "1 outside the support box" and support_defect takes
-    # its maximum on four slabs found by searchsorted; together they must
-    # be the outside mask, for any box, and the maximum the mask's
+    # support_defect takes its maximum on four slabs found by searchsorted:
+    # together they must be the outside mask, for any box, and the maximum
+    # the mask's
     rng = np.random.default_rng(nx * ny)
     grid = Grid(*domain, nx, ny)
     gm = GridMap(*domain, rng.normal(size=(nx, ny)), rng.normal(size=(nx, ny)))
@@ -174,24 +183,15 @@ def test_density_checks_exactly_the_nodes_outside_its_box(domain, nx, ny):
             covered[slab] = True
         assert np.array_equal(covered, oracles.outside(grid, box)), box
         assert support_defect(gm, box) == oracles.support_defect(gm, box), box
-    # and a density is refused iff a node outside its box is off 1
-    x0, x1, y0, y1 = domain
+    # and a density whose values are off 1 at random nodes inside a random
+    # box derives the reference box, with every node outside it at 1
     for _ in range(200):
-        box = _random_box(rng, grid)
-        if box[0] < x0 or box[1] > x1 or box[2] < y0 or box[3] > y1:
-            continue  # the domain check refuses these first
-        outside = oracles.outside(grid, box)
-        for refused in (True, False):
-            nodes = np.argwhere(outside == refused)
-            if not len(nodes):
-                continue
-            vals = np.ones((nx, ny))
-            vals[tuple(nodes[rng.integers(len(nodes))])] = 2.0
-            if refused:
-                with pytest.raises(ValidationError, match="equal 1 outside its support box"):
-                    Density(*domain, nx, ny, vals, box)
-            else:
-                Density(*domain, nx, ny, vals, box)
+        vals = np.ones((nx, ny))
+        inside = ~oracles.outside(grid, _random_box(rng, grid))
+        vals[inside] = rng.choice([1.0, 2.0, 0.5], size=int(inside.sum()))
+        d = Density(*domain, nx, ny, vals)
+        assert_reference_box(d)
+        assert np.all(d.values[oracles.outside(grid, d.support_box)] == 1.0)
 
 
 def test_density_rejects_nonpositive_values():
@@ -202,19 +202,17 @@ def test_density_rejects_nonpositive_values():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Density(0, 1, 0, 1, 4, 4, np.ones((4, 5)), (0, 1, 0, 1)), ValidationError,
+    (lambda: Density(0, 1, 0, 1, 4, 4, np.ones((4, 5))), ValidationError,
      r"values shape \(4, 5\) does not match grid \(4, 4\)"),
-    (lambda: Density(0, 1, 0, 1, 4, 4, np.full((4, 4), np.nan), (0, 1, 0, 1)), ValidationError,
+    (lambda: Density(0, 1, 0, 1, 4, 4, np.full((4, 4), np.nan)), ValidationError,
      "density values must be finite"),
-    (lambda: Density(0, 1, 0, 1, 4, 4, np.ones((4, 4)), (0, 2, 0, 1)), ValidationError,
-     "support box exceeds the grid domain"),
     (lambda: parse_density("density v1\n"), FormatError, "missing domain line"),
     (lambda: parse_map("dispmap v1\n0 1 0 one 4 4\n" + "0 " * 32), FormatError, "bad domain line"),
     (lambda: GridMap(0, 1, 0, 1, np.zeros((4, 4)), np.zeros((4, 5))), ValidationError,
      "displacement grids must share a 2d shape"),
     (lambda: moser_interpolation(*[make_density(0, 1, 0, 1, np.ones((3, 5)))] * 2), ValidationError,
      "grid too coarse for spline field evaluation"),
-], ids=["density-shape", "density-finite", "density-box", "missing-domain", "bad-domain",
+], ids=["density-shape", "density-finite", "missing-domain", "bad-domain",
         "map-shapes", "moser-coarse"])
 def test_grid_inputs_are_refused_with_their_reason(build, error, message):
     with pytest.raises(error, match=message):
@@ -231,15 +229,48 @@ def test_support_box_inference():
     assert sx0 == sx1 and sy0 == sy1
 
 
+def realized(curve, n):
+    """The density realizing twice each face area plus 1 on an n^2 grid."""
+    arr = build_arrangement(curve)
+    return realize_area_vector(arr, 2.0 * face_areas(arr) + 1.0, grid_n=n)[0]
+
+
+DERIVED_BOXES = {
+    "ones-4x4": lambda: [Density(0, 1, 0, 1, 4, 4, np.ones((4, 4)))],
+    "smooth-bump": lambda: [smooth_bump_density(n=n) for n in (16, 64, 128)],
+    "dip-bump": lambda: [d for seed in range(4) for n in (16, 33, 64)
+                         for d in dip_bump_pair(np.random.default_rng(seed), n)],
+    "conveyors": lambda: [*conveyor_pair(0.17, nx=64, ny=4), *conveyor_pair(0.16, nx=576)],
+    "pullbacks": lambda: [
+        pullback(grid_map((-3, 3, -3, 3), 96, 96, shear(0.3)), smooth_bump_density(n=64)),
+        pullback(grid_map((-3, 3, -3, 3), 96, 96, rotation(0.3)), smooth_bump_density(n=64)),
+        pullback(grid_map((-3, 3, -3, 3), 96, 96, lambda x, y: (x, np.zeros_like(y))),
+                 unit_density(-2, 2, -2, 2, 64, 64)),
+    ],
+    **{f"realize-{name}-{n}": (lambda curve=curve, n=n: [realized(curve(), n)])
+       for name, curve in [("trefoil", trefoil_curve), ("gerono", gerono_curve),
+                           ("holed", holed_curve), ("eights3", lambda: eights_row(3))]
+       for n in (64, 193, 256)},
+}
+
+
+@pytest.mark.parametrize("build", DERIVED_BOXES.values(), ids=DERIVED_BOXES.keys())
+def test_derived_box_is_the_reference_box(build):
+    densities = build()
+    assert densities
+    for d in densities:
+        assert_reference_box(d)
+        assert np.all(d.values[oracles.outside(d, d.support_box)] == 1.0)
+
+
 @pytest.mark.parametrize(
     "domain, nx, ny",
     [((-1.0, 2.0, 0.5, 1.5), 5, 7), ((0, 3, -2, 1), 4, None), ((-3.0, 3.0, -1.0, 1.0), np.int64(6), 3)],
 )
 def test_unit_density_box_is_the_inferred_one(domain, nx, ny):
-    # built without infer_support_box's scan, bit for bit what it gives
     d = unit_density(*domain, nx, ny)
+    assert_reference_box(d)
     ref = make_density(*domain, np.ones((nx, nx if ny is None else ny)))
-    assert list(map(repr, d.support_box)) == list(map(repr, ref.support_box))
     assert (d.nx, d.ny, type(d.nx), type(d.ny)) == (ref.nx, ref.ny, type(ref.nx), type(ref.ny))
     assert np.array_equal(d.values, ref.values) and not d.values.flags.writeable
 
@@ -360,10 +391,10 @@ def test_grid_files_share_one_domain_rule(tmp_path, load, tag, per_node, domain)
 GRID_BUILDERS = [
     lambda dom: make_density(*dom, np.ones((4, 4))),
     lambda dom: unit_density(*dom, 4),
-    lambda dom: Density(*dom, 4, 4, np.ones((4, 4)), dom),
+    lambda dom: Density(*dom, 4, 4, np.ones((4, 4))),
     lambda dom: Grid(*dom, 4, 4),
     lambda dom: GridMap(*dom, np.zeros((4, 4)), np.zeros((4, 4))),
-    lambda dom: infer_support_box(*dom, 4, 4, np.ones((4, 4))),
+    lambda dom: Density(*dom, 4, 4, np.full((4, 4), 2.0)).support_box,
 ]
 
 
@@ -454,10 +485,7 @@ def test_pullback_functoriality_sampled_density():
 
 def test_pullback_scales_linearly():
     om = smooth_bump_density(n=96)
-    scaled = Density(
-        om.x0, om.x1, om.y0, om.y1, om.nx, om.ny, 2.5 * om.values,
-        (om.x0, om.x1, om.y0, om.y1),
-    )
+    scaled = Density(om.x0, om.x1, om.y0, om.y1, om.nx, om.ny, 2.5 * om.values)
     sh = grid_map((om.x0, om.x1, om.y0, om.y1), 96, 96, shear(0.3))
     a = pullback(sh, scaled).values
     b = 2.5 * pullback(sh, om).values
@@ -477,7 +505,7 @@ def test_primitive_diffeo_of_unit_density_is_identity():
 
 
 def test_primitive_diffeo_of_constant_two_doubles_x():
-    two = Density(-1, 1, -1, 1, 32, 32, 2 * np.ones((32, 32)), (-1, 1, -1, 1))
+    two = Density(-1, 1, -1, 1, 32, 32, 2 * np.ones((32, 32)))
     psi = primitive_diffeo(two)
     pts = np.column_stack([np.linspace(-0.9, 0.9, 11), np.linspace(-0.5, 0.5, 11)])
     mapped = psi.evaluate(pts)
@@ -494,7 +522,7 @@ def test_primitive_round_trip_at_module_resolution():
 def test_primitive_anchor_away_from_origin():
     # grid strictly right of x = 0: the anchored integral crosses f = 1 territory
     vals = np.ones((32, 32))
-    om = Density(1.0, 3.0, -1.0, 1.0, 32, 32, vals, (2.0, 2.0, 0.0, 0.0))
+    om = Density(1.0, 3.0, -1.0, 1.0, 32, 32, vals)
     psi = primitive_diffeo(om)
     pts = np.array([(1.5, 0.2), (2.5, -0.3)])
     assert np.max(np.abs(psi.evaluate(pts) - pts)) < 1e-10

@@ -141,8 +141,10 @@ def test_labelled_different_shapes_incomparable(circle512, gerono256):
 def test_labelled_rejects_non_bijective_correspondence(circle512, gerono256):
     arr = build_arrangement(gerono256)
     bad = FaceCorrespondence(faces=(1, 1), vertices=(1,))
-    with pytest.raises(ValidationError):
-        labelled_equivalent(arr, arr, corr=bad)
+    # the orbit search that labelled_equivalent runs on isotopy_match's
+    # correspondence checks it is a bijection first
+    with pytest.raises(ValidationError, match="not a bijection"):
+        moduli._orbit_decision(arr, arr, bad, np.arange(arr.r)[None], 1e-3, None, None)
 
 
 def test_labelled_transitive_up_to_doubled_tolerance(circle512):

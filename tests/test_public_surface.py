@@ -8,11 +8,17 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import gerono_curve
 
 import symplane
 from symplane import forms
-from symplane.arrangement import Face
+from symplane.arrangement import Face, build_arrangement
+from symplane.curves import DoublePoint, GenericityReport, Violation
+from symplane.diagram import gauss_code, isotopy_match, symmetry_group
+from symplane.forms import unit_density
+from symplane.moduli import labelled_equivalent
 
 # the analytic plane maps; GridMap is the one map type
 REMOVED_MAPS = ("PlanarMap", "AffineMap", "ShearMap", "ComposedMap",
@@ -32,6 +38,42 @@ def test_analytic_maps_are_not_importable(module):
 def test_face_keeps_its_boundary_once():
     # a face's walks are read off Face.edges; no second copy is stored
     assert "polygons" not in {field.name for field in dataclasses.fields(Face)}
+
+
+def _double_point():
+    return DoublePoint(np.zeros(2), (0, 1.0), (0, 5.0), 1.0, 1)
+
+
+# each builds a record that holds numpy arrays, the same content each call
+ARRAY_RECORDS = {
+    "ClosedCurve": lambda: gerono_curve(n=64),
+    "DoublePoint": _double_point,
+    "Violation": lambda: Violation("cusp-proxy", np.zeros(2), ((0, 1.0),), "turn"),
+    "GenericityReport": lambda: GenericityReport((_double_point(),), (), 0.1, 1e-6),
+    "HalfEdge": lambda: build_arrangement(gerono_curve(n=64)).half_edges[0],
+    "Face": lambda: build_arrangement(gerono_curve(n=64)).faces[0],
+    "Arrangement": lambda: build_arrangement(gerono_curve(n=64)),
+    "SymmetryGroup": lambda: symmetry_group(build_arrangement(gerono_curve(n=64))),
+    "Density": lambda: unit_density(0, 1, 0, 1, 4, 4),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_records_compare_by_identity(build):
+    # equality over array fields would raise or mean nothing: two records
+    # of equal content differ, each equals itself, and each hashes
+    a, b = build(), build()
+    assert a != b and not a == b
+    assert a == a and hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
+def test_tuple_records_compare_by_value():
+    arr = build_arrangement(gerono_curve(n=64))
+    again = build_arrangement(gerono_curve(n=64))
+    assert gauss_code(arr) == gauss_code(again)
+    assert isotopy_match(arr, again) == isotopy_match(arr, again)
+    assert labelled_equivalent(arr, again) == labelled_equivalent(arr, again)
 
 
 def unused_definitions(src: Path, exported, pyproject: str):
