@@ -219,15 +219,13 @@ def _parse_rows(rows) -> np.ndarray:
             return flat.reshape(-1, 2)
         except ValueError:
             pass
-    pts = np.empty((len(rows), 2))
-    for k, ((lno, row), c) in enumerate(zip(rows, cols)):
+    for (lno, row), c in zip(rows, cols):
         if len(c) != 2:
             raise FormatError(f"line {lno}: expected 'x y', got {row!r}")
         try:
-            pts[k] = float(c[0]), float(c[1])
+            list(map(float, c))
         except ValueError:
             raise FormatError(f"line {lno}: bad coordinate in {row!r}") from None
-    return pts
 
 
 def serialize_curve(curve: ClosedCurve) -> str:

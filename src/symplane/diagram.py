@@ -171,11 +171,11 @@ def canonical_code(gc: GaussCode) -> str:
     grow as 3k for a row of k congruent figure-eights, 2k for k disjoint
     circles or k nested rings, 2k + 2 for a ring holding k discs,
     2k^2 + 7k + 1 for a flower of k petals on a circle and 21k - 24 for a
-    necklace of k circles. The reading rule and the order of components by
-    code do not depend on the order in which the loops are given. Equal
-    strings mean isomorphic oriented labelled plane diagrams; the outer
-    face and the traversal orientation are preserved by every candidate,
-    so a mirror image or a reversed loop will not collide.
+    necklace of k circles. Neither the reading rule nor the order of
+    components by code depends on the order of the loops, and no swap or
+    |G| is derived. Equal strings mean isomorphic oriented labelled plane
+    diagrams; the outer face and the traversal orientation are preserved
+    by every candidate: a mirror image or a reversed loop will not collide.
     """
     return _minimal_readings(gc).serial
 
@@ -196,18 +196,18 @@ def symmetry_group(arr: Arrangement) -> SymmetryGroup:
     the first minimal one, to its other ties for its least code, with
     their held subtrees, and by the swaps of equal sibling subtrees (of a
     single loop: by the basepoints whose reading ties with the first least
-    one), and |G| is known from the search: the product of each
-    component's tie count and m! for each run of m equal siblings. It is
-    checked against MAX_GROUP_ORDER (ValidationError above it) before any
-    element exists. Each generator is a pair map that holds only the
-    loops its two readings hold, so k - 1 swaps of k disjoint circles
-    hold 2(k - 1) entries, and it is checked one way: its image of the
-    canonical reading must read the canonical serial (InconsistencyError
-    otherwise), and the two readings' label maps give its face and
-    crossing permutations. Then G is listed from the generators in whole
-    cosets of one permutation array (Dimino's algorithm) and must have
-    that order. The same coset routine then picks the greedy generators
-    of the sorted rows and checks that they form a group.
+    one). Only here are they and |G| derived from the forest: |G| is the
+    product of each component's tie count and m! for each run of m equal
+    siblings, checked against MAX_GROUP_ORDER (ValidationError above it,
+    past 30 digits named by its power of ten) before any swap is made.
+    Each generator is a pair map over the loops its two readings hold, so
+    k - 1 swaps of k disjoint circles hold 2(k - 1) entries, and it is
+    checked one way: its image of the canonical reading must read the
+    canonical serial (InconsistencyError otherwise), and the two readings'
+    label maps give its face and crossing permutations. Then G is listed
+    from the generators in whole cosets of one permutation array (Dimino's
+    algorithm) and must have that order; the same coset routine picks the
+    greedy generators of the sorted rows and checks that they form a group.
     """
     gc = gauss_code(arr)
     return _group(arr, gc, _minimal_readings(gc))
@@ -276,21 +276,34 @@ def _chunk(gc: GaussCode, loop, rot, vert_label, face_label) -> str:
 class Readings(NamedTuple):
     """What the reading search finds (see `_minimal_readings`): the
     canonical serial, the canonical reading as (loop, basepoint) pairs
-    with its label maps, the pair maps that generate G, and |G|. A pair
-    map {loop: (image loop, shift)} holds the loops its readings hold and
-    fixes every other loop; `_group` reads each one's image of the
-    canonical reading to check it and to list G."""
+    with its label maps, and G as the forest holds it: tie maps and runs
+    of equal siblings. A pair map {loop: (image loop, shift)} holds the
+    loops its readings hold and fixes every other loop. |G| and the
+    generators are derived only where G is listed (`_group`)."""
 
     serial: str
     reading: tuple  # (loop, basepoint) pairs of the canonical reading, the first minimal one
     first: tuple[dict, dict]  # its (faces, verts) label maps
-    automorphisms: tuple  # pair maps {loop: (image loop, shift)} that generate G
-    order: int  # |G|
+    ties: tuple  # per component: pair maps from its reading to its other ties
+    runs: tuple  # per run of equal sibling subtrees: their readings in canonical order
+    mods: tuple  # per loop: its basepoint count
+
+    @property
+    def order(self) -> int:
+        """|G|: each component's tie count times m! for each run of m."""
+        return (math.prod(len(maps) + 1 for maps in self.ties)
+                * math.prod(math.factorial(len(run)) for run in self.runs))
+
+    @property
+    def automorphisms(self) -> list:
+        """Pair maps that generate G: the tie maps, then swaps of adjacent subtrees of each run."""
+        return [*chain.from_iterable(self.ties),
+                *(_pair_map(x + y, y + x, self.mods) for run in self.runs for x, y in zip(run, run[1:]))]
 
 
 def _minimal_readings(gc: GaussCode) -> Readings:
     """The canonical serial, the canonical reading with its (faces, verts)
-    label maps, and diagram automorphisms that generate G; the canonical
+    label maps, and G as the forest holds it (`Readings`); the canonical
     reading is the first minimal reading in (loop order, rotations) order.
 
     A reading lists (loop, basepoint) pairs; its serial is the header
@@ -322,8 +335,8 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     `_search`, is the canonical code; a diagram of one component must
     read the least serial of its search. G is generated by the pair maps
     from each component's reading to its other ties and by swaps of
-    adjacent subtrees with equal codes in one face: |G| is the product of
-    the tie counts and of m! for each run of m equal siblings.
+    adjacent subtrees with equal codes in one face; only the tie maps and
+    runs are kept, and |G| and the swaps are derived where G is listed.
 
     A row of k congruent figure-eights costs 2k chunk reads in the
     searches and k more for the canonical reading; k nested rings or k
@@ -332,13 +345,13 @@ def _minimal_readings(gc: GaussCode) -> Readings:
     of k petals on a circle and 20k - 24 for a necklace of k circles,
     k + 1 and k more for the canonical reading.
     """
-    mods = [max(1, len(occ)) for occ in gc.occ]
+    mods = tuple(max(1, len(occ)) for occ in gc.occ)
     if len(gc.occ) == 1:
         # one loop: every leaf is read in key order, so the reference is the
         # first minimal reading and each later minimal leaf one automorphism;
         # the forest's bookkeeping below would double or triple its time
         serial, pairs, maps, auts = _search(gc, (0,), gc.outer_face, mods)
-        return Readings(serial, pairs, maps, tuple(auts), 1 + len(auts))
+        return Readings(serial, pairs, maps, (tuple(auts),), (), mods)
     loops_of = [[] for _ in gc.hosts]
     for loop, comp in enumerate(gc.components):
         loops_of[comp].append(loop)
@@ -352,24 +365,15 @@ def _minimal_readings(gc: GaussCode) -> Readings:
         faces = found[c][2][0]
         own[c] = [f for f in sorted(faces, key=faces.get) if f != gc.hosts[c]]
         down.extend(chain.from_iterable(hosted.get(f, ()) for f in own[c]))
-    code, walk, gens, order = {}, {}, [], 1
+    code, walk, tie_maps = {}, {}, []
 
-    def swaps(members):
-        """Generators swapping adjacent equal subtrees of one face, and the
-        count of the permutations they span."""
-        count = 1
-        ranked = sorted(members, key=lambda x: (code[x], walk[x][0][0]))
-        for run in (list(g) for _, g in groupby(ranked, key=code.get)):
-            count *= math.factorial(len(run))
-            gens.extend(_pair_map(walk[x] + walk[y], walk[y] + walk[x], mods)
-                        for x, y in zip(run, run[1:]))
-        return count
+    def ranked(members):
+        """The subtrees of one face in canonical order, equal codes by first loop."""
+        return sorted(members, key=lambda x: (code[x], walk[x][0][0]))
 
     def arranged(members):
-        """The subtrees of one face at their readings, in canonical order,
-        equal codes ordered by their first loop."""
-        return tuple(chain.from_iterable(walk[x] for x in sorted(
-            members, key=lambda x: (code[x], walk[x][0][0]))))
+        """The subtrees of one face at their readings, in canonical order."""
+        return tuple(chain.from_iterable(walk[x] for x in ranked(members)))
 
     for c in reversed(down):
         serial, base, (faces, _), auts = found[c]
@@ -389,17 +393,16 @@ def _minimal_readings(gc: GaussCode) -> Readings:
                            for mine, inside in ties),
                           key=lambda r: ([loop for loop, _ in r], [rot for _, rot in r]))
         walk[c] = readings[0]
-        gens.extend(_pair_map(readings[0], other, mods) for other in readings[1:])
-        order *= len(ties)
+        tie_maps.append(tuple(_pair_map(readings[0], other, mods) for other in readings[1:]))
         code[c] = serial + "".join(f"[{faces[f]}" + "".join(f"({x})" for x in codes) + "]"
                                    for f, codes in zip(own[c], best) if codes)
-    for members in hosted.values():
-        order *= swaps(members)
+    runs = [tuple(walk[x] for x in run) for members in hosted.values()
+            for run in (list(g) for _, g in groupby(ranked(members), key=code.get)) if len(run) > 1]
     pairs = arranged(hosted[gc.outer_face])
     serial, faces, verts = _read(gc, pairs)
     if len(gc.hosts) == 1 and serial != found[0][0]:
         raise InconsistencyError("first minimal reading does not read its search's serial")
-    return Readings(serial, pairs, (faces, verts), tuple(gens), order)
+    return Readings(serial, pairs, (faces, verts), tuple(tie_maps), tuple(runs), mods)
 
 
 def _search(gc: GaussCode, loops, outer, mods):
@@ -567,17 +570,19 @@ def _group(arr: Arrangement, gc: GaussCode, found: Readings) -> SymmetryGroup:
     so g after h is the gather g[h]; the generators' rows come from
     `_generator_rows`, which checks each one.
     """
-    if found.order > MAX_GROUP_ORDER:
+    if (order := found.order) > MAX_GROUP_ORDER:
+        # a long order by its power of ten: no int-to-string digit limit applies
+        size = order if order < 10**30 else f"about 10^{round(math.log10(order))}"
         raise ValidationError(
-            f"symmetry group of {found.order} elements exceeds the budget of "
+            f"symmetry group of {size} elements exceeds the budget of "
             f"{MAX_GROUP_ORDER} elements"
         )
     r = arr.r
     rows, _ = _cosets(np.asarray(_generator_rows(arr, gc, found), dtype=np.intp)
                       .reshape(-1, r + len(arr.vertices)))
-    if len(rows) != found.order:
+    if len(rows) != order:
         raise InconsistencyError(
-            f"automorphisms close to {len(rows)} elements, orbits give {found.order}"
+            f"automorphisms close to {len(rows)} elements, orbits give {order}"
         )
     rows = rows[np.lexsort(rows.T[::-1])]
     generators = _checked_generators(rows)
@@ -595,10 +600,9 @@ def _generator_rows(arr: Arrangement, gc: GaussCode, found: Readings):
     takes from their label maps. An image that reads another serial is
     no diagram automorphism and raises InconsistencyError.
     """
-    mods = [max(1, len(occ)) for occ in gc.occ]
     rows = []
     for g in found.automorphisms:
-        serial, faces, verts = _read(gc, [_apply(g, p, mods) for p in found.reading])
+        serial, faces, verts = _read(gc, [_apply(g, p, found.mods) for p in found.reading])
         if serial != found.serial:
             raise InconsistencyError("pair map is not a diagram automorphism")
         corr = _correspondence(arr, arr, *found.first, faces, verts)

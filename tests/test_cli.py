@@ -227,8 +227,8 @@ def test_symmetry_circle_trivial(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_twelve_disjoint_circles_analyze_and_refuse_to_list_g(tmp_path, capsys):
-    # G is all 12! loop orders: the canonical code comes from 11
-    # automorphisms, and listing G is refused from its order alone
+    # G is all 12! loop orders: the canonical code makes none of its 11
+    # swaps, and listing G is refused from its order alone
     path = write_curve(tmp_path, "circles12.curve", circles_row(12))
     start = time.perf_counter()
     code, text, _ = run_captured(capsys, ["analyze", path])
@@ -240,6 +240,26 @@ def test_twelve_disjoint_circles_analyze_and_refuse_to_list_g(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         assert (code, text) == (2, "")
         assert err.count("error:") == 1 and "exceeds the budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("digits", [None, 640, 0], ids=["default", "least", "unlimited"])
+def test_huge_group_is_refused_by_its_power_of_ten(tmp_path, capsys, digits):
+    # |G| = 1600! has 4434 digits, past the default int-to-string limit of
+    # 4300: the refusal names the order by its power of ten, at any limit
+    t = 2 * np.pi * np.arange(16) / 16
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    grid = ClosedCurve(tuple(ring + (3.0 * (i % 40), 3.0 * (i // 40)) for i in range(1600)))
+    path = write_curve(tmp_path, "circles1600.curve", grid)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(previous if digits is None else digits)
+    try:
+        for argv in (["symmetry", path], ["compare", path, path, "--symplectic"]):
+            code, text, err = run_captured(capsys, argv)
+            assert (code, text) == (2, "")
+            assert err == ("error: symmetry group of about 10^4434 elements exceeds the budget "
+                           "of 40320 elements\n")
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 # --- realize --------------------------------------------------------------

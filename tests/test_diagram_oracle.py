@@ -477,6 +477,50 @@ def test_flower_of_crossing_petals_work_grows_quadratically(monkeypatch):
             6 * k * k - 11 * k + 109, k * (k + 3), k, k * k - 1), k
 
 
+def chain_of_circles():
+    """Four circles in a chain, each crossing the next twice, given in an
+    order that makes `_search` drop a path: the unit circle, a petal on
+    its right, a small circle crossing that petal, and a petal on its left."""
+    return ClosedCurve((
+        circle_curve(n=128).loops[0],
+        circle_curve(n=64, radius=0.3, center=(1.0, 0.0), phase=0.3).loops[0],
+        circle_curve(n=48, radius=0.12, center=(1.3, 0.0), phase=0.1).loops[0],
+        circle_curve(n=64, radius=0.3, center=(-1.0, 0.0), phase=0.7).loops[0],
+    ))
+
+
+def test_search_drops_a_path_above_the_best_serial(monkeypatch):
+    # a later root's path rises above the best serial found and is dropped
+    # there: 52 chunk reads, 64 if each root were read down in full
+    curve = chain_of_circles()
+    reads, applied, found = count_work(monkeypatch, curve, cap=20)
+    assert (reads, applied, found.order, sum(map(len, found.automorphisms))) == (52, 14, 2, 4)
+    serial, readings = oracles.crossing_order_readings(gauss_code(build_arrangement(curve)))
+    assert (found.serial, found.order) == (serial, len(readings))
+
+
+@pytest.mark.parametrize("name", ["circles", "eights", "flower", "ring-of-discs"])
+def test_codes_and_matches_derive_no_group(name, monkeypatch):
+    # G stays in the forest's shape until it is listed: a code or a match
+    # makes no swap of equal siblings and computes no factorial. The only
+    # pair maps made are a flower's one turn, found by its search, and its
+    # k - 1 tie maps, in each of the three reading searches
+    curve, _ = GROWTH[name]
+    made, factorials = [], []
+    pair_map, factorial = diagram._pair_map, math.factorial
+    monkeypatch.setattr(diagram, "_pair_map", lambda *args: made.append(1) or pair_map(*args))
+    monkeypatch.setattr(math, "factorial", lambda n: factorials.append(n) or factorial(n))
+    for k in range(4, 13):
+        arr = build_arrangement(curve(k))
+        made.clear()
+        canonical_code(gauss_code(arr))
+        assert isotopy_match(arr, arr) is not None
+        assert (len(made), factorials) == (3 * k if name == "flower" else 0, []), k
+    monkeypatch.undo()
+    arr = build_arrangement(curve(4))
+    assert_group_matches_closure(arr, _minimal_readings(gauss_code(arr)))
+
+
 def test_golden_codes_agree_with_whole_search():
     # rings12 and flower12 are left out: the whole-diagram search reads
     # every order of the rings, and of the petals, which takes minutes
@@ -922,6 +966,7 @@ def test_group_order_budget_is_checked_before_any_element(monkeypatch):
     arr = build_arrangement(circles_row(9))
     gc = gauss_code(arr)
     monkeypatch.setattr(diagram, "_read", None)  # listing an element would call it
+    monkeypatch.setattr(diagram, "_pair_map", None)  # and so would making a swap
     with pytest.raises(ValidationError, match="exceeds the budget"):
         _group(arr, gc, found)
 
@@ -931,8 +976,15 @@ def test_group_closure_must_have_the_orbit_order():
     gc = gauss_code(arr)
     found = _minimal_readings(gc)
     assert _group(arr, gc, found).order == found.order == 24
-    for wrong in (found._replace(order=25), found._replace(automorphisms=found.automorphisms[1:])):
-        with pytest.raises(InconsistencyError, match="close to"):
+    # an identity map counted as one more tie doubles |G| but not the
+    # closure; a run that repeats its first subtree keeps |G| = 4! while
+    # its swaps span the 3! orders of the other three
+    (run,) = found.runs
+    wrongs = (found._replace(ties=found.ties[:-1] + (found.ties[-1] + ({},),)),
+              found._replace(runs=((run[0],) + run[:-1],)))
+    for wrong, message in zip(wrongs, ("close to 24 elements, orbits give 48",
+                                       "close to 6 elements, orbits give 24")):
+        with pytest.raises(InconsistencyError, match=message):
             _group(arr, gc, wrong)
 
 
@@ -949,7 +1001,7 @@ def refused_swap(bad, g):
     found = _minimal_readings(gc)
     assert found.order < 2 or g not in found.automorphisms
     with pytest.raises(InconsistencyError, match="not a diagram automorphism"):
-        _group(bad, gc, found._replace(automorphisms=(g,), order=2 * found.order))
+        _group(bad, gc, found._replace(ties=((g,),), runs=()))
 
 
 def test_group_refuses_a_mirrored_crossing():
