@@ -195,8 +195,17 @@ def face_integrator(arr: Arrangement, grid):
     # the smallest type that holds 0..r, since on_window keeps it
     labels = _face_raster(arr, centers_x, centers_y).astype(np.min_scalar_type(arr.r), order="C")
     lab = labels.ravel()
+    # each face's cells in ascending order: the raster's runs of one bounded
+    # face's label, stably sorted by label and laid out cell by cell
+    start = np.append(0, np.flatnonzero(lab[1:] != lab[:-1]) + 1)
+    runs = np.flatnonzero(lab.take(start))
+    runs = runs.take(np.argsort(lab.take(start.take(runs)), kind="stable"))
+    start, size = start.take(runs), np.diff(start, append=lab.size).take(runs)
+    offset = np.cumsum(np.append(0, size))  # of each run in the cells, then their count
+    cells = np.arange(offset[-1]) + np.repeat(start - offset[:-1], size)
+    first = np.searchsorted(lab.take(start), np.arange(2, arr.r + 1))  # faces 2..r
     # cell (i, k) is flat cell i * (ny - 1) + k and has lower left node i * ny + k
-    corners = [c + c // (ny - 1) for c in (np.flatnonzero(lab == j) for j in range(1, arr.r + 1))]
+    corners = np.split(cells + cells // (ny - 1), offset.take(first))
 
     def face_sum(flat, j):
         # ((v00 + v10) + v01) + v11, then x 0.25: each cell's mean

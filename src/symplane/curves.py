@@ -278,8 +278,6 @@ def resample(curve: ClosedCurve, n: int) -> ClosedCurve:
             if cur.shape == nxt.shape and np.max(np.abs(nxt - cur)) < tol:
                 break
             cur = nxt
-        else:
-            cur = nxt
         new_loops.append(cur)
     return ClosedCurve(tuple(new_loops))
 
@@ -392,50 +390,50 @@ def _segment_hits(curve, sep_tol, violations):
     loop, whose closeness is curvature, not a second strand. A near-miss
     beside a crossing pair is dropped too: a crossing within sep_tol of a
     sample point brings the neighbouring segments within sep_tol of each
-    other.
+    other; `_beside_crossings` screens all near pairs in one key lookup.
     """
     pts, nxt, loop, index, size = segs = _segments(curve)
     a, b = _candidate_pairs(segs, sep_tol)
-
-    def ends(ca, cb):
-        """The end points of segments ca and cb, gathered row by row."""
-        return (pts.take(ca, axis=0), nxt.take(ca, axis=0),
-                pts.take(cb, axis=0), nxt.take(cb, axis=0))
-
-    hits = []
-    crossed = {}  # (loop, loop): crossing (index, index) pairs
-    near = []
+    if not len(a):
+        return []
+    hits, crossed, near = [], [], []  # per chunk: crossing pairs; near pairs and distances
     for c in range(0, len(a), PAIR_CHUNK):
         ca, cb = a[c : c + PAIR_CHUNK], b[c : c + PAIR_CHUNK]
-        hit, t, u, point = segment_intersections(*ends(ca, cb))
+        ends = [x.take(s, axis=0) for s in (ca, cb) for x in (pts, nxt)]  # p0, p1, q0, q1
+        hit, t, u, point = segment_intersections(*ends)
         ha, hb = ca[hit], cb[hit]
         ta = ((index[ha] + t) % size[ha]).tolist()
         tb = ((index[hb] + u) % size[hb]).tolist()
         hits.extend(zip(point, zip(zip(loop[ha].tolist(), ta), zip(loop[hb].tolist(), tb))))
-        for la, lb, i, j in zip(*(x.tolist() for x in (loop[ha], loop[hb], index[ha], index[hb]))):
-            crossed.setdefault((la, lb), set()).add((i, j))
+        crossed.append((ha, hb))
         gap = (index[cb] - index[ca]) % size[ca]
         window = np.maximum(2, size[ca] // 100)
         far = ~hit & ((loop[ca] != loop[cb]) | (np.minimum(gap, size[ca] - gap) > window))
         ca, cb = ca[far], cb[far]
-        dist = segment_pair_distances(*ends(ca, cb))
+        dist = segment_pair_distances(*(e[far] for e in ends))
         close = dist < sep_tol
-        near.extend(zip(ca[close].tolist(), cb[close].tolist(), dist[close].tolist()))
-    for sa, sb, dist in near:
-        la, lb, i, j = int(loop[sa]), int(loop[sb]), int(index[sa]), int(index[sb])
-        pairs = crossed.get((la, lb), ())
-        if _beside_crossing(i, j, int(size[sa]), int(size[sb]), pairs, la == lb):
-            continue
-        mid = 0.25 * (pts[sa] + nxt[sa] + pts[sb] + nxt[sb])
-        violations.append(
-            Violation(
-                "near-miss",
-                mid,
-                ((la, float(i)), (lb, float(j))),
-                f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
-            )
-        )
+        near.append((ca[close], cb[close], dist[close]))
+    sa, sb, dist = map(np.concatenate, zip(*near))
+    if len(sa):
+        keep = ~_beside_crossings(sa, sb, *map(np.concatenate, zip(*crossed)), index, size)
+        sa, sb, dist = sa[keep], sb[keep], dist[keep]
+    mids = 0.25 * (pts[sa] + nxt[sa] + pts[sb] + nxt[sb])
+    rows = zip(mids, *(x.tolist() for x in (loop[sa], index[sa], loop[sb], index[sb], dist)))
+    for mid, la, i, lb, j, d in rows:
+        detail = f"strands {d:.3g} apart without crossing (tol {sep_tol:.3g})"
+        violations.append(Violation("near-miss", mid, ((la, float(i)), (lb, float(j))), detail))
     return hits
+
+
+def _beside_crossings(sa, sb, ha, hb, index, size):
+    """Whether each near pair (sa, sb) of segment rows or one of its nine
+    neighbours (i +- 1, j +- 1 wrapped within each loop; `index` and
+    `size` as in `_segments`) is a crossing pair (ha, hb), which has
+    ha < hb: one `np.isin` of keys (smaller row) * rows + (larger row)."""
+    step = np.arange(-1, 2)[:, None]
+    around_a, around_b = (s - index[s] + (index[s] + step) % size[s] for s in (sa, sb))
+    lo, hi = np.minimum(around_a[:, None], around_b), np.maximum(around_a[:, None], around_b)
+    return np.isin(lo * len(index) + hi, ha * len(index) + hb).any(axis=(0, 1))
 
 
 def _segments(curve):
@@ -496,8 +494,7 @@ def _candidate_pairs(segs, sep_tol):
         gap = (index[b] - index[a]) % size[a]
         keep &= (loop[a] != loop[b]) | (np.minimum(gap, size[a] - gap) > 1)
         found.append((a[keep], b[keep]))
-    a = np.concatenate([f[0] for f in found])
-    b = np.concatenate([f[1] for f in found])
+    a, b = map(np.concatenate, zip(*found))
     rank = np.lexsort((index[b], index[a], loop[b], loop[a]))
     return a[rank], b[rank]
 
@@ -518,42 +515,32 @@ def _window_pairs(end):
         r0 = r1
 
 
-def _beside_crossing(i, j, na, nb, crossed, same_loop):
-    """Whether segment pair (i, j) or a neighbour (i +- 1, j +- 1) crosses.
-
-    Pairs of one loop are stored as (i, j) with i < j, so both
-    orientations are looked up there.
-    """
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            pair = ((i + di) % na, (j + dj) % nb)
-            if pair in crossed or (same_loop and pair[::-1] in crossed):
-                return True
-    return False
-
-
 def _cluster_hits(hits, sep_tol):
     """Group intersection records whose points lie within sep_tol.
 
-    Only pairs of records within 2 sep_tol in x, found from one sort by x,
-    are measured: two points within sep_tol of each other are within
-    sep_tol in x up to rounding. The measured pairs are visited in (i, j)
-    order of the records, so the union-find merges, and the clusters and
-    their order, are those of a test of all pairs.
+    Only the `_window_pairs` of one sort by x, within 2 sep_tol in x, are
+    measured, a chunk per `_norms` pass: two points within sep_tol of
+    each other are within sep_tol in x up to rounding. The pairs within
+    sep_tol are merged in (i, j) order of the records, so the clusters
+    and their order are those of a test of all pairs. A column of
+    crossings, all within 2 sep_tol in x, still makes quadratically many
+    window pairs.
     """
     hits = list(hits)
-    x = np.array([h[0][0] for h in hits], dtype=float)
-    order = np.argsort(x, kind="stable")
-    end = np.searchsorted(x[order], x[order] + 2 * sep_tol, side="right").tolist()
-    order = order.tolist()
-    pairs = sorted(
-        (min(order[k], order[m]), max(order[k], order[m]))
-        for k in range(len(hits))
-        for m in range(k + 1, end[k])
-    )
-    near = [(i, j) for i, j in pairs if np.linalg.norm(hits[i][0] - hits[j][0]) <= sep_tol]
+    xy = np.array([h[0] for h in hits], dtype=float).reshape(-1, 2)
+    order = np.argsort(xy[:, 0], kind="stable")
+    x = xy[:, 0].take(order)
+    end = np.searchsorted(x, x + 2 * sep_tol, side="right")
+    if (end <= np.arange(1, len(hits) + 1)).all():  # no window holds a pair
+        return [[h] for h in hits]
+    keys = []  # i * len(hits) + j of each pair i < j within sep_tol
+    for p, q in _window_pairs(end):
+        i, j = np.minimum(order[p], order[q]), np.maximum(order[p], order[q])
+        close = _norms(xy.take(i, axis=0) - xy.take(j, axis=0)) <= sep_tol
+        keys.append(i[close] * len(hits) + j[close])
+    pairs = zip(*(x.tolist() for x in np.divmod(np.sort(np.concatenate(keys)), len(hits))))
     groups: dict[int, list] = {}
-    for root, h in zip(union_roots(len(hits), near), hits):
+    for root, h in zip(union_roots(len(hits), pairs), hits):
         groups.setdefault(root, []).append(h)
     return [groups[k] for k in sorted(groups)]
 

@@ -570,9 +570,12 @@ def _group(arr: Arrangement, gc: GaussCode, found: Readings) -> SymmetryGroup:
     so g after h is the gather g[h]; the generators' rows come from
     `_generator_rows`, which checks each one.
     """
-    if (order := found.order) > MAX_GROUP_ORDER:
-        # a long order by its power of ten: no int-to-string digit limit applies
-        size = order if order < 10**30 else f"about 10^{round(math.log10(order))}"
+    log10_order = (sum(math.log10(len(maps) + 1) for maps in found.ties)
+                   + sum(math.lgamma(len(run) + 1) for run in found.runs) / math.log(10))
+    if (order := found.order if log10_order < 31 else math.inf) > MAX_GROUP_ORDER:
+        # a long order by its power of ten, from lgamma: no huge factorial is
+        # taken, and no int-to-string digit limit applies
+        size = order if order < 10**30 else f"about 10^{round(log10_order)}"
         raise ValidationError(
             f"symmetry group of {size} elements exceeds the budget of "
             f"{MAX_GROUP_ORDER} elements"

@@ -29,7 +29,6 @@ from symplane.curves import (
     DoublePoint,
     GenericityReport,
     Violation,
-    _beside_crossing,
 )
 from symplane.diagram import (
     FaceCorrespondence,
@@ -1669,6 +1668,20 @@ def _segment_hits(curve, sep_tol, violations):
                         f"strands {dist:.3g} apart without crossing (tol {sep_tol:.3g})",
                     )
                 )
+
+
+def _beside_crossing(i, j, na, nb, crossed, same_loop):
+    """Whether segment pair (i, j) or a neighbour (i +- 1, j +- 1) crosses.
+
+    Pairs of one loop are stored as (i, j) with i < j, so both
+    orientations are looked up there.
+    """
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            pair = ((i + di) % na, (j + dj) % nb)
+            if pair in crossed or (same_loop and pair[::-1] in crossed):
+                return True
+    return False
 
 
 def _cluster_hits(hits, sep_tol):

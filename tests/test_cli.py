@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import os
 import subprocess
 import sys
@@ -242,14 +243,18 @@ def test_twelve_disjoint_circles_analyze_and_refuse_to_list_g(tmp_path, capsys):
         assert err.count("error:") == 1 and "exceeds the budget" in err and "Traceback" not in err
 
 
+def circles_grid_1600():
+    """1600 congruent disjoint 16-sample circles on a 40 x 40 grid, 3 apart."""
+    t = 2 * np.pi * np.arange(16) / 16
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    return ClosedCurve(tuple(ring + (3.0 * (i % 40), 3.0 * (i // 40)) for i in range(1600)))
+
+
 @pytest.mark.parametrize("digits", [None, 640, 0], ids=["default", "least", "unlimited"])
 def test_huge_group_is_refused_by_its_power_of_ten(tmp_path, capsys, digits):
     # |G| = 1600! has 4434 digits, past the default int-to-string limit of
     # 4300: the refusal names the order by its power of ten, at any limit
-    t = 2 * np.pi * np.arange(16) / 16
-    ring = np.column_stack([np.cos(t), np.sin(t)])
-    grid = ClosedCurve(tuple(ring + (3.0 * (i % 40), 3.0 * (i // 40)) for i in range(1600)))
-    path = write_curve(tmp_path, "circles1600.curve", grid)
+    path = write_curve(tmp_path, "circles1600.curve", circles_grid_1600())
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(previous if digits is None else digits)
     try:
@@ -260,6 +265,23 @@ def test_huge_group_is_refused_by_its_power_of_ten(tmp_path, capsys, digits):
                            "of 40320 elements\n")
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def test_huge_group_is_refused_without_its_factorial(tmp_path, capsys, monkeypatch):
+    # log10 |G| = log10 1600! comes from lgamma: refusing G takes no
+    # factorial above 30!
+    path = write_curve(tmp_path, "circles1600.curve", circles_grid_1600())
+    args = []
+    factorial = math.factorial
+
+    def spy(k):
+        args.append(k)
+        return factorial(k)
+
+    monkeypatch.setattr(math, "factorial", spy)
+    code, text, err = run_captured(capsys, ["symmetry", path])
+    assert (code, text) == (2, "") and "about 10^4434 elements" in err
+    assert max(args, default=0) <= 30
 
 
 # --- realize --------------------------------------------------------------

@@ -77,6 +77,31 @@ def test_integrals_match_both_oracles_on_a_non_square_grid(arrangements):
         assert new.tobytes() == oracles.face_integrator(arr, d)(d.values).tobytes()
 
 
+def test_face_cells_split_from_one_sort_match_the_oracle():
+    # each face's cells are a slice of one stable sort of the raster's
+    # labels: a square whose chamfered corners leave cell 0 inside it; 130
+    # circles on 12 cell columns, where most faces get an empty slice; and
+    # one cell, outside a circle, so that the circle's slice is empty
+    side = np.linspace(0.0, 1.0, 9)[1:-1]
+    zero, one = 0.0 * side, 1.0 + 0.0 * side
+    square = np.concatenate([np.column_stack(xy) for xy in
+                             ((side, zero), (one, side), (side[::-1], one), (zero, side[::-1]))])
+    rng = np.random.default_rng(3)
+    cases = [(build_arrangement(ClosedCurve((square,))), 9, 9, 1.0),
+             (build_arrangement(circles_row(130)), 13, 5, 1 / 7),
+             (build_arrangement(circle_curve()), 2, 2, 4.0)]
+    first, empty = [], 0
+    for arr, nx, ny, pad in cases:
+        x0, x1, y0, y1 = arr.curve.bbox()
+        d = node_values(x0, x1 + pad, y0, y1 + pad, nx, ny, rng.uniform(0.1, 3.0, size=(nx, ny)))
+        got = integrate_density_over_faces(arr, d)
+        assert got.tobytes() == oracles.face_integrator(arr, d)(d.values).tobytes()
+        lab = _face_raster(arr, *cell_centers(d))
+        first.append(int(lab[0, 0]))
+        empty += arr.r + 1 - len(np.unique(lab))
+    assert first == [1, 6, 0] and empty > 100
+
+
 def test_raster_agrees_with_face_contains(arrangements):
     rng = np.random.default_rng(5)
     for k, arr in enumerate(arrangements):

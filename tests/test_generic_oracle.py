@@ -131,6 +131,23 @@ def many_crossings(n=1024):
     )
 
 
+def eights_column(k, n=64):
+    """k figure-eights (sin t, sin t cos t) stacked 3 apart in y: every
+    crossing lies on x = 0, so all hit pairs share one x-window."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    eight = np.column_stack([np.sin(t), np.sin(t) * np.cos(t)])
+    return ClosedCurve(tuple(eight + (0.0, 3.0 * i) for i in range(k)))
+
+
+def same_clusters(hits, sep_tol):
+    """Require `_cluster_hits` to group the records, and order the
+    clusters, as the all-pairs oracle does; return the clusters."""
+    got = curves._cluster_hits(hits, sep_tol)
+    want = oracles._cluster_hits(hits, sep_tol)
+    assert [[id(h) for h in c] for c in got] == [[id(h) for h in c] for c in want]
+    return got
+
+
 def test_trig_family_matches_dense():
     for curve, _ in generic_trig_loops(seed=77, count=100):
         assert_same(curve)
@@ -273,6 +290,96 @@ def test_many_hits_cluster_like_all_pairs():
     assert sum(len(c) > 1 for c in clusters) > 80
 
 
+def test_crossings_in_one_x_window_cluster_like_all_pairs():
+    # 200 stacked eights: 800 hits, every pair of them within 2 sep_tol in
+    # x; the 91-crossing loop turned a quarter, so its hits spread along y
+    turned = ClosedCurve((many_crossings().loops[0] @ [[0.0, 1.0], [-1.0, 0.0]],))
+    for curve, crossings in ((eights_column(200), 200), (turned, 91)):
+        sep_tol = check_generic(curve).sep_tol
+        hits = curves._segment_hits(curve, sep_tol, [])
+        assert len(same_clusters(hits, sep_tol)) == crossings
+
+
+def test_cluster_hits_measure_pairs_in_array_passes(monkeypatch):
+    # all 319,600 pairs of hits lie within 2 sep_tol in x, and each chunk
+    # of them is measured in one `_norms` pass, not by np.linalg.norm
+    curve = eights_column(200)
+    sep_tol = check_generic(curve).sep_tol
+    hits = curves._segment_hits(curve, sep_tol, [])
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    assert len(curves._cluster_hits(hits, sep_tol)) == 200
+    assert not calls
+
+
+def test_cluster_windows_sweep_in_chunks(monkeypatch):
+    # 50 stacked eights: all 19,900 pairs of their 200 hits in one x-window,
+    # measured PAIR_CHUNK at a time
+    monkeypatch.setattr(curves, "PAIR_CHUNK", 997)
+    curve = eights_column(50)
+    sep_tol = check_generic(curve).sep_tol
+    hits = curves._segment_hits(curve, sep_tol, [])
+    sizes = []
+    expand = curves._window_pairs
+
+    def counted(end):
+        for p, q in expand(end):
+            sizes.append(len(p))
+            yield p, q
+
+    monkeypatch.setattr(curves, "_window_pairs", counted)
+    assert len(same_clusters(hits, sep_tol)) == 50
+    assert sum(sizes) == 200 * 199 // 2
+    assert len(sizes) > 1 and max(sizes) <= 997
+
+
+def test_near_pairs_beside_crossings_screen_like_lookups(monkeypatch):
+    # each near pair's verdict equals the nine (eighteen within one loop)
+    # set lookups of the oracle. The trig loops start at a crossing's
+    # segment, and their sep_tol, like the 91-crossing loop's, is raised
+    # until near pairs crowd around each crossing, some beside it only
+    # across the loop's seam
+    trig = [curve for curve, rep in generic_trig_loops(seed=77, count=100) if rep.double_points]
+    inputs = [(close_circles_curve(), None), (stacked_boxes(1e-9), None), (many_crossings(), 0.01)]
+    for curve in trig:
+        for dp in check_generic(curve).double_points:
+            rolled = ClosedCurve((np.roll(curve.loops[0], -int(dp.first[1]), axis=0),))
+            inputs += [(rolled, f * curve.bbox_diagonal()) for f in (1e-3, 1e-2, 3e-2)]
+    calls = []
+    screen = curves._beside_crossings
+
+    def spy(*args):
+        calls.append((args, screen(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(curves, "_beside_crossings", spy)
+    for curve, sep_tol in inputs:
+        assert_same(curve, sep_tol=sep_tol)
+    near = beside = seam = 0
+    for (sa, sb, ha, hb, index, size), got in calls:
+        loop = (np.cumsum(index == 0) - 1).tolist()
+        index, size = index.tolist(), size.tolist()
+        crossed = {}
+        for a, b in zip(ha.tolist(), hb.tolist()):
+            crossed.setdefault((loop[a], loop[b]), set()).add((index[a], index[b]))
+        for a, b, flag in zip(sa.tolist(), sb.tolist(), got.tolist()):
+            same, pairs = loop[a] == loop[b], crossed.get((loop[a], loop[b]), ())
+            i, j = index[a], index[b]
+            assert flag == oracles._beside_crossing(i, j, size[a], size[b], pairs, same)
+            near += 1
+            beside += flag
+            # beside a crossing only through a neighbour across the seam
+            seam += flag and not oracles._beside_crossing(i, j, 2**40, 2**40, pairs, same)
+    # 2135 near pairs, 175 beside a crossing, 18 of them across a seam
+    assert near - beside > 1000 and beside > 100 and seam > 10
+
+
 def test_boxes_exactly_sep_tol_apart_are_candidates():
     # the right side of one box and the left side of the other are exactly
     # sep_tol apart in x: their pair sits on the edge of the sweep window
@@ -349,7 +456,9 @@ def test_point_segment_distance_broadcasts():
 def test_chunked_sweep_matches_dense(chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(curves, "PAIR_CHUNK", chunk)
-    for curve in (serpentine_curve(strands=16, n=2048), many_crossings(), trefoil_curve(n=512)):
+    # the column's 200 hits share one x-window: its 19,900 pairs are clustered in chunks too
+    for curve in (serpentine_curve(strands=16, n=2048), many_crossings(), trefoil_curve(n=512),
+                  eights_column(50)):
         report, _ = assert_same(curve)
         assert report.is_generic
 
