@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError, require_positive
-from .geometry import PAIR_CHUNK, cross2, segment_intersections, segment_pair_distances
+from .geometry import PAIR_CHUNK, cross2, norms, segment_intersections, segment_pair_distances
 
 MIN_LOOP_SAMPLES = 8
 # largest coordinate magnitude: face centroid moments are cubic in the
@@ -519,7 +519,7 @@ def _cluster_hits(hits, sep_tol):
     """Group intersection records whose points lie within sep_tol.
 
     Only the `_window_pairs` of one sort by x, within 2 sep_tol in x, are
-    measured, a chunk per `_norms` pass: two points within sep_tol of
+    measured, a chunk per `norms` pass: two points within sep_tol of
     each other are within sep_tol in x up to rounding. The pairs within
     sep_tol are merged in (i, j) order of the records, so the clusters
     and their order are those of a test of all pairs. A column of
@@ -536,7 +536,7 @@ def _cluster_hits(hits, sep_tol):
     keys = []  # i * len(hits) + j of each pair i < j within sep_tol
     for p, q in _window_pairs(end):
         i, j = np.minimum(order[p], order[q]), np.maximum(order[p], order[q])
-        close = _norms(xy.take(i, axis=0) - xy.take(j, axis=0)) <= sep_tol
+        close = norms(xy.take(i, axis=0) - xy.take(j, axis=0)) <= sep_tol
         keys.append(i[close] * len(hits) + j[close])
     pairs = zip(*(x.tolist() for x in np.divmod(np.sort(np.concatenate(keys)), len(hits))))
     groups: dict[int, list] = {}
@@ -616,21 +616,14 @@ def _unit_tangents(curve, loops, ts):
     at = np.where(after, nxt, seg)  # the nearest sample, for rows not inside a segment
     into = pts.take(at, axis=0) - pts.take(np.where(at == start, start + n - 1, at - 1), axis=0)
     out = pts.take(succ.take(at), axis=0) - pts.take(at, axis=0)
-    across = into / _norms(into)[:, None] + out / _norms(out)[:, None]
+    across = into / norms(into)[:, None] + out / norms(out)[:, None]
     inside = after & (frac < 1.0 - 1e-9)
     d = np.where(inside[:, None], pts.take(nxt, axis=0) - pts.take(seg, axis=0), across)
-    norm = _norms(d)
+    norm = norms(d)
     if not norm.all():
         k = int(np.argmin(norm))
         raise ValidationError(f"loop {int(loops[k])}: degenerate tangent at t={float(t[k])}")
     return d / norm[:, None]
-
-
-def _norms(d):
-    """Euclidean norm of each row of an (m, 2) array, with the bits of
-    np.linalg.norm on that row alone: the square root of its dot product
-    with itself, taken as stacked 1x2 @ 2x1 products."""
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def _check_cusps(curve, violations):

@@ -11,14 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 EPSILON = 1e-12
-# pairs broadcast at a time, by the genericity broad phase and by
-# winding_numbers, and values per column block that forms._distinct_rows
-# reads: few enough that the temporaries stay in cache. Against
-# 1M-pair chunks (2-core x86-64, in process, interleaved), check_generic
-# of the 16384-sample serpentine_curve() takes 23-24 ms, not 44-48 ms,
-# and peaks at 4.8 MB, not 37.6 MB, under tracemalloc; a 16384-sample
-# trefoil stays at 3.5-3.7 ms, and a face query over 63^2 cell centers
-# runs 1.7x faster
+# pairs broadcast at a time, by the genericity broad phase, winding_numbers
+# and the label search, and values per column block that forms._distinct_rows
+# reads: few enough that the temporaries stay in cache. Against 1M-pair chunks
+# (2-core x86-64, in process, interleaved), check_generic of the 16384-sample
+# serpentine_curve() takes 23-24 ms, not 44-48 ms, and peaks at 4.8 MB, not
+# 37.6 MB, under tracemalloc; a 16384-sample trefoil stays at 3.5-3.7 ms, and
+# a face query over 63^2 cell centers runs 1.7x faster
 PAIR_CHUNK = 1 << 16
 
 
@@ -27,6 +26,13 @@ def cross2(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def norms(d):
+    """Euclidean norm of each row of an (m, 2) array, with the bits of
+    np.linalg.norm on that row alone: the square root of its dot product
+    with itself, taken as stacked 1x2 @ 2x1 products."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def walk_moments(closed, stops):

@@ -223,6 +223,12 @@ def circles_row(k, n=32):
     ))
 
 
+def concentric_rings(k, n=64):
+    """k concentric circles of radii 1 + 0.5 i: every face but the
+    innermost is an annulus, whose centroid lies in its hole."""
+    return ClosedCurve(tuple(circle_curve(n=n, radius=1.0 + 0.5 * i).loops[0] for i in range(k)))
+
+
 def flower_curve(k, n=128):
     """A unit circle of n samples crossed by k circles of radius 0.25 (64
     samples each) centred on it, the petals, each sampled as the first

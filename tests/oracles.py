@@ -440,7 +440,10 @@ def face_contains(face: Face, points) -> np.ndarray:
 def point_segment_distance(points, a, b):
     """The original `geometry.point_segment_distance`: many points, one segment.
 
-    Distance from each query point to the segment [a, b]; vectorized.
+    Distance from each query point to the segment [a, b]; vectorized. Each
+    point's dot product with the segment is a 1x2 @ 2x1 product, which has
+    the bits of that point alone; one (m, 2) @ (2,) product over many
+    points does not.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     a = np.asarray(a, dtype=float)
@@ -448,7 +451,7 @@ def point_segment_distance(points, a, b):
     dd = float(d @ d)
     if dd < EPSILON * EPSILON:
         return np.linalg.norm(p - a, axis=-1)
-    t = np.clip(((p - a) @ d) / dd, 0.0, 1.0)
+    t = np.clip(((p - a)[:, None, :] @ d[:, None])[:, 0, 0] / dd, 0.0, 1.0)
     proj = a + t[:, None] * d
     return np.linalg.norm(p - proj, axis=-1)
 
@@ -468,14 +471,14 @@ def segment_pair_distance(p0, p1, q0, q1) -> float:
     )
 
 
-def boundary_distance(face: Face, point) -> float:
-    """The original `Arrangement.boundary_distance`: one call per segment."""
-    best = np.inf
-    p = np.asarray(point, dtype=float)[None, :]
+def boundary_distance(face: Face, points) -> np.ndarray:
+    """The original `Arrangement.boundary_distance`, for many points at
+    once: one call per segment, each point keeping its least distance."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(len(p), np.inf)
     for poly in face_walks(face):
         for i in range(len(poly)):
-            d = point_segment_distance(p, poly[i], poly[(i + 1) % len(poly)])[0]
-            best = min(best, float(d))
+            np.minimum(best, point_segment_distance(p, poly[i], poly[(i + 1) % len(poly)]), out=best)
     return best
 
 
@@ -586,7 +589,7 @@ def _face_profiles(arr: Arrangement, omega: Density):
     profiles = []
     for face in arr.bounded_faces:
         rx, ry = face.rep_point
-        eps = 0.5 * face.boundary_distance(np.array([rx, ry]))
+        eps = 0.5 * boundary_distance(face, [rx, ry])[0]
         if eps <= 0:
             raise RealizationError(
                 f"no interior disc for face {face.label}: representative point "
@@ -1900,19 +1903,27 @@ def _polygon_centroid_raw(poly):
     return np.array([np.sum((x + xn) * w), np.sum((y + yn) * w)]) / (6.0 * a)
 
 
-def representative_point(arr: Arrangement, face: Face) -> np.ndarray:
-    """The original `arrangement._representative_point`: the centroid from
-    one shoelace pass per walk for the area and another for the moments."""
+def representative_point(arr: Arrangement, face: Face) -> tuple[np.ndarray, float]:
+    """The original `arrangement._representative_point`, and the point's
+    distance to the face's boundary: the centroid from one shoelace pass
+    per walk for the area and another for the moments, else the first
+    inward offset of an edge midpoint, edge by edge, that lies in the face
+    more than 0.4 offsets from its boundary. Each offset fraction's
+    candidates go through the per-edge winding and per-segment distance
+    oracles together."""
     weighted = np.zeros(2)
     for poly in face_walks(face):
         a = signed_area(poly)
         weighted += a * _polygon_centroid_raw(poly)
     centroid = weighted / face.area
     scale = float(np.sqrt(face.area))
-    if face.contains(centroid)[0] and face.boundary_distance(centroid) > 1e-6 * scale:
-        return centroid
+    if face_contains(face, centroid)[0]:
+        gap = boundary_distance(face, centroid)[0]
+        if gap > 1e-6 * scale:
+            return centroid, float(gap)
     for frac in (0.2, 0.08, 0.02, 0.005):
         delta = frac * scale
+        candidates = []
         for poly in face_walks(face):
             for i in range(len(poly)):
                 a, b = poly[i], poly[(i + 1) % len(poly)]
@@ -1922,9 +1933,12 @@ def representative_point(arr: Arrangement, face: Face) -> np.ndarray:
                     continue
                 # face lies left of the directed boundary
                 inward = np.array([-d[1], d[0]]) / norm
-                p = 0.5 * (a + b) + delta * inward
-                if face.contains(p)[0] and face.boundary_distance(p) > 0.4 * delta:
-                    return p
+                candidates.append(0.5 * (a + b) + delta * inward)
+        inside = np.array(candidates)[face_contains(face, candidates)]
+        gaps = boundary_distance(face, inside)
+        for p, gap in zip(inside, gaps):
+            if gap > 0.4 * delta:
+                return p, float(gap)
     raise InconsistencyError(f"no interior representative point found for face {face.index}")
 
 

@@ -24,6 +24,7 @@ from symplane.curves import (
 )
 from symplane.errors import GenericityError, ValidationError
 from symplane.forms import unit_density
+from symplane.geometry import point_segment_distance
 
 
 def uniform_density(curve, value=1.0, n=256, inflate=0.25):
@@ -150,7 +151,7 @@ def test_integrate_bump_adds_only_to_its_face(gerono256):
     density = uniform_density(gerono256, n=384)
     face = arr.bounded_faces[0]
     cx, cy = face.rep_point
-    rad = 0.35 * face.boundary_distance(face.rep_point)
+    rad = 0.35 * point_segment_distance(face.rep_point, *face.edges).min()
 
     xs = np.linspace(density.x0, density.x1, density.nx)
     ys = np.linspace(density.y0, density.y1, density.ny)

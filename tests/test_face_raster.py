@@ -8,6 +8,7 @@ closely: face integrals feed density files whose bytes must not move.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +24,13 @@ from conftest import (
     trefoil_curve,
 )
 
-from symplane.arrangement import Face, _face_raster, build_arrangement, integrate_density_over_faces
+from symplane.arrangement import (
+    Face,
+    _assign_labels,
+    _face_raster,
+    build_arrangement,
+    integrate_density_over_faces,
+)
 from symplane.curves import ClosedCurve, load_curve
 from symplane.errors import FormatError, GenericityError, InconsistencyError, ValidationError
 from symplane.geometry import point_segment_distance, winding_numbers
@@ -112,8 +119,8 @@ def test_raster_agrees_with_face_contains(arrangements):
             gx, gy = np.meshgrid(cx, cy, indexing="ij")
             pts = np.column_stack([gx.ravel(), gy.ravel()])
             for face in arr.faces:
-                inside = face.contains(pts).reshape(lab.shape)
-                assert np.array_equal(inside, lab == (face.label or 0))
+                inside = winding_numbers(pts, *face.edges) == (0 if face.is_outer else 1)
+                assert np.array_equal(inside.reshape(lab.shape), lab == (face.label or 0))
 
 
 @pytest.mark.parametrize("curve", [circle_curve(n=64), gerono_curve(n=256)])
@@ -192,7 +199,8 @@ def test_boundary_distance_matches_per_segment_oracle(arrangements):
         probes = np.column_stack([rng.uniform(x0, x1, 2), rng.uniform(y0, y1, 2)])
         for face in arr.bounded_faces:
             for p in (face.rep_point, *probes):
-                assert face.boundary_distance(p) == oracles.boundary_distance(face, p)
+                got = point_segment_distance(p, *face.edges).min()
+                assert got == oracles.boundary_distance(face, p)[0]
 
 
 def golden_arrangements():
@@ -215,7 +223,8 @@ def test_clearance_is_the_boundary_distance_of_the_label_point(arrangements):
     searched = []
     for arr in [*arrangements, *annuli, *golden_arrangements()]:
         for face in arr.bounded_faces:
-            assert face.clearance.hex() == face.boundary_distance(face.rep_point).hex()
+            got = point_segment_distance(face.rep_point, *face.edges).min()
+            assert face.clearance.hex() == float(got).hex()
             searched.append(face.rep_point is not face.centroid)
     assert sum(searched) >= len(annuli) + 13
 
@@ -224,7 +233,24 @@ def test_boundary_distance_of_zero_length_segment():
     closed = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     face = Face(index=0, edges=(closed[:-1], closed[1:]), area=2.0, is_outer=False, centroid=None)
     for p in ([-3.0, -4.0], [0.5, 0.5], [1.0, -1.0]):
-        assert face.boundary_distance(p) == oracles.boundary_distance(face, p)
+        assert point_segment_distance(p, *face.edges).min() == oracles.boundary_distance(face, p)[0]
+
+
+def test_label_search_skips_a_zero_length_edge():
+    # a square annulus whose centroid lies in its hole, its first edge of
+    # zero length: that edge has no inward direction, so the search skips
+    # it, as the one-edge-at-a-time search did, with no 0/0 to warn about
+    outer = [[0.0, 0.0], [0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0], [0.0, 0.0]]
+    inner = [[1.0, 1.0], [1.0, 3.0], [3.0, 3.0], [3.0, 1.0], [1.0, 1.0]]
+    face = Face(index=0, edges=(np.array(outer[:-1] + inner[:-1]), np.array(outer[1:] + inner[1:])),
+                area=12.0, is_outer=False, centroid=np.array([2.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assign_labels(SimpleNamespace(faces=[face]))
+    point, clearance = oracles.representative_point(None, face)
+    assert face.rep_point is not face.centroid and face.label == 1
+    assert face.rep_point.tobytes() == point.tobytes()
+    assert face.clearance.hex() == clearance.hex()
 
 
 def test_raster_holds_labels_past_a_signed_byte():

@@ -18,7 +18,15 @@ from unittest.mock import patch
 import numpy as np
 import oracles
 import pytest
-from conftest import circle_curve, eights_row, gerono_curve, holed_curve, trefoil_curve
+from conftest import (
+    circle_curve,
+    concentric_rings,
+    eights_row,
+    gerono_curve,
+    holed_curve,
+    serpentine_curve,
+    trefoil_curve,
+)
 
 from symplane import arrangement, geometry
 from symplane.arrangement import build_arrangement
@@ -81,8 +89,9 @@ def test_holes_match_per_pair_oracle(name, reverse):
         assert bits(new.area) == bits(ref.area)
         if not new.is_outer:
             assert bits(new.centroid) == bits(ref.centroid)
-            ref.rep_point = oracles.representative_point(arr, ref)
+            ref.rep_point, ref.clearance = oracles.representative_point(arr, ref)
             assert bits(new.rep_point) == bits(ref.rep_point)
+            assert bits(new.clearance) == bits(ref.clearance)
     ref_order = sorted((f for f in old if not f.is_outer), key=lambda f: tuple(f.rep_point))
     assert [f.index for f in arr.bounded_faces] == [f.index for f in ref_order]
 
@@ -114,3 +123,64 @@ def test_winding_calls_per_build(curve, hole_calls):
         build_arrangement(curve)
     assert spy.call_count == hole_calls
     assert signs.call_count == 1
+
+
+def label_searches(curve):
+    """Build `curve`; for each face that the label search takes, return
+    its edge count, its label point and the winding and distance passes
+    the search made, in order, with their query points."""
+    searches, passes = [], None
+    offset_point = arrangement._offset_point
+
+    def search(face):
+        nonlocal passes
+        passes = []
+        point, gap = offset_point(face)
+        searches.append((len(face.edges[0]), point, passes))
+        passes = None
+        return point, gap
+
+    def pass_of(kind, routine):
+        def spy(points, *edges):
+            if passes is not None:
+                passes.append((kind, np.array(points)))
+            return routine(points, *edges)
+        return spy
+
+    with patch.object(arrangement, "_offset_point", search), \
+            patch.object(arrangement, "winding_numbers", pass_of("wind", geometry.winding_numbers)), \
+            patch.object(arrangement, "point_segment_distance",
+                         pass_of("dist", geometry.point_segment_distance)):
+        build_arrangement(curve)
+    return searches
+
+
+@pytest.mark.parametrize("curve, searched, fraction_passes", [
+    (concentric_rings(30), 29, 1),
+    (serpentine_curve(strands=16, n=2048), 1, 64),
+], ids=["rings30", "serpentine"])
+def test_label_search_passes_per_fraction(curve, searched, fraction_passes):
+    # each offset fraction tries every edge's candidate in blocks of about
+    # PAIR_CHUNK point-edge pairs, taken in edge order: one winding pass a
+    # block, then one distance pass over the block's candidates inside;
+    # a 128-edge annulus takes one block a fraction, the 2048-edge comb
+    # ceil(2048 / 32) = 64
+    searches = label_searches(curve)
+    assert len(searches) == searched
+    tried = []
+    for n, point, passes in searches:
+        block = geometry.PAIR_CHUNK // n
+        assert -(-n // block) == fraction_passes
+        assert [kind for kind, _ in passes] == ["wind", "dist"] * (len(passes) // 2)
+        sizes = [len(points) for kind, points in passes if kind == "wind"]
+        # no edge has zero length, so every fraction is n candidates
+        fraction = [block] * (n // block) + [n % block] * (n % block > 0)
+        fractions = -(-len(sizes) // fraction_passes)
+        assert 1 <= fractions <= 4
+        tried.append(fractions)
+        assert sizes == (fraction * fractions)[:len(sizes)]
+        for (_, block_points), (_, inside) in zip(passes[::2], passes[1::2]):
+            assert inside.shape[1] == 1 and len(inside) <= len(block_points)
+        # the last block holds the label point: the search stops there
+        assert (passes[-2][1] == point).all(axis=1).any()
+    assert max(tried) > 1

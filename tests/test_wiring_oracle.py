@@ -21,12 +21,14 @@ import oracles
 import pytest
 from conftest import (
     circle_curve,
+    concentric_rings,
     eights_row,
     generic_trig_loops,
     gerono_curve,
     holed_curve,
     petal_curve,
     serpentine_curve,
+    thin_band_curve,
     trefoil_curve,
 )
 
@@ -116,8 +118,12 @@ def assert_same_wiring(curve):
         assert bits(walk) == bits(oracles._cycle_polygon(arr.half_edges, cycle))
         assert bits(new_area) == bits(area)
         assert bits(new_centroid) == bits(centroid)
-    for face in arr.bounded_faces:
-        assert bits(face.rep_point) == bits(oracles.representative_point(arr, face))
+    refs = [oracles.representative_point(arr, face) for face in arr.bounded_faces]
+    for face, (point, clearance) in zip(arr.bounded_faces, refs):
+        assert bits(face.rep_point) == bits(point)
+        assert bits(face.clearance) == bits(clearance)
+    # labels run in the lexicographic order of the oracle's label points
+    assert sorted(range(len(refs)), key=lambda j: tuple(refs[j][0])) == list(range(len(refs)))
     assert arr.components == old.components
     assert gauss_code(arr).base_sign == oracles.gauss_signs(arr)
     return arr
@@ -137,11 +143,28 @@ def annulus(n):
     return ClosedCurve(circle_curve(n=n).loops + circle_curve(n=n, radius=0.95).loops)
 
 
-@pytest.mark.parametrize("curve, searched", [(serpentine_curve(strands=16, n=2048), 1),
-                                             (annulus(512), 1)], ids=["serpentine", "annulus"])
+def underflowing_edge():
+    """An annulus whose outer loop takes a step of 1e-170 at the origin:
+    the step's squared length underflows, so its edge has norm 0."""
+    t = -np.pi / 2 + 2.0 * np.pi * np.arange(64) / 64
+    outer = np.column_stack([2.0 * np.cos(t), 2.0 + 2.0 * np.sin(t)])
+    outer[0] = 0.0
+    outer = np.insert(outer, 1, (1e-170, 0.0), axis=0)
+    return ClosedCurve((outer, circle_curve(n=64, center=(0.0, 2.0)).loops[0]))
+
+
+@pytest.mark.parametrize("curve, searched", [
+    (serpentine_curve(strands=16, n=2048), 1),
+    (annulus(512), 1),
+    (concentric_rings(30), 29),
+    (concentric_rings(300), 299),
+    (thin_band_curve(1e-3), 1),
+    (underflowing_edge(), 1),
+], ids=["serpentine", "annulus", "rings30", "rings300", "thin-band", "underflowing-edge"])
 def test_offset_search_faces_match(curve, searched):
-    # the comb-shaped face and the annulus have their centroid outside
-    # them, so their label points come from the inward-offset search
+    # the comb-shaped face, the annuli and the C-shaped band have their
+    # centroid outside them, so their label points come from the
+    # inward-offset search
     arr = assert_same_wiring(curve)
     assert sum(f.rep_point is not f.centroid for f in arr.bounded_faces) == searched
 
